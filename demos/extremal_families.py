@@ -24,7 +24,7 @@ cubic = closed_form("f2", n=n, k=k)
 root = largest_real_root(cubic)
 eig = largest_eigenvalue(signless_laplacian(extremal_graph(p2)))
 print(f"\ndense family cubic: {[str(c) for c in cubic.coefficients()]}")
-print(f"largest root {root:.12g}  vs power iteration {eig:.12g}")
+print(f"largest root {root:.12g}  vs matrix eigenvalue {eig:.12g}")
 
 # the minimum-degree member takes s equal to delta; watch both spectral
 # quantities move as delta grows with the order fixed

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .graphs import (CapacityError, ExtremalParams, extremal_graph, graph_stats)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (OracleCapacityError, is_fext_definitional, is_fext_lemma)
-from .spectral import (DEFAULT_TOL, FAMILIES, closed_form, distance_matrix_array,
+from .spectral import (FAMILIES, closed_form, distance_matrix_array,
                        largest_eigenvalue, largest_real_root, signless_laplacian,
                        spectral_report)
 from .corpus import complement_corpus, connected_graphs
@@ -123,7 +123,7 @@ def _verdict_row(name: str, verdict) -> dict:
 def cmd_check(args, out) -> int:
     line = sys.stdin.readline() if args.graph == "-" else args.graph
     g = parse_graph6(line)
-    rep = spectral_report(g, tol=args.tol)
+    rep = spectral_report(g)
     rows = [{"spectral": _jsonable(rep)}]
     verdicts = {}
     for name, oracle in (("set_condition", is_fext_lemma),
@@ -141,7 +141,7 @@ def cmd_check(args, out) -> int:
     answer = ran[0].answer
     doc = {
         "command": "check",
-        "config": {"k": args.k, "tol": args.tol},
+        "config": {"k": args.k},
         "results": rows,
         "summary": {"scanned": 1, "confirmed": int(answer),
                     "equality_cases": 0, "counterexamples": 0},
@@ -157,8 +157,8 @@ def cmd_extremal(args, out) -> int:
     p = ExtremalParams(n=args.n, k=args.k, s=s)
     g = extremal_graph(p)
     st = graph_stats(g)
-    q = largest_eigenvalue(signless_laplacian(g), tol=args.tol)
-    mu = largest_eigenvalue(distance_matrix_array(g), tol=args.tol)
+    q = largest_eigenvalue(signless_laplacian(g))
+    mu = largest_eigenvalue(distance_matrix_array(g))
     if args.n >= 2 * s - 2 * args.k + 2:
         q_poly = closed_form("f_pi_1", n=args.n, k=args.k, s=s)
     else:
@@ -173,7 +173,7 @@ def cmd_extremal(args, out) -> int:
     }
     doc = {
         "command": "extremal",
-        "config": {"n": args.n, "k": args.k, "s": s, "tol": args.tol},
+        "config": {"n": args.n, "k": args.k, "s": s},
         "results": [row],
         "summary": {"scanned": 1, "confirmed": 0,
                     "equality_cases": 1, "counterexamples": 0},
@@ -200,7 +200,7 @@ def cmd_sweep(args, out) -> int:
     spec = theorem_spec(args.theorem, args.k)
     corpus, name = _load_corpus(args.corpus)
     try:
-        rep = sweep(corpus, spec, corpus_name=name, tol=args.tol, jobs=args.jobs)
+        rep = sweep(corpus, spec, corpus_name=name, jobs=args.jobs)
     finally:
         if hasattr(corpus, "close") and corpus is not sys.stdin:
             corpus.close()
@@ -227,7 +227,7 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_grid(args, out) -> int:
     rep = lemma_grid(args.lemma, k_max=args.k, n_max=args.n,
-                     delta_max=args.delta, tol=args.tol, jobs=args.jobs)
+                     delta_max=args.delta, jobs=args.jobs)
     results = [_jsonable(v) for v in rep.violations]
     doc = {
         "command": "grid",
@@ -298,7 +298,7 @@ def cmd_report(args, out) -> int:
         "mu": ExtremalParams(n=12 * d0 - 2 * k + 1, k=k, s=d0),
     }
     for tid, p in sharp_points.items():
-        rep = sharpness(p, theorem_spec(tid, k), tol=args.tol)
+        rep = sharpness(p, theorem_spec(tid, k))
         ok &= rep.ok
         results.append({"section": "sharpness", "theorem": tid,
                         "params": [p.n, p.k, p.s], "ok": rep.ok,
@@ -310,14 +310,14 @@ def cmd_report(args, out) -> int:
              ("mu_compare", dict(k_max=2 if full else 1, n_max=90 if full else 45,
                                  delta_max=7 if full else 3))]
     for lemma, bounds in grids:
-        rep = lemma_grid(lemma, tol=args.tol, jobs=args.jobs, **bounds)
+        rep = lemma_grid(lemma, jobs=args.jobs, **bounds)
         ok &= rep.ok
         results.append({"section": "grid", "lemma": lemma, **bounds,
                         "points": rep.points, "violations": len(rep.violations),
                         "max_crosscheck_error": rep.max_crosscheck_error})
 
     for kind in ("q", "mu"):
-        probe = probe_gap_region(kind, k, d0, tol=args.tol)
+        probe = probe_gap_region(kind, k, d0)
         results.append({"section": "gap_probe", "kind": kind, "delta": d0,
                         "rows": len(probe.rows), "min_margin": probe.min_margin,
                         "all_hold": probe.all_hold, "asserted": False})
@@ -328,7 +328,7 @@ def cmd_report(args, out) -> int:
     for s in (d0, d0 + 1, d0 + 2):
         p = ExtremalParams(n=n_mu, k=k, s=s)
         rep = sample_spanning_subgraphs(p, spec, samples=samples,
-                                        seed=args.seed, tol=args.tol)
+                                        seed=args.seed)
         ok &= rep.ok
         results.append({"section": "sampling", "params": [p.n, p.k, p.s],
                         "samples": rep.samples, "statuses": dict(rep.statuses),
@@ -349,7 +349,6 @@ def cmd_report(args, out) -> int:
 
 def _config(args, **extra) -> dict:
     cfg = dict(extra)
-    cfg["tol"] = args.tol
     # jobs changes nothing observable, so the deterministic flag hides it
     if not args.deterministic and hasattr(args, "jobs"):
         cfg["jobs"] = args.jobs
@@ -362,8 +361,6 @@ def _config(args, **extra) -> dict:
 
 def _add_common(sub, jobs_default):
     sub.add_argument("-k", type=int, default=1, help="matching size parameter")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="eigenvalue tolerance")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
     sub.add_argument("--jobs", type=int, default=jobs_default,

@@ -16,12 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep, but keep the oracle honest
-    _np = None
+from .graphs import Graph
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -446,11 +443,11 @@ def is_fext_definitional(g: Graph, k: int, cap: int = 10 ** 6) -> Verdict:
 def _isolated_table(g: Graph, nbits: int):
     """i(G-S) for every mask S, vectorized; only for small orders."""
     size = 1 << nbits
-    masks = _np.arange(size, dtype=_np.int64)
-    iso = _np.zeros(size, dtype=_np.int16)
+    masks = np.arange(size, dtype=np.int64)
+    iso = np.zeros(size, dtype=np.int16)
     for v in range(nbits):
         row = g.rows[v]
-        iso += (((masks & row) == row) & (((masks >> v) & 1) == 0)).astype(_np.int16)
+        iso += (((masks & row) == row) & (((masks >> v) & 1) == 0)).astype(np.int16)
     return iso
 
 
@@ -470,15 +467,15 @@ def is_fext_lemma(g: Graph, k: int, scan_cap: int = SCAN_CAP) -> Verdict:
     if not has_k_matching(g, k):
         return Verdict(False, NO_K_MATCHING)
     n = g.n
-    if _np is not None and n <= 20:
+    if n <= 20:
         iso = _isolated_table(g, n)
-        masks = _np.arange(1 << n, dtype=_np.int64)
-        pc = _np.zeros(1 << n, dtype=_np.int16)
+        masks = np.arange(1 << n, dtype=np.int64)
+        pc = np.zeros(1 << n, dtype=np.int16)
         step = 1
         while step < (1 << n):
             pc[step:2 * step] = pc[:step] + 1
             step *= 2
-        cand = _np.nonzero(iso > pc - 2 * k)[0]
+        cand = np.nonzero(iso > pc - 2 * k)[0]
         for s in cand:
             s = int(s)
             if s.bit_count() >= 2 * k and _has_k_matching_in_mask(g, s, k):

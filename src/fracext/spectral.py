@@ -1,7 +1,7 @@
 """Spectral machinery: matrices, largest eigenvalues, exact quotients,
 and the closed-form characteristic cubics of the extremal families.
 
-Numeric spectral radii come from shifted power iteration; everything
+Numeric spectral radii come from LAPACK's symmetric eigensolver; everything
 structural (quotient matrices, characteristic polynomials, closed forms)
 is exact over the rationals, so the identity between a family's cubic and
 charpoly3(quotient(...)) can be asserted coefficient by coefficient.
@@ -14,19 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (Graph, ExtremalParams, distance_matrix, extremal_graph,
-                     is_connected, wiener_index)
+from .graphs import Graph, ExtremalParams, distance_matrix, is_connected
 
+# relative scale of the float margin at a bound (theorems._strict_margin)
 DEFAULT_TOL = 1e-10
-MAX_ITER = 10 ** 6
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to meet tolerance within the iteration cap."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(f"no convergence after {iterations} iterations, residual {residual:.3e}")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +43,6 @@ def signless_laplacian(g: Graph) -> np.ndarray:
 
 def distance_matrix_array(g: Graph) -> np.ndarray:
     return np.array(distance_matrix(g), dtype=np.int64)
-
-
-def build_matrix(g: Graph, kind: str) -> np.ndarray:
-    if kind == "adjacency":
-        return adjacency_matrix(g)
-    if kind == "signless_laplacian":
-        return signless_laplacian(g)
-    if kind == "distance":
-        return distance_matrix_array(g)
-    raise ValueError(f"unknown matrix kind {kind!r}")
 
 
 def _family_class_sizes(n: int, k: int, s: int) -> tuple[int, int, int]:
@@ -100,39 +81,16 @@ def family_distance_matrix(n: int, k: int, s: int) -> np.ndarray:
 # largest eigenvalue
 # ---------------------------------------------------------------------------
 
-def largest_eigenvalue(M, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
-    """Largest eigenvalue of a symmetric nonnegative integer matrix.
-
-    Shifted power iteration: the shift (max row sum) makes the target
-    eigenvalue dominant in modulus.  Start vector is all-ones plus a small
-    index-dependent perturbation; convergence is declared when the
-    infinity-norm residual drops below tol * max(1, lambda).
-    """
+def largest_eigenvalue(M) -> float:
+    """Largest eigenvalue of a real symmetric matrix (LAPACK eigvalsh)."""
     A = np.asarray(M, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if n == 0:
+    if A.shape[0] == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return float(A[0, 0])
-    shift = float(np.abs(A).sum(axis=1).max())
-    x = 1.0 + np.arange(n) * (1.0 / (8 * n))
-    x /= np.linalg.norm(x)
-    z = A @ x
-    residual = math.inf
-    for _ in range(max_iter):
-        lam = float(x @ z)
-        residual = float(np.max(np.abs(z - lam * x)))
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam
-        y = z + shift * x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return -shift  # zero spectrum edge case
-        x = y / norm
-        z = A @ x
-    raise ConvergenceError(residual, max_iter)
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix must be symmetric")
+    return float(np.linalg.eigvalsh(A)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +314,17 @@ class SpectralReport:
     wiener: int | None
 
 
-def spectral_report(g: Graph, tol: float = DEFAULT_TOL) -> SpectralReport:
+def spectral_report(g: Graph) -> SpectralReport:
     """Numeric spectral summary; distance data is None when disconnected."""
     conn = is_connected(g)
-    rho = largest_eigenvalue(adjacency_matrix(g), tol) if g.n else 0.0
-    q = largest_eigenvalue(signless_laplacian(g), tol) if g.n else 0.0
+    rho = largest_eigenvalue(adjacency_matrix(g)) if g.n else 0.0
+    q = largest_eigenvalue(signless_laplacian(g)) if g.n else 0.0
     mu = None
     wien = None
     if conn and g.n:
-        mu = largest_eigenvalue(distance_matrix_array(g), tol)
-        wien = wiener_index(g)
+        D = distance_matrix_array(g)
+        mu = largest_eigenvalue(D)
+        wien = int(D.sum()) // 2
     degs = [g.degree(v) for v in range(g.n)]
     return SpectralReport(g.n, g.edge_count(), min(degs, default=0), conn, rho, q, mu, wien)
 

@@ -34,8 +34,8 @@ EQUALITY_CASE = "equality_case"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
-def _strict_margin(tol: float, threshold) -> float:
-    return 10.0 * tol * max(1.0, abs(float(threshold)))
+def _strict_margin(threshold) -> float:
+    return 10.0 * DEFAULT_TOL * max(1.0, abs(float(threshold)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
-def check_theorem(g: Graph, spec: TheoremSpec, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     """Classify one graph against one sufficient condition.
 
     Order: hypotheses, then the bound, then the exceptional-graph test,
@@ -143,8 +143,8 @@ def check_theorem(g: Graph, spec: TheoremSpec, tol: float = DEFAULT_TOL) -> Chec
         met = st.e >= thr
     else:
         matrix = signless_laplacian(g) if spec.quantity == "q" else distance_matrix_array(g)
-        value = largest_eigenvalue(matrix, tol=tol)
-        slack = _strict_margin(tol, thr)
+        value = largest_eigenvalue(matrix)
+        slack = _strict_margin(thr)
         met = value >= thr - slack if spec.bound_side == ">=" else value <= thr + slack
     if not met:
         return CheckResult(status=BOUND_NOT_MET, value=value, threshold=thr, **base)
@@ -197,12 +197,12 @@ class SweepReport:
 
 
 def _sweep_item(args):
-    g, spec, tol = args
-    return check_theorem(g, spec, tol)
+    g, spec = args
+    return check_theorem(g, spec)
 
 
 def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
-          tol: float = DEFAULT_TOL, jobs: int = 1) -> SweepReport:
+          jobs: int = 1) -> SweepReport:
     """Run check_theorem over a corpus and aggregate.
 
     The corpus may yield Graph objects directly or graph6 text/byte lines
@@ -230,9 +230,9 @@ def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
         with mp.Pool(jobs) as pool:
             chunk = max(1, len(graphs) // (jobs * 8))
             results = list(pool.imap(_sweep_item,
-                                     ((g, spec, tol) for g in graphs), chunk))
+                                     ((g, spec) for g in graphs), chunk))
     else:
-        results = [check_theorem(g, spec, tol) for g in graphs]
+        results = [check_theorem(g, spec) for g in graphs]
 
     hyp = sum(1 for r in results if r.status != HYPOTHESES_NOT_MET)
     bound = sum(1 for r in results
@@ -345,9 +345,9 @@ class GridReport:
         return not self.violations
 
 
-def _family_q_value(n: int, k: int, s: int, tol: float) -> tuple[float, float]:
+def _family_q_value(n: int, k: int, s: int) -> tuple[float, float]:
     """(eigenvalue, crosscheck error) for q of the family at (n, k, s)."""
-    eig = largest_eigenvalue(family_q_matrix(n, k, s), tol=tol)
+    eig = largest_eigenvalue(family_q_matrix(n, k, s))
     if n >= 2 * s - 2 * k + 2:
         root = largest_real_root(closed_form("f_pi_1", n=n, k=k, s=s))
     else:
@@ -355,8 +355,8 @@ def _family_q_value(n: int, k: int, s: int, tol: float) -> tuple[float, float]:
     return eig, abs(eig - root)
 
 
-def _family_mu_value(n: int, k: int, s: int, tol: float) -> tuple[float, float]:
-    eig = largest_eigenvalue(family_distance_matrix(n, k, s), tol=tol)
+def _family_mu_value(n: int, k: int, s: int) -> tuple[float, float]:
+    eig = largest_eigenvalue(family_distance_matrix(n, k, s))
     root = largest_real_root(closed_form("phi_B1", n=n, k=k, s=s))
     return eig, abs(eig - root)
 
@@ -385,25 +385,25 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
 
 
 def _grid_group_rows(args) -> list[GridRow]:
-    lemma, k, delta, n, s_range, tol = args
+    lemma, k, delta, n, s_range = args
     rows = []
     if lemma == "q1q2":
-        rhs, rhs_err = _family_q_value(n, k, 2 * k, tol)
+        rhs, rhs_err = _family_q_value(n, k, 2 * k)
         rhs_err = max(rhs_err,
                       abs(rhs - largest_real_root(closed_form("f2", n=n, k=k))))
         value = _family_q_value
     elif lemma == "q1q3":
-        rhs, rhs_err = _family_q_value(n, k, delta, tol)
+        rhs, rhs_err = _family_q_value(n, k, delta)
         rhs_err = max(rhs_err, abs(rhs - largest_real_root(
             closed_form("f3_q", n=n, k=k, delta=delta))))
         value = _family_q_value
     else:
-        rhs, rhs_err = _family_mu_value(n, k, delta, tol)
+        rhs, rhs_err = _family_mu_value(n, k, delta)
         rhs_err = max(rhs_err, abs(rhs - largest_real_root(
             closed_form("phi_B3_case1", n=n, k=k, delta=delta))))
         value = _family_mu_value
     for s in s_range:
-        lhs, lhs_err = value(n, k, s, tol)
+        lhs, lhs_err = value(n, k, s)
         equality = lemma == "q1q2" and s == 2 * k
         rows.append(GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s,
                             lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
@@ -412,8 +412,7 @@ def _grid_group_rows(args) -> list[GridRow]:
 
 
 def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None,
-               tol: float = DEFAULT_TOL, jobs: int = 1,
-               crosscheck_tol: float = 1e-8) -> GridReport:
+               jobs: int = 1, crosscheck_tol: float = 1e-8) -> GridReport:
     """Verify one comparison inequality over a parameter grid.
 
     q1q2: q(family at s) below q(family at 2k) for n >= max(2s-2k+1, 2k+6),
@@ -424,7 +423,7 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
-    groups = [(lemma, k, d, n, s_range, tol)
+    groups = [(lemma, k, d, n, s_range)
               for k, d, n, s_range in _grid_groups(lemma, k_max, n_max, delta_max)]
     if jobs > 1 and len(groups) > 1:
         import multiprocessing as mp
@@ -444,7 +443,7 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
         max_err = max(max_err, row.lhs_err, row.rhs_err)
         if row.lhs_err > crosscheck_tol or row.rhs_err > crosscheck_tol:
             violations.append(GridViolation(kind="crosscheck", row=row))
-        slack = _strict_margin(tol, row.rhs)
+        slack = _strict_margin(row.rhs)
         gap = row.lhs - row.rhs if mu_side else row.rhs - row.lhs
         if row.equality_expected:
             equality_points += 1
@@ -502,8 +501,7 @@ def clique_witness_holds(g: Graph, k: int, s: int) -> tuple[bool, bool, bool]:
     return ok, ok, True
 
 
-def sharpness(p: ExtremalParams, spec: TheoremSpec,
-              tol: float = DEFAULT_TOL) -> SharpnessReport:
+def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     """Certify that the family graph sits exactly on the bound, unextendable.
 
     Checks: the set-condition oracle rejects it with the join clique as
@@ -521,13 +519,13 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec,
         equal = st.e == thr
     else:
         matrix = signless_laplacian(g) if spec.quantity == "q" else distance_matrix_array(g)
-        value = largest_eigenvalue(matrix, tol=tol)
-        equal = abs(value - thr) <= _strict_margin(tol, thr)
+        value = largest_eigenvalue(matrix)
+        equal = abs(value - thr) <= _strict_margin(thr)
 
     floor = floor_ok = None
     if spec.id == "mu":
         floor = float(st.n - p.s + 2 * spec.k + 3)
-        floor_ok = value >= floor - _strict_margin(tol, floor)
+        floor_ok = value >= floor - _strict_margin(floor)
     return SharpnessReport(params=p, theorem=spec.id, not_extendable=not_ext,
                            witness_is_clique=clique_wit, oracle_capped=capped,
                            bound_equality=equal, value=value, threshold=thr,
@@ -551,8 +549,7 @@ class GapProbeReport:
     all_hold: bool
 
 
-def probe_gap_region(kind: str, k: int, delta: int,
-                     tol: float = DEFAULT_TOL) -> GapProbeReport:
+def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
     """Probe the comparison inequality where the hypotheses do not reach.
 
     kind "q": orders with 6*delta <= n and 2n < 13*delta (the two q-side
@@ -573,9 +570,9 @@ def probe_gap_region(kind: str, k: int, delta: int,
     for n in orders:
         if n < 2 * delta - 2 * k + 2:
             continue
-        rhs, rhs_err = value(n, k, delta, tol)
+        rhs, rhs_err = value(n, k, delta)
         for s in range(delta + 1, (n + 2 * k - 1) // 2 + 1):
-            lhs, lhs_err = value(n, k, s, tol)
+            lhs, lhs_err = value(n, k, s)
             rows.append(GridRow(lemma=f"gap_{kind}", k=k, delta=delta, n=n, s=s,
                                 lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
                                 equality_expected=False))
@@ -608,8 +605,7 @@ class SampleReport:
 
 def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
                               samples: int = 10_000, seed: int = 0,
-                              max_deletions: int = 8,
-                              tol: float = DEFAULT_TOL) -> SampleReport:
+                              max_deletions: int = 8) -> SampleReport:
     """Delete random edge subsets from a family graph and re-check the bound.
 
     The family graphs sit exactly on their thresholds, so every connected
@@ -634,7 +630,7 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
                 break
             rejected += 1
         try:
-            res = check_theorem(g, spec, tol)
+            res = check_theorem(g, spec)
         except OracleCapacityError:
             tallies["oracle_capacity"] = tallies.get("oracle_capacity", 0) + 1
             continue

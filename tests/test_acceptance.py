@@ -211,19 +211,18 @@ def test_criterion_08_sharpness_families():
 
 def test_criterion_09_random_monotonicity():
     rng = random.Random(20260822)
-    tol = 1e-12
     margin = 1e-9
     additions = deletions = wiener_checks = 0
     for _ in range(1000):
         g = random_connected_graph(rng, 4, 30)
         Q = signless_laplacian(g)
-        q = largest_eigenvalue(Q, tol=tol)
+        q = largest_eigenvalue(Q)
         non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                      if not g.has_edge(u, v)]
         if non_edges:
             u, v = non_edges[rng.randrange(len(non_edges))]
             g_plus = Graph.from_edges(g.n, g.edges() + [(u, v)])
-            q_plus = largest_eigenvalue(signless_laplacian(g_plus), tol=tol)
+            q_plus = largest_eigenvalue(signless_laplacian(g_plus))
             assert q_plus > q + margin, (g, (u, v))
             additions += 1
         edges = g.edges()
@@ -231,14 +230,14 @@ def test_criterion_09_random_monotonicity():
         for e in edges:
             g_minus = Graph.from_edges(g.n, [f for f in g.edges() if f != e])
             if is_connected(g_minus):
-                q_minus = largest_eigenvalue(signless_laplacian(g_minus), tol=tol)
+                q_minus = largest_eigenvalue(signless_laplacian(g_minus))
                 assert q_minus < q - margin, (g, e)
-                mu = largest_eigenvalue(distance_matrix_array(g), tol=tol)
-                mu_minus = largest_eigenvalue(distance_matrix_array(g_minus), tol=tol)
+                mu = largest_eigenvalue(distance_matrix_array(g))
+                mu_minus = largest_eigenvalue(distance_matrix_array(g_minus))
                 assert mu_minus > mu + margin, (g, e)
                 deletions += 1
                 break
-        mu = largest_eigenvalue(distance_matrix_array(g), tol=tol)
+        mu = largest_eigenvalue(distance_matrix_array(g))
         assert mu >= 2 * wiener_index(g) / g.n - 1e-8, g
         wiener_checks += 1
     assert additions > 500 and deletions > 500 and wiener_checks == 1000

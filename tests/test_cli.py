@@ -36,6 +36,12 @@ def test_check_json_schema(capsys):
     assert oracles[0]["witness_set"] == [0, 1]
 
 
+def test_tol_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", G2_11, "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
 def test_check_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(cycle(8)) + "\n"))

@@ -9,7 +9,7 @@ from fracext import (Cubic, ExtremalParams, charpoly3, closed_form, complete,
                      cycle, extremal_graph, largest_eigenvalue,
                      largest_real_root, path, quotient, spectral_report,
                      wiener_g3, wiener_index)
-from fracext.spectral import (ConvergenceError, adjacency_matrix,
+from fracext.spectral import (adjacency_matrix,
                               distance_matrix_array, family_distance_matrix,
                               family_q_matrix, positional_blocks,
                               positional_blocks_prime, signless_laplacian)
@@ -25,7 +25,7 @@ def test_matrix_builders():
     assert D[0, 3] == 3 and D[2, 1] == 1
 
 
-def test_power_iteration_known_values():
+def test_largest_eigenvalue_known_values():
     assert largest_eigenvalue(signless_laplacian(complete(5))) == pytest.approx(8, abs=1e-9)
     assert largest_eigenvalue(distance_matrix_array(complete(50))) == pytest.approx(49, abs=1e-8)
     # P3 distance spectrum peaks at 1 + sqrt(3)
@@ -36,21 +36,31 @@ def test_power_iteration_known_values():
     assert largest_eigenvalue(star) == pytest.approx(0, abs=1e-12)
 
 
-def test_power_iteration_vs_dense_solver():
+def test_largest_eigenvalue_vs_general_solver():
+    # LAPACK's general (non-symmetric) driver is a different algorithm
     rng = np.random.default_rng(5)
+    matrices = []
     for _ in range(25):
         n = int(rng.integers(2, 40))
         M = rng.integers(0, 3, size=(n, n))
         M = np.triu(M, 1)
-        M = M + M.T + np.diag(rng.integers(0, 5, size=n))
-        want = float(np.linalg.eigvalsh(M.astype(float)).max())
+        matrices.append(M + M.T + np.diag(rng.integers(0, 5, size=n)))
+    # bipartite spectra are symmetric about 0: +lambda and -lambda both occur
+    for n in (2, 3, 4, 7, 8, 9, 16, 17):
+        matrices.append(adjacency_matrix(path(n)))
+    for n in (4, 6, 8, 12, 20):
+        matrices.append(adjacency_matrix(cycle(n)))
+    for M in matrices:
+        want = float(max(np.linalg.eigvals(M.astype(float)).real))
         got = largest_eigenvalue(M)
         assert got == pytest.approx(want, abs=1e-8 * max(1, abs(want)))
 
 
-def test_power_iteration_budget():
-    with pytest.raises(ConvergenceError):
-        largest_eigenvalue(distance_matrix_array(path(6)), max_iter=2)
+def test_largest_eigenvalue_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="symmetric"):
+        largest_eigenvalue(np.array([[0, 1], [2, 0]]))
+    with pytest.raises(ValueError, match="square"):
+        largest_eigenvalue(np.ones((2, 3)))
 
 
 def test_quotient_exact_and_equitable():
