@@ -17,9 +17,10 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .graphs import (CapacityError, ExtremalParams, extremal_graph, graph_stats)
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .matching import (OracleCapacityError, is_fext_definitional, is_fext_lemma)
+from .graphs import ExtremalParams, extremal_graph, graph_stats
+from .graph6 import emit_graph6, parse_graph6
+from .matching import (LEMMA_MAX_ORDER, OracleCapacityError, is_fext_definitional,
+                       is_fext_lemma)
 from .spectral import (FAMILIES, closed_form, distance_matrix_array,
                        largest_eigenvalue, largest_real_root, signless_laplacian,
                        spectral_report)
@@ -106,8 +107,6 @@ def _vertices(mask: int | None):
 
 
 def _verdict_row(name: str, verdict) -> dict:
-    if verdict is None:
-        return {"oracle": name, "skipped": "scan capacity"}
     row = {"oracle": name, "extendable": verdict.answer, "reason": verdict.reason}
     if verdict.witness_set is not None:
         row["witness_set"] = _vertices(verdict.witness_set)
@@ -125,20 +124,23 @@ def cmd_check(args, out) -> int:
     g = parse_graph6(line)
     rep = spectral_report(g)
     rows = [{"spectral": _jsonable(rep)}]
-    verdicts = {}
-    for name, oracle in (("set_condition", is_fext_lemma),
-                         ("definitional", is_fext_definitional)):
+    if g.n <= LEMMA_MAX_ORDER:
+        # the set-condition table decides; the definitional oracle is an
+        # independent cross-check, skipped past MATCHING_CAP k-matchings
+        verdict = is_fext_lemma(g, args.k)
+        rows.append(_verdict_row("set_condition", verdict))
         try:
-            verdicts[name] = oracle(g, args.k)
+            cross = is_fext_definitional(g, args.k)
         except OracleCapacityError:
-            verdicts[name] = None
-        rows.append(_verdict_row(name, verdicts[name]))
-    ran = [v for v in verdicts.values() if v is not None]
-    if not ran:
-        raise OracleCapacityError(f"order {g.n} too large for either oracle")
-    if len(ran) == 2 and ran[0].answer != ran[1].answer:
-        raise RuntimeError("oracles disagree; this should be impossible")
-    answer = ran[0].answer
+            rows.append({"oracle": "definitional", "skipped": "scan capacity"})
+        else:
+            if cross.answer != verdict.answer:
+                raise RuntimeError("oracles disagree; this should be impossible")
+            rows.append(_verdict_row("definitional", cross))
+    else:
+        verdict = is_fext_definitional(g, args.k)
+        rows.append(_verdict_row("definitional", verdict))
+    answer = verdict.answer
     doc = {
         "command": "check",
         "config": {"k": args.k},
@@ -423,8 +425,8 @@ def main(argv=None) -> int:
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
         return args.fn(args, out)
-    except (Graph6Error, CapacityError, OracleCapacityError, ValueError, OSError,
-            RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # Graph6Error, CapacityError and OracleCapacityError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

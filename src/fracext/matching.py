@@ -5,10 +5,14 @@ unit sum at every vertex; existence is decided combinatorially on the
 bipartite double cover, and any witness assignment is half-integral
 (weights in {0, 1/2, 1}).  A graph of order >= 2k+2 is fractional
 k-extendable when every k-matching extends to an FPM that keeps its k
-edges at weight 1.  The definitional oracle tests exactly that; the
-set-condition oracle instead scans vertex subsets S whose induced
-subgraph carries a k-matching and demands i(G-S) <= |S| - 2k.  Both
-return Verdicts that carry re-checkable witnesses.
+edges at weight 1.  The definitional oracle tests exactly that; it is
+polynomial for fixed k but enumerates k-matchings, up to MATCHING_CAP.
+The set-condition oracle instead tabulates all vertex subsets S whose
+induced subgraph carries a k-matching and demands i(G-S) <= |S| - 2k;
+its cost is 2^n whatever k is, so it covers orders up to
+LEMMA_MAX_ORDER.  Theorem verdicts take the set condition at those
+orders and the definitional oracle above them.  Both return Verdicts
+that carry re-checkable witnesses.
 """
 from __future__ import annotations
 
@@ -30,11 +34,12 @@ NO_K_MATCHING = "no_k_matching"     # no k-matching to extend
 BAD_MATCHING = "unextendable_matching"
 BAD_SET = "violating_set"
 
-SCAN_CAP = 1 << 26
+LEMMA_MAX_ORDER = 20     # largest order the set-condition table covers
+MATCHING_CAP = 10 ** 6   # most k-matchings the definitional oracle enumerates
 
 
 class OracleCapacityError(ValueError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed MATCHING_CAP."""
 
 
 @dataclass(frozen=True)
@@ -285,34 +290,29 @@ def _double_cover_matching(g: Graph, mask: int) -> tuple[list[int], int]:
 
 
 def _deficiency_witness(g: Graph, mask: int, reach: int) -> int:
-    """Turn the reachable-left set into a set S with i(G-S) > |S|."""
-    a = reach
-    while True:
+    """Turn the reachable-left set into a set S with i(G-S) > |S|.
+
+    reach is a Hall violator A of the double cover: every right copy it
+    reaches is matched back into A, so |N(A)| < |A|.  Let X = A & N(A) and
+    A' = A - X.  A neighbour of an A' vertex that lay in X would put that
+    vertex in N(A) & A = X, so N(A') lies in N(A) - X and
+    |N(A')| <= |N(A)| - |X| < |A| - |X| = |A'|.  A' is independent, so
+    each of its vertices is isolated in G - N(A'), and S = N(A') works.
+    """
+    def nbhd(a: int) -> int:
         s = 0
-        m = a
-        while m:
-            low = m & -m
+        while a:
+            low = a & -a
             s |= g.rows[low.bit_length() - 1] & mask
-            m ^= low
-        if a & s:
-            a &= ~s
-        else:
-            break
+            a ^= low
+        return s
+
+    a = reach & ~nbhd(reach)
+    s = nbhd(a)
     iso = sum(1 for v in range(g.n)
               if (mask >> v) & 1 and not (s >> v) & 1 and g.rows[v] & mask & ~s == 0)
-    if iso > s.bit_count():
-        return s
-    # fall back to an ascending scan; only reachable for tiny orders
-    if g.n > 26:
-        raise OracleCapacityError("witness extraction failed and order too large to scan")
-    for cand in range(1 << g.n):
-        if cand & ~mask:
-            continue
-        iso = sum(1 for v in range(g.n)
-                  if (mask >> v) & 1 and not (cand >> v) & 1 and g.rows[v] & mask & ~cand == 0)
-        if iso > cand.bit_count():
-            return cand
-    raise AssertionError("deficient double cover but no violating set")
+    assert iso > s.bit_count(), "deficient double cover but no violating set"
+    return s
 
 
 def _half_integral_from_permutation(match_l: list[int], mask: int) -> dict[tuple[int, int], Fraction]:
@@ -385,7 +385,7 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 # the two extendability oracles
 # ---------------------------------------------------------------------------
 
-def _enumerate_k_matchings(g: Graph, k: int, cap: int = 10 ** 6):
+def _enumerate_k_matchings(g: Graph, k: int):
     """Yield every k-matching once, edges in increasing lexicographic order."""
     edge_list = g.edges()
     count = 0
@@ -394,8 +394,8 @@ def _enumerate_k_matchings(g: Graph, k: int, cap: int = 10 ** 6):
         nonlocal count
         if len(chosen) == k:
             count += 1
-            if count > cap:
-                raise OracleCapacityError(f"more than {cap} {k}-matchings")
+            if count > MATCHING_CAP:
+                raise OracleCapacityError(f"more than {MATCHING_CAP} {k}-matchings")
             yield tuple(chosen)
             return
         for i in range(start, len(edge_list)):
@@ -410,7 +410,7 @@ def _enumerate_k_matchings(g: Graph, k: int, cap: int = 10 ** 6):
     yield from rec(0, 0, [])
 
 
-def is_fext_definitional(g: Graph, k: int, cap: int = 10 ** 6) -> Verdict:
+def is_fext_definitional(g: Graph, k: int) -> Verdict:
     """Fractional k-extendability straight from the definition.
 
     Every k-matching must extend; the first failing matching (in canonical
@@ -424,7 +424,7 @@ def is_fext_definitional(g: Graph, k: int, cap: int = 10 ** 6) -> Verdict:
     full = (1 << g.n) - 1
     memo: dict[int, bool] = {}
     found_any = False
-    for m in _enumerate_k_matchings(g, k, cap):
+    for m in _enumerate_k_matchings(g, k):
         found_any = True
         used = 0
         for u, v in m:
@@ -451,54 +451,35 @@ def _isolated_table(g: Graph, nbits: int):
     return iso
 
 
-def is_fext_lemma(g: Graph, k: int, scan_cap: int = SCAN_CAP) -> Verdict:
-    """Fractional k-extendability via the set condition.
+def is_fext_lemma(g: Graph, k: int) -> Verdict:
+    """Fractional k-extendability via the set condition, for n <= LEMMA_MAX_ORDER.
 
-    Scans subsets S in ascending mask order: a violator is an S whose
+    Tabulates i(G-S) over all 2^n subsets S: a violator is an S whose
     induced subgraph has a k-matching yet i(G-S) > |S| - 2k.  The first
     violator (lexicographically least) is returned as witness; absence of
-    violators over the full scan certifies extendability.  Graphs without
-    a k-matching, or of order < 2k+2, get distinct negative verdicts.
+    violators certifies extendability.  Graphs without a k-matching, or of
+    order < 2k+2, get distinct negative verdicts.  Larger orders raise
+    ValueError; is_fext_definitional decides them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n < 2 * k + 2:
         return Verdict(False, TOO_SMALL)
+    n = g.n
+    if n > LEMMA_MAX_ORDER:
+        raise ValueError(f"set-condition scan covers orders <= {LEMMA_MAX_ORDER}, got {n}")
     if not has_k_matching(g, k):
         return Verdict(False, NO_K_MATCHING)
-    n = g.n
-    if n <= 20:
-        iso = _isolated_table(g, n)
-        masks = np.arange(1 << n, dtype=np.int64)
-        pc = np.zeros(1 << n, dtype=np.int16)
-        step = 1
-        while step < (1 << n):
-            pc[step:2 * step] = pc[:step] + 1
-            step *= 2
-        cand = np.nonzero(iso > pc - 2 * k)[0]
-        for s in cand:
-            s = int(s)
-            if s.bit_count() >= 2 * k and _has_k_matching_in_mask(g, s, k):
-                return Verdict(False, BAD_SET, witness_set=s)
-        return Verdict(True, EXTENDABLE)
-    # large-order path: ascending scan with early exit, capped
-    limit = 1 << n
-    upper = (n + 2 * k - 1) // 2  # |S| beyond this cannot violate
-    for s in range(limit):
-        if s >= scan_cap:
-            raise OracleCapacityError(
-                f"subset scan for order {n} exceeded {scan_cap} masks without a violator")
-        size = s.bit_count()
-        if size < 2 * k or size > upper:
-            continue
-        iso_cnt = 0
-        need = size - 2 * k + 1
-        for v in range(n):
-            if not (s >> v) & 1 and g.rows[v] & ~s == 0:
-                iso_cnt += 1
-                if iso_cnt >= need:
-                    break
-        if iso_cnt >= need and _has_k_matching_in_mask(g, s, k):
+    iso = _isolated_table(g, n)
+    pc = np.zeros(1 << n, dtype=np.int16)
+    step = 1
+    while step < (1 << n):
+        pc[step:2 * step] = pc[:step] + 1
+        step *= 2
+    cand = np.nonzero(iso > pc - 2 * k)[0]
+    for s in cand:
+        s = int(s)
+        if s.bit_count() >= 2 * k and _has_k_matching_in_mask(g, s, k):
             return Verdict(False, BAD_SET, witness_set=s)
     return Verdict(True, EXTENDABLE)
 

@@ -17,8 +17,9 @@ from typing import Iterable
 from .graphs import (ExtremalParams, Graph, extremal_edge_count, extremal_graph,
                      graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .matching import (NO_K_MATCHING, BAD_SET, SCAN_CAP, OracleCapacityError,
-                       Verdict, is_fext_lemma, verify_witness)
+from .matching import (LEMMA_MAX_ORDER, NO_K_MATCHING, BAD_SET,
+                       OracleCapacityError, Verdict, is_fext_definitional,
+                       is_fext_lemma, verify_witness)
 from .spectral import (DEFAULT_TOL, closed_form, distance_matrix_array,
                        family_distance_matrix, family_q_matrix,
                        largest_eigenvalue, largest_real_root, signless_laplacian)
@@ -121,11 +122,25 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
+def decide_extendable(g: Graph, k: int) -> Verdict:
+    """The oracle behind every verdict: the set-condition table up to
+    LEMMA_MAX_ORDER, the definitional oracle above it.
+
+    The table costs 2^n whatever k is, so it decides dense graphs whose
+    k-matchings outnumber MATCHING_CAP (K_16 has 1351350 4-matchings);
+    the definitional oracle, polynomial for fixed k, takes the orders the
+    table cannot reach.
+    """
+    if g.n <= LEMMA_MAX_ORDER:
+        return is_fext_lemma(g, k)
+    return is_fext_definitional(g, k)
+
+
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     """Classify one graph against one sufficient condition.
 
     Order: hypotheses, then the bound, then the exceptional-graph test,
-    then the set-condition oracle.  A COUNTEREXAMPLE status means the graph
+    then decide_extendable.  A COUNTEREXAMPLE status means the graph
     satisfies hypotheses and bound, is not fractionally k-extendable, and
     is not the exceptional graph; none should ever appear.
     """
@@ -151,18 +166,14 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
 
     p = spec.family(st.n, st.min_degree)
     if matches_extremal(g, p):
-        verdict = None
-        detail = "isomorphic to the exceptional graph"
-        try:
-            verdict = is_fext_lemma(g, spec.k)
-        except OracleCapacityError:
-            detail += "; oracle skipped (scan capacity)"
-        if verdict is not None and verdict.answer:
+        verdict = decide_extendable(g, spec.k)
+        if verdict.answer:
             raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
         return CheckResult(status=EQUALITY_CASE, value=value, threshold=thr,
-                           detail=detail, oracle=verdict, **base)
+                           detail="isomorphic to the exceptional graph",
+                           oracle=verdict, **base)
 
-    verdict = is_fext_lemma(g, spec.k)
+    verdict = decide_extendable(g, spec.k)
     if verdict.answer:
         return CheckResult(status=CONFIRMED, value=value, threshold=thr,
                            oracle=verdict, **base)
@@ -468,7 +479,6 @@ class SharpnessReport:
     theorem: str
     not_extendable: bool
     witness_is_clique: bool
-    oracle_capped: bool
     bound_equality: bool
     value: float | int
     threshold: float | int
@@ -484,34 +494,27 @@ class SharpnessReport:
         return base and (self.mu_floor_ok is not False)
 
 
-def clique_witness_holds(g: Graph, k: int, s: int) -> tuple[bool, bool, bool]:
-    """(not extendable, witness is the join clique, oracle capped).
+def clique_witness_holds(g: Graph, k: int, s: int) -> tuple[bool, bool]:
+    """(not extendable, the join clique is a violating set).
 
-    Runs the set-condition oracle when the ascending scan can reach the
-    clique mask (every smaller mask is a clique subset, so the scan must
-    walk 2^s masks first); past the scan cap, verifies the clique witness
-    directly, which certifies non-extendability by the set condition itself.
+    decide_extendable decides extendability; the clique certificate is
+    checked directly against the set condition.
     """
-    clique = (1 << s) - 1
-    if g.n <= 20 or clique < SCAN_CAP:
-        verdict = is_fext_lemma(g, k)
-        return (not verdict.answer, verdict.witness_set == clique, False)
-    certificate = Verdict(False, BAD_SET, witness_set=clique)
-    ok = verify_witness(g, k, certificate)
-    return ok, ok, True
+    clique = Verdict(False, BAD_SET, witness_set=(1 << s) - 1)
+    return not decide_extendable(g, k).answer, verify_witness(g, k, clique)
 
 
 def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     """Certify that the family graph sits exactly on the bound, unextendable.
 
-    Checks: the set-condition oracle rejects it with the join clique as
-    witness; its own bound quantity equals the threshold; it is connected
+    Checks: decide_extendable rejects it and the join clique is a
+    violating set; its own bound quantity equals the threshold; it is connected
     with minimum degree s.  For the distance bound, also checks the
     mean-distance floor n - delta + 2k + 3 on its radius.
     """
     g = extremal_graph(p)
     st = graph_stats(g)
-    not_ext, clique_wit, capped = clique_witness_holds(g, spec.k, p.s)
+    not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
 
     thr = spec.threshold(st.n, st.min_degree)
     if spec.quantity == "e":
@@ -527,7 +530,7 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
         floor = float(st.n - p.s + 2 * spec.k + 3)
         floor_ok = value >= floor - _strict_margin(floor)
     return SharpnessReport(params=p, theorem=spec.id, not_extendable=not_ext,
-                           witness_is_clique=clique_wit, oracle_capped=capped,
+                           witness_is_clique=clique_wit,
                            bound_equality=equal, value=value, threshold=thr,
                            connected=st.connected,
                            min_degree_is_s=st.min_degree == p.s,

@@ -36,6 +36,26 @@ def test_check_json_schema(capsys):
     assert oracles[0]["witness_set"] == [0, 1]
 
 
+def test_check_above_scan_order_runs_definitional_only(capsys):
+    code, out, _ = run(["check", emit_graph6(complete(21)), "-k", "1",
+                        "--format", "json"], capsys)
+    assert code == 0
+    oracles = [r for r in json.loads(out)["results"] if "oracle" in r]
+    assert [r["oracle"] for r in oracles] == ["definitional"]
+    assert oracles[0]["extendable"] is True
+
+
+def test_check_dense_k4_keeps_set_condition_verdict(capsys):
+    # past MATCHING_CAP 4-matchings only the definitional cross-check is skipped
+    code, out, _ = run(["check", emit_graph6(complete(16)), "-k", "4",
+                        "--format", "json"], capsys)
+    assert code == 0
+    oracles = [r for r in json.loads(out)["results"] if "oracle" in r]
+    assert oracles[0] == {"oracle": "set_condition", "extendable": True,
+                          "reason": "extendable"}
+    assert oracles[1] == {"oracle": "definitional", "skipped": "scan capacity"}
+
+
 def test_tol_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", G2_11, "--tol", "1e-9"])

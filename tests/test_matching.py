@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracext import (Graph, OracleCapacityError, Verdict, complete, cycle,
+from fracext import (Graph, Verdict, complete, cycle,
                      delete_vertices, disjoint_union, extend_matching,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional, is_fext_lemma,
@@ -161,19 +161,10 @@ def test_verify_witness_rejects_frauds():
     assert verify_witness(complete(6), 1, Verdict(True, "extendable"))
 
 
-def test_lemma_scan_capacity():
-    big = cycle(25)
-    with pytest.raises(OracleCapacityError):
-        is_fext_lemma(big, 1, scan_cap=1000)
-
-
-def test_lemma_large_order_paths():
-    # negative case at n > 20 exits on the first violating mask
-    g = extremal_graph(ExtremalParams(n=22, k=1, s=2))
-    v = is_fext_lemma(g, 1)
-    assert not v.answer and v.witness_set == 0b11
-    # positive case must survive the whole pruned scan
-    assert is_fext_lemma(complete(22), 1).answer
+def test_lemma_rejects_large_orders():
+    # the set-condition scan is a cross-check for small orders only
+    with pytest.raises(ValueError):
+        is_fext_lemma(cycle(21), 1)
 
 
 def test_oracle_equivalence_sample():

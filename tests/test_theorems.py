@@ -2,8 +2,7 @@ import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
-                     largest_real_root, closed_form)
-from fracext.matching import SCAN_CAP
+                     largest_real_root, closed_form, verify_witness)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -56,7 +55,6 @@ def test_check_theorem_statuses():
     assert r.e == 47 and r.threshold == 47
     assert r.oracle is not None and not r.oracle.answer
     assert r.oracle.witness_set == 0b11
-    assert "oracle skipped" not in r.detail
 
     r = check_theorem(complete(11), spec)
     assert r.status == "confirmed_extendable" and r.e == 55
@@ -73,9 +71,30 @@ def test_check_theorem_statuses():
 
 def test_check_theorem_large_order_has_no_graph6():
     p = ExtremalParams(63, 1, 2)
-    r = check_theorem(extremal_graph(p), theorem_spec("edge_1", 1))
+    g = extremal_graph(p)
+    r = check_theorem(g, theorem_spec("edge_1", 1))
     assert r.status == "equality_case" and r.graph6 is None
-    assert r.oracle is not None and r.oracle.witness_set == 0b11
+    assert r.oracle is not None and r.oracle.reason == "unextendable_matching"
+    assert verify_witness(g, 1, r.oracle)
+
+
+def test_check_theorem_decides_mu_bound_at_order_35():
+    # the distance bound's region starts at order 35: one edge added to the
+    # boundary family keeps delta = 3 and puts mu below the threshold
+    g = extremal_graph(ExtremalParams(35, 1, 3))
+    g = Graph.from_edges(g.n, g.edges() + [(3, 33)])
+    r = check_theorem(g, theorem_spec("mu", 1))
+    assert r.min_degree == 3 and r.value < r.threshold
+    assert r.status == "confirmed_extendable"
+    assert r.oracle is not None and r.oracle.answer
+
+
+def test_check_theorem_decides_dense_k4_at_order_16():
+    # K_16 has 1351350 4-matchings, past MATCHING_CAP; the set-condition
+    # table decides it at this order
+    r = check_theorem(complete(16), theorem_spec("q_1", 4))
+    assert r.status == "confirmed_extendable"
+    assert r.oracle is not None and r.oracle.answer
 
 
 def test_sweep_mixed_corpus_and_errors():
@@ -148,22 +167,14 @@ def test_sharpness_canonical_points():
         rep = sharpness(p, theorem_spec(tid, 1))
         assert rep.ok, (tid, rep)
         assert rep.not_extendable and rep.witness_is_clique and rep.bound_equality
-        assert not rep.oracle_capped
     mu_rep = sharpness(cases[-1][1], theorem_spec("mu", 1))
     assert mu_rep.mu_floor == 35 - 3 + 2 + 3 and mu_rep.mu_floor_ok
 
 
-def test_clique_witness_capped_fallback():
-    # the ascending scan cannot reach a 30-bit clique mask, so the direct
-    # certificate route must take over
-    p = ExtremalParams(70, 1, 30)
-    assert (1 << p.s) - 1 >= SCAN_CAP
-    g = extremal_graph(p)
-    not_ext, is_clique, capped = clique_witness_holds(g, 1, p.s)
-    assert not_ext and is_clique and capped
-    small = extremal_graph(ExtremalParams(11, 1, 2))
-    not_ext, is_clique, capped = clique_witness_holds(small, 1, 2)
-    assert not_ext and is_clique and not capped
+def test_clique_witness_holds_small_and_large():
+    # a 30-vertex join clique at order 70 is decided like the order-11 one
+    for p in (ExtremalParams(70, 1, 30), ExtremalParams(11, 1, 2)):
+        assert clique_witness_holds(extremal_graph(p), 1, p.s) == (True, True)
 
 
 def test_probe_gap_region_reports_only():
