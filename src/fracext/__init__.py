@@ -30,7 +30,7 @@ from .graphs import (
     path,
     wiener_index,
 )
-from .graph6 import Graph6Error, emit_graph6, iter_graph6_lines, parse_graph6
+from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (
     OracleCapacityError,
     Verdict,

@@ -352,7 +352,7 @@ def cmd_report(args, out) -> int:
 def _config(args, **extra) -> dict:
     cfg = dict(extra)
     # jobs changes nothing observable, so the deterministic flag hides it
-    if not args.deterministic and hasattr(args, "jobs"):
+    if not args.deterministic:
         cfg["jobs"] = args.jobs
     return cfg
 
@@ -361,10 +361,14 @@ def _config(args, **extra) -> dict:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, jobs_default):
+def _add_common(sub):
     sub.add_argument("-k", type=int, default=1, help="matching size parameter")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
+
+
+def _add_parallel(sub, jobs_default):
+    # only sweep, grid and report fan work out to processes
     sub.add_argument("--jobs", type=int, default=jobs_default,
                      help="worker processes (FRACEXT_JOBS)")
     sub.add_argument("--deterministic", action="store_true",
@@ -379,28 +383,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="classify one graph6 line ('-' reads stdin)")
     p.add_argument("graph")
-    _add_common(p, jobs_default)
+    _add_common(p)
     p.set_defaults(fn=cmd_check)
 
     p = subs.add_parser("extremal", help="emit a family graph and its invariants")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-s", type=int, default=None, help="join clique size")
     p.add_argument("--delta", type=int, default=None, help="alias for -s")
-    _add_common(p, jobs_default)
+    _add_common(p)
     p.set_defaults(fn=cmd_extremal)
 
     p = subs.add_parser("sweep", help="run one bound over a graph6 corpus")
     p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     p.add_argument("corpus",
                    help="path, '-', 'connected:N', or 'complement:N:BUDGET'")
-    _add_common(p, jobs_default)
+    _add_common(p)
+    _add_parallel(p, jobs_default)
     p.set_defaults(fn=cmd_sweep)
 
     p = subs.add_parser("grid", help="verify a comparison inequality on a grid")
     p.add_argument("--lemma", choices=LEMMA_IDS, required=True)
     p.add_argument("-n", type=int, required=True, help="largest order")
     p.add_argument("--delta", type=int, default=None, help="largest minimum degree")
-    _add_common(p, jobs_default)
+    _add_common(p)
+    _add_parallel(p, jobs_default)
     p.set_defaults(fn=cmd_grid)
 
     p = subs.add_parser("polys", help="closed-form characteristic coefficients")
@@ -408,14 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-s", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
-    _add_common(p, jobs_default)
+    _add_common(p)
     p.set_defaults(fn=cmd_polys)
 
     p = subs.add_parser("report", help="composite verification run")
     p.add_argument("--full", action="store_true",
                    help="acceptance-size grids and 10k samples per point")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, jobs_default)
+    _add_common(p)
+    _add_parallel(p, jobs_default)
     p.set_defaults(fn=cmd_report)
     return ap
 

@@ -76,13 +76,3 @@ def emit_graph6(g: Graph) -> str:
     if fill:
         out.append(chr((acc << (6 - fill)) + 63))
     return "".join(out)
-
-
-def iter_graph6_lines(lines) -> "iter":
-    """Yield (lineno, Graph) from an iterable of text lines; '#' comments and
-    blank lines are skipped."""
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield no, parse_graph6(stripped)

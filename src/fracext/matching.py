@@ -7,12 +7,13 @@ bipartite double cover, and any witness assignment is half-integral
 k-extendable when every k-matching extends to an FPM that keeps its k
 edges at weight 1.  The definitional oracle tests exactly that; it is
 polynomial for fixed k but enumerates k-matchings, up to MATCHING_CAP.
-The set-condition oracle instead tabulates all vertex subsets S whose
-induced subgraph carries a k-matching and demands i(G-S) <= |S| - 2k;
-its cost is 2^n whatever k is, so it covers orders up to
-LEMMA_MAX_ORDER.  Theorem verdicts take the set condition at those
-orders and the definitional oracle above them.  Both return Verdicts
-that carry re-checkable witnesses.
+The set-condition oracle instead demands i(G-S) <= |S| - 2k of every
+S whose induced subgraph carries a k-matching; one int8 table of
+i(G-S) - |S| over all 2^n uint32 masks names the candidate sets.  Its
+cost is 2^n whatever k is, so it covers orders up to LEMMA_MAX_ORDER.
+Theorem verdicts take the set condition at those orders and the
+definitional oracle above them.  Both return Verdicts that carry
+re-checkable witnesses.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, isolated_count
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -176,30 +177,6 @@ def _has_k_matching_in_mask(g: Graph, mask: int, k: int) -> bool:
         return True
     if mask.bit_count() < 2 * k:
         return False
-    if k == 1:
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if g.rows[v] & mask & ~((low << 1) - 1):
-                return True
-        return False
-    if k == 2:
-        m = mask
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            cand = g.rows[u] & mask & ~((low << 1) - 1)
-            while cand:
-                lv = cand & -cand
-                v = lv.bit_length() - 1
-                cand ^= lv
-                rest = mask & ~(1 << u) & ~(1 << v)
-                if _has_k_matching_in_mask(g, rest, 1):
-                    return True
-        return False
     return matching_number(g, mask, stop_at=k) >= k
 
 
@@ -309,9 +286,9 @@ def _deficiency_witness(g: Graph, mask: int, reach: int) -> int:
 
     a = reach & ~nbhd(reach)
     s = nbhd(a)
-    iso = sum(1 for v in range(g.n)
-              if (mask >> v) & 1 and not (s >> v) & 1 and g.rows[v] & mask & ~s == 0)
-    assert iso > s.bit_count(), "deficient double cover but no violating set"
+    outside = ((1 << g.n) - 1) & ~mask
+    assert isolated_count(g, outside | s) > s.bit_count(), \
+        "deficient double cover but no violating set"
     return s
 
 
@@ -431,8 +408,7 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
             used |= (1 << u) | (1 << v)
         ok = memo.get(used)
         if ok is None:
-            ok, _ = fractional_pm_exists(g, full ^ used)
-            memo[used] = ok
+            ok = memo[used] = _double_cover_matching(g, full ^ used)[1] == 0
         if not ok:
             return Verdict(False, BAD_MATCHING, witness_matching=m)
     if not found_any:
@@ -440,46 +416,42 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
     return Verdict(True, EXTENDABLE)
 
 
-def _isolated_table(g: Graph, nbits: int):
-    """i(G-S) for every mask S, vectorized; only for small orders."""
-    size = 1 << nbits
-    masks = np.arange(size, dtype=np.int64)
-    iso = np.zeros(size, dtype=np.int16)
-    for v in range(nbits):
-        row = g.rows[v]
-        iso += (((masks & row) == row) & (((masks >> v) & 1) == 0)).astype(np.int16)
-    return iso
+def _excess_table(g: Graph):
+    """excess[S] = i(G-S) - |S| for every vertex mask S.
+
+    v adds 1 where it lies outside S with N(v) inside S, and takes 1 where
+    it lies in S.  Values stay in [-n, n] and masks below 2^n, so int8 and
+    uint32 hold them at every order up to LEMMA_MAX_ORDER.
+    """
+    masks = np.arange(1 << g.n, dtype=np.uint32)
+    excess = np.zeros(1 << g.n, dtype=np.int8)
+    for v, row in enumerate(g.rows):
+        inside = ((masks >> v) & 1).astype(bool)
+        excess += ((masks & row) == row) & ~inside
+        excess -= inside
+    return excess
 
 
 def is_fext_lemma(g: Graph, k: int) -> Verdict:
     """Fractional k-extendability via the set condition, for n <= LEMMA_MAX_ORDER.
 
-    Tabulates i(G-S) over all 2^n subsets S: a violator is an S whose
-    induced subgraph has a k-matching yet i(G-S) > |S| - 2k.  The first
-    violator (lexicographically least) is returned as witness; absence of
-    violators certifies extendability.  Graphs without a k-matching, or of
-    order < 2k+2, get distinct negative verdicts.  Larger orders raise
-    ValueError; is_fext_definitional decides them.
+    The candidates are the S with excess[S] > -2k (_excess_table), in
+    ascending mask order; the first whose induced subgraph has a
+    k-matching is a violator and the witness, and no violator certifies
+    extendability.  Graphs without a k-matching, or of order < 2k+2, get
+    distinct negative verdicts.  Larger orders raise ValueError;
+    is_fext_definitional decides them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n < 2 * k + 2:
         return Verdict(False, TOO_SMALL)
-    n = g.n
-    if n > LEMMA_MAX_ORDER:
-        raise ValueError(f"set-condition scan covers orders <= {LEMMA_MAX_ORDER}, got {n}")
+    if g.n > LEMMA_MAX_ORDER:
+        raise ValueError(f"set-condition scan covers orders <= {LEMMA_MAX_ORDER}, got {g.n}")
     if not has_k_matching(g, k):
         return Verdict(False, NO_K_MATCHING)
-    iso = _isolated_table(g, n)
-    pc = np.zeros(1 << n, dtype=np.int16)
-    step = 1
-    while step < (1 << n):
-        pc[step:2 * step] = pc[:step] + 1
-        step *= 2
-    cand = np.nonzero(iso > pc - 2 * k)[0]
-    for s in cand:
-        s = int(s)
-        if s.bit_count() >= 2 * k and _has_k_matching_in_mask(g, s, k):
+    for s in map(int, np.nonzero(_excess_table(g) > -2 * k)[0]):
+        if _has_k_matching_in_mask(g, s, k):
             return Verdict(False, BAD_SET, witness_set=s)
     return Verdict(True, EXTENDABLE)
 
@@ -496,8 +468,7 @@ def verify_witness(g: Graph, k: int, verdict: Verdict) -> bool:
         s = verdict.witness_set
         if s is None or not _has_k_matching_in_mask(g, s, k):
             return False
-        iso = sum(1 for v in range(g.n) if not (s >> v) & 1 and g.rows[v] & ~s == 0)
-        return iso > s.bit_count() - 2 * k
+        return isolated_count(g, s) > s.bit_count() - 2 * k
     if verdict.reason == BAD_MATCHING:
         m = verdict.witness_matching
         return m is not None and extend_matching(g, m) is None

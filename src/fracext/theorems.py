@@ -398,21 +398,11 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
 def _grid_group_rows(args) -> list[GridRow]:
     lemma, k, delta, n, s_range = args
     rows = []
-    if lemma == "q1q2":
-        rhs, rhs_err = _family_q_value(n, k, 2 * k)
-        rhs_err = max(rhs_err,
-                      abs(rhs - largest_real_root(closed_form("f2", n=n, k=k))))
-        value = _family_q_value
-    elif lemma == "q1q3":
-        rhs, rhs_err = _family_q_value(n, k, delta)
-        rhs_err = max(rhs_err, abs(rhs - largest_real_root(
-            closed_form("f3_q", n=n, k=k, delta=delta))))
-        value = _family_q_value
-    else:
-        rhs, rhs_err = _family_mu_value(n, k, delta)
-        rhs_err = max(rhs_err, abs(rhs - largest_real_root(
-            closed_form("phi_B3_case1", n=n, k=k, delta=delta))))
-        value = _family_mu_value
+    # the right-hand cubics f2, f3_q and phi_B3_case1 equal f_pi_1 at
+    # s = 2k, f_pi_1 at s = delta and phi_B1 at s = delta, which value()
+    # already cross-checks against the matrix eigenvalue
+    value = _family_mu_value if lemma == "mu_compare" else _family_q_value
+    rhs, rhs_err = value(n, k, 2 * k if lemma == "q1q2" else delta)
     for s in s_range:
         lhs, lhs_err = value(n, k, s)
         equality = lemma == "q1q2" and s == 2 * k

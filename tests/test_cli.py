@@ -62,6 +62,16 @@ def test_tol_option_is_gone(capsys):
     assert exc.value.code == 2
 
 
+def test_parallel_options_only_where_they_act(capsys):
+    for cmd in (["check", G2_11], ["extremal", "-n", "11", "-s", "2"], ["polys", "f2", "-n", "11"]):
+        for opt in (["--jobs", "2"], ["--deterministic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + opt)
+            assert exc.value.code == 2
+    args = build_parser().parse_args(["report", "--jobs", "2", "--deterministic"])
+    assert args.jobs == 2 and args.deterministic
+
+
 def test_check_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(cycle(8)) + "\n"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fracext import Graph6Error, complete, cycle, emit_graph6, iter_graph6_lines, parse_graph6
+from fracext import Graph6Error, complete, cycle, emit_graph6, parse_graph6
 from helpers import random_graph
 
 
@@ -58,11 +58,3 @@ def test_malformed_offsets():
     assert e.value.offset == 2
     with pytest.raises(Graph6Error):
         parse_graph6("B" + chr(126))  # padding bits set
-
-
-def test_iter_graph6_lines():
-    lines = ["# comment", "", "C~", "  ", "Bg", "# trailing"]
-    got = list(iter_graph6_lines(lines))
-    assert [lineno for lineno, _ in got] == [3, 5]
-    assert got[0][1] == complete(4)
-    assert got[1][1].n == 3

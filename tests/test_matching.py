@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from fracext import (Graph, Verdict, complete, cycle,
-                     delete_vertices, disjoint_union, extend_matching,
+                     delete_vertices, disjoint_union, empty_graph, extend_matching,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional, is_fext_lemma,
                      isolated_count, matching_number, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
+from fracext.matching import _excess_table, _has_k_matching_in_mask
 from helpers import brute_matching_number, petersen, random_graph
 from lp_oracle import fractional_pm_feasible_lp
 
@@ -159,6 +160,27 @@ def test_verify_witness_rejects_frauds():
     assert not verify_witness(cycle(7), 1, Verdict(False, "violating_set"))
     # positive verdicts carry no certificate, so there is nothing to refute
     assert verify_witness(complete(6), 1, Verdict(True, "extendable"))
+
+
+def test_excess_table_vs_isolated_count():
+    """excess[S] = i(G-S) - |S| for every mask S."""
+    rng = random.Random(3)
+    for n in range(1, 13):
+        graphs = [empty_graph(n), complete(n)]
+        graphs += [random_graph(rng, n, rng.random()) for _ in range(2)]
+        for g in graphs:
+            want = [isolated_count(g, s) - s.bit_count() for s in range(1 << n)]
+            assert _excess_table(g).tolist() == want, g
+
+
+def test_k_matching_in_mask_vs_enumeration():
+    """Every mask of every connected graph through order 6, k = 1, 2, 3."""
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for mask in range(1 << n):
+                best = brute_matching_number(g, [v for v in range(n) if (mask >> v) & 1])
+                for k in (1, 2, 3):
+                    assert _has_k_matching_in_mask(g, mask, k) == (best >= k), (g, mask, k)
 
 
 def test_lemma_rejects_large_orders():

@@ -166,6 +166,24 @@ def test_each_family_matches_one_constructed_quotient():
     assert closed_form("phi_B3_case2", k=1, s=4, delta=3) == case2
 
 
+def test_grid_right_hand_cubics_are_family_cubics():
+    """f2, f3_q and phi_B3_case1 are f_pi_1 at s = 2k, f_pi_1 at s = delta
+    and phi_B1 at s = delta, so the grids check each once."""
+    points = 0
+    for k in range(1, 6):
+        for n in range(2 * k + 2, 140):
+            assert closed_form("f2", n=n, k=k) == closed_form("f_pi_1", n=n, k=k, s=2 * k)
+            points += 1
+        for delta in range(2 * k + 1, 12):
+            for n in range(2 * delta - 2 * k + 2, 140):
+                assert (closed_form("f3_q", n=n, k=k, delta=delta)
+                        == closed_form("f_pi_1", n=n, k=k, s=delta))
+                assert (closed_form("phi_B3_case1", n=n, k=k, delta=delta)
+                        == closed_form("phi_B1", n=n, k=k, s=delta))
+                points += 2
+    assert points == 6960
+
+
 def test_family_matrices_match_graph_construction():
     for n, k, s in ((11, 1, 2), (13, 2, 5), (20, 1, 4), (64, 2, 6)):
         p = ExtremalParams(n, k, s)
