@@ -6,7 +6,7 @@ from fracext import (complete, cycle, extremal_graph, ExtremalParams,
 
 
 def show(name, g, k):
-    a = is_fext_definitional(g, k)   # try every k-matching directly
+    a = is_fext_definitional(g, k)   # test each k-matching's covered vertex set once
     b = is_fext_lemma(g, k)          # scan vertex sets for the counting condition (n <= 20)
     print(f"{name:14s} k={k}: definitional={a.answer} ({a.reason}), "
           f"set condition={b.answer} ({b.reason})")

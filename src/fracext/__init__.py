@@ -32,7 +32,6 @@ from .graphs import (
 )
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (
-    OracleCapacityError,
     Verdict,
     extend_matching,
     fractional_pm_exists,

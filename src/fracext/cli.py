@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .graphs import ExtremalParams, extremal_graph, graph_stats
 from .graph6 import emit_graph6, parse_graph6
-from .matching import (LEMMA_MAX_ORDER, OracleCapacityError, is_fext_definitional,
-                       is_fext_lemma)
+from .matching import LEMMA_MAX_ORDER, is_fext_definitional, is_fext_lemma
 from .spectral import (FAMILIES, closed_form, distance_matrix_array,
                        largest_eigenvalue, largest_real_root, signless_laplacian,
                        spectral_report)
@@ -124,22 +123,14 @@ def cmd_check(args, out) -> int:
     g = parse_graph6(line)
     rep = spectral_report(g)
     rows = [{"spectral": _jsonable(rep)}]
+    verdict = is_fext_definitional(g, args.k)
     if g.n <= LEMMA_MAX_ORDER:
-        # the set-condition table decides; the definitional oracle is an
-        # independent cross-check, skipped past MATCHING_CAP k-matchings
-        verdict = is_fext_lemma(g, args.k)
-        rows.append(_verdict_row("set_condition", verdict))
-        try:
-            cross = is_fext_definitional(g, args.k)
-        except OracleCapacityError:
-            rows.append({"oracle": "definitional", "skipped": "scan capacity"})
-        else:
-            if cross.answer != verdict.answer:
-                raise RuntimeError("oracles disagree; this should be impossible")
-            rows.append(_verdict_row("definitional", cross))
-    else:
-        verdict = is_fext_definitional(g, args.k)
-        rows.append(_verdict_row("definitional", verdict))
+        # the set-condition table is an independent cross-check where it reaches
+        cross = is_fext_lemma(g, args.k)
+        if cross.answer != verdict.answer:
+            raise RuntimeError("oracles disagree; this should be impossible")
+        rows.append(_verdict_row("set_condition", cross))
+    rows.append(_verdict_row("definitional", verdict))
     answer = verdict.answer
     doc = {
         "command": "check",
@@ -187,15 +178,15 @@ def cmd_extremal(args, out) -> int:
 def _load_corpus(arg: str):
     """Corpus argument: path, '-', 'connected:N', or 'complement:N:BUDGET'."""
     if arg == "-":
-        return sys.stdin, "stdin"
+        return sys.stdin.buffer, "stdin"
     if arg.startswith("connected:"):
         n = int(arg.split(":", 1)[1])
         return connected_graphs(n), arg
     if arg.startswith("complement:"):
         _, n, budget = arg.split(":")
         return complement_corpus(int(n), int(budget)), arg
-    handle = open(arg, "r", encoding="ascii")
-    return handle, arg
+    # bytes: sweep decodes each line itself and records bad ones by number
+    return open(arg, "rb"), arg
 
 
 def cmd_sweep(args, out) -> int:
@@ -204,7 +195,7 @@ def cmd_sweep(args, out) -> int:
     try:
         rep = sweep(corpus, spec, corpus_name=name, jobs=args.jobs)
     finally:
-        if hasattr(corpus, "close") and corpus is not sys.stdin:
+        if args.corpus != "-" and hasattr(corpus, "close"):
             corpus.close()
     results = [_jsonable(r) for r in rep.equality_cases + rep.counterexamples]
     doc = {
@@ -429,11 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    out = sys.stdout
     try:
+        if args.output is not None:
+            out = open(args.output, "w", encoding="utf-8")
         return args.fn(args, out)
     except (ValueError, OSError, RuntimeError) as exc:
-        # Graph6Error, CapacityError and OracleCapacityError are ValueErrors
+        # Graph6Error and CapacityError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

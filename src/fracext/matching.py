@@ -5,14 +5,15 @@ unit sum at every vertex; existence is decided combinatorially on the
 bipartite double cover, and any witness assignment is half-integral
 (weights in {0, 1/2, 1}).  A graph of order >= 2k+2 is fractional
 k-extendable when every k-matching extends to an FPM that keeps its k
-edges at weight 1.  The definitional oracle tests exactly that; it is
-polynomial for fixed k but enumerates k-matchings, up to MATCHING_CAP.
+edges at weight 1, that is when G - V(M) has an FPM for every k-matching
+M.  Only the covered set V(M) matters, so the definitional oracle walks
+the distinct covered sets, each once, and tests each with one FPM
+search; it is polynomial for fixed k and decides every theorem verdict.
 The set-condition oracle instead demands i(G-S) <= |S| - 2k of every
 S whose induced subgraph carries a k-matching; one int8 table of
-i(G-S) - |S| over all 2^n uint32 masks names the candidate sets.  Its
-cost is 2^n whatever k is, so it covers orders up to LEMMA_MAX_ORDER.
-Theorem verdicts take the set condition at those orders and the
-definitional oracle above them.  Both return Verdicts that carry
+i(G-S) - |S| over all 2^n vertex masks names the candidate sets.  Its
+cost is 2^n whatever k is, so it covers orders up to LEMMA_MAX_ORDER and
+serves as the independent cross-check.  Both return Verdicts that carry
 re-checkable witnesses.
 """
 from __future__ import annotations
@@ -36,11 +37,12 @@ BAD_MATCHING = "unextendable_matching"
 BAD_SET = "violating_set"
 
 LEMMA_MAX_ORDER = 20     # largest order the set-condition table covers
-MATCHING_CAP = 10 ** 6   # most k-matchings the definitional oracle enumerates
 
 
+# Nothing raises this: the definitional oracle has no cap.  It stays
+# because perfbench/tracer.py binds matching.OracleCapacityError on install.
 class OracleCapacityError(ValueError):
-    """Exhaustive enumeration would exceed MATCHING_CAP."""
+    """Never raised; kept for the benchmark tracer."""
 
 
 @dataclass(frozen=True)
@@ -362,54 +364,55 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 # the two extendability oracles
 # ---------------------------------------------------------------------------
 
-def _enumerate_k_matchings(g: Graph, k: int):
-    """Yield every k-matching once, edges in increasing lexicographic order."""
-    edge_list = g.edges()
-    count = 0
+def _covered_sets(g: Graph, k: int):
+    """Yield (V(M), M) once for each distinct vertex set V(M) of a k-matching M.
 
-    def rec(start: int, used: int, chosen: list[tuple[int, int]]):
-        nonlocal count
-        if len(chosen) == k:
-            count += 1
-            if count > MATCHING_CAP:
-                raise OracleCapacityError(f"more than {MATCHING_CAP} {k}-matchings")
-            yield tuple(chosen)
-            return
-        for i in range(start, len(edge_list)):
-            u, v = edge_list[i]
-            bit = (1 << u) | (1 << v)
-            if used & bit:
-                continue
-            chosen.append((u, v))
-            yield from rec(i + 1, used | bit, chosen)
-            chosen.pop()
+    Edges are added in increasing order of their larger endpoint, so the
+    edges that can extend a partial set U (larger endpoint above max U,
+    both endpoints outside U) depend on U alone, and U is extended only
+    the first time it is reached; M is the matching that reached V(M)
+    first, its edges in the order added.
+    """
+    below = [row & ((1 << v) - 1) for v, row in enumerate(g.rows)]
+    seen: set[int] = set()
 
-    yield from rec(0, 0, [])
+    def extend(used: int, top: int, chosen: tuple[tuple[int, int], ...]):
+        for b in range(top + 1, g.n):
+            cand = below[b] & ~used
+            while cand:
+                low = cand & -cand
+                a = low.bit_length() - 1
+                cand ^= low
+                covered = used | low | (1 << b)
+                if covered in seen:
+                    continue
+                seen.add(covered)
+                m = chosen + ((a, b),)
+                if len(m) == k:
+                    yield covered, m
+                else:
+                    yield from extend(covered, b, m)
+
+    yield from extend(0, -1, ())
 
 
 def is_fext_definitional(g: Graph, k: int) -> Verdict:
     """Fractional k-extendability straight from the definition.
 
-    Every k-matching must extend; the first failing matching (in canonical
-    edge order) is the witness.  FPM subproblems are memoized by the
-    removed vertex set.
+    A k-matching M extends exactly when G - V(M) has an FPM, so each
+    distinct covered set from _covered_sets gets one FPM search on the
+    double cover; the matching that first covered a failing set is the
+    witness.  No cap: every order up to 128 is decided.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n < 2 * k + 2:
         return Verdict(False, TOO_SMALL)
     full = (1 << g.n) - 1
-    memo: dict[int, bool] = {}
     found_any = False
-    for m in _enumerate_k_matchings(g, k):
+    for used, m in _covered_sets(g, k):
         found_any = True
-        used = 0
-        for u, v in m:
-            used |= (1 << u) | (1 << v)
-        ok = memo.get(used)
-        if ok is None:
-            ok = memo[used] = _double_cover_matching(g, full ^ used)[1] == 0
-        if not ok:
+        if _double_cover_matching(g, full ^ used)[1]:
             return Verdict(False, BAD_MATCHING, witness_matching=m)
     if not found_any:
         return Verdict(False, NO_K_MATCHING)
@@ -417,19 +420,29 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
 
 
 def _excess_table(g: Graph):
-    """excess[S] = i(G-S) - |S| for every vertex mask S.
+    """excess[S] = i(G-S) - |S| for every vertex mask S, in mask order.
 
-    v adds 1 where it lies outside S with N(v) inside S, and takes 1 where
-    it lies in S.  Values stay in [-n, n] and masks below 2^n, so int8 and
-    uint32 hold them at every order up to LEMMA_MAX_ORDER.
+    v adds 1 where (S & (N(v) | v)) == N(v), that is where it lies outside
+    S with N(v) inside S, and takes 1 where (S & v) == v.  A test
+    (S & x) == y holds when it holds on the high bits and on the low h
+    bits of S, so each is an outer AND of two 2^(n/2)-entry tests and no
+    array of 2^n masks is made.  Values stay in [-n, n], so int8 holds
+    them.
     """
-    masks = np.arange(1 << g.n, dtype=np.uint32)
-    excess = np.zeros(1 << g.n, dtype=np.int8)
+    h = g.n // 2
+    low = (1 << h) - 1
+    lo = np.arange(1 << h, dtype=np.uint32)
+    hi = np.arange(1 << (g.n - h), dtype=np.uint32)[:, None]
+
+    def masked_equal(x: int, y: int):
+        return ((hi & (x >> h)) == (y >> h)) & ((lo & (x & low)) == (y & low))
+
+    excess = np.zeros((hi.size, lo.size), dtype=np.int8)
     for v, row in enumerate(g.rows):
-        inside = ((masks >> v) & 1).astype(bool)
-        excess += ((masks & row) == row) & ~inside
-        excess -= inside
-    return excess
+        bit = 1 << v
+        excess += masked_equal(row | bit, row)
+        excess -= masked_equal(bit, bit)
+    return excess.reshape(-1)
 
 
 def is_fext_lemma(g: Graph, k: int) -> Verdict:

@@ -17,9 +17,8 @@ from typing import Iterable
 from .graphs import (ExtremalParams, Graph, extremal_edge_count, extremal_graph,
                      graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .matching import (LEMMA_MAX_ORDER, NO_K_MATCHING, BAD_SET,
-                       OracleCapacityError, Verdict, is_fext_definitional,
-                       is_fext_lemma, verify_witness)
+from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
+                       verify_witness)
 from .spectral import (DEFAULT_TOL, closed_form, distance_matrix_array,
                        family_distance_matrix, family_q_matrix,
                        largest_eigenvalue, largest_real_root, signless_laplacian)
@@ -122,27 +121,14 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
-def decide_extendable(g: Graph, k: int) -> Verdict:
-    """The oracle behind every verdict: the set-condition table up to
-    LEMMA_MAX_ORDER, the definitional oracle above it.
-
-    The table costs 2^n whatever k is, so it decides dense graphs whose
-    k-matchings outnumber MATCHING_CAP (K_16 has 1351350 4-matchings);
-    the definitional oracle, polynomial for fixed k, takes the orders the
-    table cannot reach.
-    """
-    if g.n <= LEMMA_MAX_ORDER:
-        return is_fext_lemma(g, k)
-    return is_fext_definitional(g, k)
-
-
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     """Classify one graph against one sufficient condition.
 
     Order: hypotheses, then the bound, then the exceptional-graph test,
-    then decide_extendable.  A COUNTEREXAMPLE status means the graph
-    satisfies hypotheses and bound, is not fractionally k-extendable, and
-    is not the exceptional graph; none should ever appear.
+    then is_fext_definitional, which decides at every order.  A
+    COUNTEREXAMPLE status means the graph satisfies hypotheses and bound,
+    is not fractionally k-extendable, and is not the exceptional graph;
+    none should ever appear.
     """
     st = graph_stats(g)
     g6 = emit_graph6(g) if g.n <= 62 else None
@@ -166,14 +152,14 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
 
     p = spec.family(st.n, st.min_degree)
     if matches_extremal(g, p):
-        verdict = decide_extendable(g, spec.k)
+        verdict = is_fext_definitional(g, spec.k)
         if verdict.answer:
             raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
         return CheckResult(status=EQUALITY_CASE, value=value, threshold=thr,
                            detail="isomorphic to the exceptional graph",
                            oracle=verdict, **base)
 
-    verdict = decide_extendable(g, spec.k)
+    verdict = is_fext_definitional(g, spec.k)
     if verdict.answer:
         return CheckResult(status=CONFIRMED, value=value, threshold=thr,
                            oracle=verdict, **base)
@@ -487,19 +473,19 @@ class SharpnessReport:
 def clique_witness_holds(g: Graph, k: int, s: int) -> tuple[bool, bool]:
     """(not extendable, the join clique is a violating set).
 
-    decide_extendable decides extendability; the clique certificate is
-    checked directly against the set condition.
+    The definitional oracle decides extendability; the clique certificate
+    is checked directly against the set condition.
     """
     clique = Verdict(False, BAD_SET, witness_set=(1 << s) - 1)
-    return not decide_extendable(g, k).answer, verify_witness(g, k, clique)
+    return not is_fext_definitional(g, k).answer, verify_witness(g, k, clique)
 
 
 def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     """Certify that the family graph sits exactly on the bound, unextendable.
 
-    Checks: decide_extendable rejects it and the join clique is a
-    violating set; its own bound quantity equals the threshold; it is connected
-    with minimum degree s.  For the distance bound, also checks the
+    Checks: is_fext_definitional rejects it and the join clique is a
+    violating set; its own bound quantity equals the threshold; it is
+    connected with minimum degree s.  For the distance bound, also checks the
     mean-distance floor n - delta + 2k + 3 on its radius.
     """
     g = extremal_graph(p)
@@ -561,8 +547,6 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
         value = _family_mu_value
     rows = []
     for n in orders:
-        if n < 2 * delta - 2 * k + 2:
-            continue
         rhs, rhs_err = value(n, k, delta)
         for s in range(delta + 1, (n + 2 * k - 1) // 2 + 1):
             lhs, lhs_err = value(n, k, s)
@@ -591,9 +575,7 @@ class SampleReport:
 
     @property
     def ok(self) -> bool:
-        # an oracle capacity event would leave a bound-met sample undecided
-        undecided = any(name == "oracle_capacity" for name, _ in self.statuses)
-        return not self.counterexamples and not undecided
+        return not self.counterexamples
 
 
 def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
@@ -622,11 +604,7 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
             if is_connected(g):
                 break
             rejected += 1
-        try:
-            res = check_theorem(g, spec)
-        except OracleCapacityError:
-            tallies["oracle_capacity"] = tallies.get("oracle_capacity", 0) + 1
-            continue
+        res = check_theorem(g, spec)
         tallies[res.status] = tallies.get(res.status, 0) + 1
         if res.status == COUNTEREXAMPLE:
             cex.append(res)

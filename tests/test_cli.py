@@ -46,14 +46,18 @@ def test_check_above_scan_order_runs_definitional_only(capsys):
 
 
 def test_check_dense_k4_keeps_set_condition_verdict(capsys):
-    # past MATCHING_CAP 4-matchings only the definitional cross-check is skipped
+    # K_16 has 1351350 4-matchings; both oracles decide it
     code, out, _ = run(["check", emit_graph6(complete(16)), "-k", "4",
                         "--format", "json"], capsys)
     assert code == 0
     oracles = [r for r in json.loads(out)["results"] if "oracle" in r]
-    assert oracles[0] == {"oracle": "set_condition", "extendable": True,
-                          "reason": "extendable"}
-    assert oracles[1] == {"oracle": "definitional", "skipped": "scan capacity"}
+    assert oracles == [{"oracle": name, "extendable": True, "reason": "extendable"}
+                       for name in ("set_condition", "definitional")]
+
+
+def test_check_unwritable_output_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(["check", G2_11, "-o", str(tmp_path / "no" / "x")], capsys)
+    assert code == 2 and err.startswith("error:") and out == ""
 
 
 def test_tol_option_is_gone(capsys):
@@ -130,12 +134,26 @@ def test_sweep_file_corpus(tmp_path, capsys):
 
 def test_sweep_stdin(capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO(G2_11 + "\n" + emit_graph6(cycle(11)) + "\n"))
+    # a text stream over bytes, like the real stdin: sweep reads its buffer
+    lines = G2_11 + "\n" + emit_graph6(cycle(11)) + "\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines.encode())))
     code, out, _ = run(["sweep", "--theorem", "edge_1", "-k", "1", "-",
                         "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["summary"]["scanned"] == 2
+
+
+def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    bad = G2_11.encode()[:4] + b"\xff" + G2_11.encode()[5:]
+    corpus.write_bytes(b"\n".join([G2_11.encode(), bad, emit_graph6(cycle(11)).encode(), b""]))
+    code, out, _ = run(["sweep", "--theorem", "edge_1", "-k", "1",
+                        str(corpus), "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["scanned"] == 2 and doc["summary"]["parse_errors"] == 1
+    assert doc["parse_errors"][0]["line"] == 2
+    assert doc["parse_errors"][0]["error"].endswith("(byte offset 4)")
 
 
 def test_sweep_missing_file(capsys):

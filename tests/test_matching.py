@@ -9,7 +9,7 @@ from fracext import (Graph, Verdict, complete, cycle,
                      has_k_matching, is_fext_definitional, is_fext_lemma,
                      isolated_count, matching_number, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
-from fracext.matching import _excess_table, _has_k_matching_in_mask
+from fracext.matching import _covered_sets, _excess_table, _has_k_matching_in_mask
 from helpers import brute_matching_number, petersen, random_graph
 from lp_oracle import fractional_pm_feasible_lp
 
@@ -181,6 +181,45 @@ def test_k_matching_in_mask_vs_enumeration():
                 best = brute_matching_number(g, [v for v in range(n) if (mask >> v) & 1])
                 for k in (1, 2, 3):
                     assert _has_k_matching_in_mask(g, mask, k) == (best >= k), (g, mask, k)
+
+
+def _brute_covered_sets(g, k):
+    """V(M) of every k-matching M, by exhaustive recursion over the edges."""
+    edges = g.edges()
+    found = set()
+
+    def rec(start, used, size):
+        if size == k:
+            found.add(used)
+            return
+        for i in range(start, len(edges)):
+            bit = (1 << edges[i][0]) | (1 << edges[i][1])
+            if not used & bit:
+                rec(i + 1, used | bit, size + 1)
+
+    rec(0, 0, 0)
+    return found
+
+
+def test_covered_sets_vs_brute_enumeration():
+    """Each distinct V(M) once, with a k-matching of g covering it, through order 7."""
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for k in (1, 2, 3):
+                pairs = list(_covered_sets(g, k))
+                sets = [u for u, _ in pairs]
+                assert len(sets) == len(set(sets)), (g, k)
+                assert set(sets) == _brute_covered_sets(g, k), (g, k)
+                for u, m in pairs:
+                    assert len(m) == k and all(g.has_edge(a, b) for a, b in m)
+                    covered = [v for e in m for v in e]
+                    assert len(set(covered)) == 2 * k
+                    assert sum(1 << v for v in covered) == u
+
+
+def test_definitional_oracle_has_no_matching_cap():
+    # K_16 has 1351350 4-matchings but only C(16, 8) = 12870 covered sets
+    assert is_fext_definitional(complete(16), 4).answer
 
 
 def test_lemma_rejects_large_orders():

@@ -54,7 +54,8 @@ def test_check_theorem_statuses():
     assert r.status == "equality_case"
     assert r.e == 47 and r.threshold == 47
     assert r.oracle is not None and not r.oracle.answer
-    assert r.oracle.witness_set == 0b11
+    assert r.oracle.witness_matching == ((0, 1),)  # the dominating pair
+    assert verify_witness(extremal_graph(ExtremalParams(11, 1, 2)), 1, r.oracle)
 
     r = check_theorem(complete(11), spec)
     assert r.status == "confirmed_extendable" and r.e == 55
@@ -90,8 +91,8 @@ def test_check_theorem_decides_mu_bound_at_order_35():
 
 
 def test_check_theorem_decides_dense_k4_at_order_16():
-    # K_16 has 1351350 4-matchings, past MATCHING_CAP; the set-condition
-    # table decides it at this order
+    # K_16 has 1351350 4-matchings; the definitional oracle tests each of
+    # its 12870 covered vertex sets once
     r = check_theorem(complete(16), theorem_spec("q_1", 4))
     assert r.status == "confirmed_extendable"
     assert r.oracle is not None and r.oracle.answer
