@@ -37,7 +37,6 @@ from .matching import (
     fractional_pm_exists,
     has_k_matching,
     is_fext_definitional,
-    is_fext_lemma,
     matching_number,
     verify_witness,
 )

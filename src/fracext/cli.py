@@ -14,12 +14,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from .graphs import ExtremalParams, extremal_graph, graph_stats
 from .graph6 import emit_graph6, parse_graph6
-from .matching import LEMMA_MAX_ORDER, is_fext_definitional, is_fext_lemma
+from .matching import BAD_MATCHING, BAD_SET, Verdict, is_fext_definitional
 from .spectral import (FAMILIES, closed_form, distance_matrix_array,
                        largest_eigenvalue, largest_real_root, signless_laplacian,
                        spectral_report)
@@ -124,13 +124,13 @@ def cmd_check(args, out) -> int:
     rep = spectral_report(g)
     rows = [{"spectral": _jsonable(rep)}]
     verdict = is_fext_definitional(g, args.k)
-    if g.n <= LEMMA_MAX_ORDER:
-        # the set-condition table is an independent cross-check where it reaches
-        cross = is_fext_lemma(g, args.k)
-        if cross.answer != verdict.answer:
-            raise RuntimeError("oracles disagree; this should be impossible")
-        rows.append(_verdict_row("set_condition", cross))
-    rows.append(_verdict_row("definitional", verdict))
+    # one verdict, one row per form of the condition, each with its own witness
+    by_set = by_matching = verdict
+    if verdict.reason == BAD_MATCHING:
+        by_set = Verdict(False, BAD_SET, witness_set=verdict.witness_set)
+        by_matching = replace(verdict, witness_set=None)
+    rows.append(_verdict_row("set_condition", by_set))
+    rows.append(_verdict_row("definitional", by_matching))
     answer = verdict.answer
     doc = {
         "command": "check",

@@ -1,4 +1,4 @@
-"""Matching machinery and the two fractional extendability oracles.
+"""Matching machinery and the fractional extendability oracle.
 
 A fractional perfect matching (FPM) is a nonnegative edge weighting with
 unit sum at every vertex; existence is decided combinatorially on the
@@ -6,15 +6,13 @@ bipartite double cover, and any witness assignment is half-integral
 (weights in {0, 1/2, 1}).  A graph of order >= 2k+2 is fractional
 k-extendable when every k-matching extends to an FPM that keeps its k
 edges at weight 1, that is when G - V(M) has an FPM for every k-matching
-M.  Only the covered set V(M) matters, so the definitional oracle walks
-the distinct covered sets, each once, and tests each with one FPM
-search; it is polynomial for fixed k and decides every theorem verdict.
-The set-condition oracle instead demands i(G-S) <= |S| - 2k of every
-S whose induced subgraph carries a k-matching; one int8 table of
-i(G-S) - |S| over all 2^n vertex masks names the candidate sets.  Its
-cost is 2^n whatever k is, so it covers orders up to LEMMA_MAX_ORDER and
-serves as the independent cross-check.  Both return Verdicts that carry
-re-checkable witnesses.
+M.  Only the covered set V(M) matters, so the oracle walks the distinct
+covered sets, each once, and tests each with one FPM search; it is
+polynomial for fixed k and decides every verdict.  A failure carries both
+witness kinds: the k-matching M that does not extend, and a set S that
+breaks the equivalent set condition i(G-S) <= |S| - 2k while G[S] holds
+a k-matching, namely V(M) plus the deficiency set of G - V(M).
+verify_witness re-checks either kind.
 """
 from __future__ import annotations
 
@@ -22,21 +20,17 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import Graph, isolated_count
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
-# reason codes shared by both oracles
+# reason codes
 EXTENDABLE = "extendable"
 TOO_SMALL = "too_small"             # order < 2k+2: outside the definition
 NO_K_MATCHING = "no_k_matching"     # no k-matching to extend
 BAD_MATCHING = "unextendable_matching"
 BAD_SET = "violating_set"
-
-LEMMA_MAX_ORDER = 20     # largest order the set-condition table covers
 
 
 # Nothing raises this: the definitional oracle has no cap.  It stays
@@ -50,7 +44,8 @@ class Verdict:
     """Oracle answer plus a witness that can be re-verified independently.
 
     witness_set is a vertex bitmask (violating S); witness_matching is the
-    k-matching that failed to extend.
+    k-matching that failed to extend.  An unextendable_matching verdict
+    carries both.
     """
     answer: bool
     reason: str
@@ -345,7 +340,7 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
     used = 0
     edges = []
     for u, v in matching:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError(f"({u},{v}) is not an edge")
         bit = (1 << u) | (1 << v)
         if used & bit:
@@ -361,7 +356,7 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 
 
 # ---------------------------------------------------------------------------
-# the two extendability oracles
+# the extendability oracle
 # ---------------------------------------------------------------------------
 
 def _covered_sets(g: Graph, k: int):
@@ -403,6 +398,10 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
     distinct covered set from _covered_sets gets one FPM search on the
     double cover; the matching that first covered a failing set is the
     witness.  No cap: every order up to 128 is decided.
+
+    The failure also yields the set witness.  The deficiency set S' of
+    G - V(M) has i(G - V(M) - S') > |S'|, so S = S' | V(M) has
+    i(G-S) > |S| - 2k, and M lies inside G[S].
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -412,77 +411,41 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
     found_any = False
     for used, m in _covered_sets(g, k):
         found_any = True
-        if _double_cover_matching(g, full ^ used)[1]:
-            return Verdict(False, BAD_MATCHING, witness_matching=m)
+        rest = full ^ used
+        reach = _double_cover_matching(g, rest)[1]
+        if reach:
+            s = _deficiency_witness(g, rest, reach) | used
+            return Verdict(False, BAD_MATCHING, witness_set=s, witness_matching=m)
     if not found_any:
         return Verdict(False, NO_K_MATCHING)
     return Verdict(True, EXTENDABLE)
 
 
-def _excess_table(g: Graph):
-    """excess[S] = i(G-S) - |S| for every vertex mask S, in mask order.
-
-    v adds 1 where (S & (N(v) | v)) == N(v), that is where it lies outside
-    S with N(v) inside S, and takes 1 where (S & v) == v.  A test
-    (S & x) == y holds when it holds on the high bits and on the low h
-    bits of S, so each is an outer AND of two 2^(n/2)-entry tests and no
-    array of 2^n masks is made.  Values stay in [-n, n], so int8 holds
-    them.
-    """
-    h = g.n // 2
-    low = (1 << h) - 1
-    lo = np.arange(1 << h, dtype=np.uint32)
-    hi = np.arange(1 << (g.n - h), dtype=np.uint32)[:, None]
-
-    def masked_equal(x: int, y: int):
-        return ((hi & (x >> h)) == (y >> h)) & ((lo & (x & low)) == (y & low))
-
-    excess = np.zeros((hi.size, lo.size), dtype=np.int8)
-    for v, row in enumerate(g.rows):
-        bit = 1 << v
-        excess += masked_equal(row | bit, row)
-        excess -= masked_equal(bit, bit)
-    return excess.reshape(-1)
-
-
-def is_fext_lemma(g: Graph, k: int) -> Verdict:
-    """Fractional k-extendability via the set condition, for n <= LEMMA_MAX_ORDER.
-
-    The candidates are the S with excess[S] > -2k (_excess_table), in
-    ascending mask order; the first whose induced subgraph has a
-    k-matching is a violator and the witness, and no violator certifies
-    extendability.  Graphs without a k-matching, or of order < 2k+2, get
-    distinct negative verdicts.  Larger orders raise ValueError;
-    is_fext_definitional decides them.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if g.n < 2 * k + 2:
-        return Verdict(False, TOO_SMALL)
-    if g.n > LEMMA_MAX_ORDER:
-        raise ValueError(f"set-condition scan covers orders <= {LEMMA_MAX_ORDER}, got {g.n}")
-    if not has_k_matching(g, k):
-        return Verdict(False, NO_K_MATCHING)
-    for s in map(int, np.nonzero(_excess_table(g) > -2 * k)[0]):
-        if _has_k_matching_in_mask(g, s, k):
-            return Verdict(False, BAD_SET, witness_set=s)
-    return Verdict(True, EXTENDABLE)
+def _violates_set_condition(g: Graph, k: int, s: int) -> bool:
+    """Is s a vertex set of g with a k-matching in G[s] and i(G-s) > |s| - 2k?"""
+    if not 0 <= s < 1 << g.n or not _has_k_matching_in_mask(g, s, k):
+        return False
+    return isolated_count(g, s) > s.bit_count() - 2 * k
 
 
 def verify_witness(g: Graph, k: int, verdict: Verdict) -> bool:
-    """Independently re-check a negative witness."""
+    """Independently re-check a negative witness; malformed ones fail."""
     if verdict.answer:
         return True
     if verdict.reason == TOO_SMALL:
         return g.n < 2 * k + 2
     if verdict.reason == NO_K_MATCHING:
         return not has_k_matching(g, k)
+    s = verdict.witness_set
     if verdict.reason == BAD_SET:
-        s = verdict.witness_set
-        if s is None or not _has_k_matching_in_mask(g, s, k):
-            return False
-        return isolated_count(g, s) > s.bit_count() - 2 * k
+        return s is not None and _violates_set_condition(g, k, s)
     if verdict.reason == BAD_MATCHING:
         m = verdict.witness_matching
-        return m is not None and extend_matching(g, m) is None
+        if m is None or len(m) != k:
+            return False
+        try:
+            stuck = extend_matching(g, m) is None
+        except ValueError:   # not a matching of g
+            return False
+        return stuck and (s is None or _violates_set_condition(g, k, s))
     return False

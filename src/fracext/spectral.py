@@ -262,11 +262,12 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
-def largest_real_root(c: Cubic, tol: float = 1e-13) -> float:
+def largest_real_root(c: Cubic) -> float:
     """Largest real root of a monic cubic by bracketing bisection.
 
     The Cauchy bound 1 + max|coeff| brackets all roots; the derivative's
-    critical points isolate the rightmost one.
+    critical points isolate the rightmost one.  Bisection stops once the
+    bracket is within 1e-13 relative (absolute below 1).
     """
     c2, c1, c0 = float(c.c2), float(c.c1), float(c.c0)
     bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
@@ -292,7 +293,7 @@ def largest_real_root(c: Cubic, tol: float = 1e-13) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
+        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
             break
     # bisection keeps p(hi) >= 0; an exact zero there is the root itself
     return hi if p(hi) == 0.0 else 0.5 * (lo + hi)

@@ -26,10 +26,10 @@ def random_graph(rng, n, p):
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(rng, n_lo=4, n_hi=30):
+def random_connected_graph(rng, n_lo=4, n_hi=30, p_lo=0.12, p_hi=0.9):
     """Random spanning tree plus density-p extras; connected by construction."""
     n = rng.randint(n_lo, n_hi)
-    p = rng.uniform(0.12, 0.9)
+    p = rng.uniform(p_lo, p_hi)
     perm = list(range(n))
     rng.shuffle(perm)
     edges = set()

@@ -16,13 +16,13 @@ from fracext import (DEFAULT_TOL, ExtremalParams, Graph, charpoly3,
                      largest_eigenvalue, largest_real_root, parse_graph6,
                      quotient, wiener_index)
 from fracext.corpus import are_isomorphic, complement_corpus, connected_graphs
-from fracext.matching import (extend_matching, is_fext_definitional,
-                              is_fext_lemma, verify_witness)
+from fracext.matching import extend_matching, is_fext_definitional, verify_witness
 from fracext.spectral import (distance_matrix_array, positional_blocks,
                               positional_blocks_prime, signless_laplacian)
 from fracext.theorems import (lemma_grid, sample_spanning_subgraphs, sharpness,
                               sweep, theorem_spec)
 from helpers import random_connected_graph
+from set_condition_oracle import is_fext_lemma
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fracext import ExtremalParams, complete, cycle, emit_graph6, extremal_graph, parse_graph6
+from fracext import (ExtremalParams, Verdict, complete, cycle, emit_graph6, extremal_graph,
+                     parse_graph6, verify_witness)
 from fracext.cli import build_parser, main
 
 G2_11 = emit_graph6(extremal_graph(ExtremalParams(11, 1, 2)))
@@ -36,17 +37,33 @@ def test_check_json_schema(capsys):
     assert oracles[0]["witness_set"] == [0, 1]
 
 
-def test_check_above_scan_order_runs_definitional_only(capsys):
+def test_check_above_order_20_prints_both_rows(capsys):
     code, out, _ = run(["check", emit_graph6(complete(21)), "-k", "1",
                         "--format", "json"], capsys)
     assert code == 0
     oracles = [r for r in json.loads(out)["results"] if "oracle" in r]
-    assert [r["oracle"] for r in oracles] == ["definitional"]
-    assert oracles[0]["extendable"] is True
+    assert oracles == [{"oracle": name, "extendable": True, "reason": "extendable"}
+                       for name in ("set_condition", "definitional")]
+
+
+def test_check_odd_cycle_above_order_20_has_both_witnesses(capsys):
+    g = cycle(21)
+    code, out, _ = run(["check", emit_graph6(g), "-k", "1", "--format", "json"], capsys)
+    assert code == 1
+    by_set, by_matching = [r for r in json.loads(out)["results"] if "oracle" in r]
+    assert by_set["oracle"] == "set_condition" and by_set["reason"] == "violating_set"
+    assert "witness_matching" not in by_set
+    assert by_matching["oracle"] == "definitional"
+    assert by_matching["reason"] == "unextendable_matching"
+    assert "witness_set" not in by_matching
+    s = sum(1 << v for v in by_set["witness_set"])
+    assert verify_witness(g, 1, Verdict(False, "violating_set", witness_set=s))
+    m = tuple(map(tuple, by_matching["witness_matching"]))
+    assert verify_witness(g, 1, Verdict(False, "unextendable_matching", witness_matching=m))
 
 
 def test_check_dense_k4_keeps_set_condition_verdict(capsys):
-    # K_16 has 1351350 4-matchings; both oracles decide it
+    # K_16 has 1351350 4-matchings; the one verdict fills both rows
     code, out, _ = run(["check", emit_graph6(complete(16)), "-k", "4",
                         "--format", "json"], capsys)
     assert code == 0

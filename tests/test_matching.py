@@ -6,12 +6,13 @@ import pytest
 from fracext import (Graph, Verdict, complete, cycle,
                      delete_vertices, disjoint_union, empty_graph, extend_matching,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
-                     has_k_matching, is_fext_definitional, is_fext_lemma,
+                     has_k_matching, is_fext_definitional,
                      isolated_count, matching_number, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
-from fracext.matching import _covered_sets, _excess_table, _has_k_matching_in_mask
-from helpers import brute_matching_number, petersen, random_graph
+from fracext.matching import _covered_sets, _has_k_matching_in_mask
+from helpers import brute_matching_number, petersen, random_connected_graph, random_graph
 from lp_oracle import fractional_pm_feasible_lp
+from set_condition_oracle import excess_table, is_fext_lemma
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +105,8 @@ def test_extend_matching_behavior():
         extend_matching(g, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         extend_matching(cycle(6), [(0, 2)])
+    with pytest.raises(ValueError):
+        extend_matching(cycle(6), [(0, 6)])
 
 
 def test_extend_matching_against_lp():
@@ -147,7 +150,10 @@ def test_oracles_on_extremal_graph():
     v = is_fext_lemma(g, 1)
     assert not v.answer and v.witness_set == 0b11  # the dominating pair
     assert verify_witness(g, 1, v)
-    assert not is_fext_definitional(g, 1).answer
+    w = is_fext_definitional(g, 1)
+    assert not w.answer and w.witness_matching == ((0, 1),)
+    assert w.witness_set == 0b11  # V(M) already strands the independent block
+    assert verify_witness(g, 1, w)
 
 
 def test_verify_witness_rejects_frauds():
@@ -158,6 +164,26 @@ def test_verify_witness_rejects_frauds():
                                                    witness_matching=((1, 2),)))
     assert not verify_witness(complete(6), 1, Verdict(False, "no_k_matching"))
     assert not verify_witness(cycle(7), 1, Verdict(False, "violating_set"))
+    # C8 is fractionally 1-extendable: two edges are not a 1-matching
+    assert not verify_witness(cycle(8), 1, Verdict(False, "unextendable_matching",
+                                                   witness_matching=((0, 1), (3, 4))))
+    # malformed witnesses are refuted, not raised on
+    assert not verify_witness(cycle(8), 1, Verdict(False, "unextendable_matching",
+                                                   witness_matching=((0, 2),)))
+    assert not verify_witness(cycle(8), 1, Verdict(False, "unextendable_matching",
+                                                   witness_matching=((0, 8),)))
+    assert not verify_witness(cycle(7), 1, Verdict(False, "violating_set",
+                                                   witness_set=0b11 << 9))
+    assert not verify_witness(cycle(7), 1, Verdict(False, "violating_set", witness_set=-1))
+    # a true stuck matching does not vouch for a bogus set riding along
+    assert verify_witness(cycle(7), 1, Verdict(False, "unextendable_matching",
+                                               witness_matching=((0, 1),)))
+    assert not verify_witness(cycle(7), 1, Verdict(False, "unextendable_matching",
+                                                   witness_set=0b11 << 9,
+                                                   witness_matching=((0, 1),)))
+    assert not verify_witness(cycle(7), 1, Verdict(False, "unextendable_matching",
+                                                   witness_set=0b11,
+                                                   witness_matching=((0, 1),)))
     # positive verdicts carry no certificate, so there is nothing to refute
     assert verify_witness(complete(6), 1, Verdict(True, "extendable"))
 
@@ -170,7 +196,7 @@ def test_excess_table_vs_isolated_count():
         graphs += [random_graph(rng, n, rng.random()) for _ in range(2)]
         for g in graphs:
             want = [isolated_count(g, s) - s.bit_count() for s in range(1 << n)]
-            assert _excess_table(g).tolist() == want, g
+            assert excess_table(g).tolist() == want, g
 
 
 def test_k_matching_in_mask_vs_enumeration():
@@ -222,10 +248,24 @@ def test_definitional_oracle_has_no_matching_cap():
     assert is_fext_definitional(complete(16), 4).answer
 
 
-def test_lemma_rejects_large_orders():
-    # the set-condition scan is a cross-check for small orders only
-    with pytest.raises(ValueError):
-        is_fext_lemma(cycle(21), 1)
+def test_composed_set_witness_above_order_20():
+    """Every stuck matching on seeded random graphs of order 21-40 carries a violating set."""
+    rng = random.Random(21)
+    stuck = 0
+    for _ in range(30):
+        # sparse, so most verdicts are negative and the walk stops early
+        g = random_connected_graph(rng, 21, 40, 0.03, 0.2)
+        for k in (1, 2):
+            v = is_fext_definitional(g, k)
+            if v.reason != "unextendable_matching":
+                continue
+            stuck += 1
+            covered = sum((1 << a) | (1 << b) for a, b in v.witness_matching)
+            assert v.witness_set is not None and v.witness_set & covered == covered
+            assert verify_witness(g, k, v), (g, k)
+            assert verify_witness(g, k, Verdict(False, "violating_set",
+                                                witness_set=v.witness_set)), (g, k)
+    assert stuck >= 30
 
 
 def test_oracle_equivalence_sample():
