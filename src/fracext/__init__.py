@@ -42,7 +42,6 @@ from .matching import (
 )
 from .spectral import (
     Cubic,
-    DEFAULT_TOL,
     FAMILIES,
     QuotientMatrix,
     SpectralReport,
@@ -64,6 +63,7 @@ from .corpus import (
 )
 from .theorems import (
     CheckResult,
+    DEFAULT_TOL,
     GridReport,
     IdentityReport,
     LEMMA_IDS,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .graphs import ExtremalParams, extremal_graph, graph_stats
 from .graph6 import emit_graph6, parse_graph6
 from .matching import BAD_MATCHING, BAD_SET, Verdict, is_fext_definitional
-from .spectral import (FAMILIES, closed_form, distance_matrix_array,
+from .spectral import (FAMILIES, closed_form, distance_matrix_array, family_cubic,
                        largest_eigenvalue, largest_real_root, signless_laplacian,
                        spectral_report)
 from .corpus import complement_corpus, connected_graphs
@@ -152,17 +152,12 @@ def cmd_extremal(args, out) -> int:
     st = graph_stats(g)
     q = largest_eigenvalue(signless_laplacian(g))
     mu = largest_eigenvalue(distance_matrix_array(g))
-    if args.n >= 2 * s - 2 * args.k + 2:
-        q_poly = closed_form("f_pi_1", n=args.n, k=args.k, s=s)
-    else:
-        q_poly = closed_form("f_pi_prime_1", k=args.k, s=s)
-    mu_poly = closed_form("phi_B1", n=args.n, k=args.k, s=s)
     row = {
         "graph6": emit_graph6(g) if g.n <= 62 else None,
         "n": st.n, "e": st.e, "min_degree": st.min_degree,
         "q": q, "mu": mu,
-        "q_poly": [_fmt(c) for c in q_poly.coefficients()],
-        "mu_poly": [_fmt(c) for c in mu_poly.coefficients()],
+        "q_poly": [_fmt(c) for c in family_cubic("q", args.n, args.k, s).coefficients()],
+        "mu_poly": [_fmt(c) for c in family_cubic("mu", args.n, args.k, s).coefficients()],
     }
     doc = {
         "command": "extremal",

@@ -16,9 +16,6 @@ import numpy as np
 
 from .graphs import Graph, ExtremalParams, distance_matrix, is_connected
 
-# relative scale of the float margin at a bound (theorems._strict_margin)
-DEFAULT_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # matrix builders
@@ -54,9 +51,10 @@ def _family_class_sizes(n: int, k: int, s: int) -> tuple[int, int, int]:
 
 
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
-    """Signless Laplacian of the extremal family, built directly (no order cap).
+    """Signless Laplacian of the extremal family, built directly in numpy.
 
-    Needed because the lemma grids run past the 64-vertex graph type.
+    The lemma grids evaluate thousands of family members; a direct numpy
+    build skips Graph construction and the bit-row walk of adjacency_matrix.
     """
     s_, n1, t = _family_class_sizes(n, k, s)
     A = np.zeros((n, n), dtype=np.int64)
@@ -68,7 +66,7 @@ def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
 
 
 def family_distance_matrix(n: int, k: int, s: int) -> np.ndarray:
-    """Distance matrix of the extremal family, diameter 2, no order cap."""
+    """Distance matrix of the extremal family; diameter 2, so no BFS."""
     s_, n1, t = _family_class_sizes(n, k, s)
     D = np.full((n, n), 1, dtype=np.int64)
     D[s_:, s_ + n1:] = 2                 # inner/independent pairs sit at distance 2
@@ -260,6 +258,19 @@ def closed_form(family: str, *, n: int | None = None, k: int,
             F(5 * d + 4 * k - 8 * s - 10 * d * k - 2 * d * s + 8 * k * s + 4 * d * d * k
               + 2 * d * d * s + 3 * d * d - 2 * d ** 3 - 4 * d * k * s))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+
+
+def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
+    """The cubic whose largest root is the family's q ("q") or mu ("mu").
+
+    phi_B1 covers mu at every order; q takes f_pi_1 above the boundary
+    order n = 2s-2k+1 and f_pi_prime_1 at it.
+    """
+    if quantity == "mu":
+        return closed_form("phi_B1", n=n, k=k, s=s)
+    if n >= 2 * s - 2 * k + 2:
+        return closed_form("f_pi_1", n=n, k=k, s=s)
+    return closed_form("f_pi_prime_1", k=k, s=s)
 
 
 def largest_real_root(c: Cubic) -> float:

@@ -1,14 +1,18 @@
 """Executable forms of the extendability bounds and their supporting grids.
 
 Five sufficient conditions are encoded: two edge-count bounds, two signless
-Laplacian bounds, and one distance spectral bound.  Each TheoremSpec carries
-its hypotheses, its threshold, and its exceptional graph; check_theorem
+Laplacian bounds, and one distance spectral bound.  Every bound is sharp
+at the family K_s v (K_{n-2s+2k-1} u (s-2k+1)K_1), so each threshold is that
+family member's own edge count, q or mu.  Each TheoremSpec carries its
+hypotheses, its threshold, and its exceptional graph; check_theorem
 classifies a single graph, sweep aggregates over a corpus, and the grid,
 sharpness, and sampling routines certify the inequalities the proofs lean
-on in regions where exhaustive search is impossible.
+on in regions where exhaustive search is impossible.  Every comparison of
+a value against a bound or a family value is settled by _compare.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +23,9 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count, extremal_graph,
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
                        verify_witness)
-from .spectral import (DEFAULT_TOL, closed_form, distance_matrix_array,
-                       family_distance_matrix, family_q_matrix,
-                       largest_eigenvalue, largest_real_root, signless_laplacian)
+from .spectral import (distance_matrix_array, family_cubic, family_distance_matrix,
+                       family_q_matrix, largest_eigenvalue, largest_real_root,
+                       signless_laplacian)
 
 THEOREM_IDS = ("edge_1", "edge_2", "q_1", "q_2", "mu")
 LEMMA_IDS = ("q1q2", "q1q3", "mu_compare")
@@ -34,8 +38,25 @@ EQUALITY_CASE = "equality_case"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
-def _strict_margin(threshold) -> float:
-    return 10.0 * DEFAULT_TOL * max(1.0, abs(float(threshold)))
+# relative scale of the float margin inside which _compare calls two values equal
+DEFAULT_TOL = 1e-10
+# largest |matrix eigenvalue - closed-form root| a grid point may show
+CROSSCHECK_TOL = 1e-8
+
+
+def _compare(x, ref) -> int:
+    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|)."""
+    margin = 10.0 * DEFAULT_TOL * max(1.0, abs(float(ref)))
+    if x < ref - margin:
+        return -1
+    return 1 if x > ref + margin else 0
+
+
+@functools.cache
+def _family_threshold(quantity: str, p: ExtremalParams):
+    if quantity == "e":
+        return extremal_edge_count(p)
+    return largest_real_root(family_cubic(quantity, p.n, p.k, p.s))
 
 
 @dataclass(frozen=True)
@@ -77,15 +98,15 @@ class TheoremSpec:
         return ExtremalParams(n=n, k=self.k, s=s)
 
     def threshold(self, n: int, delta: int):
-        """Exact edge count, or the closed-form root for q and mu."""
-        k = self.k
+        """The family member's own edge count, q or mu; memoized per member."""
+        return _family_threshold(self.quantity, self.family(n, delta))
+
+    def value(self, g: Graph, e: int) -> float | int:
+        """The graph's own bound quantity: its edge count e, or its q or mu."""
         if self.quantity == "e":
-            return extremal_edge_count(self.family(n, delta))
-        if self.id == "q_1":
-            return largest_real_root(closed_form("f2", n=n, k=k))
-        if self.id == "q_2":
-            return largest_real_root(closed_form("f3_q", n=n, k=k, delta=delta))
-        return largest_real_root(closed_form("phi_B3_case1", n=n, k=k, delta=delta))
+            return e
+        matrix = signless_laplacian(g) if self.quantity == "q" else distance_matrix_array(g)
+        return largest_eigenvalue(matrix)
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
@@ -139,15 +160,8 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
         return CheckResult(status=HYPOTHESES_NOT_MET, detail=failed, **base)
 
     thr = spec.threshold(st.n, st.min_degree)
-    if spec.quantity == "e":
-        value: float | int = st.e
-        met = st.e >= thr
-    else:
-        matrix = signless_laplacian(g) if spec.quantity == "q" else distance_matrix_array(g)
-        value = largest_eigenvalue(matrix)
-        slack = _strict_margin(thr)
-        met = value >= thr - slack if spec.bound_side == ">=" else value <= thr + slack
-    if not met:
+    value = spec.value(g, st.e)
+    if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
         return CheckResult(status=BOUND_NOT_MET, value=value, threshold=thr, **base)
 
     p = spec.family(st.n, st.min_degree)
@@ -193,9 +207,13 @@ class SweepReport:
         return not self.counterexamples
 
 
-def _sweep_item(args):
-    g, spec = args
-    return check_theorem(g, spec)
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], fanned out to a process pool when jobs > 1."""
+    if jobs > 1 and len(items) > 1:
+        import multiprocessing as mp
+        with mp.Pool(jobs) as pool:
+            return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))
+    return [fn(x) for x in items]
 
 
 def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
@@ -222,15 +240,7 @@ def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
         except Graph6Error as exc:
             errors.append((lineno, str(exc)))
 
-    if jobs > 1 and len(graphs) > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            chunk = max(1, len(graphs) // (jobs * 8))
-            results = list(pool.imap(_sweep_item,
-                                     ((g, spec) for g in graphs), chunk))
-    else:
-        results = [check_theorem(g, spec) for g in graphs]
-
+    results = _map(functools.partial(check_theorem, spec=spec), graphs, jobs)
     hyp = sum(1 for r in results if r.status != HYPOTHESES_NOT_MET)
     bound = sum(1 for r in results
                 if r.status in (CONFIRMED, EQUALITY_CASE, COUNTEREXAMPLE))
@@ -342,30 +352,21 @@ class GridReport:
         return not self.violations
 
 
-def _family_q_value(n: int, k: int, s: int) -> tuple[float, float]:
-    """(eigenvalue, crosscheck error) for q of the family at (n, k, s)."""
-    eig = largest_eigenvalue(family_q_matrix(n, k, s))
-    if n >= 2 * s - 2 * k + 2:
-        root = largest_real_root(closed_form("f_pi_1", n=n, k=k, s=s))
-    else:
-        root = largest_real_root(closed_form("f_pi_prime_1", k=k, s=s))
-    return eig, abs(eig - root)
-
-
-def _family_mu_value(n: int, k: int, s: int) -> tuple[float, float]:
-    eig = largest_eigenvalue(family_distance_matrix(n, k, s))
-    root = largest_real_root(closed_form("phi_B1", n=n, k=k, s=s))
-    return eig, abs(eig - root)
+def _family_value(quantity: str, n: int, k: int, s: int) -> tuple[float, float]:
+    """(eigenvalue, crosscheck error) for q or mu of the family at (n, k, s)."""
+    matrix = family_q_matrix if quantity == "q" else family_distance_matrix
+    eig = largest_eigenvalue(matrix(n, k, s))
+    return eig, abs(eig - largest_real_root(family_cubic(quantity, n, k, s)))
 
 
 def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
-    """Yield (k, delta, n, s_range); one group per right-hand-side value."""
+    """Yield (k, delta, n, s_rhs, s_range); one group per right-hand-side value."""
     if lemma == "q1q2":
         for k in range(1, k_max + 1):
             for n in range(2 * k + 6, n_max + 1):
                 s_hi = (n + 2 * k - 1) // 2
                 if s_hi >= 2 * k:
-                    yield k, None, n, range(2 * k, s_hi + 1)
+                    yield k, None, n, 2 * k, range(2 * k, s_hi + 1)
         return
     if delta_max is None:
         raise ValueError(f"{lemma} grid needs a delta bound")
@@ -378,67 +379,56 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
             for n in range(n_lo, n_max + 1):
                 s_hi = (n + 2 * k - 1) // 2
                 if s_hi >= delta + 1:
-                    yield k, delta, n, range(delta + 1, s_hi + 1)
+                    yield k, delta, n, delta, range(delta + 1, s_hi + 1)
 
 
 def _grid_group_rows(args) -> list[GridRow]:
-    lemma, k, delta, n, s_range = args
+    """Rows comparing the family at each s in s_range against it at s_rhs."""
+    lemma, quantity, k, delta, n, s_rhs, s_range = args
+    rhs, rhs_err = _family_value(quantity, n, k, s_rhs)
     rows = []
-    # the right-hand cubics f2, f3_q and phi_B3_case1 equal f_pi_1 at
-    # s = 2k, f_pi_1 at s = delta and phi_B1 at s = delta, which value()
-    # already cross-checks against the matrix eigenvalue
-    value = _family_mu_value if lemma == "mu_compare" else _family_q_value
-    rhs, rhs_err = value(n, k, 2 * k if lemma == "q1q2" else delta)
     for s in s_range:
-        lhs, lhs_err = value(n, k, s)
-        equality = lemma == "q1q2" and s == 2 * k
+        lhs, lhs_err = _family_value(quantity, n, k, s)
         rows.append(GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s,
                             lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
-                            equality_expected=equality))
+                            equality_expected=s == s_rhs))
     return rows
 
 
 def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None,
-               jobs: int = 1, crosscheck_tol: float = 1e-8) -> GridReport:
+               jobs: int = 1) -> GridReport:
     """Verify one comparison inequality over a parameter grid.
 
     q1q2: q(family at s) below q(family at 2k) for n >= max(2s-2k+1, 2k+6),
     equality exactly at s = 2k.  q1q3: strict for s >= delta+1 once
     2n >= 13*delta.  mu_compare: the distance radius ordering flips, strict
     for s >= delta+1 once n >= 12*delta-2k+1.  Every point cross-checks the
-    dense eigenvalue against the closed-form root.
+    dense eigenvalue against the closed-form root, within CROSSCHECK_TOL.
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
-    groups = [(lemma, k, d, n, s_range)
-              for k, d, n, s_range in _grid_groups(lemma, k_max, n_max, delta_max)]
-    if jobs > 1 and len(groups) > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            chunk = max(1, len(groups) // (jobs * 8))
-            row_lists = list(pool.imap(_grid_group_rows, groups, chunk))
-    else:
-        row_lists = [_grid_group_rows(grp) for grp in groups]
-
-    rows = tuple(row for rl in row_lists for row in rl)
+    mu_side = lemma == "mu_compare"
+    quantity = "mu" if mu_side else "q"
+    groups = [(lemma, quantity, *grp)
+              for grp in _grid_groups(lemma, k_max, n_max, delta_max)]
+    rows = tuple(row for rl in _map(_grid_group_rows, groups, jobs) for row in rl)
     violations = []
     min_margin = float("inf")
     max_err = 0.0
     equality_points = 0
-    mu_side = lemma == "mu_compare"
     for row in rows:
         max_err = max(max_err, row.lhs_err, row.rhs_err)
-        if row.lhs_err > crosscheck_tol or row.rhs_err > crosscheck_tol:
+        if row.lhs_err > CROSSCHECK_TOL or row.rhs_err > CROSSCHECK_TOL:
             violations.append(GridViolation(kind="crosscheck", row=row))
-        slack = _strict_margin(row.rhs)
-        gap = row.lhs - row.rhs if mu_side else row.rhs - row.lhs
+        side = _compare(row.lhs, row.rhs)
         if row.equality_expected:
             equality_points += 1
-            if abs(row.lhs - row.rhs) > slack:
+            if side != 0:
                 violations.append(GridViolation(kind="equality", row=row))
         else:
-            min_margin = min(min_margin, gap)
-            if gap <= slack:
+            min_margin = min(min_margin, row.lhs - row.rhs if mu_side else row.rhs - row.lhs)
+            # mu of the family grows with s where its q shrinks
+            if side != (1 if mu_side else -1):
                 violations.append(GridViolation(kind="inequality", row=row))
     return GridReport(lemma=lemma, points=len(rows), violations=tuple(violations),
                       equality_points=equality_points, max_crosscheck_error=max_err,
@@ -493,21 +483,15 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
 
     thr = spec.threshold(st.n, st.min_degree)
-    if spec.quantity == "e":
-        value: float | int = st.e
-        equal = st.e == thr
-    else:
-        matrix = signless_laplacian(g) if spec.quantity == "q" else distance_matrix_array(g)
-        value = largest_eigenvalue(matrix)
-        equal = abs(value - thr) <= _strict_margin(thr)
-
+    value = spec.value(g, st.e)
     floor = floor_ok = None
     if spec.id == "mu":
         floor = float(st.n - p.s + 2 * spec.k + 3)
-        floor_ok = value >= floor - _strict_margin(floor)
+        floor_ok = _compare(value, floor) >= 0
     return SharpnessReport(params=p, theorem=spec.id, not_extendable=not_ext,
                            witness_is_clique=clique_wit,
-                           bound_equality=equal, value=value, threshold=thr,
+                           bound_equality=_compare(value, thr) == 0,
+                           value=value, threshold=thr,
                            connected=st.connected,
                            min_degree_is_s=st.min_degree == p.s,
                            mu_floor=floor, mu_floor_ok=floor_ok)
@@ -541,18 +525,10 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
         raise ValueError("delta below 2k+1 is outside every variant")
     if kind == "q":
         orders = [n for n in range(6 * delta, 13 * delta // 2 + 1) if 2 * n < 13 * delta]
-        value = _family_q_value
     else:
         orders = list(range(6 * delta, 12 * delta - 2 * k + 1))
-        value = _family_mu_value
-    rows = []
-    for n in orders:
-        rhs, rhs_err = value(n, k, delta)
-        for s in range(delta + 1, (n + 2 * k - 1) // 2 + 1):
-            lhs, lhs_err = value(n, k, s)
-            rows.append(GridRow(lemma=f"gap_{kind}", k=k, delta=delta, n=n, s=s,
-                                lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
-                                equality_expected=False))
+    rows = [row for n in orders for row in _grid_group_rows(
+        (f"gap_{kind}", kind, k, delta, n, delta, range(delta + 1, (n + 2 * k - 1) // 2 + 1)))]
     margins = [(r.lhs - r.rhs if kind == "mu" else r.rhs - r.lhs) for r in rows]
     min_margin = min(margins) if margins else float("inf")
     return GapProbeReport(kind=kind, k=k, delta=delta, rows=tuple(rows),
@@ -599,8 +575,11 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     for _ in range(samples):
         while True:
             d = rng.randint(1, max_d)
-            removed = set(rng.sample(edges, d))
-            g = Graph.from_edges(src.n, [e for e in edges if e not in removed])
+            rows = list(src.rows)
+            for u, v in rng.sample(edges, d):
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            g = Graph(src.n, tuple(rows))
             if is_connected(g):
                 break
             rejected += 1

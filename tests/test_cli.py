@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -205,11 +207,18 @@ def test_grid_text_and_csv(capsys):
     assert out.strip() == ""  # no violations means no csv rows beyond none
 
 
-def test_grid_csv_rows_on_forced_violations(capsys):
-    # cheat the crosscheck tolerance to produce rows worth printing
-    from fracext.theorems import lemma_grid
-    rep = lemma_grid("q1q2", k_max=1, n_max=12, crosscheck_tol=1e-18)
-    assert rep.violations
+def test_grid_csv_rows_on_forced_violations(capsys, monkeypatch):
+    # an absurd crosscheck tolerance turns every grid point into a violation
+    from fracext import theorems
+    monkeypatch.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
+    violations = theorems.lemma_grid("q1q2", k_max=1, n_max=12).violations
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "12",
+                        "--format", "csv"], capsys)
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(violations) > 0
+    assert {"kind", "row.lhs"} <= set(rows[0])
+    assert [r["kind"] for r in rows] == [v.kind for v in violations]
 
 
 def test_report_quick(capsys):

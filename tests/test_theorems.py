@@ -3,6 +3,7 @@ import pytest
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
                      largest_real_root, closed_form, verify_witness)
+from fracext import theorems
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -36,11 +37,24 @@ def test_thresholds():
     assert theorem_spec("edge_1", 1).threshold(11, None) == 47
     assert theorem_spec("edge_2", 1).threshold(18, 3) == \
         extremal_edge_count(ExtremalParams(18, 1, 3))
-    q_thr = theorem_spec("q_1", 1).threshold(11, None)
-    assert q_thr == pytest.approx(largest_real_root(closed_form("f2", n=11, k=1)), abs=1e-12)
-    mu_thr = theorem_spec("mu", 1).threshold(35, 3)
-    assert mu_thr == pytest.approx(
-        largest_real_root(closed_form("phi_B3_case1", n=35, k=1, delta=3)), abs=1e-12)
+    # each q/mu threshold is exactly the largest root of the paper's own
+    # cubic (f2, f3_q, phi_B3_case1) over its hypothesis region
+    points = 0
+    for k in (1, 2, 3):
+        q_1, q_2, mu = (theorem_spec(t, k) for t in ("q_1", "q_2", "mu"))
+        for n in range(2 * k + 6, 61):
+            assert q_1.threshold(n, None) == largest_real_root(closed_form("f2", n=n, k=k))
+            points += 1
+        for delta in range(2 * k + 1, 61):
+            for n in range(-(-13 * delta // 2), 61):
+                assert q_2.threshold(n, delta) == largest_real_root(
+                    closed_form("f3_q", n=n, k=k, delta=delta))
+                points += 1
+            for n in range(12 * delta - 2 * k + 1, 61):
+                assert mu.threshold(n, delta) == largest_real_root(
+                    closed_form("phi_B3_case1", n=n, k=k, delta=delta))
+                points += 1
+    assert points == 453
 
 
 def test_family_construction():
@@ -143,9 +157,10 @@ def test_lemma_grid_small_and_equality_rows():
     assert set(LEMMA_IDS) == {"q1q2", "q1q3", "mu_compare"}
 
 
-def test_lemma_grid_crosscheck_guard_fires():
+def test_lemma_grid_crosscheck_guard_fires(monkeypatch):
     # an absurd crosscheck tolerance forces violations of kind "crosscheck"
-    rep = lemma_grid("q1q2", k_max=1, n_max=12, crosscheck_tol=1e-18)
+    monkeypatch.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
+    rep = lemma_grid("q1q2", k_max=1, n_max=12)
     assert not rep.ok
     assert all(v.kind == "crosscheck" for v in rep.violations)
 
