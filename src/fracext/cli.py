@@ -228,7 +228,9 @@ def cmd_grid(args, out) -> int:
             "equality_cases": rep.equality_points,
             "counterexamples": len(rep.violations),
             "max_crosscheck_error": rep.max_crosscheck_error,
-            "min_strict_margin": rep.min_strict_margin,
+            # a grid with no strict row leaves +inf, which JSON cannot carry
+            "min_strict_margin": (None if rep.min_strict_margin == float("inf")
+                                  else rep.min_strict_margin),
         },
     }
     _emit(doc, args.format, out)

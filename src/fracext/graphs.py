@@ -267,6 +267,8 @@ class ExtremalParams:
 
 def extremal_graph(p: ExtremalParams) -> Graph:
     """Vertex order: dominating clique, inner clique, independent set."""
+    if p.n > MAX_VERTICES:
+        raise CapacityError(f"order {p.n} outside 0..{MAX_VERTICES}")
     inner = disjoint_union(complete(p.inner_size), empty_graph(p.independent_size))
     return join(complete(p.s), inner)
 

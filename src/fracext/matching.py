@@ -7,12 +7,19 @@ bipartite double cover, and any witness assignment is half-integral
 k-extendable when every k-matching extends to an FPM that keeps its k
 edges at weight 1, that is when G - V(M) has an FPM for every k-matching
 M.  Only the covered set V(M) matters, so the oracle walks the distinct
-covered sets, each once, and tests each with one FPM search; it is
-polynomial for fixed k and decides every verdict.  A failure carries both
-witness kinds: the k-matching M that does not extend, and a set S that
-breaks the equivalent set condition i(G-S) <= |S| - 2k while G[S] holds
-a k-matching, namely V(M) plus the deficiency set of G - V(M).
-verify_witness re-checks either kind.
+covered sets, each once; it is polynomial for fixed k and decides every
+verdict.  It carries one maximum double-cover matching down the walk and
+repairs it at each step: drop both copies of the two new vertices, free
+their partners, augment once from every free left copy.  One pass leaves
+the matching maximum, since a left copy with no augmenting path keeps
+none after other paths are flipped.  A failure carries both witness
+kinds: the k-matching M that does not extend, and a set S that breaks the
+equivalent set condition i(G-S) <= |S| - 2k while G[S] holds a
+k-matching, namely V(M) plus the deficiency set of G - V(M).  That set is
+read off the left copies that alternating paths reach from the free ones.
+By Dulmage-Mendelsohn these are the left copies that some maximum
+matching leaves free, the same for every maximum matching, so the
+repairs do not change the witness.  verify_witness re-checks either kind.
 """
 from __future__ import annotations
 
@@ -186,88 +193,76 @@ def has_k_matching(g: Graph, k: int) -> bool:
 # fractional perfect matchings via the bipartite double cover
 # ---------------------------------------------------------------------------
 
-def _double_cover_matching(g: Graph, mask: int) -> tuple[list[int], int]:
-    """Hopcroft-Karp on the double cover restricted to mask.
+def _augment(g: Graph, mask: int, match_l: list[int], match_r: list[int], root: int,
+             free_r: int) -> int:
+    """BFS for an alternating path from free left copy root to a right copy in free_r.
 
-    Left copies are the vertices themselves, right copies their mirrors;
-    u-left is adjacent to v-right iff uv is an edge.  Returns (match_l,
-    deficiency-certificate mask of alternating-reachable left vertices);
-    the certificate mask is 0 when the matching is perfect.
+    free_r must be exactly the free right copies in mask.  Flips the path
+    and returns the right copy it ends at, or -1 when there is none.
     """
-    n = g.n
-    INF = n + 1
-    match_l = [-1] * n
-    match_r = [-1] * n
-    verts = [v for v in range(n) if (mask >> v) & 1]
-    # greedy init
-    for v in verts:
-        cand = g.rows[v] & mask
+    via = {}
+    seen_r = 0
+    queue = [root]
+    for x in queue:
+        cand = g.rows[x] & mask & ~seen_r
+        hit = cand & free_r
+        if hit:
+            u = end = (hit & -hit).bit_length() - 1
+            while True:
+                nxt = match_l[x]
+                match_l[x] = u
+                match_r[u] = x
+                if x == root:
+                    return end
+                u = nxt
+                x = via[u]
+        seen_r |= cand
         while cand:
             low = cand & -cand
             u = low.bit_length() - 1
             cand ^= low
-            if match_r[u] == -1:
-                match_l[v] = u
-                match_r[u] = v
-                break
-    dist = [INF] * n
-    while True:
-        q = deque()
-        for v in verts:
-            if match_l[v] == -1:
-                dist[v] = 0
-                q.append(v)
-            else:
-                dist[v] = INF
-        found = False
-        while q:
-            v = q.popleft()
-            cand = g.rows[v] & mask
-            while cand:
-                low = cand & -cand
-                u = low.bit_length() - 1
-                cand ^= low
-                w = match_r[u]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        if not found:
-            break
-
-        def try_augment(v: int) -> bool:
-            cand = g.rows[v] & mask
-            while cand:
-                low = cand & -cand
-                u = low.bit_length() - 1
-                cand ^= low
-                w = match_r[u]
-                if w == -1 or (dist[w] == dist[v] + 1 and try_augment(w)):
-                    match_l[v] = u
-                    match_r[u] = v
-                    return True
-            dist[v] = INF
-            return False
-
-        for v in verts:
-            if match_l[v] == -1:
-                try_augment(v)
-    if all(match_l[v] != -1 for v in verts):
-        return match_l, 0
-    # final BFS layer marks exactly the alternating-reachable left vertices
-    reach = 0
-    for v in verts:
-        if dist[v] != INF:
-            reach |= 1 << v
-    return match_l, reach
+            via[u] = x
+            queue.append(match_r[u])
+    return -1
 
 
-def _deficiency_witness(g: Graph, mask: int, reach: int) -> int:
-    """Turn the reachable-left set into a set S with i(G-S) > |S|.
+def _augment_free(g: Graph, mask: int, match_l: list[int], match_r: list[int], free: int,
+                  free_r: int) -> tuple[int, int]:
+    """Augment once from each left copy in free; return the left and right copies left free."""
+    stuck = 0
+    while free:
+        low = free & -free
+        free ^= low
+        u = _augment(g, mask, match_l, match_r, low.bit_length() - 1, free_r)
+        if u < 0:
+            stuck |= low
+        else:
+            free_r ^= 1 << u
+    return stuck, free_r
 
-    reach is a Hall violator A of the double cover: every right copy it
-    reaches is matched back into A, so |N(A)| < |A|.  Let X = A & N(A) and
+
+def _double_cover_matching(g: Graph, mask: int) -> tuple[list[int], list[int], int, int]:
+    """Maximum matching of the double cover restricted to mask.
+
+    Left copies are the vertices themselves, right copies their mirrors;
+    u-left is adjacent to v-right iff uv is an edge.  One _augment_free
+    pass from the empty matching: each search takes a free right copy
+    next to its root before it looks further, so the pass starts greedy.
+    Returns (match_l, match_r, free left copies, free right copies); both
+    masks are 0 when the matching is perfect.
+    """
+    match_l = [-1] * g.n
+    match_r = [-1] * g.n
+    return match_l, match_r, *_augment_free(g, mask, match_l, match_r, mask, mask)
+
+
+def _deficiency_witness(g: Graph, mask: int, match_r: list[int], free: int) -> int:
+    """Turn a maximum double-cover matching with free left copies into S with i(G-S) > |S|.
+
+    reach, the left copies that alternating paths reach from the free
+    ones, is the same for every maximum matching (module docstring).  It
+    is a Hall violator A of the double cover: every right copy it reaches
+    is matched back into A, so |N(A)| < |A|.  Let X = A & N(A) and
     A' = A - X.  A neighbour of an A' vertex that lay in X would put that
     vertex in N(A) & A = X, so N(A') lies in N(A) - X and
     |N(A')| <= |N(A)| - |X| < |A| - |X| = |A'|.  A' is independent, so
@@ -281,6 +276,17 @@ def _deficiency_witness(g: Graph, mask: int, reach: int) -> int:
             a ^= low
         return s
 
+    reach = free
+    queue = [v for v in range(g.n) if (free >> v) & 1]
+    for x in queue:
+        cand = g.rows[x] & mask
+        while cand:
+            low = cand & -cand
+            w = match_r[low.bit_length() - 1]
+            cand ^= low
+            if not (reach >> w) & 1:
+                reach |= 1 << w
+                queue.append(w)
     a = reach & ~nbhd(reach)
     s = nbhd(a)
     outside = ((1 << g.n) - 1) & ~mask
@@ -325,10 +331,10 @@ def fractional_pm_exists(g: Graph, mask: int | None = None):
     active = (1 << g.n) - 1 if mask is None else mask
     if active == 0:
         return True, {}
-    match_l, reach = _double_cover_matching(g, active)
-    if reach == 0:
+    match_l, match_r, free, _ = _double_cover_matching(g, active)
+    if not free:
         return True, _half_integral_from_permutation(match_l, active)
-    return False, _deficiency_witness(g, active, reach)
+    return False, _deficiency_witness(g, active, match_r, free)
 
 
 def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | None:
@@ -359,19 +365,32 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 # the extendability oracle
 # ---------------------------------------------------------------------------
 
-def _covered_sets(g: Graph, k: int):
-    """Yield (V(M), M) once for each distinct vertex set V(M) of a k-matching M.
+def is_fext_definitional(g: Graph, k: int) -> Verdict:
+    """Fractional k-extendability straight from the definition.
 
-    Edges are added in increasing order of their larger endpoint, so the
-    edges that can extend a partial set U (larger endpoint above max U,
+    The walk adds edges in increasing order of their larger endpoint, so
+    the edges that can extend a partial set U (larger endpoint above max U,
     both endpoints outside U) depend on U alone, and U is extended only
-    the first time it is reached; M is the matching that reached V(M)
-    first, its edges in the order added.
+    the first time it is reached; the matching that first covered a
+    failing set is the witness.  No cap: every order up to 128 is decided.
+    The child U | {a, b} repairs a copy of its parent's maximum
+    double-cover matching (module docstring), so a child of a perfect
+    parent needs at most two augmentations, and a leaf passes exactly when
+    no left copy stays free.  The deficiency set S' of G - V(M) has
+    i(G - V(M) - S') > |S'|, so S = S' | V(M) has i(G-S) > |S| - 2k, and M
+    lies inside G[S].
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if g.n < 2 * k + 2:
+        return Verdict(False, TOO_SMALL)
+    if not has_k_matching(g, k):
+        return Verdict(False, NO_K_MATCHING)
+    full = (1 << g.n) - 1
     below = [row & ((1 << v) - 1) for v, row in enumerate(g.rows)]
     seen: set[int] = set()
 
-    def extend(used: int, top: int, chosen: tuple[tuple[int, int], ...]):
+    def walk(used, top, chosen, match_l, match_r, free, free_r) -> Verdict | None:
         for b in range(top + 1, g.n):
             cand = below[b] & ~used
             while cand:
@@ -382,43 +401,30 @@ def _covered_sets(g: Graph, k: int):
                 if covered in seen:
                     continue
                 seen.add(covered)
+                ml, mr = match_l[:], match_r[:]
+                fl, fr = free, free_r
+                for v in (a, b):
+                    if ml[v] != -1:
+                        fr |= 1 << ml[v]
+                        mr[ml[v]] = -1
+                        ml[v] = -1
+                    if mr[v] != -1:
+                        fl |= 1 << mr[v]
+                        ml[mr[v]] = -1
+                        mr[v] = -1
+                rest = full ^ covered
+                fl, fr = _augment_free(g, rest, ml, mr, fl & rest, fr & rest)
                 m = chosen + ((a, b),)
-                if len(m) == k:
-                    yield covered, m
-                else:
-                    yield from extend(covered, b, m)
+                if len(m) < k:
+                    found = walk(covered, b, m, ml, mr, fl, fr)
+                    if found:
+                        return found
+                elif fl:
+                    s = _deficiency_witness(g, rest, mr, fl) | covered
+                    return Verdict(False, BAD_MATCHING, witness_set=s, witness_matching=m)
+        return None
 
-    yield from extend(0, -1, ())
-
-
-def is_fext_definitional(g: Graph, k: int) -> Verdict:
-    """Fractional k-extendability straight from the definition.
-
-    A k-matching M extends exactly when G - V(M) has an FPM, so each
-    distinct covered set from _covered_sets gets one FPM search on the
-    double cover; the matching that first covered a failing set is the
-    witness.  No cap: every order up to 128 is decided.
-
-    The failure also yields the set witness.  The deficiency set S' of
-    G - V(M) has i(G - V(M) - S') > |S'|, so S = S' | V(M) has
-    i(G-S) > |S| - 2k, and M lies inside G[S].
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if g.n < 2 * k + 2:
-        return Verdict(False, TOO_SMALL)
-    full = (1 << g.n) - 1
-    found_any = False
-    for used, m in _covered_sets(g, k):
-        found_any = True
-        rest = full ^ used
-        reach = _double_cover_matching(g, rest)[1]
-        if reach:
-            s = _deficiency_witness(g, rest, reach) | used
-            return Verdict(False, BAD_MATCHING, witness_set=s, witness_matching=m)
-    if not found_any:
-        return Verdict(False, NO_K_MATCHING)
-    return Verdict(True, EXTENDABLE)
+    return walk(0, -1, (), *_double_cover_matching(g, full)) or Verdict(True, EXTENDABLE)
 
 
 def _violates_set_condition(g: Graph, k: int, s: int) -> bool:

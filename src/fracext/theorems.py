@@ -407,6 +407,8 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
+    if k_max < 1:
+        raise ValueError("k must be at least 1")
     mu_side = lemma == "mu_compare"
     quantity = "mu" if mu_side else "q"
     groups = [(lemma, quantity, *grp)

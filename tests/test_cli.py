@@ -126,6 +126,12 @@ def test_extremal_requires_clique_size(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_extremal_order_error_names_the_requested_order(capsys):
+    # n = 200 with s = 3 has an inner clique of order 195; the error is about 200
+    code, _, err = run(["extremal", "-n", "200", "-k", "1", "-s", "3"], capsys)
+    assert code == 2 and "order 200 outside 0..128" in err
+
+
 def test_polys_text_and_errors(capsys):
     code, out, _ = run(["polys", "f2", "-n", "11", "-k", "1"], capsys)
     assert code == 0
@@ -205,6 +211,22 @@ def test_grid_text_and_csv(capsys):
                         "--format", "csv"], capsys)
     assert code == 0
     assert out.strip() == ""  # no violations means no csv rows beyond none
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_grid_without_strict_rows_is_strict_json(capsys):
+    for argv in (["--lemma", "q1q2", "-k", "1", "-n", "7"],
+                 ["--lemma", "mu_compare", "-k", "1", "-n", "10", "--delta", "3"]):
+        code, out, _ = run(["grid", *argv, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["summary"]["scanned"] == 0
+        assert doc["summary"]["min_strict_margin"] is None
+    code, out, err = run(["grid", "--lemma", "q1q2", "-k", "0", "-n", "20"], capsys)
+    assert code == 2 and out == "" and "k must be at least 1" in err
 
 
 def test_grid_csv_rows_on_forced_violations(capsys, monkeypatch):

@@ -9,7 +9,8 @@ from fracext import (Graph, Verdict, complete, cycle,
                      has_k_matching, is_fext_definitional,
                      isolated_count, matching_number, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
-from fracext.matching import _covered_sets, _has_k_matching_in_mask
+from fracext.matching import _has_k_matching_in_mask
+from covered_set_oracle import covered_sets, is_fext_by_covered_sets
 from helpers import brute_matching_number, petersen, random_connected_graph, random_graph
 from lp_oracle import fractional_pm_feasible_lp
 from set_condition_oracle import excess_table, is_fext_lemma
@@ -232,7 +233,7 @@ def test_covered_sets_vs_brute_enumeration():
     for n in range(1, 8):
         for g in connected_graphs(n):
             for k in (1, 2, 3):
-                pairs = list(_covered_sets(g, k))
+                pairs = list(covered_sets(g, k))
                 sets = [u for u, _ in pairs]
                 assert len(sets) == len(set(sets)), (g, k)
                 assert set(sets) == _brute_covered_sets(g, k), (g, k)
@@ -241,6 +242,27 @@ def test_covered_sets_vs_brute_enumeration():
                     covered = [v for e in m for v in e]
                     assert len(set(covered)) == 2 * k
                     assert sum(1 << v for v in covered) == u
+
+
+def test_repaired_walk_vs_fresh_fpm_per_covered_set():
+    """The walk's repaired matching gives the Verdict a fresh FPM search per set gives.
+
+    All four fields must agree: both visit the covered sets in one order,
+    and the deficiency set does not depend on which maximum matching found it.
+    """
+    cases = [(g, k) for n in range(1, 8) for g in connected_graphs(n) for k in (1, 2, 3)]
+    rng = random.Random(8)
+    # densities 0.05..0.85 in order, k cycling, so each k meets the whole range;
+    # every graph at every k would spend 40 s on the reference's dense k = 3 walks
+    for i in range(300):
+        p = 0.05 + 0.8 * i / 299
+        cases.append((random_connected_graph(rng, 8, 20, p, p), 1 + i % 3))
+    negative = 0
+    for g, k in cases:
+        v = is_fext_definitional(g, k)
+        assert v == is_fext_by_covered_sets(g, k), (g, k)
+        negative += v.reason == "unextendable_matching"
+    assert negative >= 1000
 
 
 def test_definitional_oracle_has_no_matching_cap():

@@ -104,6 +104,20 @@ def test_check_theorem_decides_mu_bound_at_order_35():
     assert r.oracle is not None and r.oracle.answer
 
 
+def test_check_theorem_confirms_q_bound_at_k2_order_35():
+    # one edge from the independent vertex into the inner clique lifts
+    # the minimum degree to 5 and q just above the k = 2 threshold, so the
+    # oracle walks every covered set of a near-complete order-35 graph
+    g = extremal_graph(ExtremalParams(35, 2, 4))
+    g = Graph.from_edges(g.n, g.edges() + [(34, 4)])
+    r = check_theorem(g, theorem_spec("q_1", 2))
+    assert r.min_degree == 5
+    assert r.value == pytest.approx(66.163, abs=1e-3)
+    assert r.threshold == pytest.approx(66.129, abs=1e-3)
+    assert r.status == "confirmed_extendable"
+    assert r.oracle is not None and r.oracle.answer
+
+
 def test_check_theorem_decides_dense_k4_at_order_16():
     # K_16 has 1351350 4-matchings; the definitional oracle tests each of
     # its 12870 covered vertex sets once
