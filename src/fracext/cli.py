@@ -174,12 +174,15 @@ def _load_corpus(arg: str):
     """Corpus argument: path, '-', 'connected:N', or 'complement:N:BUDGET'."""
     if arg == "-":
         return sys.stdin.buffer, "stdin"
-    if arg.startswith("connected:"):
-        n = int(arg.split(":", 1)[1])
-        return connected_graphs(n), arg
-    if arg.startswith("complement:"):
-        _, n, budget = arg.split(":")
-        return complement_corpus(int(n), int(budget)), arg
+    kind, _, rest = arg.partition(":")
+    generated = {"connected": ("connected:N", connected_graphs),
+                 "complement": ("complement:N:BUDGET", complement_corpus)}
+    if kind in generated:
+        form, build = generated[kind]
+        fields = rest.split(":")
+        if len(fields) != form.count(":") or not all(f.isascii() and f.isdigit() for f in fields):
+            raise ValueError(f"corpus {arg!r}: expected {form} with non-negative integers")
+        return build(*map(int, fields)), arg
     # bytes: sweep decodes each line itself and records bad ones by number
     return open(arg, "rb"), arg
 

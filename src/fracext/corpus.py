@@ -7,6 +7,14 @@ canonical form: color refinement orders the vertex classes, then a pruned
 DFS maximizes the packed upper-triangle bitstring.  Identical-row twins
 collapse to a single branch, which keeps the families with large symmetric
 blocks (cliques, independent sets) linear.
+
+Before canonicalising, a child is kept only if its new element maximises
+an isomorphism invariant (McKay's canonical deletion; ties pass): a new
+vertex its (degree, neighbour-degree sum), a new edge uv the (max, min) of
+its endpoint degrees.  Sound: if x maximises the invariant in a class G,
+then G - x is some parent P, and the child of P that adds the image of x
+is G with the new element on x, so it passes.  Every class is still
+reached, the set of forms drops the rest, and the output is unchanged.
 """
 from __future__ import annotations
 
@@ -112,6 +120,13 @@ def graph_from_canonical(form: tuple[int, int]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _outranked(rows: list[int], s: int) -> bool:
+    """Whether a vertex of degree s has a larger neighbour-degree sum than the last one."""
+    deg = [r.bit_count() for r in rows]
+    sums = [sum(deg[u] for u in range(len(rows)) if r >> u & 1) for r in rows]
+    return any(d == s and t > sums[-1] for d, t in zip(deg, sums))
+
+
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """Every graph of order n up to isomorphism, canonically ordered."""
     if n < 0:
@@ -119,19 +134,24 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     cached = _ALL_CACHE.get(n)
     if cached is not None:
         return cached
-    if n == 0:
-        out = (empty_graph(0),)
-    elif n == 1:
-        out = (empty_graph(1),)
+    if n <= 1:
+        out = (empty_graph(n),)
     else:
         forms: set[tuple[int, int]] = set()
         for parent in all_graphs(n - 1):
-            base_rows = list(parent.rows)
+            degs = [r.bit_count() for r in parent.rows]
+            top = max(degs)
+            at_top = sum(1 << v for v, d in enumerate(degs) if d == top)
             for sub in range(1 << (n - 1)):
-                rows = base_rows + [sub]
-                rows2 = [r | (((sub >> v) & 1) << (n - 1)) for v, r in enumerate(rows[:-1])]
-                g = Graph(n, tuple(rows2 + [sub]))
-                forms.add(canonical_form(g))
+                # canonical deletion; the degree test needs no rows
+                s = sub.bit_count()
+                if s < top or (s == top and sub & at_top):
+                    continue
+                rows = [r | (((sub >> v) & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
+                rows.append(sub)
+                if s <= top + 1 and _outranked(rows, s):
+                    continue
+                forms.add(canonical_form(Graph(n, tuple(rows))))
         out = tuple(graph_from_canonical(f) for f in sorted(forms))
     _ALL_CACHE[n] = out
     return out
@@ -145,29 +165,33 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return cached
 
 
+def _top_edge(rows: list[int], u: int, v: int) -> bool:
+    """Whether uv maximises (larger, smaller) endpoint degree over all edges."""
+    deg = [r.bit_count() for r in rows]
+    hi, lo = max(deg[u], deg[v]), min(deg[u], deg[v])
+    return all(d < hi or d == hi and all(deg[y] <= lo for y in range(len(rows)) if r >> y & 1)
+               for d, r in zip(deg, rows))
+
+
 def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
     """Graphs on n labeled-then-canonicalized vertices with <= max_edges
     edges, up to isomorphism; isolated vertices allowed."""
-    current: dict[tuple[int, int], Graph] = {}
-    e0 = empty_graph(n)
-    current[canonical_form(e0)] = e0
-    out = [e0]
+    if max_edges < 0:
+        raise ValueError("negative edge budget")
+    current = [empty_graph(n)]
+    out = list(current)
     for _ in range(max_edges):
-        nxt: dict[tuple[int, int], Graph] = {}
-        for g in current.values():
+        forms: set[tuple[int, int]] = set()
+        for g in current:
             for u in range(n):
                 for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
                     rows = list(g.rows)
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-                    h = Graph(n, tuple(rows))
-                    f = canonical_form(h)
-                    if f not in nxt:
-                        nxt[f] = graph_from_canonical(f)
-        current = nxt
-        out.extend(nxt[f] for f in sorted(nxt))
+                    if not g.has_edge(u, v) and _top_edge(rows, u, v):
+                        forms.add(canonical_form(Graph(n, tuple(rows))))
+        current = [graph_from_canonical(f) for f in sorted(forms)]
+        out.extend(current)
     return tuple(out)
 
 

@@ -1,0 +1,44 @@
+"""Reference corpora: canonicalise every augmentation, filter nothing.
+
+The package's generators skip a candidate unless its new vertex (or edge)
+maximises a degree invariant, and canonicalise only the rest.  These
+generators keep both axes unfiltered: every graph of order n - 1 times
+every neighbourhood of a new vertex, and every graph with m - 1 edges
+times every non-edge, each child canonicalised.  They share only
+canonical_form and graph_from_canonical with the package, and they emit
+the classes in the same order, so the outputs must be equal as tuples.
+"""
+from fracext.corpus import canonical_form, graph_from_canonical
+from fracext.graphs import Graph, empty_graph
+
+
+def all_graphs_reference(n):
+    """Every graph of order n up to isomorphism, sorted by canonical form."""
+    if n <= 1:
+        return (empty_graph(n),)
+    forms = set()
+    for parent in all_graphs_reference(n - 1):
+        for sub in range(1 << (n - 1)):
+            rows = [r | (((sub >> v) & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
+            forms.add(canonical_form(Graph(n, tuple(rows + [sub]))))
+    return tuple(graph_from_canonical(f) for f in sorted(forms))
+
+
+def sparse_graphs_reference(n, max_edges):
+    """Graphs of order n with at most max_edges edges, level by level."""
+    level = {canonical_form(empty_graph(n))}
+    out = [empty_graph(n)]
+    for _ in range(max_edges):
+        nxt = set()
+        for f in level:
+            g = graph_from_canonical(f)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if not g.has_edge(u, v):
+                        rows = list(g.rows)
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                        nxt.add(canonical_form(Graph(n, tuple(rows))))
+        level = nxt
+        out.extend(graph_from_canonical(f) for f in sorted(nxt))
+    return tuple(out)

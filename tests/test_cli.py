@@ -187,6 +187,19 @@ def test_sweep_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("corpus, form", [
+    ("complement:6:-2", "complement:N:BUDGET"),   # negative budget
+    ("complement:6", "complement:N:BUDGET"),      # missing field
+    ("connected:x", "connected:N"),               # not an integer
+    ("connected:-1", "connected:N"),              # negative order
+    ("connected:8:1", "connected:N"),             # extra field
+])
+def test_sweep_malformed_generated_corpus(corpus, form, capsys):
+    code, out, err = run(["sweep", "--theorem", "edge_1", "-k", "1", corpus], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and form in err
+
+
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     corpus.write_text("".join(line + "\n" for line in

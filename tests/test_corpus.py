@@ -1,15 +1,19 @@
 import itertools
 import random
 
+import pytest
+
 from fracext import Graph, complement, complete, cycle, disjoint_union, is_connected
+from fracext import corpus
 from fracext.corpus import (all_graphs, are_isomorphic, canonical_form,
                             complement_corpus, connected_graphs, graph_from_canonical,
                             sparse_graphs)
+from corpus_oracle import all_graphs_reference, sparse_graphs_reference
 from helpers import random_graph, relabel
 
 # counts frozen from the standard unlabeled enumeration sequences
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def test_enumeration_counts():
@@ -25,6 +29,35 @@ def test_enumeration_is_duplicate_free():
     for n in range(1, 7):
         forms = [canonical_form(g) for g in all_graphs(n)]
         assert len(set(forms)) == len(forms)
+
+
+def test_all_graphs_match_unfiltered_reference():
+    for n in range(8):
+        assert all_graphs(n) == all_graphs_reference(n), n
+
+
+def test_canonical_deletion_skips_most_candidates(monkeypatch):
+    """Up to order 7 the filter canonicalises 2490 of the 11290 candidates,
+    under two per class kept; the degree test alone would need 3131."""
+    calls = []
+    monkeypatch.setattr(corpus, "_ALL_CACHE", {})
+    monkeypatch.setattr(corpus, "canonical_form",
+                        lambda g: calls.append(g.n) or canonical_form(g))
+    kept = sum(len(all_graphs(n)) for n in range(2, 8))
+    assert kept == 1251 and len(calls) <= 2 * kept
+
+
+def test_sparse_graphs_match_unfiltered_reference():
+    for n in range(8):
+        top = n * (n - 1) // 2
+        ref = sparse_graphs_reference(n, top)
+        for m in range(top + 1):
+            assert sparse_graphs(n, m) == tuple(g for g in ref if g.edge_count() <= m), (n, m)
+
+
+def test_sparse_graphs_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        sparse_graphs(5, -1)
 
 
 def test_cross_enumeration_brute_force():
