@@ -144,7 +144,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_extremal(args, out) -> int:
-    s = args.delta if args.s is None else args.s
+    s = args.s
     if s is None:
         raise ValueError("need -s or --delta")
     p = ExtremalParams(n=args.n, k=args.k, s=s)
@@ -282,16 +282,12 @@ def cmd_report(args, out) -> int:
     results.append({"section": "edge_identities",
                     "points": len(ident_points), "failures": bad})
 
+    # each bound is sharp at its family member of least order
     d0 = 2 * k + 1
-    sharp_points = {
-        "edge_1": ExtremalParams(n=2 * k + 9, k=k, s=2 * k),
-        "q_1": ExtremalParams(n=2 * k + 6, k=k, s=2 * k),
-        "edge_2": ExtremalParams(n=6 * d0, k=k, s=d0),
-        "q_2": ExtremalParams(n=-(-13 * d0 // 2), k=k, s=d0),
-        "mu": ExtremalParams(n=12 * d0 - 2 * k + 1, k=k, s=d0),
-    }
-    for tid, p in sharp_points.items():
-        rep = sharpness(p, theorem_spec(tid, k))
+    for tid in ("edge_1", "q_1", "edge_2", "q_2", "mu"):
+        spec = theorem_spec(tid, k)
+        p = spec.family(spec.min_order(d0), d0)
+        rep = sharpness(p, spec)
         ok &= rep.ok
         results.append({"section": "sharpness", "theorem": tid,
                         "params": [p.n, p.k, p.s], "ok": rep.ok,
@@ -315,8 +311,8 @@ def cmd_report(args, out) -> int:
                         "rows": len(probe.rows), "min_margin": probe.min_margin,
                         "all_hold": probe.all_hold, "asserted": False})
 
-    n_mu = 12 * d0 - 2 * k + 1
     spec = theorem_spec("mu", k)
+    n_mu = spec.min_order(d0)
     samples = 10_000 if full else 500
     for s in (d0, d0 + 1, d0 + 2):
         p = ExtremalParams(n=n_mu, k=k, s=s)
@@ -358,16 +354,27 @@ def _add_common(sub):
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
 
 
+def _worker_count(text: str) -> int:
+    """--jobs, or FRACEXT_JOBS through its default: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
+
+
 def _add_parallel(sub, jobs_default):
-    # only sweep, grid and report fan work out to processes
-    sub.add_argument("--jobs", type=int, default=jobs_default,
+    # only sweep, grid and report fan work out to processes; argparse runs a
+    # string default through type, so FRACEXT_JOBS gets the same check
+    sub.add_argument("--jobs", type=_worker_count, default=jobs_default,
                      help="worker processes (FRACEXT_JOBS)")
     sub.add_argument("--deterministic", action="store_true",
                      help="byte-identical output across runs and --jobs values")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    jobs_default = int(os.environ.get("FRACEXT_JOBS", "1"))
+    jobs_default = os.environ.get("FRACEXT_JOBS", "1")
     ap = argparse.ArgumentParser(prog="fracext",
                                  description=__doc__.splitlines()[0])
     subs = ap.add_subparsers(dest="command", required=True)
@@ -379,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("extremal", help="emit a family graph and its invariants")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-s", type=int, default=None, help="join clique size")
-    p.add_argument("--delta", type=int, default=None, help="alias for -s")
+    p.add_argument("-s", "--delta", dest="s", type=int, default=None,
+                   help="join clique size (the minimum degree)")
     _add_common(p)
     p.set_defaults(fn=cmd_extremal)
 

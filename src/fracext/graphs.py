@@ -9,7 +9,6 @@ is built and recognized here.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 MAX_VERTICES = 128
@@ -105,22 +104,16 @@ def path(m: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise CapacityError(f"union order {n} exceeds {MAX_VERTICES}")
     rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(n, tuple(rows))
+    return Graph(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every cross edge."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise CapacityError(f"join order {n} exceeds {MAX_VERTICES}")
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [r | hmask for r in g.rows] + [(r << g.n) | gmask for r in h.rows]
-    return Graph(n, tuple(rows))
+    return Graph(g.n + h.n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
@@ -279,56 +272,22 @@ def extremal_edge_count(p: ExtremalParams) -> int:
     return c * (c - 1) // 2 + p.s * p.independent_size
 
 
-def _is_complete(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return all(g.rows[v] == full ^ (1 << v) for v in range(g.n))
-
-
 def matches_extremal(g: Graph, p: ExtremalParams) -> bool:
     """Is g isomorphic to extremal_graph(p)?
 
-    Decided structurally from degree classes; every adjacency is verified,
-    so no permutation search is needed.  Degenerate parameter sets collapse:
-    inner_size <= 1 means the graph is K_s v m*K1 (and K_n when m would be 0).
+    The family is a threshold graph, so its degree sequence decides it:
+    s vertices of degree n-1, n1 = inner_size of degree s+n1-1 and
+    t = independent_size of degree s.  Proof that an equal sequence forces
+    the shape: the s vertices of degree n-1 are universal.  Removing them
+    leaves t isolated vertices and n1 vertices of degree n1-1, and those n1
+    can only be adjacent to each other, so they form a clique.  The
+    degenerate cases need no branch: when n1 = 1 the inner vertex has the
+    independent degree s, and when n1 = 0 and t = 1 the family is K_n.
     """
-    if g.n != p.n:
-        return False
-    n, s, n1, t = p.n, p.s, p.inner_size, p.independent_size
-    if n1 == 0 and t == 1:
-        return _is_complete(g)
-    if n1 <= 1:
-        # K_s v (t + n1) K1: s universal vertices, the rest independent
-        return _matches_split(g, s, n1 + t)
-    degs = [g.degree(v) for v in range(n)]
-    dom = [v for v in range(n) if degs[v] == n - 1]
-    ind = [v for v in range(n) if degs[v] == s]
-    inn = [v for v in range(n) if degs[v] == s + n1 - 1]
-    if len(dom) != s or len(ind) != t or len(inn) != n1:
-        return False
-    dom_mask = 0
-    for v in dom:
-        dom_mask |= 1 << v
-    for v in ind:
-        if g.rows[v] != dom_mask:
-            return False
-    for u, v in itertools.combinations(inn, 2):
-        if not g.has_edge(u, v):
-            return False
-    return True
-
-
-def _matches_split(g: Graph, s: int, m: int) -> bool:
-    # K_s v m*K1 with m >= 2, so universal and independent degrees differ
-    n = g.n
-    if s + m != n:
-        return False
-    dom = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(dom) != s:
-        return False
-    dom_mask = 0
-    for v in dom:
-        dom_mask |= 1 << v
-    return all(g.rows[v] == dom_mask for v in range(n) if not (dom_mask >> v) & 1)
+    s, n1, t = p.s, p.inner_size, p.independent_size
+    # already non-increasing: n-1 > s+n1-1 because t >= 1
+    family = (p.n - 1,) * s + (s + n1 - 1,) * n1 + (s,) * t
+    return g.n == p.n and g.degree_sequence() == family
 
 
 def embeds_in_extremal(g: Graph, k: int, s_mask: int) -> bool:

@@ -42,35 +42,28 @@ def distance_matrix_array(g: Graph) -> np.ndarray:
     return np.array(distance_matrix(g), dtype=np.int64)
 
 
-def _family_class_sizes(n: int, k: int, s: int) -> tuple[int, int, int]:
-    n1 = n - 2 * s + 2 * k - 1
-    t = s - 2 * k + 1
-    if k < 1 or s < 2 * k or n1 < 0:
-        raise ValueError(f"invalid family parameters n={n} k={k} s={s}")
-    return s, n1, t
-
-
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
     """Signless Laplacian of the extremal family, built directly in numpy.
 
     The lemma grids evaluate thousands of family members; a direct numpy
     build skips Graph construction and the bit-row walk of adjacency_matrix.
+    ExtremalParams rejects an invalid (n, k, s), as in family_distance_matrix.
     """
-    s_, n1, t = _family_class_sizes(n, k, s)
+    c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
     A = np.zeros((n, n), dtype=np.int64)
-    A[:s_ + n1, :s_ + n1] = 1            # dominating u inner is a clique
-    A[:s_, s_ + n1:] = 1                 # dominating joins the independents
-    A[s_ + n1:, :s_] = 1
+    A[:c, :c] = 1                        # dominating u inner is a clique
+    A[:s, c:] = 1                        # dominating joins the independents
+    A[c:, :s] = 1
     np.fill_diagonal(A, 0)
     return A + np.diag(A.sum(axis=1))
 
 
 def family_distance_matrix(n: int, k: int, s: int) -> np.ndarray:
     """Distance matrix of the extremal family; diameter 2, so no BFS."""
-    s_, n1, t = _family_class_sizes(n, k, s)
+    c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
     D = np.full((n, n), 1, dtype=np.int64)
-    D[s_:, s_ + n1:] = 2                 # inner/independent pairs sit at distance 2
-    D[s_ + n1:, s_:] = 2
+    D[s:, c:] = 2                        # inner/independent pairs sit at distance 2
+    D[c:, s:] = 2
     np.fill_diagonal(D, 0)
     return D
 

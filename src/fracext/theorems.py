@@ -9,10 +9,16 @@ classifies a single graph, sweep aggregates over a corpus, and the grid,
 sharpness, and sampling routines certify the inequalities the proofs lean
 on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
+
+Each theorem's region starts at a least order kept once, in _THEOREMS:
+edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
+three delta theorems also need delta >= 2k+1).  The hypotheses, grids,
+gap probes and report all read it through TheoremSpec.
 """
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +33,18 @@ from .spectral import (distance_matrix_array, family_cubic, family_distance_matr
                        family_q_matrix, largest_eigenvalue, largest_real_root,
                        signless_laplacian)
 
-THEOREM_IDS = ("edge_1", "edge_2", "q_1", "q_2", "mu")
-LEMMA_IDS = ("q1q2", "q1q3", "mu_compare")
+# id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
+_THEOREMS = {
+    "edge_1": ("e", ">=", False, "2k+9", lambda k, delta: 2 * k + 9),
+    "edge_2": ("e", ">=", True, "6*delta", lambda k, delta: 6 * delta),
+    "q_1": ("q", ">=", False, "2k+6", lambda k, delta: 2 * k + 6),
+    "q_2": ("q", ">=", True, "6.5*delta", lambda k, delta: Fraction(13 * delta, 2)),
+    "mu": ("mu", "<=", True, "12*delta-2k+1", lambda k, delta: 12 * delta - 2 * k + 1),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+# each comparison grid backs the theorem it serves and starts at its least order
+_LEMMA_THEOREM = {"q1q2": "q_1", "q1q3": "q_2", "mu_compare": "mu"}
+LEMMA_IDS = tuple(_LEMMA_THEOREM)
 
 # per-graph classification
 HYPOTHESES_NOT_MET = "hypotheses_not_met"
@@ -81,17 +97,14 @@ class TheoremSpec:
             return "disconnected"
         if self.uses_delta and delta < 2 * k + 1:
             return f"minimum degree {delta} < 2k+1 = {2 * k + 1}"
-        if self.id == "edge_1" and n < 2 * k + 9:
-            return f"order {n} < 2k+9 = {2 * k + 9}"
-        if self.id == "edge_2" and n < 6 * delta:
-            return f"order {n} < 6*delta = {6 * delta}"
-        if self.id == "q_1" and n < 2 * k + 6:
-            return f"order {n} < 2k+6 = {2 * k + 6}"
-        if self.id == "q_2" and 2 * n < 13 * delta:
-            return f"order {n} < 6.5*delta = {Fraction(13 * delta, 2)}"
-        if self.id == "mu" and n < 12 * delta - 2 * k + 1:
-            return f"order {n} < 12*delta-2k+1 = {12 * delta - 2 * k + 1}"
+        label, least = _THEOREMS[self.id][3:]
+        if n < (bound := least(k, delta)):
+            return f"order {n} < {label} = {bound}"
         return None
+
+    def min_order(self, delta: int | None) -> int:
+        """The least order at which the hypotheses hold (delta unused by edge_1, q_1)."""
+        return math.ceil(_THEOREMS[self.id][4](self.k, delta))
 
     def family(self, n: int, delta: int) -> ExtremalParams:
         s = delta if self.uses_delta else 2 * self.k
@@ -112,16 +125,9 @@ class TheoremSpec:
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
     if k < 1:
         raise ValueError("k must be at least 1")
-    table = {
-        "edge_1": ("e", ">=", False),
-        "edge_2": ("e", ">=", True),
-        "q_1": ("q", ">=", False),
-        "q_2": ("q", ">=", True),
-        "mu": ("mu", "<=", True),
-    }
-    if theorem_id not in table:
+    if theorem_id not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    quantity, side, uses_delta = table[theorem_id]
+    quantity, side, uses_delta = _THEOREMS[theorem_id][:3]
     return TheoremSpec(id=theorem_id, k=k, quantity=quantity,
                        bound_side=side, uses_delta=uses_delta)
 
@@ -164,16 +170,13 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
         return CheckResult(status=BOUND_NOT_MET, value=value, threshold=thr, **base)
 
-    p = spec.family(st.n, st.min_degree)
-    if matches_extremal(g, p):
-        verdict = is_fext_definitional(g, spec.k)
+    verdict = is_fext_definitional(g, spec.k)
+    if matches_extremal(g, spec.family(st.n, st.min_degree)):
         if verdict.answer:
             raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
         return CheckResult(status=EQUALITY_CASE, value=value, threshold=thr,
                            detail="isomorphic to the exceptional graph",
                            oracle=verdict, **base)
-
-    verdict = is_fext_definitional(g, spec.k)
     if verdict.answer:
         return CheckResult(status=CONFIRMED, value=value, threshold=thr,
                            oracle=verdict, **base)
@@ -360,26 +363,23 @@ def _family_value(quantity: str, n: int, k: int, s: int) -> tuple[float, float]:
 
 
 def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
-    """Yield (k, delta, n, s_rhs, s_range); one group per right-hand-side value."""
-    if lemma == "q1q2":
-        for k in range(1, k_max + 1):
-            for n in range(2 * k + 6, n_max + 1):
-                s_hi = (n + 2 * k - 1) // 2
-                if s_hi >= 2 * k:
-                    yield k, None, n, 2 * k, range(2 * k, s_hi + 1)
-        return
-    if delta_max is None:
+    """Yield (k, delta, n, s_rhs, s_range); one group per right-hand-side value.
+
+    Orders start at the served theorem's min_order and s_rhs is its family's
+    clique size; s_range starts at s_rhs for q1q2, whose equality row sits
+    there, and just above it for the two delta lemmas.
+    """
+    if lemma != "q1q2" and delta_max is None:
         raise ValueError(f"{lemma} grid needs a delta bound")
     for k in range(1, k_max + 1):
-        for delta in range(2 * k + 1, delta_max + 1):
-            if lemma == "q1q3":
-                n_lo = -(-13 * delta // 2)      # smallest n with 2n >= 13*delta
-            else:
-                n_lo = 12 * delta - 2 * k + 1
-            for n in range(n_lo, n_max + 1):
+        spec = theorem_spec(_LEMMA_THEOREM[lemma], k)
+        for delta in range(2 * k + 1, delta_max + 1) if spec.uses_delta else (None,):
+            for n in range(spec.min_order(delta), n_max + 1):
+                s_rhs = spec.family(n, delta).s
+                s_lo = s_rhs + 1 if spec.uses_delta else s_rhs
                 s_hi = (n + 2 * k - 1) // 2
-                if s_hi >= delta + 1:
-                    yield k, delta, n, delta, range(delta + 1, s_hi + 1)
+                if s_hi >= s_lo:
+                    yield k, delta, n, s_rhs, range(s_lo, s_hi + 1)
 
 
 def _grid_group_rows(args) -> list[GridRow]:
@@ -525,10 +525,8 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
         raise ValueError("kind must be 'q' or 'mu'")
     if delta < 2 * k + 1:
         raise ValueError("delta below 2k+1 is outside every variant")
-    if kind == "q":
-        orders = [n for n in range(6 * delta, 13 * delta // 2 + 1) if 2 * n < 13 * delta]
-    else:
-        orders = list(range(6 * delta, 12 * delta - 2 * k + 1))
+    served = theorem_spec("q_2" if kind == "q" else "mu", k)
+    orders = range(6 * delta, served.min_order(delta))
     rows = [row for n in orders for row in _grid_group_rows(
         (f"gap_{kind}", kind, k, delta, n, delta, range(delta + 1, (n + 2 * k - 1) // 2 + 1)))]
     margins = [(r.lhs - r.rhs if kind == "mu" else r.rhs - r.lhs) for r in rows]

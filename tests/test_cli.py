@@ -121,6 +121,14 @@ def test_extremal_large_order_has_no_graph6(capsys):
     assert json.loads(out)["results"][0]["graph6"] is None
 
 
+def test_extremal_clique_size_is_one_option(capsys):
+    # -s and --delta spell one option, so the later one wins like any repeat
+    for argv, s in ((["-s", "2", "--delta", "5"], 5), (["--delta", "5", "-s", "2"], 2)):
+        code, out, _ = run(["extremal", "-n", "11", "-k", "1", *argv, "--format", "json"],
+                           capsys)
+        assert code == 0 and json.loads(out)["config"]["s"] == s
+
+
 def test_extremal_requires_clique_size(capsys):
     code, _, err = run(["extremal", "-n", "11", "-k", "1"], capsys)
     assert code == 2 and "error:" in err
@@ -274,3 +282,25 @@ def test_jobs_default_from_environment(monkeypatch):
     monkeypatch.delenv("FRACEXT_JOBS")
     args = build_parser().parse_args(["grid", "--lemma", "q1q2", "-n", "12"])
     assert args.jobs == 1
+
+
+def test_malformed_jobs_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FRACEXT_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--lemma", "q1q2", "-n", "12"])
+    assert exc.value.code == 2
+    assert "worker count" in capsys.readouterr().err
+
+
+def test_jobs_below_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--theorem", "q_1", "connected:4", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "worker count" in capsys.readouterr().err
+
+
+def test_check_ignores_malformed_jobs_environment(monkeypatch, capsys):
+    # check takes no --jobs, so the variable is never read
+    monkeypatch.setenv("FRACEXT_JOBS", "abc")
+    code, out, _ = run(["check", emit_graph6(complete(6)), "-k", "1"], capsys)
+    assert code == 0 and "extendable=True" in out

@@ -8,6 +8,7 @@ from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
                      empty_graph, extremal_edge_count, extremal_graph,
                      graph_stats, induced, is_connected, isolated_count, join,
                      matches_extremal, path, wiener_index)
+from fracext.corpus import all_graphs, are_isomorphic
 from helpers import relabel
 
 
@@ -20,6 +21,13 @@ def test_basic_constructors():
     assert g.edges() == [(0, 2), (1, 3)]
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)
+
+
+def test_join_and_union_reject_orders_above_capacity():
+    with pytest.raises(CapacityError):
+        join(complete(100), complete(29))
+    with pytest.raises(CapacityError):
+        disjoint_union(complete(100), complete(29))
 
 
 def test_from_edges_rejects_bad_input():
@@ -128,6 +136,17 @@ def test_matches_extremal_rejects_perturbations():
     assert not matches_extremal(complete(11), p)
     # right edge count, wrong shape
     assert not matches_extremal(cycle(11), ExtremalParams(n=11, k=1, s=5))
+
+
+def test_matches_extremal_picks_one_class_per_family_member():
+    # independent route: canonical-form isomorphism over every class of order <= 8
+    for n in range(1, 9):
+        for k in range(1, n):
+            for s in range(2 * k, (n + 2 * k - 1) // 2 + 1):
+                p = ExtremalParams(n=n, k=k, s=s)
+                hits = [g for g in all_graphs(n) if matches_extremal(g, p)]
+                assert len(hits) == 1, p
+                assert are_isomorphic(hits[0], extremal_graph(p)), p
 
 
 def test_embeds_in_extremal():

@@ -33,6 +33,29 @@ def test_hypotheses_messages():
     assert "degree" in spec.hypotheses(40, 2, True)   # delta < 2k+1
 
 
+def test_min_order_is_the_least_order_of_each_region():
+    for tid in THEOREM_IDS:
+        for k in range(1, 4):
+            spec = theorem_spec(tid, k)
+            for delta in range(2 * k + 1, 2 * k + 7):
+                m = spec.min_order(delta)
+                assert f"order {m - 1} <" in spec.hypotheses(m - 1, delta, True)
+                assert spec.hypotheses(m, delta, True) is None
+
+
+def test_grids_start_at_their_theorems_min_order():
+    served = {"q1q2": "q_1", "q1q3": "q_2", "mu_compare": "mu"}
+    for lemma, bounds in (("q1q2", dict(k_max=2, n_max=14)),
+                          ("q1q3", dict(k_max=1, n_max=28, delta_max=4)),
+                          ("mu_compare", dict(k_max=1, n_max=48, delta_max=4))):
+        first = {}
+        for row in lemma_grid(lemma, **bounds).rows:
+            first.setdefault((row.k, row.delta), row.n)
+        assert len(first) == 2, lemma
+        for (k, delta), n in first.items():
+            assert n == theorem_spec(served[lemma], k).min_order(delta), (lemma, k, delta)
+
+
 def test_thresholds():
     assert theorem_spec("edge_1", 1).threshold(11, None) == 47
     assert theorem_spec("edge_2", 1).threshold(18, 3) == \
