@@ -15,20 +15,15 @@ from .graphs import (
     complete,
     cycle,
     disjoint_union,
-    embeds_in_extremal,
     empty_graph,
     extremal_edge_count,
     extremal_graph,
     graph_stats,
-    induced,
-    delete_vertices,
-    distance_matrix,
     is_connected,
     isolated_count,
     join,
     matches_extremal,
     path,
-    wiener_index,
 )
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (
@@ -51,7 +46,6 @@ from .spectral import (
     largest_real_root,
     quotient,
     spectral_report,
-    wiener_g3,
 )
 from .corpus import (
     all_graphs,

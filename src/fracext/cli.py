@@ -4,7 +4,8 @@ Commands: check, extremal, sweep, grid, polys, report.  Output formats are
 text (default), json, and csv; json follows one fixed schema
 {command, config, results[], summary{scanned, confirmed, equality_cases,
 counterexamples}}.  Exit codes: 0 clean, 1 negative finding (not extendable,
-counterexample, grid violation), 2 usage or input error.
+counterexample, grid violation), 2 usage or input error, 141 (128 +
+SIGPIPE) when the reader closes stdout early.
 """
 from __future__ import annotations
 
@@ -427,17 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
+    stdout = out = sys.stdout
     try:
         if args.output is not None:
             out = open(args.output, "w", encoding="utf-8")
         return args.fn(args, out)
+    except BrokenPipeError:
+        # the reader is gone: silence the interpreter's final stdout flush
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (ValueError, OSError, RuntimeError) as exc:
         # Graph6Error and CapacityError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if out is not sys.stdout:
+        if out is not stdout:
             out.close()
 
 

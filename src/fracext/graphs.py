@@ -1,7 +1,7 @@
 """Bitmask graphs, basic statistics, and the three-block join families.
 
 Vertices are 0..n-1; each adjacency row is an integer bitmask, so subset
-work (induced subgraphs, isolated counts) is plain integer arithmetic.
+work (isolated counts, connected components) is plain integer arithmetic.
 Orders are capped at 128: enumeration corpora stay tiny, but the sharpness
 grids need join-family graphs up to order 90.  The join family
 K_s v (K_{n1} u t*K1) that witnesses sharpness of the extendability bounds
@@ -121,31 +121,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
 
 
-def induced(g: Graph, mask: int) -> Graph:
-    """Induced subgraph on the bitmask's vertices, relabeled 0..m-1 in order."""
-    keep = [v for v in range(g.n) if (mask >> v) & 1]
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        m = g.rows[v] & mask
-        row = 0
-        while m:
-            low = m & -m
-            row |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        rows.append(row)
-    return Graph(len(keep), tuple(rows))
-
-
-def delete_vertices(g: Graph, vertices) -> Graph:
-    drop = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        drop |= 1 << v
-    return induced(g, ((1 << g.n) - 1) ^ drop)
-
-
 def isolated_count(g: Graph, removed_mask: int = 0) -> int:
     """Number of isolated vertices of g - removed_mask (degree 0 after removal)."""
     cnt = 0
@@ -187,42 +162,6 @@ class GraphStats:
 def graph_stats(g: Graph) -> GraphStats:
     delta = min((g.degree(v) for v in range(g.n)), default=0)
     return GraphStats(g.n, g.edge_count(), delta, is_connected(g))
-
-
-def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs BFS distances; raises ValueError on a disconnected graph."""
-    full = (1 << g.n) - 1
-    D = []
-    for src in range(g.n):
-        dist = [0] * g.n
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.rows[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            m = frontier
-            while m:
-                low = m & -m
-                dist[low.bit_length() - 1] = d
-                m ^= low
-        if seen != full:
-            raise ValueError("distance matrix requires a connected graph")
-        D.append(dist)
-    return D
-
-
-def wiener_index(g: Graph) -> int:
-    """Sum of distances over unordered pairs; connected graphs only."""
-    D = distance_matrix(g)
-    return sum(D[u][v] for u in range(g.n) for v in range(u + 1, g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +227,3 @@ def matches_extremal(g: Graph, p: ExtremalParams) -> bool:
     # already non-increasing: n-1 > s+n1-1 because t >= 1
     family = (p.n - 1,) * s + (s + n1 - 1,) * n1 + (s,) * t
     return g.n == p.n and g.degree_sequence() == family
-
-
-def embeds_in_extremal(g: Graph, k: int, s_mask: int) -> bool:
-    """Certify g as a spanning subgraph of extremal_graph(n, k, |S|).
-
-    S must be a violating set: g - S leaves at least |S|-2k+1 isolated
-    vertices.  The embedding sends S to the dominating clique, t of the
-    isolated vertices to the independent block, everything else inside the
-    inner clique; edge containment is then checked explicitly.
-    """
-    n = g.n
-    s = s_mask.bit_count()
-    t = s - 2 * k + 1
-    iso = [v for v in range(n) if not (s_mask >> v) & 1 and g.rows[v] & ~s_mask == 0]
-    if len(iso) < t or t < 1:
-        return False
-    p = ExtremalParams(n, k, s)
-    pattern = extremal_graph(p)
-    order = ([v for v in range(n) if (s_mask >> v) & 1]
-             + [v for v in range(n) if not (s_mask >> v) & 1 and v not in iso[:t]]
-             + iso[:t])
-    slot = {v: i for i, v in enumerate(order)}
-    return all(pattern.has_edge(slot[u], slot[v]) for u, v in g.edges())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, ExtremalParams, distance_matrix, is_connected
+from .graphs import Graph, ExtremalParams, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,36 @@ def signless_laplacian(g: Graph) -> np.ndarray:
 
 
 def distance_matrix_array(g: Graph) -> np.ndarray:
-    return np.array(distance_matrix(g), dtype=np.int64)
+    """All-pairs distances by one bitset-frontier BFS per vertex.
+
+    Raises ValueError on a disconnected graph.
+    """
+    full = (1 << g.n) - 1
+    D = []
+    for src in range(g.n):
+        dist = [0] * g.n
+        seen = 1 << src
+        frontier = seen
+        d = 0
+        while frontier:
+            d += 1
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= g.rows[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            m = frontier
+            while m:
+                low = m & -m
+                dist[low.bit_length() - 1] = d
+                m ^= low
+        if seen != full:
+            raise ValueError("distance matrix requires a connected graph")
+        D.append(dist)
+    return np.array(D, dtype=np.int64)
 
 
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
@@ -162,15 +191,6 @@ def positional_blocks(p: ExtremalParams) -> tuple[range, range, range]:
     """The three vertex blocks of extremal_graph(p) in construction order."""
     s, n1 = p.s, p.inner_size
     return (range(0, s), range(s, s + n1), range(s + n1, p.n))
-
-
-def positional_blocks_prime(p: ExtremalParams) -> tuple[range, range, range]:
-    """Partition for the boundary order n = 2s-2k+1 (no inner clique):
-    the independent block splits into s-2k vertices and one singleton."""
-    if p.inner_size != 0:
-        raise ValueError("prime partition only applies when the inner clique is empty")
-    s = p.s
-    return (range(0, s), range(s, p.n - 1), range(p.n - 1, p.n))
 
 
 # closed forms --------------------------------------------------------------
@@ -332,11 +352,3 @@ def spectral_report(g: Graph) -> SpectralReport:
         wien = int(D.sum()) // 2
     degs = [g.degree(v) for v in range(g.n)]
     return SpectralReport(g.n, g.edge_count(), min(degs, default=0), conn, rho, q, mu, wien)
-
-
-def wiener_g3(n: int, k: int, delta: int) -> int:
-    """Closed-form Wiener index of the minimum-degree family member."""
-    t = delta - 2 * k + 1
-    c = n - delta + 2 * k - 1
-    w = c * (c - 1) // 2 + 2 * (t * (t - 1) // 2) + delta * t + 2 * (n - 2 * delta + 2 * k - 1) * t
-    return w

@@ -268,9 +268,6 @@ class IdentityReport:
     def ok(self) -> bool:
         return all(lhs == rhs for _, lhs, rhs in self.checks)
 
-    def mismatches(self):
-        return tuple(c for c in self.checks if c[1] != c[2])
-
 
 def _edge_gap_vs_dense(n, k, s) -> Fraction:
     # e(dense family at s=2k) minus e(family at s), as a polynomial in n

@@ -1,5 +1,7 @@
 """Shared test utilities: reference implementations kept deliberately naive."""
-from fracext import Graph
+import math
+
+from fracext import ExtremalParams, Graph, extremal_graph
 
 
 def brute_matching_number(g, active=None):
@@ -54,3 +56,49 @@ def petersen():
         edges.append((i, i + 5))
         edges.append((5 + i, 5 + (i + 2) % 5))
     return Graph.from_edges(10, edges)
+
+
+def floyd_warshall(g):
+    """All-pairs distances by Floyd-Warshall over g.edges(); math.inf where
+    no path exists.  Cubic in n and shares no code with the BFS under test."""
+    n = g.n
+    D = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v in g.edges():
+        D[u][v] = D[v][u] = 1
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if D[u][w] + D[w][v] < D[u][v]:
+                    D[u][v] = D[u][w] + D[w][v]
+    return D
+
+
+def positional_blocks_prime(p):
+    """Partition for the boundary order n = 2s-2k+1 (no inner clique):
+    the independent block splits into s-2k vertices and one singleton."""
+    if p.inner_size != 0:
+        raise ValueError("prime partition only applies when the inner clique is empty")
+    s = p.s
+    return (range(0, s), range(s, p.n - 1), range(p.n - 1, p.n))
+
+
+def embeds_in_extremal(g, k, s_mask):
+    """Certify g as a spanning subgraph of extremal_graph(n, k, |S|).
+
+    S must be a violating set: g - S leaves at least |S|-2k+1 isolated
+    vertices.  The embedding sends S to the dominating clique, t of the
+    isolated vertices to the independent block, everything else inside the
+    inner clique; edge containment is then checked explicitly.
+    """
+    n = g.n
+    s = s_mask.bit_count()
+    t = s - 2 * k + 1
+    iso = [v for v in range(n) if not (s_mask >> v) & 1 and g.rows[v] & ~s_mask == 0]
+    if len(iso) < t or t < 1:
+        return False
+    pattern = extremal_graph(ExtremalParams(n, k, s))
+    order = ([v for v in range(n) if (s_mask >> v) & 1]
+             + [v for v in range(n) if not (s_mask >> v) & 1 and v not in iso[:t]]
+             + iso[:t])
+    slot = {v: i for i, v in enumerate(order)}
+    return all(pattern.has_edge(slot[u], slot[v]) for u, v in g.edges())

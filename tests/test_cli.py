@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,22 @@ def test_extremal_round_trip(capsys):
     assert parse_graph6(row["graph6"]) == extremal_graph(ExtremalParams(11, 1, 2))
     assert row["q_poly"] == ["1", "-29", "212", "-288"]
     assert row["q"] == pytest.approx(18.2462112512, abs=1e-9)
+
+
+def test_closed_stdout_is_not_an_error():
+    # a reader that exits before the first write (``fracext ... | head -0``)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fracext.cli", "extremal", "-n", "35", "-k", "1",
+         "-s", "3", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert code not in (1, 2), (code, err)
+    assert "error:" not in err, err
 
 
 def test_extremal_large_order_has_no_graph6(capsys):

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
-                     complement, complete, cycle, delete_vertices,
-                     disjoint_union, distance_matrix, embeds_in_extremal,
-                     empty_graph, extremal_edge_count, extremal_graph,
-                     graph_stats, induced, is_connected, isolated_count, join,
-                     matches_extremal, path, wiener_index)
-from fracext.corpus import all_graphs, are_isomorphic
-from helpers import relabel
+                     complement, complete, cycle, disjoint_union, empty_graph,
+                     extremal_edge_count, extremal_graph, graph_stats,
+                     is_connected, is_fext_definitional, isolated_count, join,
+                     matches_extremal, path)
+from fracext.corpus import all_graphs, are_isomorphic, connected_graphs
+from fracext.matching import BAD_MATCHING
+from helpers import embeds_in_extremal, relabel
 
 
 def test_basic_constructors():
@@ -54,12 +54,8 @@ def test_join_and_union_and_complement():
     assert is_connected(complement(g))
 
 
-def test_induced_and_delete():
+def test_isolated_count():
     c5 = cycle(5)
-    sub = induced(c5, 0b00111)
-    assert sub.edges() == [(0, 1), (1, 2)]
-    rest = delete_vertices(c5, [0])
-    assert rest.n == 4 and rest.edge_count() == 3
     assert isolated_count(c5) == 0
     assert isolated_count(disjoint_union(complete(1), complete(2))) == 1
     # removal mask semantics: drop both neighbors of a path end
@@ -71,16 +67,6 @@ def test_equality_and_hash():
     b = Graph.from_edges(4, [(2, 3), (0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(4, [(0, 1)])
-
-
-def test_distance_and_wiener():
-    d = distance_matrix(path(4))
-    assert d[0][3] == 3 and d[1][2] == 1
-    assert wiener_index(path(4)) == 10
-    assert wiener_index(cycle(5)) == 15
-    assert wiener_index(complete(6)) == 15
-    with pytest.raises(ValueError):
-        distance_matrix(disjoint_union(complete(2), complete(2)))
 
 
 def test_capacity_cap():
@@ -112,7 +98,7 @@ def test_extremal_graph_shape():
     for v in tail:
         assert g.degree(v) == p.s
     tail_mask = sum(1 << v for v in tail)
-    assert induced(g, tail_mask).edge_count() == 0
+    assert all(g.rows[v] & tail_mask == 0 for v in tail)
     assert min(g.degree_sequence()) == p.s
 
 
@@ -159,3 +145,19 @@ def test_embeds_in_extremal():
     assert embeds_in_extremal(thinner, 1, clique)
     # K11 leaves no isolated vertices behind the set, so no certificate
     assert not embeds_in_extremal(complete(11), 1, clique)
+
+
+def test_negative_verdicts_embed_in_extremal():
+    # the proof's structural step: a violating set S of a graph that is not
+    # fractional k-extendable puts the graph inside extremal_graph(n, k, |S|)
+    negatives = 0
+    for n in range(4, 8):
+        for g in connected_graphs(n):
+            for k in (1, 2):
+                verdict = is_fext_definitional(g, k)
+                if verdict.reason == BAD_MATCHING:
+                    assert embeds_in_extremal(g, k, verdict.witness_set), (g.rows, k)
+                    negatives += 1
+    assert negatives > 0
+    print(f"{negatives} unextendable_matching verdicts on connected orders 4-7, "
+          f"k in {{1, 2}}: every witness set embeds in its extremal family member")

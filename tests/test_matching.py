@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fracext import (Graph, Verdict, complete, cycle,
-                     delete_vertices, disjoint_union, empty_graph, extend_matching,
+                     disjoint_union, empty_graph, extend_matching,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional,
                      isolated_count, matching_number, path, verify_witness)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from fracext import (Cubic, ExtremalParams, charpoly3, closed_form, complete,
-                     cycle, extremal_graph, largest_eigenvalue,
-                     largest_real_root, path, quotient, spectral_report,
-                     wiener_g3, wiener_index)
+                     cycle, disjoint_union, extremal_graph, largest_eigenvalue,
+                     largest_real_root, path, quotient, spectral_report)
 from fracext.spectral import (adjacency_matrix,
                               distance_matrix_array, family_distance_matrix,
                               family_q_matrix, positional_blocks,
-                              positional_blocks_prime, signless_laplacian)
+                              signless_laplacian)
+from helpers import floyd_warshall, positional_blocks_prime, random_connected_graph
 
 
 def test_matrix_builders():
@@ -23,6 +23,26 @@ def test_matrix_builders():
     assert (Q == A + np.diag(A.sum(axis=1))).all()
     D = distance_matrix_array(g)
     assert D[0, 3] == 3 and D[2, 1] == 1
+
+
+def test_distance_matrix_array_vs_floyd_warshall():
+    # hand-computed Wiener indices, then seeded random graphs up to order
+    # 128, where bitmask rows pass 64 bits
+    hand = ((path(4), 10), (cycle(5), 15), (complete(6), 15))
+    rng = random.Random(17)
+    randoms = [random_connected_graph(rng, 4, 40) for _ in range(20)]
+    randoms += [random_connected_graph(rng, 63, 128, 0.01, 0.08) for _ in range(12)]
+    randoms += [path(128), cycle(127)]
+    assert sum(g.n > 64 for g in randoms) >= 8
+    for g, wiener in hand:
+        D = distance_matrix_array(g)
+        assert D.dtype == np.int64 and int(D.sum()) // 2 == wiener
+    for g in [g for g, _ in hand] + randoms:
+        assert distance_matrix_array(g).tolist() == floyd_warshall(g), g
+    broken = disjoint_union(complete(2), complete(2))
+    assert math.inf in floyd_warshall(broken)[0]
+    with pytest.raises(ValueError):
+        distance_matrix_array(broken)
 
 
 def test_largest_eigenvalue_known_values():
@@ -204,11 +224,17 @@ def test_spectral_report_fields():
 
 
 def Graph_from_parts():
-    from fracext import disjoint_union
     return disjoint_union(complete(3), complete(2))
+
+
+def wiener_g3(n: int, k: int, delta: int) -> int:
+    """Closed-form Wiener index of the minimum-degree family member."""
+    t = delta - 2 * k + 1
+    c = n - delta + 2 * k - 1
+    return c * (c - 1) // 2 + 2 * (t * (t - 1) // 2) + delta * t + 2 * (n - 2 * delta + 2 * k - 1) * t
 
 
 def test_wiener_g3_closed_form():
     for n, k, d in ((20, 1, 4), (36, 1, 3), (30, 2, 6)):
         g3 = extremal_graph(ExtremalParams(n, k, d))
-        assert wiener_g3(n, k, d) == wiener_index(g3)
+        assert wiener_g3(n, k, d) == int(distance_matrix_array(g3).sum()) // 2
