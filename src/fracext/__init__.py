@@ -23,9 +23,10 @@ from .graphs import (
     isolated_count,
     join,
     matches_extremal,
+    neighbourhood,
     path,
 )
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import Graph6Error, emit_graph6, from_triangle_bits, parse_graph6
 from .matching import (
     Verdict,
     extend_matching,

@@ -154,7 +154,7 @@ def cmd_extremal(args, out) -> int:
     q = largest_eigenvalue(signless_laplacian(g))
     mu = largest_eigenvalue(distance_matrix_array(g))
     row = {
-        "graph6": emit_graph6(g) if g.n <= 62 else None,
+        "graph6": emit_graph6(g),
         "n": st.n, "e": st.e, "min_degree": st.min_degree,
         "q": q, "mu": mu,
         "q_poly": [_fmt(c) for c in family_cubic("q", args.n, args.k, s).coefficients()],

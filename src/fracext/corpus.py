@@ -18,6 +18,7 @@ reached, the set of forms drops the rest, and the output is unchanged.
 """
 from __future__ import annotations
 
+from .graph6 import from_triangle_bits
 from .graphs import Graph, complement, empty_graph, is_connected
 
 _ALL_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -52,9 +53,9 @@ def _refinement_cells(g: Graph) -> list[list[int]]:
 def canonical_form(g: Graph) -> tuple[int, int]:
     """(order, packed upper-triangle bits) maximal over admissible labelings.
 
-    Bit layout matches incremental placement: placing position p appends p
-    bits, adjacency to earlier positions, earliest position most
-    significant.
+    Placing position p appends its adjacency to the p earlier positions,
+    earliest most significant: the graph6 column order, so the integer is
+    the graph6 payload without padding (graph6.from_triangle_bits decodes it).
     """
     n = g.n
     if n <= 1:
@@ -106,20 +107,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return (n, best_acc)
 
 
-def graph_from_canonical(form: tuple[int, int]) -> Graph:
-    """Rebuild the representative graph from its canonical form."""
-    n, bits = form
-    rows = [0] * n
-    pos = n * (n - 1) // 2 - 1
-    for p in range(1, n):
-        for i in range(p):
-            if (bits >> pos) & 1:
-                rows[i] |= 1 << p
-                rows[p] |= 1 << i
-            pos -= 1
-    return Graph(n, tuple(rows))
-
-
 def _outranked(rows: list[int], s: int) -> bool:
     """Whether a vertex of degree s has a larger neighbour-degree sum than the last one."""
     deg = [r.bit_count() for r in rows]
@@ -152,7 +139,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 if s <= top + 1 and _outranked(rows, s):
                     continue
                 forms.add(canonical_form(Graph(n, tuple(rows))))
-        out = tuple(graph_from_canonical(f) for f in sorted(forms))
+        out = tuple(from_triangle_bits(*f) for f in sorted(forms))
     _ALL_CACHE[n] = out
     return out
 
@@ -190,7 +177,7 @@ def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
                     rows[v] |= 1 << u
                     if not g.has_edge(u, v) and _top_edge(rows, u, v):
                         forms.add(canonical_form(Graph(n, tuple(rows))))
-        current = [graph_from_canonical(f) for f in sorted(forms)]
+        current = [from_triangle_bits(*f) for f in sorted(forms)]
         out.extend(current)
     return tuple(out)
 

@@ -1,13 +1,13 @@
-"""Bit-exact graph6 codec for orders up to 62.
-
-Layout: one size byte n+63, then the upper triangle in column order
-((0,1),(0,2),(1,2),(0,3),...) packed into 6-bit groups, most significant
-bit first, each group offset by 63.  Extended multi-byte sizes (leading
-'~') are deliberately not supported.
+"""Bit-exact graph6 codec for orders up to 128, and the one home of the
+upper-triangle layout: the pairs in column order ((0,1),(0,2),(1,2),
+(0,3),...), packed into 6-bit groups, most significant bit first, each
+group offset by 63.  The size header is the group n for n <= 62, else '~'
+and n in three groups; being bit-exact, the codec rejects the long form
+below order 63 and the eight-byte '~~' form.
 """
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 class Graph6Error(ValueError):
@@ -18,6 +18,56 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def from_triangle_bits(n: int, bits: int) -> Graph:
+    """The graph of order n whose upper triangle, packed in graph6 column
+    order with the first pair most significant, is the integer bits."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        pos -= j
+        col = (bits >> pos) & ((1 << j) - 1)   # bit j-1-i is the pair (i, j)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
+    return Graph(n, tuple(rows))
+
+
+def _header(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+
+def _groups(s: str, start: int, stop: int) -> int:
+    """The 6-bit groups s[start:stop] as one integer, the first most significant."""
+    bits = 0
+    for i in range(start, stop):
+        val = ord(s[i]) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"byte {ord(s[i])} outside 63..126", i)
+        bits = (bits << 6) | val
+    return bits
+
+
+def _order(s: str) -> tuple[int, int]:
+    """(order, header length) of a non-empty line."""
+    if s[0] != "~":
+        return _groups(s, 0, 1), 1
+    if s[1:2] == "~":
+        raise Graph6Error(f"eight-byte size header (order > {MAX_VERTICES})", 1)
+    if len(s) < 4:
+        raise Graph6Error("truncated size header", len(s))
+    n = _groups(s, 1, 4)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"order {n} outside 0..{MAX_VERTICES}", 1)
+    if _header(n) != s[:4]:
+        raise Graph6Error(f"long size header for order {n}, which takes one byte", 1)
+    return n, 4
+
+
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 line; trailing whitespace tolerated."""
     if isinstance(text, bytes):
@@ -25,54 +75,24 @@ def parse_graph6(text: str | bytes) -> Graph:
     s = text.rstrip("\r\n \t")
     if not s:
         raise Graph6Error("empty input", 0)
-    first = ord(s[0])
-    if first == 126:
-        raise Graph6Error("multi-byte size headers unsupported (order > 62)", 0)
-    if not 63 <= first <= 125:
-        raise Graph6Error(f"size byte {first} outside 63..125", 0)
-    n = first - 63
+    n, head = _order(s)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(s) - 1 != need:
+    got = len(s) - head
+    if got != need:
         # too short: error at end of input; too long: at the first excess byte
-        at = len(s) if len(s) - 1 < need else need + 1
-        raise Graph6Error(f"expected {need} payload bytes for order {n}, got {len(s) - 1}", at)
-    bits = 0
-    for i, ch in enumerate(s[1:], start=1):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"payload byte {ord(ch)} outside 63..126", i)
-        bits = (bits << 6) | val
-    total = need * 6
-    pad = total - nbits
-    if pad and bits & ((1 << pad) - 1):
+        at = len(s) if got < need else head + need
+        raise Graph6Error(f"expected {need} payload bytes for order {n}, got {got}", at)
+    bits = _groups(s, head, len(s))
+    pad = need * 6 - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    rows = [0] * n
-    pos = total - 1  # MSB-first: bit index of the next (i,j) pair
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos -= 1
-    return Graph(n, tuple(rows))
+    return from_triangle_bits(n, bits >> pad)
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph of order <= 62 as a graph6 string."""
-    n = g.n
-    if n > 62:
-        raise Graph6Error(f"order {n} exceeds single-byte graph6 limit 62", 0)
-    out = [chr(n + 63)]
-    acc = 0
-    fill = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.rows[i] >> j) & 1)
-            fill += 1
-            if fill == 6:
-                out.append(chr(acc + 63))
-                acc, fill = 0, 0
-    if fill:
-        out.append(chr((acc << (6 - fill)) + 63))
-    return "".join(out)
+    """Encode a graph as a graph6 string."""
+    # column j lists (0,j), ..., (j-1,j): the low j bits of row j, reversed
+    tri = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    tri += "0" * (-len(tri) % 6)
+    return _header(g.n) + "".join(chr(int(tri[t:t + 6], 2) + 63) for t in range(0, len(tri), 6))

@@ -130,17 +130,22 @@ def isolated_count(g: Graph, removed_mask: int = 0) -> int:
     return cnt
 
 
+def neighbourhood(g: Graph, mask: int) -> int:
+    """Union of the neighbour rows of the vertices in mask."""
+    rows = g.rows
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def connected_component_mask(g: Graph, start: int = 0) -> int:
     seen = 1 << start
     frontier = seen
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.rows[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
+        frontier = neighbourhood(g, frontier) & ~seen
         seen |= frontier
     return seen
 

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, isolated_count
+from .graphs import Graph, isolated_count, neighbourhood
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -268,14 +268,6 @@ def _deficiency_witness(g: Graph, mask: int, match_r: list[int], free: int) -> i
     |N(A')| <= |N(A)| - |X| < |A| - |X| = |A'|.  A' is independent, so
     each of its vertices is isolated in G - N(A'), and S = N(A') works.
     """
-    def nbhd(a: int) -> int:
-        s = 0
-        while a:
-            low = a & -a
-            s |= g.rows[low.bit_length() - 1] & mask
-            a ^= low
-        return s
-
     reach = free
     queue = [v for v in range(g.n) if (free >> v) & 1]
     for x in queue:
@@ -287,8 +279,8 @@ def _deficiency_witness(g: Graph, mask: int, match_r: list[int], free: int) -> i
             if not (reach >> w) & 1:
                 reach |= 1 << w
                 queue.append(w)
-    a = reach & ~nbhd(reach)
-    s = nbhd(a)
+    a = reach & ~neighbourhood(g, reach)
+    s = neighbourhood(g, a) & mask
     outside = ((1 << g.n) - 1) & ~mask
     assert isolated_count(g, outside | s) > s.bit_count(), \
         "deficient double cover but no violating set"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, ExtremalParams, is_connected
+from .graphs import Graph, ExtremalParams, graph_stats, neighbourhood
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,7 @@ def distance_matrix_array(g: Graph) -> np.ndarray:
         d = 0
         while frontier:
             d += 1
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.rows[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
+            frontier = neighbourhood(g, frontier) & ~seen
             seen |= frontier
             m = frontier
             while m:
@@ -341,14 +335,13 @@ class SpectralReport:
 
 def spectral_report(g: Graph) -> SpectralReport:
     """Numeric spectral summary; distance data is None when disconnected."""
-    conn = is_connected(g)
+    st = graph_stats(g)
     rho = largest_eigenvalue(adjacency_matrix(g)) if g.n else 0.0
     q = largest_eigenvalue(signless_laplacian(g)) if g.n else 0.0
     mu = None
     wien = None
-    if conn and g.n:
+    if st.connected and g.n:
         D = distance_matrix_array(g)
         mu = largest_eigenvalue(D)
         wien = int(D.sum()) // 2
-    degs = [g.degree(v) for v in range(g.n)]
-    return SpectralReport(g.n, g.edge_count(), min(degs, default=0), conn, rho, q, mu, wien)
+    return SpectralReport(st.n, st.e, st.min_degree, st.connected, rho, q, mu, wien)

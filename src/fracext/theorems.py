@@ -141,7 +141,7 @@ class CheckResult:
     e: int
     min_degree: int
     connected: bool
-    graph6: str | None = None
+    graph6: str
     value: float | int | None = None
     threshold: float | int | None = None
     detail: str = ""
@@ -158,9 +158,8 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     none should ever appear.
     """
     st = graph_stats(g)
-    g6 = emit_graph6(g) if g.n <= 62 else None
     base = dict(theorem=spec.id, k=spec.k, n=st.n, e=st.e,
-                min_degree=st.min_degree, connected=st.connected, graph6=g6)
+                min_degree=st.min_degree, connected=st.connected, graph6=emit_graph6(g))
     failed = spec.hypotheses(st.n, st.min_degree, st.connected)
     if failed is not None:
         return CheckResult(status=HYPOTHESES_NOT_MET, detail=failed, **base)

@@ -5,10 +5,11 @@ maximises a degree invariant, and canonicalise only the rest.  These
 generators keep both axes unfiltered: every graph of order n - 1 times
 every neighbourhood of a new vertex, and every graph with m - 1 edges
 times every non-edge, each child canonicalised.  They share only
-canonical_form and graph_from_canonical with the package, and they emit
+canonical_form and graph6.from_triangle_bits with the package, and they emit
 the classes in the same order, so the outputs must be equal as tuples.
 """
-from fracext.corpus import canonical_form, graph_from_canonical
+from fracext.corpus import canonical_form
+from fracext.graph6 import from_triangle_bits
 from fracext.graphs import Graph, empty_graph
 
 
@@ -21,7 +22,7 @@ def all_graphs_reference(n):
         for sub in range(1 << (n - 1)):
             rows = [r | (((sub >> v) & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
             forms.add(canonical_form(Graph(n, tuple(rows + [sub]))))
-    return tuple(graph_from_canonical(f) for f in sorted(forms))
+    return tuple(from_triangle_bits(*f) for f in sorted(forms))
 
 
 def sparse_graphs_reference(n, max_edges):
@@ -31,7 +32,7 @@ def sparse_graphs_reference(n, max_edges):
     for _ in range(max_edges):
         nxt = set()
         for f in level:
-            g = graph_from_canonical(f)
+            g = from_triangle_bits(*f)
             for u in range(n):
                 for v in range(u + 1, n):
                     if not g.has_edge(u, v):
@@ -40,5 +41,5 @@ def sparse_graphs_reference(n, max_edges):
                         rows[v] |= 1 << u
                         nxt.add(canonical_form(Graph(n, tuple(rows))))
         level = nxt
-        out.extend(graph_from_canonical(f) for f in sorted(nxt))
+        out.extend(from_triangle_bits(*f) for f in sorted(nxt))
     return tuple(out)

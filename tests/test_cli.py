@@ -134,11 +134,30 @@ def test_closed_stdout_is_not_an_error():
     assert "error:" not in err, err
 
 
-def test_extremal_large_order_has_no_graph6(capsys):
+def test_extremal_large_order_graph6_round_trips(capsys):
     code, out, _ = run(["extremal", "-n", "70", "-k", "1", "--delta", "3",
                         "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out)["results"][0]["graph6"] is None
+    g6 = json.loads(out)["results"][0]["graph6"]
+    assert parse_graph6(g6) == extremal_graph(ExtremalParams(70, 1, 3))
+
+
+def test_check_reads_order_100(capsys):
+    g = cycle(100)
+    code, _, _ = run(["check", emit_graph6(g), "-k", "1"], capsys)
+    assert code == 0
+    code, out, _ = run(["check", emit_graph6(g), "-k", "2", "--format", "json"], capsys)
+    assert code == 1
+    by_set, by_matching = [r for r in json.loads(out)["results"] if "oracle" in r]
+    s = sum(1 << v for v in by_set["witness_set"])
+    assert verify_witness(g, 2, Verdict(False, by_set["reason"], witness_set=s))
+    m = tuple(map(tuple, by_matching["witness_matching"]))
+    assert verify_witness(g, 2, Verdict(False, by_matching["reason"], witness_matching=m))
+
+
+def test_check_malformed_long_header_exits_2(capsys):
+    code, _, err = run(["check", "~??}" + "?" * 314, "-k", "1"], capsys)
+    assert code == 2 and "error:" in err and "byte offset 1" in err
 
 
 def test_extremal_clique_size_is_one_option(capsys):
@@ -183,6 +202,19 @@ def test_sweep_file_corpus(tmp_path, capsys):
     assert doc["summary"]["parse_errors"] == 1
     assert doc["parse_errors"][0]["line"] == 3
     assert doc["results"][0]["status"] == "equality_case"
+
+
+def test_sweep_above_order_62_carries_graph6(tmp_path, capsys):
+    family = extremal_graph(ExtremalParams(100, 1, 2))
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(emit_graph6(family) + "\n" + emit_graph6(cycle(100)) + "\n")
+    code, out, _ = run(["sweep", "--theorem", "edge_1", "-k", "1",
+                        str(corpus), "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["scanned"] == 2
+    eq = [r for r in doc["results"] if r["status"] == "equality_case"]
+    assert len(eq) == 1 and parse_graph6(eq[0]["graph6"]) == family
 
 
 def test_sweep_stdin(capsys, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from fracext import Graph, complement, complete, cycle, disjoint_union, is_connected
 from fracext import corpus
 from fracext.corpus import (all_graphs, are_isomorphic, canonical_form,
-                            complement_corpus, connected_graphs, graph_from_canonical,
-                            sparse_graphs)
+                            complement_corpus, connected_graphs, sparse_graphs)
+from fracext.graph6 import emit_graph6, from_triangle_bits
 from corpus_oracle import all_graphs_reference, sparse_graphs_reference
 from helpers import random_graph, relabel
 
@@ -80,12 +80,24 @@ def test_canonical_form_is_relabeling_invariant():
         assert canonical_form(g) == canonical_form(relabel(g, perm))
 
 
-def test_graph_from_canonical_round_trip():
+def test_canonical_form_round_trip():
     rng = random.Random(402)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
-        back = graph_from_canonical(canonical_form(g))
+        back = from_triangle_bits(*canonical_form(g))
         assert are_isomorphic(g, back)
+
+
+def test_canonical_form_is_the_graph6_payload():
+    # one layout: each class's form is the graph6 payload of the graph it
+    # decodes to, with the padding bits dropped
+    for n in range(2, 8):
+        for g in all_graphs(n):
+            form = canonical_form(g)
+            text = emit_graph6(from_triangle_bits(*form))
+            payload = int("".join(format(ord(c) - 63, "06b") for c in text[1:]), 2)
+            nbits = n * (n - 1) // 2
+            assert payload == form[1] << (-nbits % 6)
 
 
 def test_are_isomorphic_hard_pairs():

@@ -6,7 +6,8 @@ from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
                      complement, complete, cycle, disjoint_union, empty_graph,
                      extremal_edge_count, extremal_graph, graph_stats,
                      is_connected, is_fext_definitional, isolated_count, join,
-                     matches_extremal, path)
+                     matches_extremal, neighbourhood, path)
+from fracext.graphs import connected_component_mask
 from fracext.corpus import all_graphs, are_isomorphic, connected_graphs
 from fracext.matching import BAD_MATCHING
 from helpers import embeds_in_extremal, relabel
@@ -43,6 +44,21 @@ def test_degrees_and_stats():
     assert sorted(g.degree_sequence()) == [1, 1, 1, 1, 4]
     st = graph_stats(g)
     assert (st.n, st.e, st.min_degree, st.connected) == (5, 4, 1, True)
+
+
+def test_neighbourhood():
+    rng = random.Random(77)
+    for _ in range(50):
+        n = rng.randint(1, 70)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.1])
+        mask = rng.getrandbits(n)
+        want = 0
+        for u, v in g.edges():
+            want |= ((mask >> u & 1) << v) | ((mask >> v & 1) << u)
+        assert neighbourhood(g, mask) == want
+    assert neighbourhood(complete(4), 0) == 0
+    assert connected_component_mask(disjoint_union(path(3), path(2)), 4) == 0b11000
 
 
 def test_join_and_union_and_complement():

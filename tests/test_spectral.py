@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracext import (Cubic, ExtremalParams, charpoly3, closed_form, complete,
-                     cycle, disjoint_union, extremal_graph, largest_eigenvalue,
+                     cycle, disjoint_union, empty_graph, extremal_graph, largest_eigenvalue,
                      largest_real_root, path, quotient, spectral_report)
 from fracext.spectral import (adjacency_matrix,
                               distance_matrix_array, family_distance_matrix,
@@ -221,6 +221,8 @@ def test_spectral_report_fields():
     broken = spectral_report(Graph_from_parts())
     assert not broken.connected
     assert broken.distance_radius is None and broken.wiener is None
+    empty = spectral_report(empty_graph(0))
+    assert (empty.n, empty.e, empty.min_degree, empty.connected) == (0, 0, 0, True)
 
 
 def Graph_from_parts():

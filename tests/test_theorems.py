@@ -2,7 +2,7 @@ import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
-                     largest_real_root, closed_form, verify_witness)
+                     largest_real_root, closed_form, parse_graph6, verify_witness)
 from fracext import theorems
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
@@ -107,11 +107,11 @@ def test_check_theorem_statuses():
     assert check_theorem(star, spec).status == "bound_not_met"
 
 
-def test_check_theorem_large_order_has_no_graph6():
+def test_check_theorem_large_order_graph6_round_trips():
     p = ExtremalParams(63, 1, 2)
     g = extremal_graph(p)
     r = check_theorem(g, theorem_spec("edge_1", 1))
-    assert r.status == "equality_case" and r.graph6 is None
+    assert r.status == "equality_case" and parse_graph6(r.graph6) == g
     assert r.oracle is not None and r.oracle.reason == "unextendable_matching"
     assert verify_witness(g, 1, r.oracle)
 
