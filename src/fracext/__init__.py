@@ -33,7 +33,6 @@ from .matching import (
     fractional_pm_exists,
     has_k_matching,
     is_fext_definitional,
-    matching_number,
     verify_witness,
 )
 from .spectral import (

@@ -137,22 +137,23 @@ def _blossom_augment(g: Graph, active: int, match: list[int], root: int) -> bool
     return False
 
 
-def matching_number(g: Graph, active_mask: int | None = None, stop_at: int | None = None) -> int:
-    """Maximum matching size on the (optionally masked) vertex set.
-
-    stop_at allows early exit once that many edges are guaranteed.
-    """
-    active = (1 << g.n) - 1 if active_mask is None else active_mask
+def _has_k_matching_in_mask(g: Graph, mask: int, k: int) -> bool:
+    """Does g[mask] hold k pairwise disjoint edges?  A greedy matching is
+    grown by blossom augmentations until it reaches k or cannot grow."""
+    if k <= 0:
+        return True
+    if mask.bit_count() < 2 * k:
+        return False
     match = [-1] * g.n
     size = 0
     # greedy warm start
-    m = active
+    m = mask
     while m:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
         if match[v] == -1:
-            cand = g.rows[v] & active
+            cand = g.rows[v] & mask
             while cand:
                 lu = cand & -cand
                 u = lu.bit_length() - 1
@@ -162,26 +163,14 @@ def matching_number(g: Graph, active_mask: int | None = None, stop_at: int | Non
                     match[v] = u
                     size += 1
                     break
-    if stop_at is not None and size >= stop_at:
-        return size
-    m = active
-    while m:
+    m = mask
+    while m and size < k:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        if match[v] == -1 and _blossom_augment(g, active, match, v):
+        if match[v] == -1 and _blossom_augment(g, mask, match, v):
             size += 1
-            if stop_at is not None and size >= stop_at:
-                return size
-    return size
-
-
-def _has_k_matching_in_mask(g: Graph, mask: int, k: int) -> bool:
-    if k <= 0:
-        return True
-    if mask.bit_count() < 2 * k:
-        return False
-    return matching_number(g, mask, stop_at=k) >= k
+    return size >= k
 
 
 def has_k_matching(g: Graph, k: int) -> bool:

@@ -5,6 +5,8 @@ Numeric spectral radii come from LAPACK's symmetric eigensolver; everything
 structural (quotient matrices, characteristic polynomials, closed forms)
 is exact over the rationals, so the identity between a family's cubic and
 charpoly3(quotient(...)) can be asserted coefficient by coefficient.
+Graph matrices are built in numpy: adjacency_matrix is the one reader of
+Graph's bit rows, and the distance matrix is a BFS over its array.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, ExtremalParams, graph_stats, neighbourhood
+from .graphs import Graph, ExtremalParams, graph_stats
 
 
 # ---------------------------------------------------------------------------
@@ -22,14 +24,17 @@ from .graphs import Graph, ExtremalParams, graph_stats, neighbourhood
 # ---------------------------------------------------------------------------
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    A = np.zeros((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        m = g.rows[v]
-        while m:
-            low = m & -m
-            A[v, low.bit_length() - 1] = 1
-            m ^= low
-    return A
+    """0/1 adjacency matrix, int64.
+
+    The one reader of the bit-row format here: each row is written as
+    (n + 7) // 8 little-endian bytes, all rows are unpacked in one call and
+    the padding columns past n are sliced off.
+    """
+    n, width = g.n, (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows),
+                           dtype=np.uint8).reshape(n, width)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    return bits[:, :n].astype(np.int64)
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -39,37 +44,33 @@ def signless_laplacian(g: Graph) -> np.ndarray:
 
 
 def distance_matrix_array(g: Graph) -> np.ndarray:
-    """All-pairs distances by one bitset-frontier BFS per vertex.
+    """All-pairs distances, int64, by one BFS from every source at once.
 
+    Row v of the frontier holds the vertices first reached from v at the
+    current level; the next level is (frontier @ A) > 0 minus what was seen.
+    The float64 products of 0/1 matrices are exact, as no sum exceeds n.
     Raises ValueError on a disconnected graph.
     """
-    full = (1 << g.n) - 1
-    D = []
-    for src in range(g.n):
-        dist = [0] * g.n
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            frontier = neighbourhood(g, frontier) & ~seen
-            seen |= frontier
-            m = frontier
-            while m:
-                low = m & -m
-                dist[low.bit_length() - 1] = d
-                m ^= low
-        if seen != full:
-            raise ValueError("distance matrix requires a connected graph")
-        D.append(dist)
-    return np.array(D, dtype=np.int64)
+    A = adjacency_matrix(g).astype(np.float64)
+    D = np.zeros((g.n, g.n), dtype=np.int64)
+    frontier = np.eye(g.n, dtype=bool)
+    seen = frontier.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = ((frontier @ A) > 0) & ~seen
+        D[frontier] = d
+        seen |= frontier
+    if not seen.all():
+        raise ValueError("distance matrix requires a connected graph")
+    return D
 
 
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
     """Signless Laplacian of the extremal family, built directly in numpy.
 
     The lemma grids evaluate thousands of family members; a direct numpy
-    build skips Graph construction and the bit-row walk of adjacency_matrix.
+    build skips Graph construction and adjacency_matrix.
     ExtremalParams rejects an invalid (n, k, s), as in family_distance_matrix.
     """
     c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
@@ -162,9 +163,6 @@ class Cubic:
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (Fraction(1), self.c2, self.c1, self.c0)
 
-    def __call__(self, x: float) -> float:
-        return ((x + float(self.c2)) * x + float(self.c1)) * x + float(self.c0)
-
 
 def charpoly3(q: QuotientMatrix) -> Cubic:
     """Characteristic polynomial of a 3x3 quotient, exact."""
@@ -220,7 +218,10 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     f_pi_prime_1 lives at n = 2s-2k+1 with s >= 2k+1; f3_q and the
     distance families substitute delta with delta >= 2k+1; phi_B1 extends
     down to n = 2s-2k+1 where it still carries the right largest root;
-    phi_B3_case2 lives at n = 2s-2k+1 with s >= delta+1.
+    phi_B3_case2 lives at n = 2s-2k+1 with s >= delta+1.  Four families are
+    substitutions into two cubics: f2 is f_pi_1 at s = 2k, f3_q is f_pi_1
+    at s = delta, phi_B3_case1 is phi_B1 at s = delta and phi_B3_case2 is
+    phi_B1 at order 2s-2k+1 with s = delta.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -228,10 +229,7 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     if family == "f2":
         if n is None or n < 2 * k + 2:
             raise ValueError("f2 needs n >= 2k+2")
-        return Cubic(
-            F(6 - 2 * k - 3 * n),
-            F(6 * n * k - 16 * k + 2 * n * n - 8 * n + 8),
-            F((-4 * n * n + 20 * n - 24) * k))
+        return _f_pi_1(n, k, 2 * k)
     if family == "f_pi_1":
         if n is None or s is None or s < 2 * k or n < 2 * s - 2 * k + 2:
             raise ValueError("f_pi_1 needs s >= 2k and n >= 2s-2k+2")
@@ -258,12 +256,7 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     if family == "phi_B3_case2":
         if s is None or delta is None or delta < 2 * k + 1 or s < delta + 1:
             raise ValueError("phi_B3_case2 needs delta >= 2k+1 and s >= delta+1")
-        d = delta
-        return Cubic(
-            F(4 * k - d - 2 * s + 2),
-            F(4 * d + 8 * k - 10 * s - 10 * d * k - 4 * d * s + 8 * k * s + 5 * d * d + 1),
-            F(5 * d + 4 * k - 8 * s - 10 * d * k - 2 * d * s + 8 * k * s + 4 * d * d * k
-              + 2 * d * d * s + 3 * d * d - 2 * d ** 3 - 4 * d * k * s))
+        return _phi_b1(2 * s - 2 * k + 1, k, delta)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 

@@ -535,6 +535,8 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
 # randomized spanning-subgraph sampling
 # ---------------------------------------------------------------------------
 
+MAX_DELETIONS = 8   # each sample deletes 1..MAX_DELETIONS edges of the family graph
+
 @dataclass(frozen=True)
 class SampleReport:
     params: ExtremalParams
@@ -551,8 +553,7 @@ class SampleReport:
 
 
 def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
-                              samples: int = 10_000, seed: int = 0,
-                              max_deletions: int = 8) -> SampleReport:
+                              samples: int = 10_000, seed: int = 0) -> SampleReport:
     """Delete random edge subsets from a family graph and re-check the bound.
 
     The family graphs sit exactly on their thresholds, so every connected
@@ -563,7 +564,7 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     rng = random.Random(seed)
     src = extremal_graph(p)
     edges = src.edges()
-    max_d = min(max_deletions, len(edges) - 1)
+    max_d = min(MAX_DELETIONS, len(edges) - 1)
     tallies: dict[str, int] = {}
     cex: list[CheckResult] = []
     eq: list[CheckResult] = []

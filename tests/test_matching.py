@@ -7,7 +7,7 @@ from fracext import (Graph, Verdict, complete, cycle,
                      disjoint_union, empty_graph, extend_matching,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional,
-                     isolated_count, matching_number, path, verify_witness)
+                     isolated_count, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
 from fracext.matching import _has_k_matching_in_mask
 from covered_set_oracle import covered_sets, is_fext_by_covered_sets
@@ -18,31 +18,44 @@ from set_condition_oracle import excess_table, is_fext_lemma
 HALF = Fraction(1, 2)
 
 
-def test_matching_number_known():
-    assert matching_number(complete(6)) == 3
-    assert matching_number(cycle(7)) == 3
-    assert matching_number(path(5)) == 2
-    assert matching_number(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])) == 1
-    assert matching_number(petersen()) == 5
+def _k_matching_answers(g, mask=None):
+    """has-a-j-matching answers for j = 0 .. n/2 + 1, restricted to mask."""
+    if mask is None:
+        return [has_k_matching(g, j) for j in range(g.n // 2 + 2)]
+    return [_has_k_matching_in_mask(g, mask, j) for j in range(g.n // 2 + 2)]
 
 
-def test_matching_number_vs_brute_enumerated():
+def _brute_answers(g, active=None):
+    nu = brute_matching_number(g, active)
+    return [j <= nu for j in range(g.n // 2 + 2)]
+
+
+def test_has_k_matching_known():
+    for g, nu in ((complete(6), 3), (cycle(7), 3), (path(5), 2),
+                  (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 1),
+                  (petersen(), 5)):
+        assert _k_matching_answers(g) == [j <= nu for j in range(g.n // 2 + 2)]
+
+
+def test_has_k_matching_vs_brute_enumerated():
     for n in range(1, 7):
         for g in all_graphs(n):
-            assert matching_number(g) == brute_matching_number(g)
+            assert _k_matching_answers(g) == _brute_answers(g), g
 
 
-def test_matching_number_vs_brute_random():
+def test_has_k_matching_vs_brute_random():
     rng = random.Random(7)
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 9), rng.random())
-        assert matching_number(g) == brute_matching_number(g)
+        assert _k_matching_answers(g) == _brute_answers(g), g
+        mask = rng.getrandbits(g.n)
+        active = [v for v in range(g.n) if mask >> v & 1]
+        assert _k_matching_answers(g, mask) == _brute_answers(g, active), (g, mask)
 
 
-def test_matching_number_active_mask_and_stop():
+def test_has_k_matching_in_mask():
     g = cycle(6)
-    assert matching_number(g, active_mask=0b001111) == 2  # induced P4
-    assert matching_number(g, stop_at=2) >= 2
+    assert _k_matching_answers(g, 0b001111) == [True, True, True, False, False]  # induced P4
     assert has_k_matching(g, 3) and not has_k_matching(g, 4)
     assert has_k_matching(g, 0)
 
