@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from fracext import Graph, complement, complete, cycle, disjoint_union, is_connected
+from fracext import (ExtremalParams, Graph, complement, complete, cycle, disjoint_union,
+                     empty_graph, extremal_graph, is_connected)
 from fracext import corpus
 from fracext.corpus import (all_graphs, are_isomorphic, canonical_form,
                             complement_corpus, connected_graphs, sparse_graphs)
 from fracext.graph6 import emit_graph6, from_triangle_bits
+from canonical_oracle import canonical_form_reference, refinement_cells_reference
 from corpus_oracle import all_graphs_reference, sparse_graphs_reference
 from helpers import random_graph, relabel
 
@@ -37,14 +39,67 @@ def test_all_graphs_match_unfiltered_reference():
 
 
 def test_canonical_deletion_skips_most_candidates(monkeypatch):
-    """Up to order 7 the filter canonicalises 2490 of the 11290 candidates,
-    under two per class kept; the degree test alone would need 3131."""
+    """Up to order 7 canonical deletion and twin-orbit pruning canonicalise
+    1685 of the 11290 candidates; canonical deletion alone needs 2490."""
     calls = []
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
     monkeypatch.setattr(corpus, "canonical_form",
                         lambda g: calls.append(g.n) or canonical_form(g))
     kept = sum(len(all_graphs(n)) for n in range(2, 8))
-    assert kept == 1251 and len(calls) <= 2 * kept
+    assert kept == 1251 and len(calls) <= 1685
+
+
+def test_sparse_graphs_skip_most_candidates(monkeypatch):
+    """sparse_graphs(8, 6) canonicalises 166 children for its 100 classes;
+    canonical deletion alone needs 398."""
+    calls = []
+    monkeypatch.setattr(corpus, "canonical_form",
+                        lambda g: calls.append(g.n) or canonical_form(g))
+    assert len(sparse_graphs(8, 6)) == 100 and len(calls) <= 166
+
+
+def _relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_canonical_form_equals_unpruned_reference():
+    """Every class of order <= 7 in a seeded relabeling, and the twin-heavy
+    graphs: K_m and its complement, every family member of order <= 9 and
+    its complement."""
+    rng = random.Random(403)
+    family = [extremal_graph(ExtremalParams(n, k, s)) for n in range(10)
+              for k in range(1, 5) for s in range(2 * k, n) if n >= 2 * s - 2 * k + 1]
+    graphs = [g for n in range(8) for g in all_graphs(n)]
+    graphs += [complete(m) for m in range(8)] + [empty_graph(m) for m in range(8)]
+    graphs += family + [complement(g) for g in family]
+    for g in graphs:
+        h = _relabeled(rng, g)
+        assert corpus._refinement_cells(h) == refinement_cells_reference(h)
+        assert canonical_form(h) == canonical_form_reference(h)
+
+
+def test_refinement_cells_equal_reference_on_random_graphs():
+    """The integer signatures sort as the reference's tuples beyond the
+    orders the exhaustive check reaches."""
+    rng = random.Random(405)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(8, 40), rng.random())
+        assert corpus._refinement_cells(g) == refinement_cells_reference(g)
+
+
+def test_canonical_form_large_twin_classes():
+    """K_20 has one class of 20 closed twins; family (20, 1, 3) plus the
+    edge (3, 19) keeps 14 of its 15 inner-clique twins."""
+    rng = random.Random(404)
+    near = Graph.from_edges(20, list(extremal_graph(ExtremalParams(20, 1, 3)).edges()) + [(3, 19)])
+    for g in (complete(20), near):
+        form = canonical_form(g)
+        assert canonical_form(_relabeled(rng, g)) == form
+        assert from_triangle_bits(*form).degree_sequence() == g.degree_sequence()
+    assert canonical_form(complete(20)) == (20, (1 << 190) - 1)
+    assert not are_isomorphic(complete(20), near)
 
 
 def test_sparse_graphs_match_unfiltered_reference():
