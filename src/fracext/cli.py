@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -375,7 +376,15 @@ def _add_parallel(sub, jobs_default):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    jobs_default = os.environ.get("FRACEXT_JOBS", "1")
+    """The command line parser, with FRACEXT_JOBS as the --jobs default.
+
+    Built once per FRACEXT_JOBS value: building it costs some forty parses.
+    """
+    return _parser(os.environ.get("FRACEXT_JOBS", "1"))
+
+
+@functools.cache
+def _parser(jobs_default: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fracext",
                                  description=__doc__.splitlines()[0])
     subs = ap.add_subparsers(dest="command", required=True)

@@ -5,8 +5,10 @@ Numeric spectral radii come from LAPACK's symmetric eigensolver; everything
 structural (quotient matrices, characteristic polynomials, closed forms)
 is exact over the rationals, so the identity between a family's cubic and
 charpoly3(quotient(...)) can be asserted coefficient by coefficient.
-Graph matrices are built in numpy: adjacency_matrix is the one reader of
-Graph's bit rows, and the distance matrix is a BFS over its array.
+Graph matrices are built in numpy, for a stack of graphs of one order at
+once: adjacency_matrices is the one reader of Graph's bit rows, the
+distance matrices are one BFS over the stack, and largest_eigenvalues is
+one eigensolver call.  The single-graph builders are the stack of one.
 """
 from __future__ import annotations
 
@@ -23,47 +25,67 @@ from .graphs import Graph, ExtremalParams, graph_stats
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """0/1 adjacency matrix, int64.
+def adjacency_matrices(graphs) -> np.ndarray:
+    """0/1 adjacency matrices of graphs of one order, stacked (m, n, n), int64.
 
     The one reader of the bit-row format here: each row is written as
-    (n + 7) // 8 little-endian bytes, all rows are unpacked in one call and
-    the padding columns past n are sliced off.
+    (n + 7) // 8 little-endian bytes, the rows of every graph are unpacked
+    in one call and the padding columns past n are sliced off.
     """
-    n, width = g.n, (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows),
-                           dtype=np.uint8).reshape(n, width)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")
-    return bits[:, :n].astype(np.int64)
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("a stack holds graphs of one order")
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows),
+                           dtype=np.uint8).reshape(len(graphs), n, width)
+    bits = np.unpackbits(packed, axis=2, bitorder="little")
+    return bits[:, :, :n].astype(np.int64)
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Degree-diagonal plus adjacency."""
-    A = adjacency_matrix(g)
-    return A + np.diag(A.sum(axis=1))
+def signless_laplacians(graphs) -> np.ndarray:
+    """Degree-diagonal plus adjacency, for a stack of graphs of one order."""
+    Q = adjacency_matrices(graphs)
+    diag = np.arange(Q.shape[1])
+    Q[:, diag, diag] = Q.sum(axis=2)
+    return Q
 
 
-def distance_matrix_array(g: Graph) -> np.ndarray:
-    """All-pairs distances, int64, by one BFS from every source at once.
+def distance_matrices(graphs) -> np.ndarray:
+    """All-pairs distances of graphs of one order, stacked, int64.
 
-    Row v of the frontier holds the vertices first reached from v at the
-    current level; the next level is (frontier @ A) > 0 minus what was seen.
-    The float64 products of 0/1 matrices are exact, as no sum exceeds n.
-    Raises ValueError on a disconnected graph.
+    One BFS from every source of every graph at once: row v of a graph's
+    frontier holds the vertices first reached from v at the current level,
+    and the next level is (frontier @ A) > 0 minus what was seen, one
+    np.matmul over the stack.  The float64 products of 0/1 matrices are
+    exact, as no sum exceeds n.  The stack runs to its largest diameter.
+    Raises ValueError when any graph is disconnected.
     """
-    A = adjacency_matrix(g).astype(np.float64)
-    D = np.zeros((g.n, g.n), dtype=np.int64)
-    frontier = np.eye(g.n, dtype=bool)
+    A = adjacency_matrices(graphs).astype(np.float64)
+    D = np.zeros(A.shape, dtype=np.int64)
+    frontier = np.broadcast_to(np.eye(A.shape[1], dtype=bool), A.shape).copy()
     seen = frontier.copy()
     d = 0
     while frontier.any():
         d += 1
-        frontier = ((frontier @ A) > 0) & ~seen
+        frontier = (np.matmul(frontier, A) > 0) & ~seen
         D[frontier] = d
         seen |= frontier
     if not seen.all():
         raise ValueError("distance matrix requires a connected graph")
     return D
+
+
+# the single-graph builders are the stack of one
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return adjacency_matrices([g])[0]
+
+
+def signless_laplacian(g: Graph) -> np.ndarray:
+    return signless_laplacians([g])[0]
+
+
+def distance_matrix_array(g: Graph) -> np.ndarray:
+    return distance_matrices([g])[0]
 
 
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
@@ -96,16 +118,28 @@ def family_distance_matrix(n: int, k: int, s: int) -> np.ndarray:
 # largest eigenvalue
 # ---------------------------------------------------------------------------
 
-def largest_eigenvalue(M) -> float:
-    """Largest eigenvalue of a real symmetric matrix (LAPACK eigvalsh)."""
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def largest_eigenvalues(stack) -> np.ndarray:
+    """Largest eigenvalue of each real symmetric matrix of an (m, n, n) stack.
+
+    One LAPACK eigvalsh call over the stack, which factors each matrix on its
+    own: every value is bitwise the one a call on that matrix alone gives.
+    """
+    A = np.asarray(stack, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("matrix must be square")
-    if A.shape[0] == 0:
+    if A.shape[1] == 0:
         raise ValueError("empty matrix")
-    if not np.array_equal(A, A.T):
+    if not np.array_equal(A, A.swapaxes(1, 2)):
         raise ValueError("matrix must be symmetric")
-    return float(np.linalg.eigvalsh(A)[-1])
+    return np.linalg.eigvalsh(A)[:, -1]
+
+
+def largest_eigenvalue(M) -> float:
+    """Largest eigenvalue of one real symmetric matrix: the stack of one."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("matrix must be square")
+    return float(largest_eigenvalues(A[None])[0])
 
 
 # ---------------------------------------------------------------------------

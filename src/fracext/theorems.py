@@ -5,10 +5,17 @@ Laplacian bounds, and one distance spectral bound.  Every bound is sharp
 at the family K_s v (K_{n-2s+2k-1} u (s-2k+1)K_1), so each threshold is that
 family member's own edge count, q or mu.  Each TheoremSpec carries its
 hypotheses, its threshold, and its exceptional graph; check_theorem
-classifies a single graph, sweep aggregates over a corpus, and the grid,
+classifies a single graph, sweep classifies a corpus in bulk, and the grid,
 sharpness, and sampling routines certify the inequalities the proofs lean
 on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
+
+TheoremSpec.values computes the bound quantity of many graphs of one order
+at once (one eigensolver call), and _decide classifies a graph past the
+hypotheses; check_theorem runs both on one graph.  sweep runs them on
+chunks of graphs of one order and keeps only tallies, so a CheckResult,
+with its graph6 and oracle verdict, is built only for a graph that meets
+the bound.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
@@ -22,16 +29,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import (ExtremalParams, Graph, extremal_edge_count, extremal_graph,
-                     graph_stats, is_connected, matches_extremal)
+from .graphs import (ExtremalParams, Graph, GraphStats, extremal_edge_count,
+                     extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
                        verify_witness)
-from .spectral import (distance_matrix_array, family_cubic, family_distance_matrix,
-                       family_q_matrix, largest_eigenvalue, largest_real_root,
-                       signless_laplacian)
+from .spectral import (distance_matrices, family_cubic, family_distance_matrix,
+                       family_q_matrix, largest_eigenvalue, largest_eigenvalues,
+                       largest_real_root, signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -114,12 +121,18 @@ class TheoremSpec:
         """The family member's own edge count, q or mu; memoized per member."""
         return _family_threshold(self.quantity, self.family(n, delta))
 
-    def value(self, g: Graph, e: int) -> float | int:
-        """The graph's own bound quantity: its edge count e, or its q or mu."""
+    def values(self, graphs: Sequence[Graph]) -> list[float | int]:
+        """Each graph's own bound quantity: its edge count, or its q or mu.
+
+        The graphs share one order; their matrices are built as one stack
+        and go to the eigensolver in one call.
+        """
         if self.quantity == "e":
-            return e
-        matrix = signless_laplacian(g) if self.quantity == "q" else distance_matrix_array(g)
-        return largest_eigenvalue(matrix)
+            return [g.edge_count() for g in graphs]
+        if not graphs:
+            return []
+        build = signless_laplacians if self.quantity == "q" else distance_matrices
+        return largest_eigenvalues(build(graphs)).tolist()
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
@@ -148,6 +161,38 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
+def _result(g: Graph, st: GraphStats, spec: TheoremSpec, status: str,
+            **fields) -> CheckResult:
+    return CheckResult(status=status, theorem=spec.id, k=spec.k, n=st.n, e=st.e,
+                       min_degree=st.min_degree, connected=st.connected,
+                       graph6=emit_graph6(g), **fields)
+
+
+def _decide(g: Graph, st: GraphStats, spec: TheoremSpec, value,
+            thr) -> CheckResult | None:
+    """Classify a graph that meets the hypotheses, given its bound quantity.
+
+    None when the value is on the wrong side of the threshold thr;
+    otherwise the exceptional-graph test, then is_fext_definitional, which
+    decides at every order.
+    """
+    if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
+        return None
+    verdict = is_fext_definitional(g, spec.k)
+    status, detail = COUNTEREXAMPLE, ""
+    if matches_extremal(g, spec.family(st.n, st.min_degree)):
+        if verdict.answer:
+            raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
+        status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
+    elif verdict.answer:
+        status = CONFIRMED
+    elif verdict.reason == NO_K_MATCHING:
+        # nothing to extend, so the conclusion holds vacuously
+        status, detail = CONFIRMED, "no k-matching to extend"
+    return _result(g, st, spec, status, value=value, threshold=thr, detail=detail,
+                   oracle=verdict)
+
+
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     """Classify one graph against one sufficient condition.
 
@@ -158,33 +203,15 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     none should ever appear.
     """
     st = graph_stats(g)
-    base = dict(theorem=spec.id, k=spec.k, n=st.n, e=st.e,
-                min_degree=st.min_degree, connected=st.connected, graph6=emit_graph6(g))
     failed = spec.hypotheses(st.n, st.min_degree, st.connected)
     if failed is not None:
-        return CheckResult(status=HYPOTHESES_NOT_MET, detail=failed, **base)
-
+        return _result(g, st, spec, HYPOTHESES_NOT_MET, detail=failed)
     thr = spec.threshold(st.n, st.min_degree)
-    value = spec.value(g, st.e)
-    if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
-        return CheckResult(status=BOUND_NOT_MET, value=value, threshold=thr, **base)
-
-    verdict = is_fext_definitional(g, spec.k)
-    if matches_extremal(g, spec.family(st.n, st.min_degree)):
-        if verdict.answer:
-            raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
-        return CheckResult(status=EQUALITY_CASE, value=value, threshold=thr,
-                           detail="isomorphic to the exceptional graph",
-                           oracle=verdict, **base)
-    if verdict.answer:
-        return CheckResult(status=CONFIRMED, value=value, threshold=thr,
-                           oracle=verdict, **base)
-    if verdict.reason == NO_K_MATCHING:
-        # nothing to extend, so the conclusion holds vacuously
-        return CheckResult(status=CONFIRMED, value=value, threshold=thr,
-                           detail="no k-matching to extend", oracle=verdict, **base)
-    return CheckResult(status=COUNTEREXAMPLE, value=value, threshold=thr,
-                       oracle=verdict, **base)
+    [value] = spec.values([g])
+    decided = _decide(g, st, spec, value, thr)
+    if decided is None:
+        return _result(g, st, spec, BOUND_NOT_MET, value=value, threshold=thr)
+    return decided
 
 
 # ---------------------------------------------------------------------------
@@ -209,49 +236,106 @@ class SweepReport:
         return not self.counterexamples
 
 
-def _map(fn, items: list, jobs: int) -> list:
+def _map(fn, items: Iterable, jobs: int) -> list:
     """[fn(x) for x in items], fanned out to a process pool when jobs > 1."""
-    if jobs > 1 and len(items) > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))
+    if jobs > 1:
+        items = list(items)
+        if len(items) > 1:
+            import multiprocessing as mp
+            with mp.Pool(jobs) as pool:
+                return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))
     return [fn(x) for x in items]
 
 
-def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
-          jobs: int = 1) -> SweepReport:
-    """Run check_theorem over a corpus and aggregate.
+# a sweep classifies graphs of one order together, in chunks of at most
+# this many matrix entries (256 graphs at order 8, 13 at order 35, one from
+# order 91), so a chunk's float64 stack is at most 128 KiB at every order
+SWEEP_CHUNK_ENTRIES = 1 << 14
 
-    The corpus may yield Graph objects directly or graph6 text/byte lines
-    (blank lines and # comments skipped).  Malformed lines are recorded
-    with their line number and the sweep continues.  Results are aggregated
-    in input order regardless of the parallelism degree.
-    """
-    graphs: list[Graph] = []
-    errors: list[tuple[int, str]] = []
+
+def _corpus_graphs(corpus: Iterable, errors: list[tuple[int, str]]) -> Iterator[Graph]:
+    """The corpus's graphs; malformed lines go to errors with their line number."""
     for lineno, item in enumerate(corpus, 1):
         if isinstance(item, Graph):
-            graphs.append(item)
+            yield item
             continue
         line = item.decode("ascii", "replace") if isinstance(item, (bytes, bytearray)) else str(item)
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            graphs.append(parse_graph6(line))
+            g = parse_graph6(line)
         except Graph6Error as exc:
             errors.append((lineno, str(exc)))
+            continue
+        yield g
 
-    results = _map(functools.partial(check_theorem, spec=spec), graphs, jobs)
-    hyp = sum(1 for r in results if r.status != HYPOTHESES_NOT_MET)
-    bound = sum(1 for r in results
-                if r.status in (CONFIRMED, EQUALITY_CASE, COUNTEREXAMPLE))
-    conf = sum(1 for r in results if r.status == CONFIRMED)
-    eq = tuple(r for r in results if r.status == EQUALITY_CASE)
-    cex = tuple(r for r in results if r.status == COUNTEREXAMPLE)
+
+def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
+    """(input position, graph) pairs in chunks of one order, each yielded
+    as soon as it is full."""
+    pending: dict[int, list[tuple[int, Graph]]] = {}
+    for pos, g in enumerate(graphs):
+        chunk = pending.setdefault(g.n, [])
+        chunk.append((pos, g))
+        if len(chunk) == max(1, SWEEP_CHUNK_ENTRIES // max(1, g.n * g.n)):
+            yield pending.pop(g.n)
+    yield from pending.values()
+
+
+def _sweep_chunk(chunk: list[tuple[int, Graph]], spec: TheoremSpec):
+    """(tallies, [(position, result)]) of a chunk of graphs of one order.
+
+    The tallies are scanned, hypotheses met, bound met and confirmed; the
+    results kept are the equality cases and counterexamples, and no other
+    graph gets a CheckResult.
+    """
+    met = []
+    for pos, g in chunk:
+        st = graph_stats(g)
+        if spec.hypotheses(st.n, st.min_degree, st.connected) is None:
+            met.append((pos, g, st))
+    bound = confirmed = 0
+    kept = []
+    for (pos, g, st), value in zip(met, spec.values([g for _, g, _ in met])):
+        res = _decide(g, st, spec, value, spec.threshold(st.n, st.min_degree))
+        if res is None:
+            continue
+        bound += 1
+        if res.status == CONFIRMED:
+            confirmed += 1
+        else:
+            kept.append((pos, res))
+    return (len(chunk), len(met), bound, confirmed), kept
+
+
+def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
+          jobs: int = 1) -> SweepReport:
+    """Classify every graph of a corpus and aggregate.
+
+    The corpus may yield Graph objects directly or graph6 text/byte lines
+    (blank lines and # comments skipped).  Malformed lines are recorded
+    with their line number and the sweep continues.  Graphs are classified
+    in chunks of one order (_sweep_chunk), fanned out to jobs processes,
+    and only tallies and the results past the bound are kept; equality
+    cases and counterexamples come back in input order regardless of the
+    parallelism degree.
+    """
+    errors: list[tuple[int, str]] = []
+    chunks = _order_chunks(_corpus_graphs(corpus, errors))
+    tallies = [0, 0, 0, 0]
+    kept = []
+    for chunk_tallies, chunk_kept in _map(functools.partial(_sweep_chunk, spec=spec),
+                                          chunks, jobs):
+        tallies = [a + b for a, b in zip(tallies, chunk_tallies)]
+        kept += chunk_kept
+    kept.sort(key=lambda item: item[0])
+    scanned, hyp, bound, conf = tallies
     return SweepReport(theorem=spec.id, k=spec.k, corpus=corpus_name,
-                       scanned=len(graphs), hypothesis_met=hyp, bound_met=bound,
-                       confirmed=conf, equality_cases=eq, counterexamples=cex,
+                       scanned=scanned, hypothesis_met=hyp, bound_met=bound,
+                       confirmed=conf,
+                       equality_cases=tuple(r for _, r in kept if r.status == EQUALITY_CASE),
+                       counterexamples=tuple(r for _, r in kept if r.status == COUNTEREXAMPLE),
                        parse_errors=tuple(errors))
 
 
@@ -481,7 +565,7 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
 
     thr = spec.threshold(st.n, st.min_degree)
-    value = spec.value(g, st.e)
+    [value] = spec.values([g])
     floor = floor_ok = None
     if spec.id == "mu":
         floor = float(st.n - p.s + 2 * spec.k + 3)

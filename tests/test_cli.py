@@ -277,6 +277,28 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_deterministic_across_jobs_over_several_chunks(tmp_path):
+    # 150 graphs each of orders 11 and 12, alternating: two chunks per order
+    # (135 and 113 graphs fill one), with equality cases at both orders
+    per_order = [[extremal_graph(ExtremalParams(n, 1, 2)), complete(n), cycle(n),
+                  extremal_graph(ExtremalParams(n, 1, 3))] for n in (11, 12)]
+    lines = [emit_graph6(per_order[i % 2][(i // 2) % 4]) for i in range(300)]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    outs = []
+    for jobs in ("1", "3"):
+        out_file = tmp_path / f"r{jobs}.json"
+        code = main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
+                     "--jobs", jobs, "--deterministic", "--format", "json",
+                     "-o", str(out_file)])
+        assert code == 0
+        outs.append(out_file.read_bytes())
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["summary"]["scanned"] == 300
+    assert [r["n"] for r in doc["results"]][:4] == [11, 12, 11, 12]
+
+
 def test_grid_text_and_csv(capsys):
     code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "14"], capsys)
     assert code == 0 and "counterexamples: 0" in out
@@ -356,3 +378,13 @@ def test_check_ignores_malformed_jobs_environment(monkeypatch, capsys):
     monkeypatch.setenv("FRACEXT_JOBS", "abc")
     code, out, _ = run(["check", emit_graph6(complete(6)), "-k", "1"], capsys)
     assert code == 0 and "extendable=True" in out
+
+
+def test_main_reads_jobs_environment_on_every_call(monkeypatch, tmp_path):
+    # the parser is built once per FRACEXT_JOBS value, not once per process
+    for jobs in ("2", "5"):
+        monkeypatch.setenv("FRACEXT_JOBS", jobs)
+        out_file = tmp_path / f"grid{jobs}.json"
+        assert main(["grid", "--lemma", "q1q2", "-n", "7", "--format", "json",
+                     "-o", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["config"]["jobs"] == int(jobs)

@@ -8,10 +8,10 @@ import pytest
 from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, complete,
                      cycle, disjoint_union, empty_graph, extremal_graph, largest_eigenvalue,
                      largest_real_root, path, quotient, spectral_report)
-from fracext.spectral import (adjacency_matrix,
+from fracext.spectral import (adjacency_matrices, adjacency_matrix, distance_matrices,
                               distance_matrix_array, family_distance_matrix,
-                              family_q_matrix, positional_blocks,
-                              signless_laplacian)
+                              family_q_matrix, largest_eigenvalues, positional_blocks,
+                              signless_laplacian, signless_laplacians)
 from helpers import (floyd_warshall, positional_blocks_prime, random_connected_graph,
                      random_graph)
 
@@ -66,6 +66,47 @@ def test_distance_matrix_array_small_and_disconnected_edges():
         distance_matrix_array(lone)
 
 
+def test_stacked_builders_match_the_stack_of_one():
+    rng = random.Random(29)
+    for n in (1, 7, 8, 9, 64, 65, 128):
+        graphs = [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+        A = adjacency_matrices(graphs)
+        Q = signless_laplacians(graphs)
+        assert A.dtype == Q.dtype == np.int64 and A.shape == (3, n, n)
+        for g, a, q in zip(graphs, A, Q):
+            assert (a == adjacency_matrix(g)).all()
+            assert (q == a + np.diag(a.sum(axis=1))).all()
+    with pytest.raises(ValueError, match="one order"):
+        adjacency_matrices([path(4), path(5)])
+
+
+def test_distance_matrices_vs_floyd_warshall_on_mixed_diameters():
+    # one stack runs to its largest diameter; the graphs that finish early
+    # must keep their distances
+    rng = random.Random(31)
+    small = [path(9), cycle(9), complete(9), Graph.from_edges(9, [(0, i) for i in range(1, 9)]),
+             *(random_connected_graph(rng, 9, 9) for _ in range(4))]
+    large = [path(128), complete(128), random_connected_graph(rng, 128, 128, 0.02, 0.05)]
+    for stack in (small, large):
+        D = distance_matrices(stack)
+        assert D.dtype == np.int64
+        for g, d in zip(stack, D):
+            assert d.tolist() == floyd_warshall(g), g
+    assert distance_matrices(large)[0, 0, 127] == 127
+    with pytest.raises(ValueError, match="connected"):
+        distance_matrices([path(8), disjoint_union(complete(4), complete(4))])
+
+
+@pytest.mark.parametrize("n", [1, 8, 35, 64, 65, 128])
+def test_largest_eigenvalues_bitwise_equal_to_each_matrix_alone(n):
+    rng = random.Random(n)
+    graphs = [random_connected_graph(rng, n, n, 0.05, 0.9) for _ in range(6 if n < 100 else 3)]
+    for stack in (signless_laplacians(graphs), distance_matrices(graphs)):
+        alone = [np.linalg.eigvalsh(M.astype(float))[-1] for M in stack]
+        assert largest_eigenvalues(stack).tolist() == alone
+        assert [largest_eigenvalue(M) for M in stack] == alone
+
+
 def test_largest_eigenvalue_known_values():
     assert largest_eigenvalue(signless_laplacian(complete(5))) == pytest.approx(8, abs=1e-9)
     assert largest_eigenvalue(distance_matrix_array(complete(50))) == pytest.approx(49, abs=1e-8)
@@ -102,6 +143,12 @@ def test_largest_eigenvalue_rejects_bad_shapes():
         largest_eigenvalue(np.array([[0, 1], [2, 0]]))
     with pytest.raises(ValueError, match="square"):
         largest_eigenvalue(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        largest_eigenvalue(np.ones((1, 2, 2)))
+    with pytest.raises(ValueError, match="symmetric"):
+        largest_eigenvalues(np.array([np.eye(2), [[0, 1], [2, 0]]]))
+    with pytest.raises(ValueError, match="square"):
+        largest_eigenvalues(np.eye(3))
 
 
 def test_quotient_exact_and_equitable():

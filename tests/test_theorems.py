@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
                      largest_real_root, closed_form, parse_graph6, verify_witness)
 from fracext import theorems
+from fracext.corpus import all_graphs, complement_corpus, connected_graphs
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
+from sweep_oracle import sweep_reference
 
 
 def test_theorem_spec_table():
@@ -175,6 +179,73 @@ def test_sweep_accepts_graph_objects_and_parallel_matches_serial():
     parallel = sweep(graphs, spec, jobs=3)
     assert serial == parallel
     assert serial.scanned == 12 and serial.confirmed == 3
+
+
+def _near_family_graphs():
+    """Each k = 1 family at its theorem's least order (delta 3), and the
+    graphs one edge away from it (three non-edges added and two edges
+    removed, one at a time): the bound is met and missed."""
+    out = []
+    for tid in THEOREM_IDS:
+        spec = theorem_spec(tid, 1)
+        g = extremal_graph(spec.family(spec.min_order(3), 3))
+        non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)]
+        out.append(g)
+        for u, v in non_edges[:2] + non_edges[-1:] + g.edges()[-2:]:
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            out.append(Graph(g.n, tuple(rows)))
+    return out
+
+
+def _mixed_order_lines():
+    """graph6 lines of orders 5-9 in seeded interleaved order, disconnected
+    graphs included, with a comment, a blank and a malformed line."""
+    rng = random.Random(41)
+    graphs = [*all_graphs(5), *all_graphs(6), *rng.sample(connected_graphs(7), 120),
+              *rng.sample(connected_graphs(8), 120), *complement_corpus(9, 3),
+              extremal_graph(ExtremalParams(9, 1, 2)), disjoint_union(complete(4), complete(5))]
+    rng.shuffle(graphs)
+    lines = [emit_graph6(g) for g in graphs]
+    lines[10:10] = ["# order 5-9", "", "not graph6 {{{"]
+    return lines
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_sweep_matches_per_graph_reference(theorem, k, tmp_path, monkeypatch):
+    spec = theorem_spec(theorem, k)
+    for name, corpus in (("connected:7", connected_graphs(7)),
+                         ("complement:9:6", complement_corpus(9, 6))):
+        assert sweep(corpus, spec, corpus_name=name) == sweep_reference(corpus, spec, name)
+    lines = _mixed_order_lines()
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    want = sweep_reference(lines, spec)
+    assert want.scanned > 400 and len(want.parse_errors) == 1
+    # 6 to 20 graphs per chunk, so every order spans several chunks
+    monkeypatch.setattr(theorems, "SWEEP_CHUNK_ENTRIES", 512)
+    with open(path, "rb") as corpus:
+        assert sweep(corpus, spec) == want
+    if k == 1:
+        near = _near_family_graphs()
+        rep = sweep(near, spec)
+        assert rep == sweep_reference(near, spec)
+        assert rep.bound_met > rep.confirmed > 0 and rep.equality_cases
+
+
+def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
+    # equality cases of three orders, interleaved, in chunks of two graphs:
+    # the order-11 chunk (positions 0, 3) fills before the order-12 chunk
+    # (1, 4), so the chunks do not come back in input order
+    monkeypatch.setattr(theorems, "SWEEP_CHUNK_ENTRIES", 340)
+    family = [extremal_graph(ExtremalParams(n, 1, 2)) for n in (11, 12, 13)]
+    corpus = [family[i % 3] if i % 2 else complete(11 + i % 3) for i in range(30)]
+    rep = sweep(corpus, theorem_spec("edge_1", 1), jobs=2)
+    assert rep == sweep_reference(corpus, theorem_spec("edge_1", 1))
+    assert [r.n for r in rep.equality_cases] == [12, 11, 13] * 5
 
 
 def test_edge_count_identities():
