@@ -138,31 +138,15 @@ def _blossom_augment(g: Graph, active: int, match: list[int], root: int) -> bool
 
 
 def _has_k_matching_in_mask(g: Graph, mask: int, k: int) -> bool:
-    """Does g[mask] hold k pairwise disjoint edges?  A greedy matching is
-    grown by blossom augmentations until it reaches k or cannot grow."""
+    """Does g[mask] hold k pairwise disjoint edges?  One blossom search from
+    each vertex in turn, starting from the empty matching, grows it to a
+    maximum matching (Edmonds 1965); the search stops once it reaches k."""
     if k <= 0:
         return True
     if mask.bit_count() < 2 * k:
         return False
     match = [-1] * g.n
     size = 0
-    # greedy warm start
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if match[v] == -1:
-            cand = g.rows[v] & mask
-            while cand:
-                lu = cand & -cand
-                u = lu.bit_length() - 1
-                cand ^= lu
-                if match[u] == -1:
-                    match[u] = v
-                    match[v] = u
-                    size += 1
-                    break
     m = mask
     while m and size < k:
         low = m & -m

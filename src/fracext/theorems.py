@@ -10,12 +10,13 @@ sharpness, and sampling routines certify the inequalities the proofs lean
 on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
 
-TheoremSpec.values computes the bound quantity of many graphs of one order
-at once (one eigensolver call), and _decide classifies a graph past the
-hypotheses; check_theorem runs both on one graph.  sweep runs them on
-chunks of graphs of one order and keeps only tallies, so a CheckResult,
-with its graph6 and oracle verdict, is built only for a graph that meets
-the bound.
+_classify is the one classification route: it takes graphs of one order,
+computes the bound quantity of those past the hypotheses in one
+TheoremSpec.values call (one eigensolver call), and yields each graph's
+outcome in input order.  check_theorem runs it on one graph and builds its
+CheckResult; sweep runs it on chunks of graphs of one order and keeps only
+tallies, so a CheckResult, with its graph6, is built only for an equality
+case or a counterexample.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (ExtremalParams, Graph, GraphStats, extremal_edge_count,
+from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
@@ -161,36 +162,45 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
-def _result(g: Graph, st: GraphStats, spec: TheoremSpec, status: str,
-            **fields) -> CheckResult:
+def _classify(graphs: Sequence[Graph], spec: TheoremSpec) -> Iterator[tuple]:
+    """(status, stats, value, threshold, detail, verdict) of each graph, in input order.
+
+    The graphs share one order, and one spec.values call computes the bound
+    quantity of those past the hypotheses.  The tests run in the order that
+    check_theorem documents.
+    """
+    stats = [graph_stats(g) for g in graphs]
+    failed = [spec.hypotheses(st.n, st.min_degree, st.connected) for st in stats]
+    values = iter(spec.values([g for g, f in zip(graphs, failed) if f is None]))
+    for g, st, f in zip(graphs, stats, failed):
+        if f is not None:
+            yield HYPOTHESES_NOT_MET, st, None, None, f, None
+            continue
+        value, thr = next(values), spec.threshold(st.n, st.min_degree)
+        if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
+            yield BOUND_NOT_MET, st, value, thr, "", None
+            continue
+        verdict = is_fext_definitional(g, spec.k)
+        status, detail = COUNTEREXAMPLE, ""
+        if matches_extremal(g, spec.family(st.n, st.min_degree)):
+            if verdict.answer:
+                raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
+            status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
+        elif verdict.answer:
+            status = CONFIRMED
+        elif verdict.reason == NO_K_MATCHING:
+            # nothing to extend, so the conclusion holds vacuously
+            status, detail = CONFIRMED, "no k-matching to extend"
+        yield status, st, value, thr, detail, verdict
+
+
+def _result(g: Graph, spec: TheoremSpec, outcome: tuple) -> CheckResult:
+    """The CheckResult of one _classify outcome of g."""
+    status, st, value, thr, detail, verdict = outcome
     return CheckResult(status=status, theorem=spec.id, k=spec.k, n=st.n, e=st.e,
                        min_degree=st.min_degree, connected=st.connected,
-                       graph6=emit_graph6(g), **fields)
-
-
-def _decide(g: Graph, st: GraphStats, spec: TheoremSpec, value,
-            thr) -> CheckResult | None:
-    """Classify a graph that meets the hypotheses, given its bound quantity.
-
-    None when the value is on the wrong side of the threshold thr;
-    otherwise the exceptional-graph test, then is_fext_definitional, which
-    decides at every order.
-    """
-    if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
-        return None
-    verdict = is_fext_definitional(g, spec.k)
-    status, detail = COUNTEREXAMPLE, ""
-    if matches_extremal(g, spec.family(st.n, st.min_degree)):
-        if verdict.answer:
-            raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
-        status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
-    elif verdict.answer:
-        status = CONFIRMED
-    elif verdict.reason == NO_K_MATCHING:
-        # nothing to extend, so the conclusion holds vacuously
-        status, detail = CONFIRMED, "no k-matching to extend"
-    return _result(g, st, spec, status, value=value, threshold=thr, detail=detail,
-                   oracle=verdict)
+                       graph6=emit_graph6(g), value=value, threshold=thr,
+                       detail=detail, oracle=verdict)
 
 
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
@@ -202,16 +212,8 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     is not fractionally k-extendable, and is not the exceptional graph;
     none should ever appear.
     """
-    st = graph_stats(g)
-    failed = spec.hypotheses(st.n, st.min_degree, st.connected)
-    if failed is not None:
-        return _result(g, st, spec, HYPOTHESES_NOT_MET, detail=failed)
-    thr = spec.threshold(st.n, st.min_degree)
-    [value] = spec.values([g])
-    decided = _decide(g, st, spec, value, thr)
-    if decided is None:
-        return _result(g, st, spec, BOUND_NOT_MET, value=value, threshold=thr)
-    return decided
+    [outcome] = _classify([g], spec)
+    return _result(g, spec, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +292,15 @@ def _sweep_chunk(chunk: list[tuple[int, Graph]], spec: TheoremSpec):
     results kept are the equality cases and counterexamples, and no other
     graph gets a CheckResult.
     """
-    met = []
-    for pos, g in chunk:
-        st = graph_stats(g)
-        if spec.hypotheses(st.n, st.min_degree, st.connected) is None:
-            met.append((pos, g, st))
-    bound = confirmed = 0
+    counts = dict.fromkeys((HYPOTHESES_NOT_MET, BOUND_NOT_MET, CONFIRMED), 0)
     kept = []
-    for (pos, g, st), value in zip(met, spec.values([g for _, g, _ in met])):
-        res = _decide(g, st, spec, value, spec.threshold(st.n, st.min_degree))
-        if res is None:
-            continue
-        bound += 1
-        if res.status == CONFIRMED:
-            confirmed += 1
+    for (pos, g), outcome in zip(chunk, _classify([g for _, g in chunk], spec)):
+        if outcome[0] in (EQUALITY_CASE, COUNTEREXAMPLE):
+            kept.append((pos, _result(g, spec, outcome)))
         else:
-            kept.append((pos, res))
-    return (len(chunk), len(met), bound, confirmed), kept
+            counts[outcome[0]] += 1
+    hyp = len(chunk) - counts[HYPOTHESES_NOT_MET]
+    return (len(chunk), hyp, hyp - counts[BOUND_NOT_MET], counts[CONFIRMED]), kept
 
 
 def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",

@@ -1,9 +1,10 @@
 """Reference sweep: classify every graph on its own, then tally.
 
 The package's sweep classifies chunks of graphs of one order in bulk and
-builds a CheckResult only for graphs that meet the bound.  This reference
-runs check_theorem on every graph, in input order, and counts the statuses
-of the full results, so the two must return equal SweepReports.
+builds a CheckResult only for equality cases and counterexamples.  This
+reference runs check_theorem on every graph, in input order, and counts
+the statuses of the full results, so the two must return equal
+SweepReports.
 """
 from fracext.graph6 import Graph6Error, parse_graph6
 from fracext.graphs import Graph

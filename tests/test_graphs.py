@@ -38,6 +38,15 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(1, 1)])
 
 
+def test_constructor_rejects_bad_rows():
+    for n, rows in ((2, (0b10, 0)),      # 0 ~ 1 but not 1 ~ 0
+                    (2, (0b01, 0)),      # a loop at 0
+                    (2, (0b100, 0)),     # a bit at n
+                    (3, (0b10, 0b01))):  # two rows for order 3
+        with pytest.raises(ValueError):
+            Graph(n, rows)
+
+
 def test_degrees_and_stats():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert g.degree(0) == 4

@@ -38,7 +38,7 @@ def test_has_k_matching_known():
 
 
 def test_has_k_matching_vs_brute_enumerated():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in all_graphs(n):
             assert _k_matching_answers(g) == _brute_answers(g), g
 

@@ -248,6 +248,16 @@ def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
     assert [r.n for r in rep.equality_cases] == [12, 11, 13] * 5
 
 
+def test_sweep_builds_results_only_for_what_it_keeps(monkeypatch):
+    # 25 graphs meet the bound: 24 confirmed and 1 equality case
+    emitted = []
+    monkeypatch.setattr(theorems, "emit_graph6",
+                        lambda g: emitted.append(g) or emit_graph6(g))
+    rep = sweep(complement_corpus(9, 6), theorem_spec("q_1", 1))
+    assert rep.bound_met == 25 and rep.confirmed == 24
+    assert len(emitted) == len(rep.equality_cases) + len(rep.counterexamples) == 1
+
+
 def test_edge_count_identities():
     for k, s, n, d in ((1, 2, 11, 2), (1, 3, 9, 3), (2, 5, 16, 5), (2, 6, 20, 5), (3, 7, 18, 7)):
         rep = edge_count_identities(k, s, n, d)
