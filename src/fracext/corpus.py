@@ -222,7 +222,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 rows.append(sub)
                 if s <= top + 1 and _outranked(rows, s):
                     continue
-                forms.add(canonical_form(Graph(n, tuple(rows))))
+                forms.add(canonical_form(Graph._of(n, tuple(rows))))
         out = tuple(from_triangle_bits(*f) for f in sorted(forms))
     _ALL_CACHE[n] = out
     return out
@@ -264,7 +264,7 @@ def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
                     if _top_edge(rows, u, v):
-                        forms.add(canonical_form(Graph(n, tuple(rows))))
+                        forms.add(canonical_form(Graph._of(n, tuple(rows))))
         current = [from_triangle_bits(*f) for f in sorted(forms)]
         out.extend(current)
     return tuple(out)

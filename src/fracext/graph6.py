@@ -7,7 +7,13 @@ below order 63 and the eight-byte '~~' form.
 """
 from __future__ import annotations
 
+import binascii
+
 from .graphs import MAX_VERTICES, Graph
+
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 class Graph6Error(ValueError):
@@ -32,7 +38,7 @@ def from_triangle_bits(n: int, bits: int) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             col ^= low
-    return Graph(n, tuple(rows))
+    return Graph._of(n, tuple(rows))
 
 
 def _header(n: int) -> str:
@@ -92,7 +98,11 @@ def parse_graph6(text: str | bytes) -> Graph:
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string."""
-    # column j lists (0,j), ..., (j-1,j): the low j bits of row j, reversed
-    tri = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
-    tri += "0" * (-len(tri) % 6)
-    return _header(g.n) + "".join(chr(int(tri[t:t + 6], 2) + 63) for t in range(0, len(tri), 6))
+    # column j is row j's low j bits; packed from bit 0 up and bit-reversed per byte,
+    # they give the graph6 stream, zero-padded to whole 24-bit base64 units
+    tri, nbits = 0, g.n * (g.n - 1) // 2
+    for j in range(g.n - 1, 0, -1):
+        tri = (tri << j) | (g.rows[j] & ((1 << j) - 1))
+    stream = tri.to_bytes((nbits + 23) // 24 * 3, "little").translate(_REVERSED)
+    groups = binascii.b2a_base64(stream, newline=False).translate(_BASE64_TO_GRAPH6)
+    return _header(g.n) + groups[:(nbits + 5) // 6].decode("ascii")

@@ -3,9 +3,11 @@
 Vertices are 0..n-1; each adjacency row is an integer bitmask, so subset
 work (isolated counts, connected components) is plain integer arithmetic.
 Orders are capped at 128: enumeration corpora stay tiny, but the sharpness
-grids need join-family graphs up to order 90.  The join family
-K_s v (K_{n1} u t*K1) that witnesses sharpness of the extendability bounds
-is built and recognized here.
+grids need join-family graphs up to order 90.  Only the public `Graph(n, rows)`
+checks rows; the builders here, `graph6.from_triangle_bits` and the corpus and
+sampler loops make valid rows by construction and check only the order, through
+`Graph._of`.  The join family K_s v (K_{n1} u t*K1) that witnesses sharpness of
+the extendability bounds is built and recognized here.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ class CapacityError(ValueError):
 
 
 class Graph:
-    """Immutable undirected graph; rows[v] is the neighbor bitmask of v."""
+    """Immutable undirected graph; rows[v] is the neighbor bitmask of v.
+    Graph(n, rows) checks every row; builders of valid rows use Graph._of."""
 
     __slots__ = ("n", "rows")
 
@@ -32,12 +35,19 @@ class Graph:
         for v, row in enumerate(rows):
             if row & ~full or (row >> v) & 1:
                 raise ValueError(f"bad adjacency row for vertex {v}")
-        for v in range(n):
             for u in range(v):
-                if ((rows[u] >> v) & 1) != ((rows[v] >> u) & 1):
+                if ((rows[u] >> v) & 1) != ((row >> u) & 1):
                     raise ValueError(f"asymmetric pair ({u},{v})")
-        self.n = n
-        self.rows = tuple(rows)
+        self.n, self.rows = n, tuple(rows)
+
+    @classmethod
+    def _of(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph from a tuple of rows valid by construction: only n is checked."""
+        if not 0 <= n <= MAX_VERTICES:
+            raise CapacityError(f"order {n} outside 0..{MAX_VERTICES}")
+        g = object.__new__(cls)
+        g.n, g.rows = n, rows
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -47,7 +57,7 @@ class Graph:
                 raise ValueError(f"bad edge ({u},{v}) for order {n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._of(n, tuple(rows))
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -85,12 +95,12 @@ class Graph:
 
 
 def empty_graph(m: int) -> Graph:
-    return Graph(m, (0,) * m)
+    return Graph._of(m, (0,) * m)
 
 
 def complete(m: int) -> Graph:
     full = (1 << m) - 1
-    return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
+    return Graph._of(m, tuple(full ^ (1 << v) for v in range(m)))
 
 
 def cycle(m: int) -> Graph:
@@ -105,7 +115,7 @@ def path(m: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._of(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -113,21 +123,17 @@ def join(g: Graph, h: Graph) -> Graph:
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [r | hmask for r in g.rows] + [(r << g.n) | gmask for r in h.rows]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._of(g.n + h.n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
+    return Graph._of(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
 
 
 def isolated_count(g: Graph, removed_mask: int = 0) -> int:
     """Number of isolated vertices of g - removed_mask (degree 0 after removal)."""
-    cnt = 0
-    for v in range(g.n):
-        if not (removed_mask >> v) & 1 and g.rows[v] & ~removed_mask == 0:
-            cnt += 1
-    return cnt
+    return sum(1 for v, r in enumerate(g.rows) if not (removed_mask >> v & 1 or r & ~removed_mask))
 
 
 def neighbourhood(g: Graph, mask: int) -> int:
@@ -151,9 +157,7 @@ def connected_component_mask(g: Graph, start: int = 0) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return connected_component_mask(g, 0) == (1 << g.n) - 1
+    return g.n == 0 or connected_component_mask(g, 0) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,8 @@ class GraphStats:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    delta = min((g.degree(v) for v in range(g.n)), default=0)
-    return GraphStats(g.n, g.edge_count(), delta, is_connected(g))
+    degrees = [r.bit_count() for r in g.rows]
+    return GraphStats(g.n, sum(degrees) // 2, min(degrees, default=0), is_connected(g))
 
 
 # ---------------------------------------------------------------------------

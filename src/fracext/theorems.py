@@ -654,7 +654,7 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
             for u, v in rng.sample(edges, d):
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
-            g = Graph(src.n, tuple(rows))
+            g = Graph._of(src.n, tuple(rows))
             if is_connected(g):
                 break
             rejected += 1

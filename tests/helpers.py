@@ -2,6 +2,7 @@
 import math
 
 from fracext import ExtremalParams, Graph, extremal_graph
+from fracext.graph6 import _header
 
 
 def brute_matching_number(g, active=None):
@@ -43,6 +44,14 @@ def random_connected_graph(rng, n_lo=4, n_hi=30, p_lo=0.12, p_hi=0.9):
             if rng.random() < p:
                 edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))
+
+
+def reference_graph6(g):
+    """graph6 by string slicing: one '0'/'1' character per pair, six at a time."""
+    # column j lists (0,j), ..., (j-1,j): the low j bits of row j, reversed
+    tri = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    tri += "0" * (-len(tri) % 6)
+    return _header(g.n) + "".join(chr(int(tri[t:t + 6], 2) + 63) for t in range(0, len(tri), 6))
 
 
 def relabel(g, perm):

@@ -4,7 +4,7 @@ import pytest
 
 from fracext import (MAX_VERTICES, Graph6Error, complete, cycle, empty_graph, emit_graph6,
                      parse_graph6)
-from helpers import random_graph
+from helpers import random_graph, reference_graph6
 
 
 def test_frozen_decodings():
@@ -32,9 +32,10 @@ def test_round_trip_random():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 32), rng.random())
         assert parse_graph6(emit_graph6(g)) == g
-    for n in (62, 63, 64, 100, 128):
+    for n in range(MAX_VERTICES + 1):
         for p in (0.05, 0.5, 0.95):
             g = random_graph(rng, n, p)
+            assert emit_graph6(g) == reference_graph6(g), (n, p)
             assert parse_graph6(emit_graph6(g)) == g
 
 

@@ -7,8 +7,10 @@ from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
                      extremal_edge_count, extremal_graph, graph_stats,
                      is_connected, is_fext_definitional, isolated_count, join,
                      matches_extremal, neighbourhood, path)
+from fracext import theorems
 from fracext.graphs import connected_component_mask
-from fracext.corpus import all_graphs, are_isomorphic, connected_graphs
+from fracext.graph6 import from_triangle_bits
+from fracext.corpus import all_graphs, are_isomorphic, complement_corpus, connected_graphs
 from fracext.matching import BAD_MATCHING
 from helpers import embeds_in_extremal, relabel
 
@@ -45,6 +47,39 @@ def test_constructor_rejects_bad_rows():
                     (3, (0b10, 0b01))):  # two rows for order 3
         with pytest.raises(ValueError):
             Graph(n, rows)
+
+
+def test_builders_make_rows_the_checking_constructor_accepts(monkeypatch):
+    # the builders skip the row scan, so rebuild each result through Graph(n, rows)
+    rng = random.Random(20261019)
+    built = []
+    for _ in range(30):
+        n = rng.randint(0, 40)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                 if u != v and rng.random() < 0.3])
+        h = Graph.from_edges(rng.randint(0, 40), [])
+        built += [g, complement(g), join(g, complement(h)), disjoint_union(g, h),
+                  empty_graph(n), complete(n)]
+    built += [from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
+              for n in range(MAX_VERTICES + 1)]
+    built += [extremal_graph(ExtremalParams(n, k, s)) for n in range(3, 30, 4)
+              for k in (1, 2, 3) for s in range(2 * k, (n + 2 * k - 1) // 2 + 1)]
+    draws = []
+    check = theorems.check_theorem
+    monkeypatch.setattr(theorems, "check_theorem",
+                        lambda g, spec: draws.append(g) or check(g, spec))
+    theorems.sample_spanning_subgraphs(ExtremalParams(20, 1, 3), theorems.theorem_spec("mu", 1),
+                                       samples=50, seed=3)
+    assert len(draws) == 50
+    built += draws + list(all_graphs(6)) + list(complement_corpus(8, 3))
+    for g in built:
+        assert Graph(g.n, g.rows) == g
+    for make in (lambda: from_triangle_bits(MAX_VERTICES + 1, 0),
+                 lambda: Graph.from_edges(MAX_VERTICES + 1, []),
+                 lambda: empty_graph(MAX_VERTICES + 1),
+                 lambda: complete(MAX_VERTICES + 1)):
+        with pytest.raises(CapacityError):
+            make()
 
 
 def test_degrees_and_stats():
