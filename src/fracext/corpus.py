@@ -36,87 +36,117 @@ the twin swaps generate the product of the symmetric groups on the classes.
   invariants agree on them, and one subset per orbit suffices: the one that
   meets every twin class of P in a prefix of that class in vertex order.
   Every orbit of the product group has exactly one such subset.
+
+Everything before the search runs on numpy stacks of 0/1 adjacency
+matrices of one order.  The generators build a block of parents' children
+and filter them as arrays, then stream the survivors to canonicalisation
+in chunks of at most spectral.SWEEP_CHUNK_ENTRIES matrix entries, so the
+memory held does not grow with the corpus.  Twins need no row hashing: the
+rows of u and w differ in deg u + deg w - 2|N(u) & N(w)| columns, two of
+them u and w when u, w are adjacent, so u, w are twins exactly when that
+count is 2 A[u, w], one batched matrix product for the whole stack.
+
+Colour refinement runs on the whole chunk at once.  A vertex's signature
+is its colour, then the sorted tuple of its neighbours' colours; a round
+ranks each graph's distinct signatures in sorted order, and a graph stops
+when a round adds no colour.  The signature leads with the old colour, so
+each round refines the last.  Colours refine degrees, so the tuples
+compared within one colour have equal length, and the smaller one has more
+of the first colour at which the counts differ: (colour, tuple) sorts as
+(colour, count of colour 0, count of colour 1, ...) with the counts
+descending.  A round therefore counts the neighbour colours of every
+vertex with one stacked matmul against the one-hot colours in use, writes
+each vertex's row (graph, colour, 255 - counts) as bytes (no count or
+colour exceeds 127 at orders <= 128), and ranks all rows of the chunk with
+one argsort of fixed-width byte strings; the graph leads, so each graph's
+rows sort among themselves and take n consecutive places.
+
+A labeling is admissible when it places the cells in order.  When every
+cell is a singleton or lies inside one twin class, the cell order itself
+gives the form with no search: two admissible labelings differ by a
+permutation of each cell's members, a permutation of twins is a product of
+twin swaps, and each swap is an automorphism, so the two labelings give the
+same bits.  Only the other graphs go to the DFS, seeded with the cells.
 """
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
+import numpy as np
+
 from .graph6 import from_triangle_bits
 from .graphs import Graph, complement, empty_graph, is_connected
+from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices
 
 _ALL_CACHE: dict[int, tuple[Graph, ...]] = {}
 _CONN_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
-def _twin_classes(rows: tuple[int, ...]) -> list[int]:
-    """Masks of the twin classes with at least two members."""
-    open_: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    for v, r in enumerate(rows):
-        bit = 1 << v
-        open_[r] = open_.get(r, 0) | bit
-        closed[r | bit] = closed.get(r | bit, 0) | bit
-    return [m for d in (open_, closed) for m in d.values() if m & (m - 1)]
+def _stack(graphs) -> np.ndarray:
+    """uint8 adjacency matrices of graphs of one order, stacked."""
+    return adjacency_matrices(graphs).astype(np.uint8)
 
 
-def _twin_prefixes(rows: tuple[int, ...]) -> dict[int, frozenset[int]]:
-    """Each twin class mask -> the masks of its prefixes in vertex order."""
-    out = {}
-    for c in _twin_classes(rows):
-        prefixes = [0]
-        m = c
-        while m:
-            low = m & -m
-            prefixes.append(prefixes[-1] | low)
-            m ^= low
-        out[c] = frozenset(prefixes)
-    return out
+def _twins(A: np.ndarray) -> np.ndarray:
+    """T[b, u, w]: u = w, or u and w are twins in graph b (module docstring)."""
+    F = A.astype(np.float32)
+    deg = F.sum(axis=2)
+    return deg[:, :, None] + deg[:, None, :] - 2 * np.matmul(F, F) == 2 * F
 
 
-def _refinement_cells(g: Graph) -> list[list[int]]:
-    """Color-refinement classes in an isomorphism-invariant order.
+def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each graph's byte rows ranked lexicographically: ((B, n) ranks, (B,) rank counts).
 
-    A vertex's signature is its color, then the sorted tuple of its
-    neighbours' colors; each round ranks the distinct signatures in sorted
-    order.  The signature leads with the old color, so each round refines
-    the last, and once the number of cells stops growing the partition and
-    its order are fixed.
-
-    The tuple is encoded as an integer with the same order.  Colors refine
-    degrees, so the tuples compared within one color have equal length, and
-    the smaller one has more of the first color at which the counts differ.
-    With base n (no count reaches n), key = sum of n**(n-1-c) over the
-    neighbour colors c orders the count vectors color 0 first, and
-    color * n**n - key (key < n**n) sorts as (color, tuple).
+    rows is (B, n, w) uint8 with n >= 1, and its leading bytes name the
+    graph in ascending order, so one argsort of the rows as byte strings
+    sorts graph by graph, each graph's n rows in n consecutive places.
     """
-    n = g.n
-    nbrs = []
-    for m in g.rows:
-        nb = []
-        while m:
-            low = m & -m
-            nb.append(low.bit_length() - 1)
-            m ^= low
-        nbrs.append(nb)
-    big = n ** n
-    power = [n ** (n - 1 - c) for c in range(n)]
-    colors = [len(nb) for nb in nbrs]
-    count = len(set(colors))
-    while count < n:
-        weight = [power[c] for c in colors].__getitem__
-        sigs = [c * big - sum(map(weight, nb)) for c, nb in zip(colors, nbrs)]
-        order = sorted(set(sigs))
-        if len(order) == count:
-            break
-        rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        count = len(order)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+    B, n, w = rows.shape
+    flat = rows.reshape(B * n, w)
+    order = np.argsort(flat.view(f"S{w}").ravel())
+    ranked = flat[order].reshape(B, n, w)
+    step = np.zeros((B, n), dtype=np.int64)
+    step[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=2)
+    rank = np.cumsum(step, axis=1)
+    out = np.empty(B * n, dtype=np.int64)
+    out[order] = rank.ravel()
+    return out.reshape(B, n), rank[:, -1] + 1
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(order, packed upper-triangle bits) maximal over admissible labelings.
+def _refine(A: np.ndarray) -> np.ndarray:
+    """Colour-refinement colours of a stack, (B, n): each graph's cells are its
+    colour classes, in colour order (module docstring)."""
+    B, n = A.shape[:2]
+    g = np.arange(B)[:, None]
+    # the first colours rank the degrees: how many distinct degrees lie below
+    deg = A.sum(axis=2)
+    seen = np.zeros((B, n + 1), dtype=np.int64)
+    seen[g, deg] = 1
+    below = np.cumsum(seen, axis=1)
+    colours, count = below[g, deg] - 1, below[:, -1]
+    head = ((B - 1).bit_length() + 7) // 8
+    tag = (g >> np.arange(8 * head - 8, -1, -8)).astype(np.uint8)   # big-endian graph index
+    F = A.astype(np.float32)
+    live = np.flatnonzero(count < n)
+    while live.size:
+        c = colours[live]
+        used = count[live].max()
+        hits = np.matmul(F[live], (c[:, :, None] == np.arange(used)).astype(np.float32))
+        rows = np.empty((len(live), n, head + 1 + used), dtype=np.uint8)
+        rows[:, :, :head] = tag[live, None, :]
+        rows[:, :, head] = c
+        rows[:, :, head + 1:] = 255 - hits
+        # a round that adds no colour keeps the partition, so the ranks equal the old colours
+        colours[live], grown = _ranks(rows)
+        more = grown > count[live]
+        count[live] = grown
+        live = live[more & (grown < n)]
+    return colours
+
+
+def _search(rows: tuple[int, ...], cells: list[list[int]], twin: list[int]) -> int:
+    """Packed upper-triangle bits maximal over the labelings that place the
+    cells in order; twin[v] is the first member of v's twin class.
 
     Placing position p appends its adjacency to the p earlier positions,
     earliest most significant: the graph6 column order, so the integer is
@@ -125,21 +155,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     The DFS tries one member per twin class at each node: twins share a
     cell and a chunk, and their swap is an automorphism that fixes every
     placed vertex and keeps every cell, so it maps one subtree onto the
-    other leaf for leaf (module docstring).  Open and closed twin classes
-    are disjoint, so one representative per vertex names its class.
+    other leaf for leaf (module docstring).
     """
-    n = g.n
-    if n <= 1:
-        return (n, 0)
-    rows = g.rows
-    cells = _refinement_cells(g)
-    twin = list(range(n))
-    for c in _twin_classes(rows):
-        first = (c & -c).bit_length() - 1
-        while c:
-            low = c & -c
-            twin[low.bit_length() - 1] = first
-            c ^= low
+    n = len(rows)
     # position p draws from the cell that covers it; members leave the
     # shared list while placed
     cell_at = [c for c in cells for _ in c]
@@ -180,19 +198,100 @@ def canonical_form(g: Graph) -> tuple[int, int]:
             cell.append(w)
 
     dfs(0, 0)
-    return (n, best_path[n])
+    return best_path[n]
 
 
-def _outranked(rows: list[int], s: int) -> bool:
-    """Whether a vertex of degree s has a larger neighbour-degree sum than the last one."""
-    deg = [r.bit_count() for r in rows]
-    span = range(len(rows))
+def _canonical_forms(A: np.ndarray) -> list[tuple[int, int]]:
+    """(order, packed upper-triangle bits) of every graph of a stack of one
+    order, maximal over the labelings that place the refinement cells in
+    order: read off the cell order when the cells force it, else searched."""
+    B, n = A.shape[:2]
+    out = [(n, 0)] * B
+    if n <= 1:
+        return out
+    g = np.arange(B)[:, None]
+    colours = _refine(A)
+    order = np.argsort(colours, axis=1, kind="stable")   # cells in order, members ascending
+    ranked = colours[g, order]
+    opens = np.ones((B, n), dtype=bool)
+    opens[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = order[g, np.maximum.accumulate(np.where(opens, np.arange(n), 0), axis=1)]
+    T = _twins(A)
+    forced = T[g, order, first].all(axis=1)
+    hit = np.flatnonzero(forced)
+    # the pairs (q, p), q < p, in graph6 column order: the strict lower
+    # triangle of the relabeled matrix, row by row
+    labeled = order[hit]
+    tri = np.packbits(A[hit[:, None, None], labeled[:, :, None], labeled[:, None, :]]
+                      [:, np.tri(n, k=-1, dtype=bool)], axis=1)
+    width, pad = tri.shape[1], -(n * (n - 1) // 2) % 8
+    blob = tri.tobytes()
+    for b, at in zip(hit.tolist(), range(0, len(blob), width)):
+        out[b] = (n, int.from_bytes(blob[at:at + width], "big") >> pad)
+    rest = np.flatnonzero(~forced)
+    width = (n + 7) // 8
+    blob = np.packbits(A[rest], axis=2, bitorder="little").tobytes()
+    for i, (b, labels, new, twin) in enumerate(zip(rest.tolist(), order[rest].tolist(),
+                                                   opens[rest].tolist(),
+                                                   T[rest].argmax(axis=2).tolist())):
+        rows = tuple(int.from_bytes(blob[at:at + width], "little")
+                     for at in range(i * n * width, (i + 1) * n * width, width))
+        starts = [p for p, fresh in enumerate(new) if fresh] + [n]
+        out[b] = (n, _search(rows, [labels[s:t] for s, t in zip(starts, starts[1:])], twin))
+    return out
 
-    def degree_sum(r: int) -> int:
-        return sum(deg[u] for u in span if r >> u & 1)
 
-    last = degree_sum(rows[-1])
-    return any(d == s and degree_sum(r) > last for d, r in zip(deg, rows))
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(order, packed upper-triangle bits) maximal over admissible labelings;
+    the stack of one."""
+    return _canonical_forms(_stack([g]))[0]
+
+
+def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """The (k, n, n) stacks re-cut into chunks of SWEEP_CHUNK_ENTRIES entries."""
+    size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+    held = np.empty((0, n, n), dtype=np.uint8)
+    for s in stacks:
+        held = np.concatenate([held, s])
+        while len(held) >= size:
+            yield held[:size]
+            held = held[size:]
+    if len(held):
+        yield held
+
+
+def _vertex_children(parents: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
+    """Children of the order n - 1 parents that add vertex n - 1 and pass
+    canonical deletion and the twin-prefix test, a block of parents at a
+    time: a block's table of subsets by vertices holds about
+    SWEEP_CHUNK_ENTRIES entries."""
+    m = n - 1
+    S = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)   # subset bits
+    SF = S.astype(np.float32)
+    s = S.sum(axis=1)
+    block = max(1, SWEEP_CHUNK_ENTRIES // (len(S) * n))
+    for i in range(0, len(parents), block):
+        A = _stack(parents[i:i + block])
+        deg = A.sum(axis=2)
+        top = deg.max(axis=1)[:, None]
+        # canonical deletion, first by degree: s > top, or s = top missing every top vertex
+        hit = np.matmul((deg == top).astype(np.float32), SF.T)
+        keep = (s > top) | (s == top) & (hit == 0)
+        # twin prefixes: a chosen vertex has every earlier twin chosen
+        before = np.tril(_twins(A), -1).astype(np.float32)   # [p, v, u]: twins u < v
+        chosen = np.matmul(SF, before.transpose(0, 2, 1))
+        keep &= ((S == 0) | (chosen == before.sum(axis=2)[:, None, :])).all(axis=2)
+        par, sub = np.nonzero(keep)
+        A, S_, s_ = A[par], S[sub], s[sub]
+        # then by neighbour-degree sum among the vertices of the new degree
+        d = deg[par] + S_
+        sums = (A * d[:, None, :]).sum(axis=2) + S_ * s_[:, None]
+        own = (S_ * d).sum(axis=1)
+        keep = ~((d == s_[:, None]) & (sums > own[:, None])).any(axis=1)
+        child = np.zeros((int(keep.sum()), n, n), dtype=np.uint8)
+        child[:, :m, :m] = A[keep]
+        child[:, m, :m] = child[:, :m, m] = S_[keep]
+        yield child
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -206,23 +305,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         out = (empty_graph(n),)
     else:
         forms: set[tuple[int, int]] = set()
-        for parent in all_graphs(n - 1):
-            degs = [r.bit_count() for r in parent.rows]
-            top = max(degs)
-            at_top = sum(1 << v for v, d in enumerate(degs) if d == top)
-            prefixes = _twin_prefixes(parent.rows)
-            for sub in range(1 << (n - 1)):
-                # canonical deletion; the degree test needs no rows
-                s = sub.bit_count()
-                if s < top or (s == top and sub & at_top):
-                    continue
-                if any(sub & c not in ok for c, ok in prefixes.items()):
-                    continue
-                rows = [r | (((sub >> v) & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
-                rows.append(sub)
-                if s <= top + 1 and _outranked(rows, s):
-                    continue
-                forms.add(canonical_form(Graph._of(n, tuple(rows))))
+        for chunk in _chunks(_vertex_children(all_graphs(n - 1), n), n):
+            forms.update(_canonical_forms(chunk))
         out = tuple(from_triangle_bits(*f) for f in sorted(forms))
     _ALL_CACHE[n] = out
     return out
@@ -236,12 +320,29 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return cached
 
 
-def _top_edge(rows: list[int], u: int, v: int) -> bool:
-    """Whether uv maximises (larger, smaller) endpoint degree over all edges."""
-    deg = [r.bit_count() for r in rows]
-    hi, lo = max(deg[u], deg[v]), min(deg[u], deg[v])
-    return all(d < hi or d == hi and all(deg[y] <= lo for y in range(len(rows)) if r >> y & 1)
-               for d, r in zip(deg, rows))
+def _edge_children(graphs: list[Graph], n: int) -> Iterator[np.ndarray]:
+    """Children of the graphs that add one edge uv and pass the twin-prefix
+    test and canonical deletion, a block of graphs at a time: a block's
+    table of pairs by vertices holds about SWEEP_CHUNK_ENTRIES entries."""
+    u, v = np.triu_indices(n, 1)
+    block = max(1, SWEEP_CHUNK_ENTRIES // max(1, len(u) * n))
+    for i in range(0, len(graphs), block):
+        A = _stack(graphs[i:i + block])
+        T = _twins(A)
+        rank = np.tril(T, -1).sum(axis=2)   # earlier members of the vertex's twin class
+        # twin prefixes: u first in its class, v first or second after u
+        keep = (A[:, u, v] == 0) & (rank[:, u] == 0) & (
+            (rank[:, v] == 0) | T[:, u, v] & (rank[:, v] == 1))
+        par, e = np.nonzero(keep)
+        child = A[par]
+        k = np.arange(len(par))
+        child[k, u[e], v[e]] = child[k, v[e], u[e]] = 1
+        # canonical deletion: no edge beats uv's (larger, smaller) endpoint degree
+        d = child.sum(axis=2)
+        du, dv = d[k, u[e]], d[k, v[e]]
+        hi, lo = np.maximum(du, dv)[:, None], np.minimum(du, dv)[:, None]
+        top_nbr = (child * d[:, None, :]).max(axis=2, initial=0)
+        yield child[((d < hi) | (d == hi) & (top_nbr <= lo)).all(axis=1)]
 
 
 def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
@@ -253,18 +354,8 @@ def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
     out = list(current)
     for _ in range(max_edges):
         forms: set[tuple[int, int]] = set()
-        for g in current:
-            prefixes = _twin_prefixes(g.rows)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    pair = 1 << u | 1 << v
-                    if g.has_edge(u, v) or any(pair & c not in ok for c, ok in prefixes.items()):
-                        continue
-                    rows = list(g.rows)
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    if _top_edge(rows, u, v):
-                        forms.add(canonical_form(Graph._of(n, tuple(rows))))
+        for chunk in _chunks(_edge_children(current, n), n):
+            forms.update(_canonical_forms(chunk))
         current = [from_triangle_bits(*f) for f in sorted(forms)]
         out.extend(current)
     return tuple(out)

@@ -59,9 +59,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls._of(n, tuple(rows))
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 

@@ -25,6 +25,13 @@ from .graphs import Graph, ExtremalParams, graph_stats
 # matrix builders
 # ---------------------------------------------------------------------------
 
+# sweeps classify, and corpora canonicalise, graphs of one order together in
+# chunks of at most this many matrix entries (256 graphs at order 8, 13 at
+# order 35, one from order 91), so a chunk's float64 stack is at most
+# 128 KiB at every order
+SWEEP_CHUNK_ENTRIES = 1 << 14
+
+
 def adjacency_matrices(graphs) -> np.ndarray:
     """0/1 adjacency matrices of graphs of one order, stacked (m, n, n), int64.
 

@@ -37,9 +37,9 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count,
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
                        verify_witness)
-from .spectral import (distance_matrices, family_cubic, family_distance_matrix,
-                       family_q_matrix, largest_eigenvalue, largest_eigenvalues,
-                       largest_real_root, signless_laplacians)
+from .spectral import (SWEEP_CHUNK_ENTRIES, distance_matrices, family_cubic,
+                       family_distance_matrix, family_q_matrix, largest_eigenvalue,
+                       largest_eigenvalues, largest_real_root, signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -247,12 +247,6 @@ def _map(fn, items: Iterable, jobs: int) -> list:
             with mp.Pool(jobs) as pool:
                 return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))
     return [fn(x) for x in items]
-
-
-# a sweep classifies graphs of one order together, in chunks of at most
-# this many matrix entries (256 graphs at order 8, 13 at order 35, one from
-# order 91), so a chunk's float64 stack is at most 128 KiB at every order
-SWEEP_CHUNK_ENTRIES = 1 << 14
 
 
 def _corpus_graphs(corpus: Iterable, errors: list[tuple[int, str]]) -> Iterator[Graph]:

@@ -1,11 +1,12 @@
 """Reference canonical form: the same maximum, found with no pruning.
 
 `fracext.corpus.canonical_form` returns the largest packed upper triangle
-over the labelings that place the colour-refinement cells in order, and
-its DFS skips branches (greedy chunks, prefix bounds, twin swaps) to find
-it.  This module keeps the refinement as it was before any of those
-shortcuts and takes the maximum over every such labeling, so a pruning
-fault in the package shows as a different value here.  Exponential in the
+over the labelings that place the colour-refinement cells in order.  It
+refines whole stacks at once, reads the form off the cells when they force
+it, and otherwise runs a DFS that skips branches (greedy chunks, prefix
+bounds, twin swaps).  This module keeps the refinement graph by graph, on
+sorted tuples, and takes the maximum over every such labeling, so a fault
+in any of those shortcuts shows as a different value here.  Exponential in the
 cell sizes: orders <= 11, since the value must fit an int64.
 """
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 def refinement_cells_reference(g):
     """Color-refinement classes in an isomorphism-invariant order."""
     n = g.n
-    colors = [g.degree(v) for v in range(n)]
+    colors = [r.bit_count() for r in g.rows]
     while True:
         sigs = []
         for v in range(n):

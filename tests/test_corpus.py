@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fracext import (ExtremalParams, Graph, complement, complete, cycle, disjoint_union,
-                     empty_graph, extremal_graph, is_connected)
+                     empty_graph, extremal_graph, is_connected, join, path)
 from fracext import corpus
 from fracext.corpus import (all_graphs, are_isomorphic, canonical_form,
                             complement_corpus, connected_graphs, sparse_graphs)
@@ -38,24 +38,57 @@ def test_all_graphs_match_unfiltered_reference():
         assert all_graphs(n) == all_graphs_reference(n), n
 
 
+def _count_routes(monkeypatch):
+    """[graphs canonicalised in bulk, graphs searched by the DFS], counted
+    while the test runs."""
+    counts = [0, 0]
+    bulk, search = corpus._canonical_forms, corpus._search
+
+    def counted_bulk(A):
+        counts[0] += len(A)
+        return bulk(A)
+
+    def counted_search(*args):
+        counts[1] += 1
+        return search(*args)
+
+    monkeypatch.setattr(corpus, "_canonical_forms", counted_bulk)
+    monkeypatch.setattr(corpus, "_search", counted_search)
+    return counts
+
+
 def test_canonical_deletion_skips_most_candidates(monkeypatch):
     """Up to order 7 canonical deletion and twin-orbit pruning canonicalise
-    1685 of the 11290 candidates; canonical deletion alone needs 2490."""
-    calls = []
+    1685 of the 11290 candidates; canonical deletion alone needs 2490.  The
+    DFS searches 606 of them."""
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
-    monkeypatch.setattr(corpus, "canonical_form",
-                        lambda g: calls.append(g.n) or canonical_form(g))
+    counts = _count_routes(monkeypatch)
     kept = sum(len(all_graphs(n)) for n in range(2, 8))
-    assert kept == 1251 and len(calls) <= 1685
+    assert kept == 1251 and counts[0] <= 1685 and counts[1] <= 606
+
+
+def test_order_8_search_reaches_a_quarter_of_the_candidates(monkeypatch):
+    """all_graphs(8) canonicalises 16373 candidates and searches 4005."""
+    monkeypatch.setattr(corpus, "_ALL_CACHE", {n: all_graphs(n) for n in range(8)})
+    counts = _count_routes(monkeypatch)
+    assert len(all_graphs(8)) == 12346
+    assert counts[0] <= 16373 and counts[1] <= 4005
 
 
 def test_sparse_graphs_skip_most_candidates(monkeypatch):
     """sparse_graphs(8, 6) canonicalises 166 children for its 100 classes;
-    canonical deletion alone needs 398."""
-    calls = []
-    monkeypatch.setattr(corpus, "canonical_form",
-                        lambda g: calls.append(g.n) or canonical_form(g))
-    assert len(sparse_graphs(8, 6)) == 100 and len(calls) <= 166
+    canonical deletion alone needs 398.  The DFS searches 78 of them."""
+    counts = _count_routes(monkeypatch)
+    assert len(sparse_graphs(8, 6)) == 100 and counts[0] <= 166 and counts[1] <= 78
+
+
+def test_chunk_boundaries_leave_the_corpora_unchanged(monkeypatch):
+    """At 512 entries a chunk holds 10 graphs of order 7 and 8 of order 8,
+    and a block one vertex parent, so every order spans many chunks."""
+    want = (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6))
+    monkeypatch.setattr(corpus, "SWEEP_CHUNK_ENTRIES", 512)
+    monkeypatch.setattr(corpus, "_ALL_CACHE", {})
+    assert (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6)) == want
 
 
 def _relabeled(rng, g):
@@ -76,17 +109,69 @@ def test_canonical_form_equals_unpruned_reference():
     graphs += family + [complement(g) for g in family]
     for g in graphs:
         h = _relabeled(rng, g)
-        assert corpus._refinement_cells(h) == refinement_cells_reference(h)
+        assert _cells([h]) == [refinement_cells_reference(h)]
         assert canonical_form(h) == canonical_form_reference(h)
 
 
+def _cells(graphs):
+    """The stacked refinement's cells of graphs of one order, graph by graph."""
+    colours = corpus._refine(corpus._stack(graphs))
+    return [[[v for v in range(len(c)) if c[v] == k] for k in range(max(c, default=-1) + 1)]
+            for c in colours.tolist()]
+
+
+def _route(g, cells):
+    """'discrete', 'twins' (the cells force the labeling) or 'search'."""
+    def twins(u, w):
+        rest = ~(1 << u | 1 << w)
+        return g.rows[u] & rest == g.rows[w] & rest
+
+    if all(len(c) == 1 for c in cells):
+        return "discrete"
+    return "twins" if all(twins(c[0], v) for c in cells for v in c) else "search"
+
+
+def _blow_up(rng, n):
+    """A random graph on n vertices made of twin classes: a random quotient
+    whose vertices become cliques or independent sets, relabeled."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 4), n - sum(sizes)))
+    quotient = random_graph(rng, len(sizes), 0.5)
+    start = [sum(sizes[:i]) for i in range(len(sizes))]
+    edges = [(a, b) for i, size in enumerate(sizes) if rng.random() < 0.5
+             for a in range(start[i], start[i] + size) for b in range(a + 1, start[i] + size)]
+    edges += [(a, b) for i, j in quotient.edges()
+              for a in range(start[i], start[i] + sizes[i])
+              for b in range(start[j], start[j] + sizes[j])]
+    return _relabeled(rng, Graph.from_edges(n, edges))
+
+
 def test_refinement_cells_equal_reference_on_random_graphs():
-    """The integer signatures sort as the reference's tuples beyond the
-    orders the exhaustive check reaches."""
+    """Seeded stacks of every order 1-20 and of 40, 64, 100 and 128 mix
+    discrete graphs, graphs whose cells are twin classes and graphs that
+    need the search; every graph's cells equal the reference's, and up to
+    order 20 its form from the stack equals its form alone.  Above order 15
+    a key of n ** n would overflow int64."""
     rng = random.Random(405)
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(8, 40), rng.random())
-        assert corpus._refinement_cells(g) == refinement_cells_reference(g)
+    for n in list(range(1, 21)) + [40, 64, 100, 128]:
+        stack = [random_graph(rng, n, rng.random()) for _ in range(4)]
+        stack += [_blow_up(rng, n) for _ in range(4)]
+        stack += [_relabeled(rng, g) for g in (path(n), complete(n), empty_graph(n))]
+        if n >= 4:
+            stack += [_relabeled(rng, g) for g in (cycle(n), join(cycle(n - 1), empty_graph(1)))]
+        if n >= 6:
+            # a path with a triangle near one end refines to singletons
+            tadpole = Graph.from_edges(n, [(v, v + 1) for v in range(n - 2)] + [(n - 1, 1), (n - 1, 2)])
+            stack.append(_relabeled(rng, tadpole))
+        rng.shuffle(stack)
+        cells = _cells(stack)
+        assert cells == [refinement_cells_reference(g) for g in stack], n
+        routes = {_route(g, c) for g, c in zip(stack, cells)}
+        assert routes >= ({"discrete"} if n == 1 or n >= 6 else set()) | ({"twins"} if n >= 2 else set()), n
+        assert n < 4 or "search" in routes, n
+        if n <= 20:
+            assert corpus._canonical_forms(corpus._stack(stack)) == [canonical_form(g) for g in stack]
 
 
 def test_canonical_form_large_twin_classes():

@@ -1,10 +1,13 @@
-"""Every public top-level function in src/fracext has a caller outside tests.
+"""Every public top-level function, and every public method of a public
+class, in src/fracext has a caller outside tests.
 
 A function counts as called when its name is referenced outside its own
 definition somewhere in src/fracext, demos/ or perfbench/: as an attribute
 (`module.name`), or as a plain name in its own module or in a module that
-imports it by name.  The re-exports in fracext/__init__.py do not count, and
-neither do the tests: a function only they call belongs in tests/.
+imports it by name.  A method (properties and classmethods included) counts
+as called when its name is referenced as an attribute (`obj.name`) there,
+outside its own body.  The re-exports in fracext/__init__.py do not count,
+and neither do the tests: code only they call belongs in tests/.
 """
 import ast
 from pathlib import Path
@@ -18,21 +21,33 @@ def _parse(path):
 
 
 def _references(tree):
-    """(name, enclosing top-level def or None) for every name reference,
-    plus the names the module imports with `from ... import name`."""
+    """(name, owner, is attribute) for every name reference, where owner is
+    (enclosing top-level def or None, enclosing method of that class or
+    None), plus the names the module imports with `from ... import name`."""
     refs = []
     imported = set()
+
+    def walk(node, owner):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                refs.append((sub.id, owner, False))
+            elif isinstance(sub, ast.Attribute):
+                refs.append((sub.attr, owner, True))
+            elif isinstance(sub, ast.ImportFrom):
+                imported.update(alias.name for alias in sub.names)
+
     for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                             ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                refs.append((node.id, owner, False))
-            elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, owner, True))
-            elif isinstance(node, ast.ImportFrom):
-                imported.update(alias.name for alias in node.names)
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                walk(member, (top.name, member.name if isinstance(member, _DEFS) else None))
+            for node in top.decorator_list + top.bases + top.keywords:
+                walk(node, (top.name, None))
+        else:
+            walk(top, (top.name if isinstance(top, _DEFS) else None, None))
     return refs, imported
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_functions():
@@ -42,18 +57,31 @@ def _public_functions():
                 yield path, node.name
 
 
-def test_every_public_function_has_a_caller():
+def _public_methods():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if isinstance(member, _DEFS) and not member.name.startswith("_"):
+                        yield path, node.name, member.name
+
+
+def _scanned():
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += sorted((ROOT / "demos").glob("*.py"))
     sources += sorted((ROOT / "perfbench").glob("*.py"))
-    scanned = {path: _references(_parse(path)) for path in sources}
+    return {path: _references(_parse(path)) for path in sources}
+
+
+def test_every_public_function_has_a_caller():
+    scanned = _scanned()
     functions = list(_public_functions())
     uncalled = []
     for home, name in functions:
         called = False
         for path, (refs, imported) in scanned.items():
             for ref, owner, is_attr in refs:
-                if ref != name or (path == home and owner == name):
+                if ref != name or (path == home and owner[0] == name):
                     continue
                 if is_attr or path == home or name in imported:
                     called = True
@@ -65,4 +93,16 @@ def test_every_public_function_has_a_caller():
     print(f"[surface] {len(functions)} public functions checked, "
           f"{len(uncalled)} without a caller")
     assert functions
+    assert not uncalled, uncalled
+
+
+def test_every_public_method_has_a_caller():
+    scanned = _scanned()
+    methods = list(_public_methods())
+    uncalled = [f"{home.name}:{cls}.{name}" for home, cls, name in methods
+                if not any(is_attr and ref == name and not (path == home and owner == (cls, name))
+                           for path, (refs, _) in scanned.items()
+                           for ref, owner, is_attr in refs)]
+    print(f"[surface] {len(methods)} public methods checked, {len(uncalled)} without a caller")
+    assert methods
     assert not uncalled, uncalled
