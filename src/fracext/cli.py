@@ -200,7 +200,7 @@ def cmd_sweep(args, out) -> int:
     results = [_jsonable(r) for r in rep.equality_cases + rep.counterexamples]
     doc = {
         "command": "sweep",
-        "config": _config(args, theorem=args.theorem, k=args.k, corpus=name),
+        "config": {"theorem": args.theorem, "k": args.k, "corpus": name},
         "results": results,
         "summary": {
             "scanned": rep.scanned,
@@ -224,8 +224,8 @@ def cmd_grid(args, out) -> int:
     results = [_jsonable(v) for v in rep.violations]
     doc = {
         "command": "grid",
-        "config": _config(args, lemma=args.lemma, k_max=args.k, n_max=args.n,
-                          delta_max=args.delta),
+        "config": {"lemma": args.lemma, "k_max": args.k, "n_max": args.n,
+                   "delta_max": args.delta},
         "results": results,
         "summary": {
             "scanned": rep.points,
@@ -272,7 +272,7 @@ def cmd_report(args, out) -> int:
     k = args.k
     full = args.full
     results = []
-    ok = True
+    passed = []  # one entry per section: did its own check hold
 
     ident_points = [(k, s, n, d)
                     for s in range(2 * k, 2 * k + 5)
@@ -280,7 +280,7 @@ def cmd_report(args, out) -> int:
                     for n in range(2 * s - 2 * k + 1, 2 * s + 10, 3)]
     bad = sum(0 if edge_count_identities(k, s, n, d).ok else 1
               for k, s, n, d in ident_points)
-    ok &= bad == 0
+    passed.append(bad == 0)
     results.append({"section": "edge_identities",
                     "points": len(ident_points), "failures": bad})
 
@@ -290,7 +290,7 @@ def cmd_report(args, out) -> int:
         spec = theorem_spec(tid, k)
         p = spec.family(spec.min_order(d0), d0)
         rep = sharpness(p, spec)
-        ok &= rep.ok
+        passed.append(rep.ok)
         results.append({"section": "sharpness", "theorem": tid,
                         "params": [p.n, p.k, p.s], "ok": rep.ok,
                         "value": rep.value, "threshold": rep.threshold})
@@ -302,13 +302,14 @@ def cmd_report(args, out) -> int:
                                  delta_max=7 if full else 3))]
     for lemma, bounds in grids:
         rep = lemma_grid(lemma, jobs=args.jobs, **bounds)
-        ok &= rep.ok
+        passed.append(rep.ok)
         results.append({"section": "grid", "lemma": lemma, **bounds,
                         "points": rep.points, "violations": len(rep.violations),
                         "max_crosscheck_error": rep.max_crosscheck_error})
 
     for kind in ("q", "mu"):
         probe = probe_gap_region(kind, k, d0)
+        passed.append(True)  # a probe asserts nothing
         results.append({"section": "gap_probe", "kind": kind, "delta": d0,
                         "rows": len(probe.rows), "min_margin": probe.min_margin,
                         "all_hold": probe.all_hold, "asserted": False})
@@ -320,30 +321,23 @@ def cmd_report(args, out) -> int:
         p = ExtremalParams(n=n_mu, k=k, s=s)
         rep = sample_spanning_subgraphs(p, spec, samples=samples,
                                         seed=args.seed)
-        ok &= rep.ok
+        passed.append(rep.ok)
         results.append({"section": "sampling", "params": [p.n, p.k, p.s],
                         "samples": rep.samples, "statuses": dict(rep.statuses),
                         "counterexamples": len(rep.counterexamples)})
 
+    confirmed = sum(passed)
     doc = {
         "command": "report",
-        "config": _config(args, k=k, full=full, seed=args.seed),
+        "config": {"k": k, "full": full, "seed": args.seed},
         "results": results,
         "summary": {"scanned": len(results),
-                    "confirmed": sum(1 for r in results if r.get("ok", True)),
+                    "confirmed": confirmed,
                     "equality_cases": 0,
-                    "counterexamples": 0 if ok else 1},
+                    "counterexamples": len(passed) - confirmed},
     }
     _emit(doc, args.format, out)
-    return 0 if ok else 1
-
-
-def _config(args, **extra) -> dict:
-    cfg = dict(extra)
-    # jobs changes nothing observable, so the deterministic flag hides it
-    if not args.deterministic:
-        cfg["jobs"] = args.jobs
-    return cfg
+    return 0 if confirmed == len(passed) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def _add_common(sub):
 
 
 def _worker_count(text: str) -> int:
-    """--jobs, or FRACEXT_JOBS through its default: an integer of at least 1."""
+    """--jobs: an integer of at least 1."""
     try:
         if int(text) >= 1:
             return int(text)
@@ -366,25 +360,17 @@ def _worker_count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
 
 
-def _add_parallel(sub, jobs_default):
-    # only sweep, grid and report fan work out to processes; argparse runs a
-    # string default through type, so FRACEXT_JOBS gets the same check
-    sub.add_argument("--jobs", type=_worker_count, default=jobs_default,
-                     help="worker processes (FRACEXT_JOBS)")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="byte-identical output across runs and --jobs values")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, with FRACEXT_JOBS as the --jobs default.
-
-    Built once per FRACEXT_JOBS value: building it costs some forty parses.
-    """
-    return _parser(os.environ.get("FRACEXT_JOBS", "1"))
+def _add_parallel(sub):
+    # only sweep, grid and report fan work out to processes; the job count
+    # changes no output byte, so it appears nowhere in the output
+    sub.add_argument("--jobs", type=_worker_count, default=1,
+                     help="worker processes")
 
 
 @functools.cache
-def _parser(jobs_default: str) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: building it costs
+    some forty parses."""
     ap = argparse.ArgumentParser(prog="fracext",
                                  description=__doc__.splitlines()[0])
     subs = ap.add_subparsers(dest="command", required=True)
@@ -406,7 +392,7 @@ def _parser(jobs_default: str) -> argparse.ArgumentParser:
     p.add_argument("corpus",
                    help="path, '-', 'connected:N', or 'complement:N:BUDGET'")
     _add_common(p)
-    _add_parallel(p, jobs_default)
+    _add_parallel(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = subs.add_parser("grid", help="verify a comparison inequality on a grid")
@@ -414,7 +400,7 @@ def _parser(jobs_default: str) -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="largest order")
     p.add_argument("--delta", type=int, default=None, help="largest minimum degree")
     _add_common(p)
-    _add_parallel(p, jobs_default)
+    _add_parallel(p)
     p.set_defaults(fn=cmd_grid)
 
     p = subs.add_parser("polys", help="closed-form characteristic coefficients")
@@ -430,7 +416,7 @@ def _parser(jobs_default: str) -> argparse.ArgumentParser:
                    help="acceptance-size grids and 10k samples per point")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    _add_parallel(p, jobs_default)
+    _add_parallel(p)
     p.set_defaults(fn=cmd_report)
     return ap
 

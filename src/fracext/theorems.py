@@ -239,10 +239,11 @@ class SweepReport:
 
 
 def _map(fn, items: Iterable, jobs: int) -> list:
-    """[fn(x) for x in items], fanned out to a process pool when jobs > 1."""
+    """[fn(x) for x in items], fanned out to a pool of up to jobs processes."""
     if jobs > 1:
         items = list(items)
-        if len(items) > 1:
+        jobs = min(jobs, len(items))
+        if jobs > 1:
             import multiprocessing as mp
             with mp.Pool(jobs) as pool:
                 return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from fracext import (ExtremalParams, Verdict, complete, cycle, emit_graph6, extremal_graph,
                      parse_graph6, verify_witness)
 from fracext.cli import build_parser, main
+from fracext.theorems import GridViolation
 
 G2_11 = emit_graph6(extremal_graph(ExtremalParams(11, 1, 2)))
 
@@ -91,12 +93,11 @@ def test_tol_option_is_gone(capsys):
 
 def test_parallel_options_only_where_they_act(capsys):
     for cmd in (["check", G2_11], ["extremal", "-n", "11", "-s", "2"], ["polys", "f2", "-n", "11"]):
-        for opt in (["--jobs", "2"], ["--deterministic"]):
-            with pytest.raises(SystemExit) as exc:
-                main(cmd + opt)
-            assert exc.value.code == 2
-    args = build_parser().parse_args(["report", "--jobs", "2", "--deterministic"])
-    assert args.jobs == 2 and args.deterministic
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--jobs", "2"])
+        assert exc.value.code == 2
+    assert build_parser().parse_args(["report", "--jobs", "2"]).jobs == 2
+    assert build_parser().parse_args(["report"]).jobs == 1
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -269,7 +270,7 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     for jobs in ("1", "3"):
         out_file = tmp_path / f"r{jobs}.json"
         code = main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
-                     "--jobs", jobs, "--deterministic", "--format", "json",
+                     "--jobs", jobs, "--format", "json",
                      "-o", str(out_file)])
         assert code == 0
         outs.append(out_file.read_bytes())
@@ -289,7 +290,7 @@ def test_sweep_deterministic_across_jobs_over_several_chunks(tmp_path):
     for jobs in ("1", "3"):
         out_file = tmp_path / f"r{jobs}.json"
         code = main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
-                     "--jobs", jobs, "--deterministic", "--format", "json",
+                     "--jobs", jobs, "--format", "json",
                      "-o", str(out_file)])
         assert code == 0
         outs.append(out_file.read_bytes())
@@ -347,23 +348,26 @@ def test_report_quick(capsys):
                         "sampling"}
     probes = [r for r in doc["results"] if r["section"] == "gap_probe"]
     assert all(r["asserted"] is False for r in probes)
+    assert doc["config"] == {"k": 1, "full": False, "seed": 0}
+    assert doc["summary"]["confirmed"] == doc["summary"]["scanned"] == 14
 
 
-def test_jobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("FRACEXT_JOBS", "7")
-    args = build_parser().parse_args(["grid", "--lemma", "q1q2", "-n", "12"])
-    assert args.jobs == 7
-    monkeypatch.delenv("FRACEXT_JOBS")
-    args = build_parser().parse_args(["grid", "--lemma", "q1q2", "-n", "12"])
-    assert args.jobs == 1
+def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
+    # one violation per grid: three of the fourteen sections fail their check
+    from fracext import cli
+    real_grid = cli.lemma_grid
 
+    def failing_grid(*args, **kwargs):
+        rep = real_grid(*args, **kwargs)
+        return replace(rep, violations=(GridViolation("inequality", rep.rows[0]),))
 
-def test_malformed_jobs_environment_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("FRACEXT_JOBS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["grid", "--lemma", "q1q2", "-n", "12"])
-    assert exc.value.code == 2
-    assert "worker count" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "lemma_grid", failing_grid)
+    code, out, _ = run(["report", "-k", "1", "--format", "json"], capsys)
+    assert code == 1
+    summary = json.loads(out)["summary"]
+    assert summary["confirmed"] < summary["scanned"]
+    assert summary == {"scanned": 14, "confirmed": 11, "equality_cases": 0,
+                       "counterexamples": 3}
 
 
 def test_jobs_below_one_exits_2(capsys):
@@ -373,18 +377,31 @@ def test_jobs_below_one_exits_2(capsys):
     assert "worker count" in capsys.readouterr().err
 
 
-def test_check_ignores_malformed_jobs_environment(monkeypatch, capsys):
-    # check takes no --jobs, so the variable is never read
-    monkeypatch.setenv("FRACEXT_JOBS", "abc")
-    code, out, _ = run(["check", emit_graph6(complete(6)), "-k", "1"], capsys)
-    assert code == 0 and "extendable=True" in out
+@pytest.mark.parametrize("argv", [
+    ["grid", "--lemma", "q1q2", "-k", "2", "-n", "16", "--format", "json"],
+    ["grid", "--lemma", "mu_compare", "-k", "1", "-n", "40", "--delta", "3",
+     "--format", "json"],
+    ["report", "-k", "1"],
+])
+def test_output_identical_across_jobs(argv, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out_file = tmp_path / f"out{jobs}"
+        assert main(argv + ["--jobs", jobs, "-o", str(out_file)]) == 0
+        outs.append(out_file.read_bytes())
+    assert outs[0] == outs[1]
 
 
-def test_main_reads_jobs_environment_on_every_call(monkeypatch, tmp_path):
-    # the parser is built once per FRACEXT_JOBS value, not once per process
-    for jobs in ("2", "5"):
-        monkeypatch.setenv("FRACEXT_JOBS", jobs)
-        out_file = tmp_path / f"grid{jobs}.json"
-        assert main(["grid", "--lemma", "q1q2", "-n", "7", "--format", "json",
-                     "-o", str(out_file)]) == 0
-        assert json.loads(out_file.read_text())["config"]["jobs"] == int(jobs)
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--theorem", "q_1", "connected:4"],
+     {"theorem": "q_1", "k": 1, "corpus": "connected:4"}),
+    (["grid", "--lemma", "q1q2", "-n", "7"],
+     {"lemma": "q1q2", "k_max": 1, "n_max": 7, "delta_max": None}),
+])
+def test_config_carries_no_job_count(argv, config, capsys):
+    code, out, _ = run(argv + ["--jobs", "2", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"] == config
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -8,9 +8,17 @@ imports it by name.  A method (properties and classmethods included) counts
 as called when its name is referenced as an attribute (`obj.name`) there,
 outside its own body.  The re-exports in fracext/__init__.py do not count,
 and neither do the tests: code only they call belongs in tests/.
+
+The command line's option strings are pinned per subcommand, so that a new
+option needs a deliberate edit here.
 """
+import argparse
 import ast
 from pathlib import Path
+
+import pytest
+
+from fracext.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fracext"
@@ -106,3 +114,49 @@ def test_every_public_method_has_a_caller():
     print(f"[surface] {len(methods)} public methods checked, {len(uncalled)} without a caller")
     assert methods
     assert not uncalled, uncalled
+
+
+# Every option string of every subcommand.  A new knob fails this table
+# until it is added here on purpose.
+OPTIONS = {
+    "check": {"-h", "--help", "-k", "--format", "--output", "-o"},
+    "extremal": {"-h", "--help", "-n", "-s", "--delta", "-k", "--format", "--output", "-o"},
+    "sweep": {"-h", "--help", "--theorem", "-k", "--format", "--output", "-o", "--jobs"},
+    "grid": {"-h", "--help", "--lemma", "-n", "--delta", "-k", "--format", "--output", "-o",
+             "--jobs"},
+    "polys": {"-h", "--help", "-n", "-s", "--delta", "-k", "--format", "--output", "-o"},
+    "report": {"-h", "--help", "--full", "--seed", "-k", "--format", "--output", "-o",
+               "--jobs"},
+}
+
+# the least argument list each subcommand accepts
+MINIMAL_ARGS = {
+    "check": ["check", "Bw"],
+    "extremal": ["extremal", "-n", "11"],
+    "sweep": ["sweep", "--theorem", "q_1", "connected:4"],
+    "grid": ["grid", "--lemma", "q1q2", "-n", "7"],
+    "polys": ["polys", "f2"],
+    "report": ["report"],
+}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_option_surface_is_pinned():
+    found = {name: {opt for a in sub._actions for opt in a.option_strings}
+             for name, sub in _subparsers().items()}
+    assert found == OPTIONS
+
+
+def test_deterministic_option_is_gone(capsys):
+    assert set(MINIMAL_ARGS) == set(_subparsers())
+    for argv in MINIMAL_ARGS.values():
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--deterministic"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err

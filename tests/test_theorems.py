@@ -289,6 +289,32 @@ def test_lemma_grid_parallel_matches_serial():
     assert a == b and a.ok
 
 
+def test_map_pool_has_no_more_workers_than_items(monkeypatch):
+    # a fake pool records its size and maps in this process: nothing is started
+    import multiprocessing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert theorems._map(abs, [-1, -2], 64) == [1, 2]
+    assert theorems._map(abs, iter([-1, -2, -3]), 2) == [1, 2, 3]
+    assert theorems._map(abs, [-1], 64) == [1]
+    assert theorems._map(abs, [], 64) == []
+    assert sizes == [2, 2]
+
+
 def test_sharpness_canonical_points():
     cases = [
         ("edge_1", ExtremalParams(11, 1, 2)),
