@@ -4,8 +4,7 @@ import numpy as np
 
 from fracext import (ExtremalParams, extremal_graph, extremal_edge_count,
                      emit_graph6, graph_stats, closed_form, largest_real_root,
-                     largest_eigenvalue)
-from fracext.spectral import signless_laplacian, distance_matrix_array
+                     largest_eigenvalue, spectral_report)
 
 n, k = 11, 1
 
@@ -22,7 +21,7 @@ for s in (2, 3, 4):
 p2 = ExtremalParams(n=n, k=k, s=2 * k)
 cubic = closed_form("f2", n=n, k=k)
 root = largest_real_root(cubic)
-eig = largest_eigenvalue(signless_laplacian(extremal_graph(p2)))
+eig = spectral_report(extremal_graph(p2)).q_radius
 print(f"\ndense family cubic: {[str(c) for c in cubic.coefficients()]}")
 print(f"largest root {root:.12g}  vs matrix eigenvalue {eig:.12g}")
 
@@ -31,10 +30,8 @@ print(f"largest root {root:.12g}  vs matrix eigenvalue {eig:.12g}")
 print("\n n  delta    q(G)            mu(G)")
 for delta in (3, 4, 5):
     p3 = ExtremalParams(n=36, k=1, s=delta)
-    g3 = extremal_graph(p3)
-    q = largest_eigenvalue(signless_laplacian(g3))
-    mu = largest_eigenvalue(distance_matrix_array(g3))
-    print(f"{p3.n:3d} {delta:5d}  {q:14.10f}  {mu:14.10f}")
+    rep = spectral_report(extremal_graph(p3))
+    print(f"{p3.n:3d} {delta:5d}  {rep.q_radius:14.10f}  {rep.distance_radius:14.10f}")
 
 # orders past the graph6 limit still work; the matrix builders are direct
 from fracext.spectral import family_q_matrix

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 from fracext import (ExtremalParams, extremal_graph, quotient, charpoly3,
                      closed_form, largest_real_root, largest_eigenvalue)
-from fracext.spectral import (signless_laplacian, distance_matrix_array,
-                              positional_blocks)
+from fracext.spectral import (adjacency_matrices, distance_matrices,
+                              positional_blocks, signless_laplacians)
 
 p = ExtremalParams(n=20, k=1, s=4)
 g = extremal_graph(p)
 blocks = positional_blocks(p)           # clique block, inner block, lone tail
 print("blocks:", [list(b) for b in blocks])
 
-Q = signless_laplacian(g)
+# the builders take a stack of graphs of one order; here a stack of one
+A = adjacency_matrices([g])
+Q = signless_laplacians(A)[0]
 qm = quotient(Q, blocks)
 print("equitable:", qm.equitable)
 for row in qm.entries:
@@ -30,7 +32,7 @@ print(f"cubic root {root:.12f}")
 print(f"matrix eig {eig:.12f}  (difference {abs(root - eig):.2e})")
 
 # same story for the distance matrix
-D = distance_matrix_array(g)
+D = distance_matrices(A)[0]
 dm = quotient(D, blocks)
 droot = largest_real_root(charpoly3(dm))
 deig = largest_eigenvalue(D)

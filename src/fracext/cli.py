@@ -19,12 +19,10 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
-from .graphs import ExtremalParams, extremal_graph, graph_stats
+from .graphs import ExtremalParams, extremal_graph
 from .graph6 import emit_graph6, parse_graph6
 from .matching import BAD_MATCHING, BAD_SET, Verdict, is_fext_definitional
-from .spectral import (FAMILIES, closed_form, distance_matrix_array, family_cubic,
-                       largest_eigenvalue, largest_real_root, signless_laplacian,
-                       spectral_report)
+from .spectral import FAMILIES, closed_form, family_cubic, largest_real_root, spectral_report
 from .corpus import complement_corpus, connected_graphs
 from .theorems import (LEMMA_IDS, THEOREM_IDS, edge_count_identities, lemma_grid,
                        probe_gap_region, sample_spanning_subgraphs, sharpness,
@@ -151,13 +149,11 @@ def cmd_extremal(args, out) -> int:
         raise ValueError("need -s or --delta")
     p = ExtremalParams(n=args.n, k=args.k, s=s)
     g = extremal_graph(p)
-    st = graph_stats(g)
-    q = largest_eigenvalue(signless_laplacian(g))
-    mu = largest_eigenvalue(distance_matrix_array(g))
+    rep = spectral_report(g)
     row = {
         "graph6": emit_graph6(g),
-        "n": st.n, "e": st.e, "min_degree": st.min_degree,
-        "q": q, "mu": mu,
+        "n": rep.n, "e": rep.e, "min_degree": rep.min_degree,
+        "q": rep.q_radius, "mu": rep.distance_radius,
         "q_poly": [_fmt(c) for c in family_cubic("q", args.n, args.k, s).coefficients()],
         "mu_poly": [_fmt(c) for c in family_cubic("mu", args.n, args.k, s).coefficients()],
     }

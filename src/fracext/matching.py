@@ -291,9 +291,12 @@ def _half_integral_from_permutation(match_l: list[int], mask: int) -> dict[tuple
 def fractional_pm_exists(g: Graph, mask: int | None = None):
     """Decide FPM existence; returns (True, half-integral h) or (False, witness S).
 
-    The witness S satisfies i(G-S) > |S| and certifies nonexistence.
+    The witness S satisfies i(G-S) > |S| and certifies nonexistence.  A mask
+    outside 0..2^n - 1 raises ValueError.
     """
     active = (1 << g.n) - 1 if mask is None else mask
+    if not 0 <= active < 1 << g.n:
+        raise ValueError(f"mask {mask} is not a vertex set of an order-{g.n} graph")
     if active == 0:
         return True, {}
     match_l, match_r, free, _ = _double_cover_matching(g, active)

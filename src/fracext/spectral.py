@@ -6,9 +6,9 @@ structural (quotient matrices, characteristic polynomials, closed forms)
 is exact over the rationals, so the identity between a family's cubic and
 charpoly3(quotient(...)) can be asserted coefficient by coefficient.
 Graph matrices are built in numpy, for a stack of graphs of one order at
-once: adjacency_matrices is the one reader of Graph's bit rows, the
-distance matrices are one BFS over the stack, and largest_eigenvalues is
-one eigensolver call.  The single-graph builders are the stack of one.
+once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
+are built from its adjacency stack, the distance matrices are one BFS over
+the stack, and largest_eigenvalues is one eigensolver call.
 """
 from __future__ import annotations
 
@@ -49,16 +49,16 @@ def adjacency_matrices(graphs) -> np.ndarray:
     return bits[:, :, :n].astype(np.int64)
 
 
-def signless_laplacians(graphs) -> np.ndarray:
-    """Degree-diagonal plus adjacency, for a stack of graphs of one order."""
-    Q = adjacency_matrices(graphs)
+def signless_laplacians(A: np.ndarray) -> np.ndarray:
+    """Degree-diagonal plus adjacency, for an (m, n, n) adjacency stack; A is not modified."""
+    Q = A.copy()
     diag = np.arange(Q.shape[1])
-    Q[:, diag, diag] = Q.sum(axis=2)
+    Q[:, diag, diag] = A.sum(axis=2)
     return Q
 
 
-def distance_matrices(graphs) -> np.ndarray:
-    """All-pairs distances of graphs of one order, stacked, int64.
+def distance_matrices(A: np.ndarray) -> np.ndarray:
+    """All-pairs distances for an (m, n, n) adjacency stack, int64.
 
     One BFS from every source of every graph at once: row v of a graph's
     frontier holds the vertices first reached from v at the current level,
@@ -67,7 +67,7 @@ def distance_matrices(graphs) -> np.ndarray:
     exact, as no sum exceeds n.  The stack runs to its largest diameter.
     Raises ValueError when any graph is disconnected.
     """
-    A = adjacency_matrices(graphs).astype(np.float64)
+    A = A.astype(np.float64)
     D = np.zeros(A.shape, dtype=np.int64)
     frontier = np.broadcast_to(np.eye(A.shape[1], dtype=bool), A.shape).copy()
     seen = frontier.copy()
@@ -82,24 +82,11 @@ def distance_matrices(graphs) -> np.ndarray:
     return D
 
 
-# the single-graph builders are the stack of one
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return adjacency_matrices([g])[0]
-
-
-def signless_laplacian(g: Graph) -> np.ndarray:
-    return signless_laplacians([g])[0]
-
-
-def distance_matrix_array(g: Graph) -> np.ndarray:
-    return distance_matrices([g])[0]
-
-
 def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
     """Signless Laplacian of the extremal family, built directly in numpy.
 
     The lemma grids evaluate thousands of family members; a direct numpy
-    build skips Graph construction and adjacency_matrix.
+    build skips Graph construction and adjacency_matrices.
     ExtremalParams rejects an invalid (n, k, s), as in family_distance_matrix.
     """
     c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
@@ -228,8 +215,11 @@ def positional_blocks(p: ExtremalParams) -> tuple[range, range, range]:
 
 # closed forms --------------------------------------------------------------
 
-FAMILIES = ("f2", "f_pi_1", "f_pi_prime_1", "f3_q",
-            "phi_B1", "phi_B3_case1", "phi_B3_case2")
+# the parameters, besides k, that each closed form takes
+_FAMILY_PARAMS = {"f2": ("n",), "f_pi_1": ("n", "s"), "f_pi_prime_1": ("s",),
+                  "f3_q": ("n", "delta"), "phi_B1": ("n", "s"),
+                  "phi_B3_case1": ("n", "delta"), "phi_B3_case2": ("s", "delta")}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 def _f_pi_1(n: int, k: int, s: int) -> Cubic:
@@ -239,6 +229,13 @@ def _f_pi_1(n: int, k: int, s: int) -> Cubic:
         F(-4 * s * s + (8 * k + n - 4) * s + 4 * k * n - 8 * n - 8 * k + 2 * n * n + 8),
         F(-2 * s ** 3 + (8 * k + 4 * n - 10) * s * s
           + (-8 * k * k - 8 * k * n + 20 * k - 2 * n * n + 10 * n - 12) * s))
+
+
+def _f_pi_prime_1(k: int, s: int) -> Cubic:
+    """q's cubic at the boundary order 2s-2k+1; at s = 2k, where the family
+    is K_{2k+1}, it factors as (x - 4k)(x - 2k)(x - 2k + 1)."""
+    F = Fraction
+    return Cubic(F(2 * k - 5 * s + 1), F(6 * s * s - 2 * k * s - 3 * s), F(-2 * s ** 3 + 2 * s * s))
 
 
 def _phi_b1(n: int, k: int, s: int) -> Cubic:
@@ -254,7 +251,8 @@ def closed_form(family: str, *, n: int | None = None, k: int,
                 s: int | None = None, delta: int | None = None) -> Cubic:
     """Characteristic cubic of the named family's quotient matrix.
 
-    Parameters outside the family's validity region raise ValueError.
+    Parameters outside the family's validity region, or ones the family does
+    not take, raise ValueError.
     Regions: f2 needs n >= 2k+2; f_pi_1 needs s >= 2k, n >= 2s-2k+2;
     f_pi_prime_1 lives at n = 2s-2k+1 with s >= 2k+1; f3_q and the
     distance families substitute delta with delta >= 2k+1; phi_B1 extends
@@ -266,7 +264,11 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    F = Fraction
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    for name, value in (("n", n), ("s", s), ("delta", delta)):
+        if value is not None and name not in _FAMILY_PARAMS[family]:
+            raise ValueError(f"{family} takes no {name}")
     if family == "f2":
         if n is None or n < 2 * k + 2:
             raise ValueError("f2 needs n >= 2k+2")
@@ -278,10 +280,7 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     if family == "f_pi_prime_1":
         if s is None or s < 2 * k + 1:
             raise ValueError("f_pi_prime_1 needs s >= 2k+1 (order is 2s-2k+1)")
-        return Cubic(
-            F(2 * k - 5 * s + 1),
-            F(6 * s * s - 2 * k * s - 3 * s),
-            F(-2 * s ** 3 + 2 * s * s))
+        return _f_pi_prime_1(k, s)
     if family == "f3_q":
         if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
             raise ValueError("f3_q needs delta >= 2k+1 and n >= 2*delta-2k+2")
@@ -294,24 +293,25 @@ def closed_form(family: str, *, n: int | None = None, k: int,
         if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
             raise ValueError("phi_B3_case1 needs delta >= 2k+1 and n >= 2*delta-2k+2")
         return _phi_b1(n, k, delta)
-    if family == "phi_B3_case2":
-        if s is None or delta is None or delta < 2 * k + 1 or s < delta + 1:
-            raise ValueError("phi_B3_case2 needs delta >= 2k+1 and s >= delta+1")
-        return _phi_b1(2 * s - 2 * k + 1, k, delta)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    # phi_B3_case2, the one family left
+    if s is None or delta is None or delta < 2 * k + 1 or s < delta + 1:
+        raise ValueError("phi_B3_case2 needs delta >= 2k+1 and s >= delta+1")
+    return _phi_b1(2 * s - 2 * k + 1, k, delta)
 
 
 def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
     """The cubic whose largest root is the family's q ("q") or mu ("mu").
 
     phi_B1 covers mu at every order; q takes f_pi_1 above the boundary
-    order n = 2s-2k+1 and f_pi_prime_1 at it.
+    order n = 2s-2k+1 and f_pi_prime_1 at it, for every s >= 2k (at s = 2k
+    that member is K_{2k+1}, below closed_form's f_pi_prime_1 region).
     """
     if quantity == "mu":
         return closed_form("phi_B1", n=n, k=k, s=s)
     if n >= 2 * s - 2 * k + 2:
         return closed_form("f_pi_1", n=n, k=k, s=s)
-    return closed_form("f_pi_prime_1", k=k, s=s)
+    ExtremalParams(n, k, s)   # rejects an invalid member, so n = 2s-2k+1 here
+    return _f_pi_prime_1(k, s)
 
 
 def largest_real_root(c: Cubic) -> float:
@@ -368,14 +368,13 @@ class SpectralReport:
 
 
 def spectral_report(g: Graph) -> SpectralReport:
-    """Numeric spectral summary; distance data is None when disconnected."""
+    """Numeric spectral summary; distance data is None when disconnected.  A, Q
+    and D come from one unpack of the bit rows and go to one eigensolver call."""
     st = graph_stats(g)
-    rho = largest_eigenvalue(adjacency_matrix(g)) if g.n else 0.0
-    q = largest_eigenvalue(signless_laplacian(g)) if g.n else 0.0
-    mu = None
-    wien = None
-    if st.connected and g.n:
-        D = distance_matrix_array(g)
-        mu = largest_eigenvalue(D)
-        wien = int(D.sum()) // 2
-    return SpectralReport(st.n, st.e, st.min_degree, st.connected, rho, q, mu, wien)
+    if not g.n:
+        return SpectralReport(st.n, st.e, st.min_degree, st.connected, 0.0, 0.0, None, None)
+    A = adjacency_matrices([g])
+    D = distance_matrices(A) if st.connected else A[:0]   # no D: an empty stack
+    radii = largest_eigenvalues(np.concatenate([A, signless_laplacians(A), D])).tolist()
+    mu, wien = (radii[2], int(D.sum()) // 2) if st.connected else (None, None)
+    return SpectralReport(st.n, st.e, st.min_degree, st.connected, radii[0], radii[1], mu, wien)

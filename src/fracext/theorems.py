@@ -37,7 +37,7 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count,
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
                        verify_witness)
-from .spectral import (SWEEP_CHUNK_ENTRIES, distance_matrices, family_cubic,
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
                        family_distance_matrix, family_q_matrix, largest_eigenvalue,
                        largest_eigenvalues, largest_real_root, signless_laplacians)
 
@@ -133,7 +133,7 @@ class TheoremSpec:
         if not graphs:
             return []
         build = signless_laplacians if self.quantity == "q" else distance_matrices
-        return largest_eigenvalues(build(graphs)).tolist()
+        return largest_eigenvalues(build(adjacency_matrices(graphs))).tolist()
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:

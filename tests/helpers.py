@@ -3,6 +3,20 @@ import math
 
 from fracext import ExtremalParams, Graph, extremal_graph
 from fracext.graph6 import _header
+from fracext.spectral import adjacency_matrices, distance_matrices, signless_laplacians
+
+
+# one graph's matrices: the stacked builders on a stack of one
+def adjacency_matrix(g):
+    return adjacency_matrices([g])[0]
+
+
+def signless_laplacian(g):
+    return signless_laplacians(adjacency_matrices([g]))[0]
+
+
+def distance_matrix_array(g):
+    return distance_matrices(adjacency_matrices([g]))[0]
 
 
 def brute_matching_number(g, active=None):

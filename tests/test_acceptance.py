@@ -17,10 +17,11 @@ from fracext import (DEFAULT_TOL, ExtremalParams, Graph, charpoly3,
                      quotient)
 from fracext.corpus import are_isomorphic, complement_corpus, connected_graphs
 from fracext.matching import extend_matching, is_fext_definitional, verify_witness
-from fracext.spectral import distance_matrix_array, positional_blocks, signless_laplacian
+from fracext.spectral import positional_blocks
 from fracext.theorems import (lemma_grid, sample_spanning_subgraphs, sharpness,
                               sweep, theorem_spec)
-from helpers import positional_blocks_prime, random_connected_graph
+from helpers import (distance_matrix_array, positional_blocks_prime, random_connected_graph,
+                     signless_laplacian)
 from set_condition_oracle import is_fext_lemma
 
 HALF = Fraction(1, 2)

@@ -119,6 +119,38 @@ def test_extremal_round_trip(capsys):
     assert row["q"] == pytest.approx(18.2462112512, abs=1e-9)
 
 
+def test_extremal_reads_its_invariants_from_the_spectral_report(capsys, monkeypatch):
+    from fracext import cli
+    reports = []
+
+    def recording(g):
+        reports.append(cli_spectral_report(g))
+        return reports[-1]
+
+    cli_spectral_report = cli.spectral_report
+    monkeypatch.setattr(cli, "spectral_report", recording)
+    for n, k, s in ((11, 1, 3), (36, 1, 5), (90, 2, 7)):
+        reports.clear()
+        code, out, _ = run(["extremal", "-n", str(n), "-k", str(k), "-s", str(s),
+                            "--format", "json"], capsys)
+        [row], [rep] = json.loads(out)["results"], reports
+        assert code == 0 and rep == cli_spectral_report(extremal_graph(ExtremalParams(n, k, s)))
+        assert (row["n"], row["e"], row["min_degree"]) == (rep.n, rep.e, rep.min_degree)
+        assert (row["q"], row["mu"]) == (rep.q_radius, rep.distance_radius)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_extremal_at_k_2k_plus_1(k, capsys):
+    # s = 2k at the least order 2k+1 is the complete graph K_{2k+1}, q = 4k
+    code, out, err = run(["extremal", "-n", str(2 * k + 1), "-k", str(k), "-s", str(2 * k),
+                          "--format", "json"], capsys)
+    assert code == 0, err
+    [row] = json.loads(out)["results"]
+    assert row["e"] == k * (2 * k + 1) and row["min_degree"] == 2 * k
+    assert row["q"] == pytest.approx(4 * k, abs=1e-9)
+    assert row["mu"] == pytest.approx(2 * k, abs=1e-9)
+
+
 def test_closed_stdout_is_not_an_error():
     # a reader that exits before the first write (``fracext ... | head -0``)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -186,6 +218,12 @@ def test_polys_text_and_errors(capsys):
     assert out.splitlines()[0] == "1, -29, 212, -288"
     code, _, err = run(["polys", "f2", "-n", "3", "-k", "1"], capsys)
     assert code == 2 and "error:" in err
+    # a parameter the family does not take is an error, not silently dropped
+    code, out, err = run(["polys", "f2", "-n", "11", "-k", "1", "-s", "5", "--delta", "9"],
+                         capsys)
+    assert code == 2 and out == "" and "f2 takes no s" in err
+    code, _, err = run(["polys", "f_pi_prime_1", "-n", "7", "-k", "1", "-s", "3"], capsys)
+    assert code == 2 and "f_pi_prime_1 takes no n" in err
     with pytest.raises(SystemExit):
         build_parser().parse_args(["polys", "nope", "-k", "1"])
 

@@ -72,6 +72,14 @@ def test_fpm_spot_cases():
     assert ok
 
 
+def test_fpm_rejects_masks_outside_the_graph():
+    for mask in (0b110011, -1, 1 << 4):
+        with pytest.raises(ValueError, match="not a vertex set"):
+            fractional_pm_exists(cycle(4), mask)
+    assert fractional_pm_exists(cycle(4), 0b1111)[0]
+    assert fractional_pm_exists(cycle(4), 0) == (True, {})
+
+
 def _check_h(g, h, pinned=()):
     # half-integral values, exact unit vertex sums, pins respected
     sums = {v: Fraction(0) for v in range(g.n)}

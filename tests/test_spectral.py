@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, complete,
-                     cycle, disjoint_union, empty_graph, extremal_graph, largest_eigenvalue,
-                     largest_real_root, path, quotient, spectral_report)
-from fracext.spectral import (adjacency_matrices, adjacency_matrix, distance_matrices,
-                              distance_matrix_array, family_distance_matrix,
-                              family_q_matrix, largest_eigenvalues, positional_blocks,
-                              signless_laplacian, signless_laplacians)
-from helpers import (floyd_warshall, positional_blocks_prime, random_connected_graph,
-                     random_graph)
+                     cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
+                     largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
+from fracext.spectral import (_f_pi_prime_1, adjacency_matrices, distance_matrices,
+                              family_cubic, family_distance_matrix, family_q_matrix,
+                              largest_eigenvalues, positional_blocks, signless_laplacians)
+from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
+                     positional_blocks_prime, random_connected_graph, random_graph,
+                     signless_laplacian)
 
 
 def test_matrix_builders():
@@ -71,10 +71,12 @@ def test_stacked_builders_match_the_stack_of_one():
     for n in (1, 7, 8, 9, 64, 65, 128):
         graphs = [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
         A = adjacency_matrices(graphs)
-        Q = signless_laplacians(graphs)
+        before = A.copy()
+        Q = signless_laplacians(A)
+        assert (A == before).all(), "signless_laplacians wrote into A"
         assert A.dtype == Q.dtype == np.int64 and A.shape == (3, n, n)
         for g, a, q in zip(graphs, A, Q):
-            assert (a == adjacency_matrix(g)).all()
+            assert (a == adjacency_matrix(g)).all() and (q == signless_laplacian(g)).all()
             assert (q == a + np.diag(a.sum(axis=1))).all()
     with pytest.raises(ValueError, match="one order"):
         adjacency_matrices([path(4), path(5)])
@@ -88,20 +90,24 @@ def test_distance_matrices_vs_floyd_warshall_on_mixed_diameters():
              *(random_connected_graph(rng, 9, 9) for _ in range(4))]
     large = [path(128), complete(128), random_connected_graph(rng, 128, 128, 0.02, 0.05)]
     for stack in (small, large):
-        D = distance_matrices(stack)
-        assert D.dtype == np.int64
+        A = adjacency_matrices(stack)
+        before = A.copy()
+        D = distance_matrices(A)
+        assert D.dtype == np.int64 and (A == before).all()
         for g, d in zip(stack, D):
             assert d.tolist() == floyd_warshall(g), g
-    assert distance_matrices(large)[0, 0, 127] == 127
+    assert distance_matrices(adjacency_matrices(large))[0, 0, 127] == 127
     with pytest.raises(ValueError, match="connected"):
-        distance_matrices([path(8), disjoint_union(complete(4), complete(4))])
+        distance_matrices(adjacency_matrices([path(8),
+                                              disjoint_union(complete(4), complete(4))]))
 
 
 @pytest.mark.parametrize("n", [1, 8, 35, 64, 65, 128])
 def test_largest_eigenvalues_bitwise_equal_to_each_matrix_alone(n):
     rng = random.Random(n)
     graphs = [random_connected_graph(rng, n, n, 0.05, 0.9) for _ in range(6 if n < 100 else 3)]
-    for stack in (signless_laplacians(graphs), distance_matrices(graphs)):
+    A = adjacency_matrices(graphs)
+    for stack in (A, signless_laplacians(A), distance_matrices(A)):
         alone = [np.linalg.eigvalsh(M.astype(float))[-1] for M in stack]
         assert largest_eigenvalues(stack).tolist() == alone
         assert [largest_eigenvalue(M) for M in stack] == alone
@@ -223,6 +229,13 @@ def test_closed_form_guards():
         closed_form("phi_B3_case2", k=1, s=3, delta=3)  # needs s > delta
     with pytest.raises(ValueError):
         closed_form("no_such_family", k=1)
+    # parameters the family does not take are named, not ignored
+    with pytest.raises(ValueError, match="f2 takes no s"):
+        closed_form("f2", n=11, k=1, s=5)
+    with pytest.raises(ValueError, match="f_pi_prime_1 takes no n"):
+        closed_form("f_pi_prime_1", n=7, k=1, s=3)
+    with pytest.raises(ValueError, match="phi_B3_case2 takes no n"):
+        closed_form("phi_B3_case2", n=9, k=1, s=4, delta=3)
 
 
 def test_each_family_matches_one_constructed_quotient():
@@ -294,6 +307,84 @@ def test_spectral_report_fields():
 
 def Graph_from_parts():
     return disjoint_union(complete(3), complete(2))
+
+
+def test_spectral_report_makes_one_eigensolver_call(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    family = extremal_graph(ExtremalParams(128, 3, 7))
+    # A, Q and D go in one stack; a disconnected graph has no D
+    for g, depth in ((cycle(5), 3), (empty_graph(1), 3), (family, 3), (Graph_from_parts(), 2)):
+        shapes.clear()
+        spectral_report(g)
+        assert shapes == [(depth, g.n, g.n)], g
+    shapes.clear()
+    spectral_report(empty_graph(0))
+    assert shapes == []
+
+
+def _report_one_matrix_at_a_time(g):
+    """spectral_report's radii and Wiener index from the stacked builders,
+    each run on its own stack of one."""
+    if g.n == 0:
+        return 0.0, 0.0, None, None
+    A = adjacency_matrices([g])
+    rho, q = (float(largest_eigenvalues(M)[0]) for M in (A, signless_laplacians(A)))
+    if not is_connected(g):
+        return rho, q, None, None
+    D = distance_matrices(A)
+    return rho, q, float(largest_eigenvalues(D)[0]), int(D.sum()) // 2
+
+
+def test_spectral_report_bitwise_equal_to_the_builders_one_matrix_at_a_time():
+    rng = random.Random(37)
+    graphs = [empty_graph(1), empty_graph(5), Graph_from_parts(),
+              Graph.from_edges(128, [(v, v + 1) for v in range(126)])]
+    for n in range(41):
+        graphs += [random_graph(rng, n, rng.uniform(0.05, 0.9)) for _ in range(2)]
+        if n:
+            graphs.append(random_connected_graph(rng, n, n))
+    graphs += [extremal_graph(ExtremalParams(n, k, s))
+               for n, k, s in ((3, 1, 2), (11, 1, 2), (35, 1, 3), (57, 2, 5),
+                               (90, 2, 7), (128, 3, 7), (128, 1, 2))]
+    assert sum(not is_connected(g) for g in graphs if g.n) >= 10
+    for g in graphs:
+        rep = spectral_report(g)
+        got = (rep.adjacency_radius, rep.q_radius, rep.distance_radius, rep.wiener)
+        assert got == _report_one_matrix_at_a_time(g), g
+        # order 0 counts as connected but has no distance matrix
+        assert rep.connected == (rep.distance_radius is not None) or g.n == 0
+
+
+def test_f_pi_prime_1_at_s_2k_is_the_cubic_of_k_2k_plus_1():
+    # the family at s = 2k and order 2k+1 is K_{2k+1}, whose q is 4k
+    for k in range(1, 5):
+        a, b, c = 4 * k, 2 * k, 2 * k - 1
+        assert _f_pi_prime_1(k, 2 * k) == Cubic(Fraction(-(a + b + c)),
+                                                Fraction(a * b + a * c + b * c),
+                                                Fraction(-a * b * c))
+
+
+def test_family_cubic_roots_match_every_small_family_member():
+    members = 0
+    for k in range(1, 4):
+        for s in range(2 * k, 2 * k + 6):
+            for n in range(2 * s - 2 * k + 1, 2 * s - 2 * k + 6):
+                rep = spectral_report(extremal_graph(ExtremalParams(n, k, s)))
+                for quantity, eig in (("q", rep.q_radius), ("mu", rep.distance_radius)):
+                    root = largest_real_root(family_cubic(quantity, n, k, s))
+                    assert root == pytest.approx(eig, abs=1e-8), (quantity, n, k, s)
+                members += 1
+    assert members == 90
+    for n, k, s in ((4, 1, 3), (3, 1, 1), (2, 0, 0)):   # below the boundary order, s < 2k
+        with pytest.raises(ValueError):
+            family_cubic("q", n, k, s)
 
 
 def wiener_g3(n: int, k: int, delta: int) -> int:
