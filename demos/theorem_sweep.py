@@ -14,7 +14,7 @@ for g in (complete(8), cycle(8), extremal_graph(ExtremalParams(8, 1, 2))):
           f"threshold={r.threshold:.6f}  {r.status}")
 
 # the full order-8 sweep: every connected graph, no exceptions
-rep = sweep(connected_graphs(8), spec, corpus_name="connected:8")
+rep = sweep(connected_graphs(8), spec)
 print(f"\nscanned {rep.scanned}, hypotheses met {rep.hypothesis_met}, "
       f"bound met {rep.bound_met}")
 print(f"confirmed extendable {rep.confirmed}, equality cases "
@@ -25,7 +25,7 @@ print(f"the unique equality case is {eq.graph6} with q = {eq.value:.10f}")
 
 # an edge-count bound prefers a complement-enumerated dense corpus
 edge_spec = theorem_spec("edge_1", k=1)
-dense = sweep(complement_corpus(11, 8), edge_spec, corpus_name="complement:11:8")
+dense = sweep(complement_corpus(11, 8), edge_spec)
 print(f"\ndense corpus: scanned {dense.scanned}, equality "
       f"{len(dense.equality_cases)}, counterexamples {len(dense.counterexamples)}")
 assert dense.ok and rep.ok

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -31,26 +32,25 @@ from .theorems import (LEMMA_IDS, THEOREM_IDS, edge_count_identities, lemma_grid
 
 def _fmt(x) -> str:
     """12 significant digits for floats, p/q for rationals."""
-    if isinstance(x, bool) or x is None:
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _jsonable(x):
-    if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, Fraction):
-        return _fmt(x)
+    """x as plain json data: dataclasses as dicts, rationals as p/q text,
+    floats at 12 significant digits and a non-finite float (a grid with no
+    strict row leaves +inf) as None."""
+    if isinstance(x, (str, int)) or x is None:
+        return x
     if isinstance(x, float):
-        return float(f"{x:.12g}")
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return float(f"{x:.12g}") if math.isfinite(x) else None
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return str(x)
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -69,9 +69,11 @@ def _flatten(row: dict, prefix: str = "") -> dict:
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
+    """Write doc as json, csv or text; its values are normalised here, once."""
+    doc = _jsonable(doc)
     if fmt == "json":
-        json.dump(doc, out, indent=2, sort_keys=False)
-        out.write("\n")
+        # one string: json.dump writes many small chunks, about 1.5 times slower
+        out.write(json.dumps(doc, indent=2) + "\n")
         return
     if fmt == "csv":
         rows = [_flatten(r) for r in doc.get("results", [])]
@@ -83,8 +85,7 @@ def _emit(doc: dict, fmt: str, out) -> None:
         w = csv.DictWriter(out, fieldnames=names)
         w.writeheader()
         for r in rows:
-            w.writerow({k: _fmt(v) if isinstance(v, (float, Fraction)) else v
-                        for k, v in r.items()})
+            w.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in r.items()})
         return
     # text: summary first, then anything negative, then a compact row dump
     s = doc.get("summary", {})
@@ -122,7 +123,7 @@ def cmd_check(args, out) -> int:
     line = sys.stdin.readline() if args.graph == "-" else args.graph
     g = parse_graph6(line)
     rep = spectral_report(g)
-    rows = [{"spectral": _jsonable(rep)}]
+    rows = [{"spectral": rep}]
     verdict = is_fext_definitional(g, args.k)
     # one verdict, one row per form of the condition, each with its own witness
     by_set = by_matching = verdict
@@ -154,8 +155,8 @@ def cmd_extremal(args, out) -> int:
         "graph6": emit_graph6(g),
         "n": rep.n, "e": rep.e, "min_degree": rep.min_degree,
         "q": rep.q_radius, "mu": rep.distance_radius,
-        "q_poly": [_fmt(c) for c in family_cubic("q", args.n, args.k, s).coefficients()],
-        "mu_poly": [_fmt(c) for c in family_cubic("mu", args.n, args.k, s).coefficients()],
+        "q_poly": family_cubic("q", args.n, args.k, s).coefficients(),
+        "mu_poly": family_cubic("mu", args.n, args.k, s).coefficients(),
     }
     doc = {
         "command": "extremal",
@@ -189,15 +190,14 @@ def cmd_sweep(args, out) -> int:
     spec = theorem_spec(args.theorem, args.k)
     corpus, name = _load_corpus(args.corpus)
     try:
-        rep = sweep(corpus, spec, corpus_name=name, jobs=args.jobs)
+        rep = sweep(corpus, spec, jobs=args.jobs)
     finally:
         if args.corpus != "-" and hasattr(corpus, "close"):
             corpus.close()
-    results = [_jsonable(r) for r in rep.equality_cases + rep.counterexamples]
     doc = {
         "command": "sweep",
         "config": {"theorem": args.theorem, "k": args.k, "corpus": name},
-        "results": results,
+        "results": rep.equality_cases + rep.counterexamples,
         "summary": {
             "scanned": rep.scanned,
             "hypothesis_met": rep.hypothesis_met,
@@ -217,21 +217,18 @@ def cmd_sweep(args, out) -> int:
 def cmd_grid(args, out) -> int:
     rep = lemma_grid(args.lemma, k_max=args.k, n_max=args.n,
                      delta_max=args.delta, jobs=args.jobs)
-    results = [_jsonable(v) for v in rep.violations]
     doc = {
         "command": "grid",
         "config": {"lemma": args.lemma, "k_max": args.k, "n_max": args.n,
                    "delta_max": args.delta},
-        "results": results,
+        "results": rep.violations,
         "summary": {
             "scanned": rep.points,
             "confirmed": rep.points - len(rep.violations),
             "equality_cases": rep.equality_points,
             "counterexamples": len(rep.violations),
             "max_crosscheck_error": rep.max_crosscheck_error,
-            # a grid with no strict row leaves +inf, which JSON cannot carry
-            "min_strict_margin": (None if rep.min_strict_margin == float("inf")
-                                  else rep.min_strict_margin),
+            "min_strict_margin": rep.min_strict_margin,
         },
     }
     _emit(doc, args.format, out)
@@ -247,7 +244,7 @@ def cmd_polys(args, out) -> int:
     if args.delta is not None:
         kwargs["delta"] = args.delta
     cubic = closed_form(args.family, **kwargs)
-    coeffs = [_fmt(c) for c in cubic.coefficients()]
+    coeffs = cubic.coefficients()
     root = largest_real_root(cubic)
     doc = {
         "command": "polys",
@@ -257,7 +254,7 @@ def cmd_polys(args, out) -> int:
                     "equality_cases": 0, "counterexamples": 0},
     }
     if args.format == "text":
-        out.write(", ".join(coeffs) + f"\nlargest root: {_fmt(root)}\n")
+        out.write(", ".join(map(_fmt, coeffs)) + f"\nlargest root: {_fmt(root)}\n")
         return 0
     _emit(doc, args.format, out)
     return 0

@@ -35,8 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .matching import (NO_K_MATCHING, BAD_SET, Verdict, is_fext_definitional,
-                       verify_witness)
+from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
 from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
                        family_distance_matrix, family_q_matrix, largest_eigenvalue,
                        largest_eigenvalues, largest_real_root, signless_laplacians)
@@ -188,9 +187,6 @@ def _classify(graphs: Sequence[Graph], spec: TheoremSpec) -> Iterator[tuple]:
             status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
         elif verdict.answer:
             status = CONFIRMED
-        elif verdict.reason == NO_K_MATCHING:
-            # nothing to extend, so the conclusion holds vacuously
-            status, detail = CONFIRMED, "no k-matching to extend"
         yield status, st, value, thr, detail, verdict
 
 
@@ -224,7 +220,6 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
 class SweepReport:
     theorem: str
     k: int
-    corpus: str
     scanned: int
     hypothesis_met: int
     bound_met: int
@@ -298,8 +293,7 @@ def _sweep_chunk(chunk: list[tuple[int, Graph]], spec: TheoremSpec):
     return (len(chunk), hyp, hyp - counts[BOUND_NOT_MET], counts[CONFIRMED]), kept
 
 
-def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
-          jobs: int = 1) -> SweepReport:
+def sweep(corpus: Iterable, spec: TheoremSpec, *, jobs: int = 1) -> SweepReport:
     """Classify every graph of a corpus and aggregate.
 
     The corpus may yield Graph objects directly or graph6 text/byte lines
@@ -320,9 +314,8 @@ def sweep(corpus: Iterable, spec: TheoremSpec, *, corpus_name: str = "",
         kept += chunk_kept
     kept.sort(key=lambda item: item[0])
     scanned, hyp, bound, conf = tallies
-    return SweepReport(theorem=spec.id, k=spec.k, corpus=corpus_name,
-                       scanned=scanned, hypothesis_met=hyp, bound_met=bound,
-                       confirmed=conf,
+    return SweepReport(theorem=spec.id, k=spec.k, scanned=scanned,
+                       hypothesis_met=hyp, bound_met=bound, confirmed=conf,
                        equality_cases=tuple(r for _, r in kept if r.status == EQUALITY_CASE),
                        counterexamples=tuple(r for _, r in kept if r.status == COUNTEREXAMPLE),
                        parse_errors=tuple(errors))

@@ -12,7 +12,7 @@ from fracext.theorems import (CONFIRMED, COUNTEREXAMPLE, EQUALITY_CASE,
                               HYPOTHESES_NOT_MET, SweepReport, check_theorem)
 
 
-def sweep_reference(corpus, spec, corpus_name=""):
+def sweep_reference(corpus, spec):
     """SweepReport of check_theorem over every graph of the corpus."""
     graphs = []
     errors = []
@@ -30,7 +30,7 @@ def sweep_reference(corpus, spec, corpus_name=""):
             errors.append((lineno, str(exc)))
     results = [check_theorem(g, spec) for g in graphs]
     return SweepReport(
-        theorem=spec.id, k=spec.k, corpus=corpus_name, scanned=len(results),
+        theorem=spec.id, k=spec.k, scanned=len(results),
         hypothesis_met=sum(r.status != HYPOTHESES_NOT_MET for r in results),
         bound_met=sum(r.status in (CONFIRMED, EQUALITY_CASE, COUNTEREXAMPLE) for r in results),
         confirmed=sum(r.status == CONFIRMED for r in results),

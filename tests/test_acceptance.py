@@ -128,7 +128,7 @@ def test_criterion_03_calibration():
 def test_criterion_04_edge_bound_dense_corpus():
     corpus = complement_corpus(11, 8)
     assert len(corpus) == 752
-    rep = sweep(corpus, theorem_spec("edge_1", 1), corpus_name="complement:11:8")
+    rep = sweep(corpus, theorem_spec("edge_1", 1))
     assert rep.scanned == 752
     assert not rep.counterexamples
     assert len(rep.equality_cases) == 1
@@ -144,7 +144,7 @@ def test_criterion_04_edge_bound_dense_corpus():
 def test_criterion_05_q_bound_full_order8():
     corpus = connected_graphs(8)
     assert len(corpus) == 11117
-    rep = sweep(corpus, theorem_spec("q_1", 1), corpus_name="connected:8")
+    rep = sweep(corpus, theorem_spec("q_1", 1))
     assert rep.scanned == 11117
     assert not rep.counterexamples
     assert len(rep.equality_cases) == 1

@@ -136,7 +136,9 @@ def test_extremal_reads_its_invariants_from_the_spectral_report(capsys, monkeypa
         [row], [rep] = json.loads(out)["results"], reports
         assert code == 0 and rep == cli_spectral_report(extremal_graph(ExtremalParams(n, k, s)))
         assert (row["n"], row["e"], row["min_degree"]) == (rep.n, rep.e, rep.min_degree)
-        assert (row["q"], row["mu"]) == (rep.q_radius, rep.distance_radius)
+        # json carries floats at 12 significant digits
+        assert (row["q"], row["mu"]) == (float(f"{rep.q_radius:.12g}"),
+                                         float(f"{rep.distance_radius:.12g}"))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -361,6 +363,50 @@ def test_grid_without_strict_rows_is_strict_json(capsys):
         assert doc["summary"]["min_strict_margin"] is None
     code, out, err = run(["grid", "--lemma", "q1q2", "-k", "0", "-n", "20"], capsys)
     assert code == 2 and out == "" and "k must be at least 1" in err
+
+
+def _floats(x):
+    """Every float inside parsed json."""
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _floats(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "J~~~~~~~}??", "-k", "1"],
+    ["extremal", "-n", "11", "-k", "1", "-s", "3"],
+    ["sweep", "--theorem", "q_1", "-k", "1", "-"],
+    ["grid", "--lemma", "q1q2", "-k", "1", "-n", "12"],
+    ["polys", "f2", "-n", "11", "-k", "1"],
+    ["report", "-k", "1"],
+], ids=lambda argv: argv[0])
+def test_json_floats_carry_12_significant_digits(argv, capsys, monkeypatch):
+    # the sweep reads the q_1 equality case of order 8, whose value is a float
+    g6 = emit_graph6(extremal_graph(ExtremalParams(8, 1, 2))) + "\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(g6.encode())))
+    code, out, err = run([*argv, "--format", "json"], capsys)
+    assert code in (0, 1), err
+    floats = list(_floats(json.loads(out, parse_constant=_reject_constant)))
+    assert floats
+    assert all(float(f"{x:.12g}") == x for x in floats), floats
+
+
+def test_emit_writes_a_non_finite_float_as_null():
+    from fracext.cli import _emit
+    doc = {"command": "t", "config": {}, "results": [{"a": float("inf"), "b": 1.0}],
+           "summary": {"scanned": 1}}
+    out = io.StringIO()
+    _emit(doc, "json", out)
+    assert json.loads(out.getvalue(), parse_constant=_reject_constant)["results"] == [
+        {"a": None, "b": 1.0}]
+    out = io.StringIO()
+    _emit(doc, "text", out)
+    assert out.getvalue().splitlines()[-1] == "b=1"
 
 
 def test_grid_csv_rows_on_forced_violations(capsys, monkeypatch):

@@ -111,6 +111,17 @@ def test_check_theorem_statuses():
     assert check_theorem(star, spec).status == "bound_not_met"
 
 
+def test_graph_without_k_matching_past_the_bound_is_a_counterexample(monkeypatch):
+    # fractional k-extendability asks for a k-matching, so a graph without
+    # one that meets hypotheses and bound refutes the condition: K_{1,12}
+    # is connected, has order 13 = 2k+9 and no 2-matching
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: 0)
+    star = Graph.from_edges(13, [(0, i) for i in range(1, 13)])
+    r = check_theorem(star, theorem_spec("edge_1", 2))
+    assert r.oracle is not None and r.oracle.reason == "no_k_matching"
+    assert r.status == theorems.COUNTEREXAMPLE and r.detail == ""
+
+
 def test_check_theorem_large_order_graph6_round_trips():
     p = ExtremalParams(63, 1, 2)
     g = extremal_graph(p)
@@ -162,7 +173,7 @@ def test_sweep_mixed_corpus_and_errors():
         emit_graph6(complete(11)),
         emit_graph6(cycle(11)),
     ]
-    rep = sweep(lines, theorem_spec("edge_1", 1), corpus_name="inline")
+    rep = sweep(lines, theorem_spec("edge_1", 1))
     assert rep.scanned == 3
     assert rep.confirmed == 1
     assert len(rep.equality_cases) == 1
@@ -217,9 +228,8 @@ def _mixed_order_lines():
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_sweep_matches_per_graph_reference(theorem, k, tmp_path, monkeypatch):
     spec = theorem_spec(theorem, k)
-    for name, corpus in (("connected:7", connected_graphs(7)),
-                         ("complement:9:6", complement_corpus(9, 6))):
-        assert sweep(corpus, spec, corpus_name=name) == sweep_reference(corpus, spec, name)
+    for corpus in (connected_graphs(7), complement_corpus(9, 6)):
+        assert sweep(corpus, spec) == sweep_reference(corpus, spec)
     lines = _mixed_order_lines()
     path = tmp_path / "mixed.g6"
     path.write_text("".join(line + "\n" for line in lines))
