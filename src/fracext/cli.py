@@ -35,22 +35,25 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _jsonable(x):
-    """x as plain json data: dataclasses as dicts, rationals as p/q text,
-    floats at 12 significant digits and a non-finite float (a grid with no
-    strict row leaves +inf) as None."""
+def _jsonable(x, strict: bool):
+    """x as plain data: dataclasses as dicts, rationals as p/q text and
+    floats at 12 significant digits.  A non-finite float (a grid or probe
+    with no strict row leaves +inf) becomes None when strict, as JSON cannot
+    carry it, and stays as it is for text and csv, which print it."""
     if isinstance(x, (str, int)) or x is None:
         return x
     if isinstance(x, float):
-        return float(f"{x:.12g}") if math.isfinite(x) else None
+        if math.isfinite(x):
+            return float(f"{x:.12g}")
+        return None if strict else x
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [_jsonable(v, strict) for v in x]
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): _jsonable(v, strict) for k, v in x.items()}
     if isinstance(x, Fraction):
         return str(x)
     if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+        return {f.name: _jsonable(getattr(x, f.name), strict) for f in fields(x)}
     return x
 
 
@@ -70,10 +73,10 @@ def _flatten(row: dict, prefix: str = "") -> dict:
 
 def _emit(doc: dict, fmt: str, out) -> None:
     """Write doc as json, csv or text; its values are normalised here, once."""
-    doc = _jsonable(doc)
+    doc = _jsonable(doc, strict=fmt == "json")
     if fmt == "json":
-        # one string: json.dump writes many small chunks, about 1.5 times slower
-        out.write(json.dumps(doc, indent=2) + "\n")
+        json.dump(doc, out, indent=2)
+        out.write("\n")
         return
     if fmt == "csv":
         rows = [_flatten(r) for r in doc.get("results", [])]

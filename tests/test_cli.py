@@ -361,6 +361,8 @@ def test_grid_without_strict_rows_is_strict_json(capsys):
         doc = json.loads(out, parse_constant=_reject_constant)
         assert doc["summary"]["scanned"] == 0
         assert doc["summary"]["min_strict_margin"] is None
+        code, out, _ = run(["grid", *argv], capsys)
+        assert code == 0 and "min_strict_margin: inf\n" in out
     code, out, err = run(["grid", "--lemma", "q1q2", "-k", "0", "-n", "20"], capsys)
     assert code == 2 and out == "" and "k must be at least 1" in err
 
@@ -396,7 +398,7 @@ def test_json_floats_carry_12_significant_digits(argv, capsys, monkeypatch):
     assert all(float(f"{x:.12g}") == x for x in floats), floats
 
 
-def test_emit_writes_a_non_finite_float_as_null():
+def test_emit_writes_a_non_finite_float_as_null_in_json_only():
     from fracext.cli import _emit
     doc = {"command": "t", "config": {}, "results": [{"a": float("inf"), "b": 1.0}],
            "summary": {"scanned": 1}}
@@ -406,7 +408,10 @@ def test_emit_writes_a_non_finite_float_as_null():
         {"a": None, "b": 1.0}]
     out = io.StringIO()
     _emit(doc, "text", out)
-    assert out.getvalue().splitlines()[-1] == "b=1"
+    assert out.getvalue().splitlines()[-1] == "a=inf, b=1"
+    out = io.StringIO()
+    _emit(doc, "csv", out)
+    assert list(csv.DictReader(io.StringIO(out.getvalue()))) == [{"a": "inf", "b": "1"}]
 
 
 def test_grid_csv_rows_on_forced_violations(capsys, monkeypatch):
