@@ -35,6 +35,6 @@ for delta in (3, 4, 5):
 
 # orders past the graph6 limit still work; the matrix builders are direct
 from fracext.spectral import family_q_matrix
-big = family_q_matrix(90, 2, 7)
+big = family_q_matrix(90, 2, [7])[0]   # the stack of one member
 print(f"\norder 90 family Q matrix: shape {big.shape}, "
       f"radius {largest_eigenvalue(big):.8f}")

@@ -50,7 +50,6 @@ from .spectral import (
 from .corpus import (
     all_graphs,
     are_isomorphic,
-    canonical_form,
     complement_corpus,
     connected_graphs,
     sparse_graphs,

@@ -90,13 +90,14 @@ def _emit(doc: dict, fmt: str, out) -> None:
         for r in rows:
             w.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in r.items()})
         return
-    # text: summary first, then anything negative, then a compact row dump
-    s = doc.get("summary", {})
+    # text: config and summary first, then a compact row dump; a null is left out
     out.write(f"command: {doc['command']}\n")
     for key, val in doc.get("config", {}).items():
-        out.write(f"  {key}: {val}\n")
-    for key, val in s.items():
-        out.write(f"{key}: {_fmt(val)}\n")
+        if val is not None:
+            out.write(f"  {key}: {val}\n")
+    for key, val in doc.get("summary", {}).items():
+        if val is not None:
+            out.write(f"{key}: {_fmt(val)}\n")
     for r in doc.get("results", []):
         line = ", ".join(f"{k}={_fmt(v)}" for k, v in _flatten(r).items()
                          if v is not None and v != "")
@@ -247,18 +248,14 @@ def cmd_polys(args, out) -> int:
     if args.delta is not None:
         kwargs["delta"] = args.delta
     cubic = closed_form(args.family, **kwargs)
-    coeffs = cubic.coefficients()
-    root = largest_real_root(cubic)
     doc = {
         "command": "polys",
         "config": {"family": args.family, **kwargs},
-        "results": [{"coefficients": coeffs, "largest_root": root}],
+        "results": [{"coefficients": cubic.coefficients(),
+                     "largest_root": largest_real_root(cubic)}],
         "summary": {"scanned": 1, "confirmed": 1,
                     "equality_cases": 0, "counterexamples": 0},
     }
-    if args.format == "text":
-        out.write(", ".join(map(_fmt, coeffs)) + f"\nlargest root: {_fmt(root)}\n")
-        return 0
     _emit(doc, args.format, out)
     return 0
 

@@ -241,12 +241,6 @@ def _canonical_forms(A: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(order, packed upper-triangle bits) maximal over admissible labelings;
-    the stack of one."""
-    return _canonical_forms(_stack([g]))[0]
-
-
 def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
     """The (k, n, n) stacks re-cut into chunks of SWEEP_CHUNK_ENTRIES entries."""
     size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
@@ -371,5 +365,9 @@ def complement_corpus(n: int, complement_budget: int) -> tuple[Graph, ...]:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test via canonical forms (corpus-internal sizes)."""
-    return g.n == h.n and canonical_form(g) == canonical_form(h)
+    """Exact isomorphism test via canonical forms (corpus-internal sizes):
+    the pair is canonicalised as one stack of two."""
+    if g.n != h.n:
+        return False
+    form_g, form_h = _canonical_forms(_stack([g, h]))
+    return form_g == form_h

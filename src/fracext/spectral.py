@@ -8,11 +8,12 @@ charpoly3(quotient(...)) can be asserted coefficient by coefficient.
 Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
 are built from its adjacency stack, the distance matrices are one BFS over
-the stack, and largest_eigenvalues is one eigensolver call.
+the stack, and largest_eigenvalues is one eigensolver call.  The family
+matrices of many values of s are built as one stack, and the largest
+roots of many cubics come from one numpy bisection pass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,30 +83,41 @@ def distance_matrices(A: np.ndarray) -> np.ndarray:
     return D
 
 
-def family_q_matrix(n: int, k: int, s: int) -> np.ndarray:
-    """Signless Laplacian of the extremal family, built directly in numpy.
+def _family_stack(n: int, k: int, s_values, far: float) -> np.ndarray:
+    """Float64 stack (m, n, n) of the family members (n, k, s), one per s.
 
-    The lemma grids evaluate thousands of family members; a direct numpy
-    build skips Graph construction and adjacency_matrices.
-    ExtremalParams rejects an invalid (n, k, s), as in family_distance_matrix.
+    Vertices follow extremal_graph: 0 on the diagonal, far on the pairs of
+    an inner or independent vertex with an independent one (the pairs that
+    are not adjacent, at distance 2) and 1 elsewhere.  Each member is two
+    slice fills, which run faster than a broadcast build of the stack.
+    ExtremalParams rejects an invalid member.
     """
-    c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
-    A = np.zeros((n, n), dtype=np.int64)
-    A[:c, :c] = 1                        # dominating u inner is a clique
-    A[:s, c:] = 1                        # dominating joins the independents
-    A[c:, :s] = 1
-    np.fill_diagonal(A, 0)
-    return A + np.diag(A.sum(axis=1))
+    M = np.ones((len(s_values), n, n))
+    for j, s in enumerate(s_values):
+        c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
+        M[j, s:, c:] = far
+        M[j, c:, s:] = far
+    M.reshape(len(M), n * n)[:, ::n + 1] = 0.0   # each member's diagonal, as a view
+    return M
 
 
-def family_distance_matrix(n: int, k: int, s: int) -> np.ndarray:
-    """Distance matrix of the extremal family; diameter 2, so no BFS."""
-    c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
-    D = np.full((n, n), 1, dtype=np.int64)
-    D[s:, c:] = 2                        # inner/independent pairs sit at distance 2
-    D[c:, s:] = 2
-    np.fill_diagonal(D, 0)
-    return D
+def family_q_matrix(n: int, k: int, s_values) -> np.ndarray:
+    """Signless Laplacians (m, n, n) of the family members (n, k, s), one per s.
+
+    The lemma grids evaluate thousands of family members; a direct build
+    skips Graph construction and adjacency_matrices.  The entries are
+    integers held as float64, the eigensolver's input type, so a stack is
+    never copied on its way there.
+    """
+    Q = _family_stack(n, k, s_values, 0.0)
+    Q.reshape(len(Q), n * n)[:, ::n + 1] = Q.sum(axis=2)
+    return Q
+
+
+def family_distance_matrix(n: int, k: int, s_values) -> np.ndarray:
+    """Distance matrices (m, n, n) of the family members (n, k, s), one per s,
+    float64 as in family_q_matrix; every member has diameter 2, so no BFS."""
+    return _family_stack(n, k, s_values, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,41 +326,49 @@ def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
     return _f_pi_prime_1(k, s)
 
 
-def largest_real_root(c: Cubic) -> float:
-    """Largest real root of a monic cubic by bracketing bisection.
+def _cubic_values(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """((x + c2) x + c1) x + c0 for each row (c2, c1, c0) of C and its x."""
+    return ((x + C[:, 0]) * x + C[:, 1]) * x + C[:, 2]
+
+
+def largest_real_roots(cubics) -> np.ndarray:
+    """Largest real root of each monic cubic of an iterable, by bracketing bisection.
 
     The Cauchy bound 1 + max|coeff| brackets all roots; the derivative's
     critical points isolate the rightmost one.  Bisection stops once the
-    bracket is within 1e-13 relative (absolute below 1).
+    midpoint equals an end or the bracket is within 1e-13 relative
+    (absolute below 1), and a zero at the upper end is the root itself.
+    One numpy pass bisects every cubic: each lane takes the same IEEE steps
+    as a scalar loop over that cubic alone, so every root is bitwise the
+    one that loop gives.  The coefficients are read as a stream, so no list
+    of cubics is held.
     """
-    c2, c1, c0 = float(c.c2), float(c.c1), float(c.c0)
-    bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
-
-    def p(x: float) -> float:
-        return ((x + c2) * x + c1) * x + c0
-
+    C = np.fromiter((float(x) for c in cubics for x in (c.c2, c.c1, c.c0)),
+                    dtype=float).reshape(-1, 3)
+    c2, c1 = C[:, 0], C[:, 1]
+    bound = 1.0 + np.abs(C).max(axis=1, initial=0.0)
     disc = c2 * c2 - 3.0 * c1
-    lo, hi = -bound, bound
-    if disc > 0.0:
-        r = math.sqrt(disc)
-        x_hi = (-c2 + r) / 3.0   # rightmost critical point (local min)
-        x_lo = (-c2 - r) / 3.0
-        if p(x_hi) <= 0.0:
-            lo = x_hi
-        else:
-            hi = x_lo   # single real root left of the local max
+    r = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+    x_hi = (-c2 + r) / 3.0   # rightmost critical point (local min)
+    right = _cubic_values(C, x_hi) <= 0.0   # else the root lies left of the local max
+    lo = np.where((disc > 0.0) & right, x_hi, -bound)
+    hi = np.where((disc > 0.0) & ~right, (-c2 - r) / 3.0, bound)
+    live = np.ones(len(C), dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
             break
-        if p(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            break
-    # bisection keeps p(hi) >= 0; an exact zero there is the root itself
-    return hi if p(hi) == 0.0 else 0.5 * (lo + hi)
+        up = _cubic_values(C, mid) >= 0.0
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+        live &= hi - lo > 1e-13 * np.maximum(1.0, np.abs(hi))
+    return np.where(_cubic_values(C, hi) == 0.0, hi, 0.5 * (lo + hi))
+
+
+def largest_real_root(c: Cubic) -> float:
+    """Largest real root of one monic cubic: the bulk pass on a list of one."""
+    return float(largest_real_roots([c])[0])
 
 
 # ---------------------------------------------------------------------------

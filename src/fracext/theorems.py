@@ -32,13 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
 from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
-                       family_distance_matrix, family_q_matrix, largest_eigenvalue,
-                       largest_eigenvalues, largest_real_root, signless_laplacians)
+                       family_distance_matrix, family_q_matrix, largest_eigenvalues,
+                       largest_real_root, largest_real_roots, signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -417,19 +419,14 @@ class GridReport:
         return not self.violations
 
 
-def _family_value(quantity: str, n: int, k: int, s: int) -> tuple[float, float]:
-    """(eigenvalue, crosscheck error) for q or mu of the family at (n, k, s)."""
-    matrix = family_q_matrix if quantity == "q" else family_distance_matrix
-    eig = largest_eigenvalue(matrix(n, k, s))
-    return eig, abs(eig - largest_real_root(family_cubic(quantity, n, k, s)))
-
-
 def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
-    """Yield (k, delta, n, s_rhs, s_range); one group per right-hand-side value.
+    """Yield (k, delta, n, members, first); one group per right-hand-side value.
 
-    Orders start at the served theorem's min_order and s_rhs is its family's
-    clique size; s_range starts at s_rhs for q1q2, whose equality row sits
-    there, and just above it for the two delta lemmas.
+    members runs from s_rhs, the served theorem's family clique size, to
+    the largest valid s, and members[first:] are the left-hand values.
+    Orders start at the served theorem's min_order; the left-hand values
+    start at s_rhs for q1q2, whose equality row sits there (first = 0),
+    and just above it for the two delta lemmas (first = 1).
     """
     if lemma != "q1q2" and delta_max is None:
         raise ValueError(f"{lemma} grid needs a delta bound")
@@ -441,19 +438,52 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
                 s_lo = s_rhs + 1 if spec.uses_delta else s_rhs
                 s_hi = (n + 2 * k - 1) // 2
                 if s_hi >= s_lo:
-                    yield k, delta, n, s_rhs, range(s_lo, s_hi + 1)
+                    yield k, delta, n, range(s_rhs, s_hi + 1), s_lo - s_rhs
 
 
-def _grid_group_rows(args) -> list[GridRow]:
-    """Rows comparing the family at each s in s_range against it at s_rhs."""
-    lemma, quantity, k, delta, n, s_rhs, s_range = args
-    rhs, rhs_err = _family_value(quantity, n, k, s_rhs)
+def _member_eigenvalues(quantity: str, span: tuple) -> np.ndarray:
+    """Largest eigenvalue of q or mu of the family at (n, k, s) for each s of
+    the span (k, n, s values), built and factored in stacks of at most
+    SWEEP_CHUNK_ENTRIES entries."""
+    k, n, members = span
+    build = family_q_matrix if quantity == "q" else family_distance_matrix
+    size = max(1, SWEEP_CHUNK_ENTRIES // (n * n))
+    return np.concatenate([largest_eigenvalues(build(n, k, members[i:i + size]))
+                           for i in range(0, len(members), size)])
+
+
+def _grid_rows(lemma: str, quantity: str, groups: list, jobs: int) -> list[GridRow]:
+    """Rows comparing the family at each left-hand s against it at s_rhs,
+    group by group (_grid_groups' (k, delta, n, members, first)), in order.
+
+    The delta lemmas have one group per delta at each (k, n), and those
+    groups share their members, so each member is evaluated once: the
+    members of each (k, n) are fanned out to jobs processes for their
+    eigenvalues, every closed-form root comes from one largest_real_roots
+    pass, and each side's cross-check error is |eigenvalue - root|.
+    """
+    spans: dict[tuple[int, int], range] = {}   # (k, n) -> the s values its groups use
+    for k, _, n, members, _ in groups:
+        have = spans.get((k, n), members)
+        spans[k, n] = range(min(have.start, members.start), max(have.stop, members.stop))
+    eigs = _map(functools.partial(_member_eigenvalues, quantity),
+                [(k, n, span) for (k, n), span in spans.items()], jobs)
+    roots = largest_real_roots(family_cubic(quantity, n, k, s)
+                               for (k, n), span in spans.items() for s in span)
+    values = {}   # (k, n) -> (eigenvalues, roots) over its span
+    at = 0
+    for key, eig in zip(spans, eigs):
+        values[key] = eig, roots[at:at + len(eig)]
+        at += len(eig)
     rows = []
-    for s in s_range:
-        lhs, lhs_err = _family_value(quantity, n, k, s)
-        rows.append(GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s,
-                            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
-                            equality_expected=s == s_rhs))
+    for k, delta, n, members, first in groups:
+        lo = members.start - spans[k, n].start
+        eig, root = (v[lo:lo + len(members)].tolist() for v in values[k, n])
+        rhs, rhs_err = eig[0], abs(eig[0] - root[0])
+        rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=rhs,
+                         lhs_err=abs(lhs - r), rhs_err=rhs_err,
+                         equality_expected=s == members[0])
+                 for s, lhs, r in zip(members[first:], eig[first:], root[first:])]
     return rows
 
 
@@ -473,9 +503,8 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
         raise ValueError("k must be at least 1")
     mu_side = lemma == "mu_compare"
     quantity = "mu" if mu_side else "q"
-    groups = [(lemma, quantity, *grp)
-              for grp in _grid_groups(lemma, k_max, n_max, delta_max)]
-    rows = tuple(row for rl in _map(_grid_group_rows, groups, jobs) for row in rl)
+    rows = tuple(_grid_rows(lemma, quantity, list(_grid_groups(lemma, k_max, n_max, delta_max)),
+                            jobs))
     violations = []
     min_margin = float("inf")
     max_err = 0.0
@@ -589,8 +618,8 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
         raise ValueError("delta below 2k+1 is outside every variant")
     served = theorem_spec("q_2" if kind == "q" else "mu", k)
     orders = range(6 * delta, served.min_order(delta))
-    rows = [row for n in orders for row in _grid_group_rows(
-        (f"gap_{kind}", kind, k, delta, n, delta, range(delta + 1, (n + 2 * k - 1) // 2 + 1)))]
+    groups = [(k, delta, n, range(delta, (n + 2 * k - 1) // 2 + 1), 1) for n in orders]
+    rows = _grid_rows(f"gap_{kind}", kind, groups, 1)
     margins = [(r.lhs - r.rhs if kind == "mu" else r.rhs - r.lhs) for r in rows]
     min_margin = min(margins) if margins else float("inf")
     return GapProbeReport(kind=kind, k=k, delta=delta, rows=tuple(rows),

@@ -1,8 +1,8 @@
 """Reference canonical form: the same maximum, found with no pruning.
 
-`fracext.corpus.canonical_form` returns the largest packed upper triangle
-over the labelings that place the colour-refinement cells in order.  It
-refines whole stacks at once, reads the form off the cells when they force
+`fracext.corpus._canonical_forms` returns, for each graph of a stack, the
+largest packed upper triangle over the labelings that place the
+colour-refinement cells in order.  It refines whole stacks at once, reads the form off the cells when they force
 it, and otherwise runs a DFS that skips branches (greedy chunks, prefix
 bounds, twin swaps).  This module keeps the refinement graph by graph, on
 sorted tuples, and takes the maximum over every such labeling, so a fault

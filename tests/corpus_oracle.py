@@ -7,8 +7,8 @@ every neighbourhood of a new vertex, and every graph with m - 1 edges
 times every non-edge, each child canonicalised.  They share only the
 canonical form and graph6.from_triangle_bits with the package, and they emit
 the classes in the same order, so the outputs must be equal as tuples.  The
-children of one graph are canonicalised as one stack: canonical_form is the
-stack of one, and tests/test_corpus.py checks that a graph's form does not
+children of one graph are canonicalised as one stack: helpers.canonical_form
+is the stack of one, and tests/test_corpus.py checks that a graph's form does not
 depend on the stack it is in.
 """
 from fracext import corpus

@@ -1,7 +1,7 @@
 """Shared test utilities: reference implementations kept deliberately naive."""
 import math
 
-from fracext import ExtremalParams, Graph, extremal_graph
+from fracext import ExtremalParams, Graph, corpus, extremal_graph
 from fracext.graph6 import _header
 from fracext.spectral import adjacency_matrices, distance_matrices, signless_laplacians
 
@@ -17,6 +17,11 @@ def signless_laplacian(g):
 
 def distance_matrix_array(g):
     return distance_matrices(adjacency_matrices([g]))[0]
+
+
+def canonical_form(g):
+    """(order, packed upper-triangle bits) of one graph: the stack of one."""
+    return corpus._canonical_forms(corpus._stack([g]))[0]
 
 
 def brute_matching_number(g, active=None):

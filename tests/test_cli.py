@@ -217,7 +217,8 @@ def test_extremal_order_error_names_the_requested_order(capsys):
 def test_polys_text_and_errors(capsys):
     code, out, _ = run(["polys", "f2", "-n", "11", "-k", "1"], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "1, -29, 212, -288"
+    assert out.splitlines()[:4] == ["command: polys", "  family: f2", "  k: 1", "  n: 11"]
+    assert out.splitlines()[-1] == "coefficients=1;-29;212;-288, largest_root=18.2462112512"
     code, _, err = run(["polys", "f2", "-n", "3", "-k", "1"], capsys)
     assert code == 2 and "error:" in err
     # a parameter the family does not take is an error, not silently dropped
@@ -412,6 +413,18 @@ def test_emit_writes_a_non_finite_float_as_null_in_json_only():
     out = io.StringIO()
     _emit(doc, "csv", out)
     assert list(csv.DictReader(io.StringIO(out.getvalue()))) == [{"a": "inf", "b": "1"}]
+
+
+def test_text_leaves_nulls_out_of_config_and_summary(capsys):
+    from fracext.cli import _emit
+    doc = {"command": "t", "config": {"a": None, "b": 2}, "results": [{"c": None, "d": 1}],
+           "summary": {"x": None, "y": 1.5}}
+    out = io.StringIO()
+    _emit(doc, "text", out)
+    assert out.getvalue() == "command: t\n  b: 2\ny: 1.5\nd=1\n"
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "7"], capsys)
+    assert code == 0 and "None" not in out and "delta_max" not in out
+    assert out.startswith("command: grid\n  lemma: q1q2\n  k_max: 1\n  n_max: 7\nscanned: 0\n")
 
 
 def test_grid_csv_rows_on_forced_violations(capsys, monkeypatch):

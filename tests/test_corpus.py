@@ -6,12 +6,12 @@ import pytest
 from fracext import (ExtremalParams, Graph, complement, complete, cycle, disjoint_union,
                      empty_graph, extremal_graph, is_connected, join, path)
 from fracext import corpus
-from fracext.corpus import (all_graphs, are_isomorphic, canonical_form,
-                            complement_corpus, connected_graphs, sparse_graphs)
+from fracext.corpus import (all_graphs, are_isomorphic, complement_corpus,
+                            connected_graphs, sparse_graphs)
 from fracext.graph6 import emit_graph6, from_triangle_bits
 from canonical_oracle import canonical_form_reference, refinement_cells_reference
 from corpus_oracle import all_graphs_reference, sparse_graphs_reference
-from helpers import random_graph, relabel
+from helpers import canonical_form, random_graph, relabel
 
 # counts frozen from the standard unlabeled enumeration sequences
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -249,6 +249,22 @@ def test_are_isomorphic_hard_pairs():
                                  (0, 3), (1, 4), (2, 5)])
     assert not are_isomorphic(k33, prism)
     assert not are_isomorphic(complete(4), complete(5))
+
+
+def test_are_isomorphic_agrees_with_canonical_form_on_relabelings():
+    # each graph against a relabeling of itself, and of another graph of its
+    # order and edge count, which is mostly not isomorphic to it
+    rng = random.Random(405)
+    outcomes = []
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(0, 8), rng.random())
+        pairs = list(itertools.combinations(range(g.n), 2))
+        other = Graph.from_edges(g.n, rng.sample(pairs, g.edge_count()))
+        for h in (_relabeled(rng, g), _relabeled(rng, other)):
+            same = are_isomorphic(g, h)
+            assert same == are_isomorphic(h, g) == (canonical_form(g) == canonical_form(h))
+            outcomes.append(same)
+    assert outcomes.count(False) > 20 and outcomes.count(True) > 120
 
 
 def test_sparse_graphs_against_filter():

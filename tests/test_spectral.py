@@ -10,10 +10,13 @@ from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, compl
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext.spectral import (_f_pi_prime_1, adjacency_matrices, distance_matrices,
                               family_cubic, family_distance_matrix, family_q_matrix,
-                              largest_eigenvalues, positional_blocks, signless_laplacians)
+                              largest_eigenvalues, largest_real_roots, positional_blocks,
+                              signless_laplacians)
+from fracext.theorems import _grid_groups
 from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
                      positional_blocks_prime, random_connected_graph, random_graph,
                      signless_laplacian)
+from root_oracle import largest_real_root_reference
 
 
 def test_matrix_builders():
@@ -184,17 +187,44 @@ def test_cubic_evaluation():
     assert largest_real_root(c) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_largest_real_root_edge_cases():
-    # (x-2)(x-1)(x+5)
-    assert largest_real_root(Cubic(Fraction(2), Fraction(-13), Fraction(10))) == \
-        pytest.approx(2.0, abs=1e-12)
-    assert largest_real_root(Cubic(Fraction(0), Fraction(0), Fraction(0))) == 0.0
+EDGE_CUBICS = (
+    (Cubic(Fraction(2), Fraction(-13), Fraction(10)), 2.0, 1e-12),   # (x-2)(x-1)(x+5)
+    (Cubic(Fraction(0), Fraction(0), Fraction(0)), 0.0, 0.0),
     # (x+1)^3: a triple root caps sign-based solvers at cbrt(eps) ~ 5e-6
-    assert largest_real_root(Cubic(Fraction(3), Fraction(3), Fraction(1))) == \
-        pytest.approx(-1.0, abs=1e-4)
+    (Cubic(Fraction(3), Fraction(3), Fraction(1)), -1.0, 1e-4),
     # single real root among a complex pair: x^3 - x^2 + x - 1 = (x-1)(x^2+1)
-    assert largest_real_root(Cubic(Fraction(-1), Fraction(1), Fraction(-1))) == \
-        pytest.approx(1.0, abs=1e-12)
+    (Cubic(Fraction(-1), Fraction(1), Fraction(-1)), 1.0, 1e-12),
+)
+
+
+def test_largest_real_root_edge_cases():
+    for cubic, root, tol in EDGE_CUBICS:
+        assert largest_real_root(cubic) == pytest.approx(root, abs=tol)
+    assert largest_real_root(EDGE_CUBICS[1][0]) == 0.0
+
+
+def _grid_cubics():
+    """Every cubic of the criteria 6 and 7 grids, right-hand sides included."""
+    for lemma, bounds in (("q1q2", dict(k_max=3, n_max=40, delta_max=None)),
+                          ("q1q3", dict(k_max=2, n_max=90, delta_max=7)),
+                          ("mu_compare", dict(k_max=2, n_max=90, delta_max=7))):
+        quantity = "mu" if lemma == "mu_compare" else "q"
+        for k, _, n, members, _ in _grid_groups(lemma, **bounds):
+            for s in members:
+                yield family_cubic(quantity, n, k, s)
+
+
+def test_largest_real_roots_bitwise_equal_the_scalar_reference():
+    cubics = [*(c for c, _, _ in EDGE_CUBICS), *_grid_cubics()]
+    # 1001 + 11777 + 7222 grid points and the right-hand member of each of
+    # the 672 delta-lemma groups; q1q2's right-hand member is one of its points
+    assert len(cubics) == 4 + 20_000 + 672
+    got = largest_real_roots(cubics)
+    assert got.dtype == np.float64 and got.shape == (len(cubics),)
+    want = [largest_real_root_reference(c) for c in cubics]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    assert largest_real_roots(iter(cubics[:2])).tolist() == want[:2]   # a stream is read once
+    assert largest_real_roots([]).shape == (0,)
 
 
 def test_largest_real_root_vs_numpy():
@@ -284,12 +314,36 @@ def test_grid_right_hand_cubics_are_family_cubics():
     assert points == 6960
 
 
+def _family_stacks():
+    """(n, k, s values) of every valid member with k <= 3, s <= 2k+5 and
+    n <= 2s-2k+5, grouped by (n, k), then three members each at orders 90 and 128."""
+    by_order = {}
+    for k in range(1, 4):
+        for s in range(2 * k, 2 * k + 6):
+            for n in range(2 * s - 2 * k + 1, 2 * s - 2 * k + 6):
+                by_order.setdefault((n, k), []).append(s)
+    for n in (90, 128):
+        for k in range(1, 4):
+            by_order[n, k] = [2 * k, 2 * k + 5, (n + 2 * k - 1) // 2]
+    return [(n, k, ss) for (n, k), ss in by_order.items()]
+
+
 def test_family_matrices_match_graph_construction():
-    for n, k, s in ((11, 1, 2), (13, 2, 5), (20, 1, 4), (64, 2, 6)):
-        p = ExtremalParams(n, k, s)
-        g = extremal_graph(p)
-        assert (family_q_matrix(n, k, s) == signless_laplacian(g)).all()
-        assert (family_distance_matrix(n, k, s) == distance_matrix_array(g)).all()
+    members = 0
+    for n, k, ss in _family_stacks():
+        A = adjacency_matrices([extremal_graph(ExtremalParams(n, k, s)) for s in ss])
+        Q, D = family_q_matrix(n, k, ss), family_distance_matrix(n, k, ss)
+        assert Q.dtype == D.dtype == np.float64 and Q.shape == D.shape == (len(ss), n, n)
+        assert (Q == signless_laplacians(A)).all() and (D == distance_matrices(A)).all()
+        members += len(ss)
+    assert members == 90 + 18
+    # one member is the stack of one, no member an empty stack; an invalid member is rejected
+    assert family_q_matrix(11, 1, []).shape == family_distance_matrix(11, 1, []).shape == (0, 11, 11)
+    assert (family_q_matrix(11, 1, [2])[0] == signless_laplacian(
+        extremal_graph(ExtremalParams(11, 1, 2)))).all()
+    for build in (family_q_matrix, family_distance_matrix):
+        with pytest.raises(ValueError):
+            build(8, 1, [2, 5])
 
 
 def test_spectral_report_fields():

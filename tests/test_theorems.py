@@ -7,11 +7,14 @@ from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      largest_real_root, closed_form, parse_graph6, verify_witness)
 from fracext import theorems
 from fracext.corpus import all_graphs, complement_corpus, connected_graphs
+from fracext.spectral import (SWEEP_CHUNK_ENTRIES, family_cubic, family_distance_matrix,
+                              family_q_matrix, largest_eigenvalue)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
+from root_oracle import largest_real_root_reference
 from sweep_oracle import sweep_reference
 
 
@@ -297,6 +300,55 @@ def test_lemma_grid_parallel_matches_serial():
     a = lemma_grid("q1q3", k_max=1, n_max=40, delta_max=4, jobs=1)
     b = lemma_grid("q1q3", k_max=1, n_max=40, delta_max=4, jobs=3)
     assert a == b and a.ok
+
+
+def _point_value(quantity, n, k, s):
+    """(eigenvalue, root) of one family member: one largest_eigenvalue call
+    on its own matrix and the scalar reference bisection of its cubic."""
+    build = family_q_matrix if quantity == "q" else family_distance_matrix
+    return (largest_eigenvalue(build(n, k, [s])[0]),
+            largest_real_root_reference(family_cubic(quantity, n, k, s)))
+
+
+# grid-delta's three commands
+GRID_DELTA = (("q1q2", dict(k_max=3, n_max=40)),
+              ("q1q3", dict(k_max=1, n_max=90, delta_max=3)),
+              ("mu_compare", dict(k_max=1, n_max=90, delta_max=3)))
+
+
+def test_grid_rows_bitwise_equal_a_per_point_reference():
+    # grid-delta's grids have one delta; the last two share members across deltas
+    grids = GRID_DELTA + (("q1q3", dict(k_max=2, n_max=40, delta_max=5)),
+                          ("mu_compare", dict(k_max=1, n_max=60, delta_max=5)))
+    reports = [("mu" if lemma == "mu_compare" else "q", lemma_grid(lemma, **bounds).rows)
+               for lemma, bounds in grids]
+    reports += [(kind, probe_gap_region(kind, 1, 3).rows) for kind in ("q", "mu")]
+    points = 0
+    for quantity, rows in reports:
+        for row in rows:
+            s_rhs = row.delta if row.delta is not None else 2 * row.k
+            lhs, lhs_root = _point_value(quantity, row.n, row.k, row.s)
+            rhs, rhs_root = _point_value(quantity, row.n, row.k, s_rhs)
+            want = (lhs, rhs, abs(lhs - lhs_root), abs(rhs - rhs_root))
+            got = (row.lhs, row.rhs, row.lhs_err, row.rhs_err)
+            assert [x.hex() for x in got] == [x.hex() for x in want], row
+            points += 1
+    assert points > 1001 + 1757 + 1596 + 1000
+
+
+def test_lemma_grid_stacks_stay_within_the_chunk_bound(monkeypatch):
+    sizes = []
+    real = theorems.largest_eigenvalues
+
+    def recording(stack):
+        sizes.append(stack.size)
+        return real(stack)
+
+    monkeypatch.setattr(theorems, "largest_eigenvalues", recording)
+    points = sum(lemma_grid(lemma, **bounds).points for lemma, bounds in GRID_DELTA)
+    assert max(sizes) <= SWEEP_CHUNK_ENTRIES
+    assert len(sizes) < points / 2   # members go to the eigensolver in stacks
+    assert min(sizes) < 90 * 90 < max(sizes)   # order-90 chunks hold two members
 
 
 def test_map_pool_has_no_more_workers_than_items(monkeypatch):
