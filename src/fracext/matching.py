@@ -6,20 +6,23 @@ bipartite double cover, and any witness assignment is half-integral
 (weights in {0, 1/2, 1}).  A graph of order >= 2k+2 is fractional
 k-extendable when every k-matching extends to an FPM that keeps its k
 edges at weight 1, that is when G - V(M) has an FPM for every k-matching
-M.  Only the covered set V(M) matters, so the oracle walks the distinct
-covered sets, each once; it is polynomial for fixed k and decides every
-verdict.  It carries one maximum double-cover matching down the walk and
-repairs it at each step: drop both copies of the two new vertices, free
-their partners, augment once from every free left copy.  One pass leaves
-the matching maximum, since a left copy with no augmenting path keeps
-none after other paths are flipped.  A failure carries both witness
-kinds: the k-matching M that does not extend, and a set S that breaks the
-equivalent set condition i(G-S) <= |S| - 2k while G[S] holds a
-k-matching, namely V(M) plus the deficiency set of G - V(M).  That set is
-read off the left copies that alternating paths reach from the free ones.
-By Dulmage-Mendelsohn these are the left copies that some maximum
-matching leaves free, the same for every maximum matching, so the
-repairs do not change the witness.  verify_witness re-checks either kind.
+M.  A dense graph is confirmed at once when a greedy clique cover has at
+most delta - 2k cliques (is_fext_definitional proves it); that
+certificate only answers yes.  Every other graph is decided by a walk.
+Only the covered set V(M) matters, so the walk visits the distinct
+covered sets, each once, in time polynomial for fixed k.  It carries one
+maximum double-cover matching down the walk and repairs it at each step:
+drop both copies of the two new vertices, free their partners, augment
+once from every free left copy.  One pass leaves the matching maximum,
+since a left copy with no augmenting path keeps none after other paths
+are flipped.  A failure carries both witness kinds: the k-matching M
+that does not extend, and a set S that breaks the equivalent set
+condition i(G-S) <= |S| - 2k while G[S] holds a k-matching, namely V(M)
+plus the deficiency set of G - V(M).  That set is read off the left
+copies that alternating paths reach from the free ones.  By
+Dulmage-Mendelsohn these are the left copies that some maximum matching
+leaves free, the same for every maximum matching, so the repairs do not
+change the witness.  verify_witness re-checks either kind.
 """
 from __future__ import annotations
 
@@ -336,6 +339,55 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 def is_fext_definitional(g: Graph, k: int) -> Verdict:
     """Fractional k-extendability straight from the definition.
 
+    Before it walks, the oracle tries one certificate of a positive answer.
+    Let t = delta(G) - 2k.  If a greedy clique cover of G has at most t
+    cliques, then alpha(G) <= t, since each clique holds at most one vertex
+    of an independent set.  For a k-matching M, H = G - V(M) has no FPM
+    only if some nonempty independent I of H has |N_H(I)| < |I| (the
+    reduction of _deficiency_witness).  But for v in I,
+    |N_H(I)| >= |N_H(v)| >= deg v - 2k >= t >= alpha(G) >= |I|.  So every
+    such H has an FPM and G is extendable.  The certificate only ever answers yes, so
+    every negative verdict and its witness come from the walk (_walk).
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if g.n < 2 * k + 2:
+        return Verdict(False, TOO_SMALL)
+    if not has_k_matching(g, k):
+        return Verdict(False, NO_K_MATCHING)
+    if _clique_cover_within(g, min(row.bit_count() for row in g.rows) - 2 * k):
+        return Verdict(True, EXTENDABLE)
+    return _walk(g, k)
+
+
+def _clique_cover_within(g: Graph, t: int) -> bool:
+    """Does a greedy clique cover of g use at most t cliques?
+
+    Each clique starts at the uncovered vertex with the fewest uncovered
+    neighbours and takes, while any uncovered vertex is adjacent to all of
+    it, the one with the most neighbours among those.  The cover stops
+    after t cliques, so a no costs at most t of them.
+    """
+    rows = g.rows
+    left = (1 << g.n) - 1
+    for _ in range(t):
+        if not left:
+            break
+        v = min((u for u in range(g.n) if left >> u & 1),
+                key=lambda u: (rows[u] & left).bit_count())
+        left ^= 1 << v
+        cand = rows[v] & left
+        while cand:
+            u = max((w for w in range(g.n) if cand >> w & 1),
+                    key=lambda w: (rows[w] & cand).bit_count())
+            left ^= 1 << u
+            cand &= rows[u]
+    return not left
+
+
+def _walk(g: Graph, k: int) -> Verdict:
+    """Walk every covered set V(M) of g, which has order >= 2k+2 and a k-matching.
+
     The walk adds edges in increasing order of their larger endpoint, so
     the edges that can extend a partial set U (larger endpoint above max U,
     both endpoints outside U) depend on U alone, and U is extended only
@@ -348,12 +400,6 @@ def is_fext_definitional(g: Graph, k: int) -> Verdict:
     i(G - V(M) - S') > |S'|, so S = S' | V(M) has i(G-S) > |S| - 2k, and M
     lies inside G[S].
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if g.n < 2 * k + 2:
-        return Verdict(False, TOO_SMALL)
-    if not has_k_matching(g, k):
-        return Verdict(False, NO_K_MATCHING)
     full = (1 << g.n) - 1
     below = [row & ((1 << v) - 1) for v, row in enumerate(g.rows)]
     seen: set[int] = set()

@@ -1,4 +1,6 @@
+import math
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,10 @@ from fracext import (Graph, Verdict, complete, cycle,
                      has_k_matching, is_fext_definitional,
                      isolated_count, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
-from fracext.matching import _has_k_matching_in_mask
+from fracext.matching import _clique_cover_within, _has_k_matching_in_mask
 from covered_set_oracle import covered_sets, is_fext_by_covered_sets
-from helpers import brute_matching_number, petersen, random_connected_graph, random_graph
+from helpers import (brute_matching_number, petersen, random_connected_graph, random_graph,
+                     walk_verdict)
 from lp_oracle import fractional_pm_feasible_lp
 from set_condition_oracle import excess_table, is_fext_lemma
 
@@ -270,6 +273,7 @@ def test_repaired_walk_vs_fresh_fpm_per_covered_set():
 
     All four fields must agree: both visit the covered sets in one order,
     and the deficiency set does not depend on which maximum matching found it.
+    The walk runs on every case, also where the clique cover would settle it.
     """
     cases = [(g, k) for n in range(1, 8) for g in connected_graphs(n) for k in (1, 2, 3)]
     rng = random.Random(8)
@@ -280,7 +284,7 @@ def test_repaired_walk_vs_fresh_fpm_per_covered_set():
         cases.append((random_connected_graph(rng, 8, 20, p, p), 1 + i % 3))
     negative = 0
     for g, k in cases:
-        v = is_fext_definitional(g, k)
+        v = walk_verdict(g, k)
         assert v == is_fext_by_covered_sets(g, k), (g, k)
         negative += v.reason == "unextendable_matching"
     assert negative >= 1000
@@ -312,10 +316,82 @@ def test_composed_set_witness_above_order_20():
 
 
 def test_oracle_equivalence_sample():
-    """Definition vs set condition on every connected graph through order 6."""
+    """The walk vs set condition on every connected graph through order 6."""
     for n in range(4, 7):
         for g in connected_graphs(n):
             for k in (1, 2):
-                a = is_fext_definitional(g, k)
+                a = walk_verdict(g, k)
                 b = is_fext_lemma(g, k)
                 assert a.answer == b.answer, (g, k)
+
+
+def _cover_bound(g, k):
+    """t = delta(G) - 2k, the most cliques a cover may use to certify."""
+    return min(row.bit_count() for row in g.rows) - 2 * k
+
+
+def test_clique_cover_spot_cases():
+    assert _clique_cover_within(complete(6), 1)
+    assert not _clique_cover_within(complete(6), 0)
+    assert not _clique_cover_within(empty_graph(3), 2)
+    assert _clique_cover_within(empty_graph(3), 3)
+    # C_5 needs three cliques: two edges and a vertex
+    assert not _clique_cover_within(cycle(5), 2) and _clique_cover_within(cycle(5), 3)
+
+
+def test_clique_cover_certificate_is_sound_and_tight():
+    """Wherever the clique cover confirms a graph, a fresh FPM search per covered set agrees.
+
+    Cases: every connected graph of order <= 8 at k = 1, 2, 3, and seeded
+    random graphs of orders 9-40 at densities 0.05-0.95.  The reference
+    pays one FPM search for each of up to C(n, 2k) covered sets, so a
+    random graph is taken at each k with C(n, 2k) <= 2000: k = 1 at every
+    order, k = 2 up to order 16, k = 3 up to order 13.  The bound is
+    tight: K_s v (s-2k+1)K_1 at order 2s-2k+1 has a cover of t + 1
+    cliques and is not extendable, and so are other graphs of order <= 8.
+    """
+    cases = [(g, k) for n in range(2, 9) for g in connected_graphs(n) for k in (1, 2, 3)]
+    rng = random.Random(23)
+    for n in range(9, 41):
+        for i in range(10):
+            p = 0.05 + 0.1 * i
+            g = random_connected_graph(rng, n, n, p, p)
+            cases += [(g, k) for k in (1, 2, 3) if math.comb(n, 2 * k) <= 2000]
+    fired_small = fired_random = tight = 0
+    for g, k in cases:
+        if g.n < 2 * k + 2:
+            continue
+        t = _cover_bound(g, k)
+        if _clique_cover_within(g, t):
+            assert is_fext_by_covered_sets(g, k).answer, (g, k)
+            assert is_fext_definitional(g, k) == Verdict(True, "extendable"), (g, k)
+            fired_small += g.n <= 8
+            fired_random += g.n > 8
+        elif g.n <= 8 and _clique_cover_within(g, t + 1):
+            v = is_fext_by_covered_sets(g, k)
+            assert is_fext_definitional(g, k) == v, (g, k)
+            tight += not v.answer
+    for k in (1, 2, 3):
+        g = extremal_graph(ExtremalParams(2 * k + 3, k, 2 * k + 1))
+        assert _clique_cover_within(g, _cover_bound(g, k) + 1), k
+        v = is_fext_by_covered_sets(g, k)
+        assert not v.answer and is_fext_definitional(g, k) == v, k
+    # the greedy cover confirms 180 small and 175 random cases and meets 12 tight ones
+    assert fired_small >= 180 and fired_random >= 175 and tight >= 12, \
+        (fired_small, fired_random, tight)
+
+
+def test_clique_cover_certificate_cost():
+    """The certificate stays cheap at order 128: each call under 20 ms, best of three.
+
+    Seeded G(128, p) for p in 0.3..0.9 at k <= 3, and family members
+    K_s v (K_{n-2s+2k-1} u (s-2k+1)K_1) up to order 128.
+    """
+    rng = random.Random(128)
+    cases = [(random_graph(rng, 128, p), k) for p in (0.3, 0.5, 0.7, 0.9) for k in (1, 2, 3)]
+    cases += [(extremal_graph(ExtremalParams(n, k, s)), k) for k in (1, 2, 3)
+              for s in range(2 * k + 1, 64 + k, 6) for n in (2 * s - 2 * k + 1, 128)]
+    for g, k in cases:
+        t = _cover_bound(g, k)
+        best = min(timeit.repeat(lambda: _clique_cover_within(g, t), number=1, repeat=3))
+        assert best < 0.020, (g.n, k, t, best)
