@@ -339,23 +339,23 @@ def extend_matching(g: Graph, matching) -> dict[tuple[int, int], Fraction] | Non
 def is_fext_definitional(g: Graph, k: int) -> Verdict:
     """Fractional k-extendability straight from the definition.
 
-    Before it walks, the oracle tries one certificate of a positive answer.
-    Let t = delta(G) - 2k.  If a greedy clique cover of G has at most t
-    cliques, then alpha(G) <= t, since each clique holds at most one vertex
-    of an independent set.  For a k-matching M, H = G - V(M) has no FPM
-    only if some nonempty independent I of H has |N_H(I)| < |I| (the
+    Before it walks, the oracle tries one certificate of a positive
+    answer.  Let t = delta(G) - 2k.  If a greedy clique cover of G has at
+    most t cliques, then alpha(G) <= t, since each clique holds at most one
+    vertex of an independent set.  For a k-matching M, H = G - V(M) has no
+    FPM only if some nonempty independent I of H has |N_H(I)| < |I| (the
     reduction of _deficiency_witness).  But for v in I,
     |N_H(I)| >= |N_H(v)| >= deg v - 2k >= t >= alpha(G) >= |I|.  So every
-    such H has an FPM and G is extendable.  The certificate only ever answers yes, so
-    every negative verdict and its witness come from the walk (_walk).
+    such H has an FPM and G is extendable.  A cover needs t >= 1, and then
+    n >= delta + 1 >= 2k + 2 and G has a k-matching: a maximal matching of
+    fewer than k edges leaves some vertex free, and one of its 2k + 1 or
+    more neighbours is free too.  The certificate only ever answers yes,
+    so every negative verdict and its witness come from the walk (_walk).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n < 2 * k + 2:
-        return Verdict(False, TOO_SMALL)
-    if not has_k_matching(g, k):
-        return Verdict(False, NO_K_MATCHING)
-    if _clique_cover_within(g, min(row.bit_count() for row in g.rows) - 2 * k):
+    delta = min((row.bit_count() for row in g.rows), default=0)
+    if _clique_cover_within(g, delta - 2 * k):
         return Verdict(True, EXTENDABLE)
     return _walk(g, k)
 
@@ -382,11 +382,12 @@ def _clique_cover_within(g: Graph, t: int) -> bool:
                     key=lambda w: (rows[w] & cand).bit_count())
             left ^= 1 << u
             cand &= rows[u]
-    return not left
+    # the order-0 graph's cover has no clique, which is at most t only for t >= 0
+    return not left and t >= 0
 
 
 def _walk(g: Graph, k: int) -> Verdict:
-    """Walk every covered set V(M) of g, which has order >= 2k+2 and a k-matching.
+    """The verdict for k >= 1 from the covered sets V(M) alone.
 
     The walk adds edges in increasing order of their larger endpoint, so
     the edges that can extend a partial set U (larger endpoint above max U,
@@ -400,6 +401,10 @@ def _walk(g: Graph, k: int) -> Verdict:
     i(G - V(M) - S') > |S'|, so S = S' | V(M) has i(G-S) > |S| - 2k, and M
     lies inside G[S].
     """
+    if g.n < 2 * k + 2:
+        return Verdict(False, TOO_SMALL)
+    if not has_k_matching(g, k):
+        return Verdict(False, NO_K_MATCHING)
     full = (1 << g.n) - 1
     below = [row & ((1 << v) - 1) for v, row in enumerate(g.rows)]
     seen: set[int] = set()

@@ -3,7 +3,6 @@ import math
 
 from fracext import ExtremalParams, Graph, corpus, extremal_graph
 from fracext.graph6 import _header
-from fracext.matching import _walk, has_k_matching, is_fext_definitional
 from fracext.spectral import adjacency_matrices, distance_matrices, signless_laplacians
 
 
@@ -23,18 +22,6 @@ def distance_matrix_array(g):
 def canonical_form(g):
     """(order, packed upper-triangle bits) of one graph: the stack of one."""
     return corpus._canonical_forms(corpus._stack([g]))[0]
-
-
-def walk_verdict(g, k):
-    """The oracle's verdict with every answer from the covered-set walk.
-
-    is_fext_definitional settles some dense positive cases by a clique
-    cover before it walks; the cross-checks call the walk itself, so no
-    dense case goes unchecked.
-    """
-    if k < 1 or g.n < 2 * k + 2 or not has_k_matching(g, k):
-        return is_fext_definitional(g, k)
-    return _walk(g, k)
 
 
 def brute_matching_number(g, active=None):

@@ -16,12 +16,12 @@ from fracext import (DEFAULT_TOL, ExtremalParams, Graph, charpoly3,
                      largest_eigenvalue, largest_real_root, parse_graph6,
                      quotient)
 from fracext.corpus import are_isomorphic, complement_corpus, connected_graphs
-from fracext.matching import extend_matching, verify_witness
+from fracext.matching import _walk, extend_matching, verify_witness
 from fracext.spectral import positional_blocks
 from fracext.theorems import (lemma_grid, sample_spanning_subgraphs, sharpness,
                               sweep, theorem_spec)
 from helpers import (distance_matrix_array, positional_blocks_prime, random_connected_graph,
-                     signless_laplacian, walk_verdict)
+                     signless_laplacian)
 from set_condition_oracle import is_fext_lemma
 
 HALF = Fraction(1, 2)
@@ -46,7 +46,7 @@ def _oracle_survey():
             for g in connected_graphs(n):
                 for k in (1, 2):
                     scanned += 1
-                    a = walk_verdict(g, k)
+                    a = _walk(g, k)
                     b = is_fext_lemma(g, k)
                     if a.answer != b.answer:
                         disagreements.append((g, k, a, b))

@@ -11,10 +11,9 @@ from fracext import (Graph, Verdict, complete, cycle,
                      has_k_matching, is_fext_definitional,
                      isolated_count, path, verify_witness)
 from fracext.corpus import all_graphs, connected_graphs
-from fracext.matching import _clique_cover_within, _has_k_matching_in_mask
+from fracext.matching import _clique_cover_within, _has_k_matching_in_mask, _walk
 from covered_set_oracle import covered_sets, is_fext_by_covered_sets
-from helpers import (brute_matching_number, petersen, random_connected_graph, random_graph,
-                     walk_verdict)
+from helpers import brute_matching_number, petersen, random_connected_graph, random_graph
 from lp_oracle import fractional_pm_feasible_lp
 from set_condition_oracle import excess_table, is_fext_lemma
 
@@ -284,7 +283,7 @@ def test_repaired_walk_vs_fresh_fpm_per_covered_set():
         cases.append((random_connected_graph(rng, 8, 20, p, p), 1 + i % 3))
     negative = 0
     for g, k in cases:
-        v = walk_verdict(g, k)
+        v = _walk(g, k)
         assert v == is_fext_by_covered_sets(g, k), (g, k)
         negative += v.reason == "unextendable_matching"
     assert negative >= 1000
@@ -320,7 +319,7 @@ def test_oracle_equivalence_sample():
     for n in range(4, 7):
         for g in connected_graphs(n):
             for k in (1, 2):
-                a = walk_verdict(g, k)
+                a = _walk(g, k)
                 b = is_fext_lemma(g, k)
                 assert a.answer == b.answer, (g, k)
 
@@ -337,6 +336,9 @@ def test_clique_cover_spot_cases():
     assert _clique_cover_within(empty_graph(3), 3)
     # C_5 needs three cliques: two edges and a vertex
     assert not _clique_cover_within(cycle(5), 2) and _clique_cover_within(cycle(5), 3)
+    # the order-0 graph has delta = 0 by convention, so t < 0 and no cover certifies it
+    assert not _clique_cover_within(empty_graph(0), -2)
+    assert is_fext_definitional(empty_graph(0), 1) == Verdict(False, "too_small")
 
 
 def test_clique_cover_certificate_is_sound_and_tight():
