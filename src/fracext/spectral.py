@@ -9,8 +9,10 @@ Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
 are built from its adjacency stack, the distance matrices are one BFS over
 the stack, and largest_eigenvalues is one eigensolver call.  The family
-matrices of many values of s are built as one stack, and the largest
-roots of many cubics come from one numpy bisection pass.
+matrices of many values of s are built as one stack, family_radius_bounds
+encloses their spectral radii with one matvec each and no dense
+eigensolve, and the largest roots of many cubics come from one numpy
+bisection pass.
 """
 from __future__ import annotations
 
@@ -106,8 +108,8 @@ def family_q_matrix(n: int, k: int, s_values) -> np.ndarray:
 
     The lemma grids evaluate thousands of family members; a direct build
     skips Graph construction and adjacency_matrices.  The entries are
-    integers held as float64, the eigensolver's input type, so a stack is
-    never copied on its way there.
+    integers held as float64, so a stack goes to family_radius_bounds, or
+    to an eigensolver, without a copy.
     """
     Q = _family_stack(n, k, s_values, 0.0)
     Q.reshape(len(Q), n * n)[:, ::n + 1] = Q.sum(axis=2)
@@ -118,6 +120,50 @@ def family_distance_matrix(n: int, k: int, s_values) -> np.ndarray:
     """Distance matrices (m, n, n) of the family members (n, k, s), one per s,
     float64 as in family_q_matrix; every member has diameter 2, so no BFS."""
     return _family_stack(n, k, s_values, 2.0)
+
+
+def _block_test_vectors(M: np.ndarray, k: int, s_values) -> np.ndarray:
+    """(m, n) positive test vectors for a stack of family matrices, read off M.
+
+    Each vector is constant on the three blocks of its member (n, k, s), with
+    block values the Perron vector of M's 3x3 block quotient: entry (i, j) is
+    the sum of the first row of block i over block j.  An empty inner block
+    (n = 2s-2k+1) has no row of its own, so its quotient row is zeroed and its
+    value, which no vertex takes, is 0.
+    """
+    m, n = M.shape[:2]
+    s = np.asarray(s_values, dtype=np.intp)
+    firsts = np.zeros((m, 3), dtype=np.intp)   # the first vertex of each block
+    firsts[:, 1] = s
+    firsts[:, 2] = n - (s - 2 * k + 1)
+    label = (np.arange(n) >= s[:, None]).astype(np.intp)   # each vertex's block
+    label += np.arange(n) >= firsts[:, 2:]
+    member = np.arange(m)[:, None]
+    B = np.matmul(M[member, firsts], (label[:, :, None] == np.arange(3)).astype(float))
+    B[firsts[:, 1] == firsts[:, 2], 1] = 0.0
+    w, V = np.linalg.eig(B)
+    p = V[member[:, 0], :, w.real.argmax(axis=1)].real
+    p /= p.sum(axis=1, keepdims=True)
+    return p[member, label]
+
+
+def family_radius_bounds(M: np.ndarray, k: int, s_values) -> np.ndarray:
+    """(2, m) rows lo, hi enclosing the spectral radius of each matrix of a
+    family stack, the output of family_q_matrix or family_distance_matrix
+    at (n, k, s) for the s of s_values.
+
+    Collatz-Wielandt: for a nonnegative M and any x > 0, min_i (Mx)_i/x_i
+    <= rho(M) <= max_i (Mx)_i/x_i, whatever x is.  x is _block_test_vectors';
+    as the three-block partition is equitable, it is close to M's Perron
+    vector and the enclosure is tight up to the rounding of one matvec.  A
+    member whose x is not strictly positive gets (-inf, inf).
+    """
+    x = _block_test_vectors(M, k, s_values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.matmul(M, x[:, :, None])[:, :, 0] / x
+    positive = (x > 0.0).all(axis=1)
+    return np.stack([np.where(positive, ratio.min(axis=1), -np.inf),
+                     np.where(positive, ratio.max(axis=1), np.inf)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ sharpness, and sampling routines certify the inequalities the proofs lean
 on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
 
+The grids take each family member's q or mu from its closed-form cubic and
+back every root with a Collatz-Wielandt enclosure of the member's dense
+matrix (_grid_rows), so the eigensolver runs only in TheoremSpec.values.
+
 _classify is the one classification route: it takes graphs of one order,
 computes the bound quantity of those past the hypotheses in one
 TheoremSpec.values call (one eigensolver call), and yields each graph's
@@ -39,8 +43,9 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count,
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
 from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
-                       family_distance_matrix, family_q_matrix, largest_eigenvalues,
-                       largest_real_root, largest_real_roots, signless_laplacians)
+                       family_distance_matrix, family_q_matrix, family_radius_bounds,
+                       largest_eigenvalues, largest_real_root, largest_real_roots,
+                       signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -65,7 +70,8 @@ COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 # relative scale of the float margin inside which _compare calls two values equal
 DEFAULT_TOL = 1e-10
-# largest |matrix eigenvalue - closed-form root| a grid point may show
+# largest cross-check error, a bound on |spectral radius - closed-form root|,
+# that a grid point may show
 CROSSCHECK_TOL = 1e-8
 
 
@@ -393,7 +399,8 @@ class GridRow:
     s: int
     lhs: float
     rhs: float
-    lhs_err: float     # |matrix eigenvalue - closed-form root| on the left side
+    lhs_err: float     # max(hi - lhs, lhs - lo), lo <= rho <= hi the enclosure of the left
+                       # member's matrix: at least |rho - lhs|, inf for a bad test vector
     rhs_err: float
     equality_expected: bool
 
@@ -441,49 +448,54 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
                     yield k, delta, n, range(s_rhs, s_hi + 1), s_lo - s_rhs
 
 
-def _member_eigenvalues(quantity: str, span: tuple) -> np.ndarray:
-    """Largest eigenvalue of q or mu of the family at (n, k, s) for each s of
-    the span (k, n, s values), built and factored in stacks of at most
+def _member_bounds(quantity: str, span: tuple) -> np.ndarray:
+    """(2, m) enclosures lo, hi of q or mu of the family at (n, k, s) for each
+    s of the span (k, n, s values), its matrices built in stacks of at most
     SWEEP_CHUNK_ENTRIES entries."""
     k, n, members = span
     build = family_q_matrix if quantity == "q" else family_distance_matrix
     size = max(1, SWEEP_CHUNK_ENTRIES // (n * n))
-    return np.concatenate([largest_eigenvalues(build(n, k, members[i:i + size]))
-                           for i in range(0, len(members), size)])
+    return np.concatenate([family_radius_bounds(build(n, k, members[i:i + size]), k,
+                                                members[i:i + size])
+                           for i in range(0, len(members), size)], axis=1)
 
 
 def _grid_rows(lemma: str, quantity: str, groups: list, jobs: int) -> list[GridRow]:
     """Rows comparing the family at each left-hand s against it at s_rhs,
     group by group (_grid_groups' (k, delta, n, members, first)), in order.
 
-    The delta lemmas have one group per delta at each (k, n), and those
-    groups share their members, so each member is evaluated once: the
-    members of each (k, n) are fanned out to jobs processes for their
-    eigenvalues, every closed-form root comes from one largest_real_roots
-    pass, and each side's cross-check error is |eigenvalue - root|.
+    Each side's value is the largest root r of the member's closed-form
+    cubic, and every root of the grid comes from one largest_real_roots
+    pass.  Its cross-check error is max(hi - r, r - lo) over the
+    Collatz-Wielandt enclosure lo <= rho(M) <= hi of the member's own dense
+    matrix M (family_radius_bounds), so it is at least |rho(M) - r| up to
+    the rounding of one matvec; a member whose test vector is not strictly
+    positive gets error inf.  The delta lemmas have one group per delta at
+    each (k, n), and those groups share their members, so each member is
+    evaluated once: the members of each (k, n) are fanned out to jobs
+    processes for their enclosures.
     """
     spans: dict[tuple[int, int], range] = {}   # (k, n) -> the s values its groups use
     for k, _, n, members, _ in groups:
         have = spans.get((k, n), members)
         spans[k, n] = range(min(have.start, members.start), max(have.stop, members.stop))
-    eigs = _map(functools.partial(_member_eigenvalues, quantity),
-                [(k, n, span) for (k, n), span in spans.items()], jobs)
+    bounds = _map(functools.partial(_member_bounds, quantity),
+                  [(k, n, span) for (k, n), span in spans.items()], jobs)
     roots = largest_real_roots(family_cubic(quantity, n, k, s)
                                for (k, n), span in spans.items() for s in span)
-    values = {}   # (k, n) -> (eigenvalues, roots) over its span
+    values = {}   # (k, n) -> (roots, cross-check errors) over its span
     at = 0
-    for key, eig in zip(spans, eigs):
-        values[key] = eig, roots[at:at + len(eig)]
-        at += len(eig)
+    for key, (lo, hi) in zip(spans, bounds):
+        root = roots[at:at + len(lo)]
+        values[key] = root, np.maximum(hi - root, root - lo)
+        at += len(lo)
     rows = []
     for k, delta, n, members, first in groups:
-        lo = members.start - spans[k, n].start
-        eig, root = (v[lo:lo + len(members)].tolist() for v in values[k, n])
-        rhs, rhs_err = eig[0], abs(eig[0] - root[0])
-        rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=rhs,
-                         lhs_err=abs(lhs - r), rhs_err=rhs_err,
-                         equality_expected=s == members[0])
-                 for s, lhs, r in zip(members[first:], eig[first:], root[first:])]
+        start = members.start - spans[k, n].start
+        root, err = (v[start:start + len(members)].tolist() for v in values[k, n])
+        rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=root[0],
+                         lhs_err=lhs_err, rhs_err=err[0], equality_expected=s == members[0])
+                 for s, lhs, lhs_err in zip(members[first:], root[first:], err[first:])]
     return rows
 
 
@@ -494,8 +506,15 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     q1q2: q(family at s) below q(family at 2k) for n >= max(2s-2k+1, 2k+6),
     equality exactly at s = 2k.  q1q3: strict for s >= delta+1 once
     2n >= 13*delta.  mu_compare: the distance radius ordering flips, strict
-    for s >= delta+1 once n >= 12*delta-2k+1.  Every point cross-checks the
-    dense eigenvalue against the closed-form root, within CROSSCHECK_TOL.
+    for s >= delta+1 once n >= 12*delta-2k+1.
+
+    Each side's value is the largest root r of the member's closed-form
+    cubic.  Every point cross-checks r against the member's dense matrix M
+    without factoring it: M is nonnegative, so for any x > 0,
+    min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i, and the error
+    max(hi - r, r - lo) is at least |rho(M) - r| whatever x is.  A point
+    whose error exceeds CROSSCHECK_TOL, or whose x is not strictly positive
+    (error inf), is a "crosscheck" violation.
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")

@@ -8,10 +8,11 @@ import pytest
 from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, complete,
                      cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
-from fracext.spectral import (_f_pi_prime_1, adjacency_matrices, distance_matrices,
-                              family_cubic, family_distance_matrix, family_q_matrix,
-                              largest_eigenvalues, largest_real_roots, positional_blocks,
-                              signless_laplacians)
+from fracext import spectral
+from fracext.spectral import (_block_test_vectors, _f_pi_prime_1, adjacency_matrices,
+                              distance_matrices, family_cubic, family_distance_matrix,
+                              family_q_matrix, family_radius_bounds, largest_eigenvalues,
+                              largest_real_roots, positional_blocks, signless_laplacians)
 from fracext.theorems import _grid_groups
 from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
                      positional_blocks_prime, random_connected_graph, random_graph,
@@ -344,6 +345,36 @@ def test_family_matrices_match_graph_construction():
     for build in (family_q_matrix, family_distance_matrix):
         with pytest.raises(ValueError):
             build(8, 1, [2, 5])
+
+
+def test_family_radius_bounds_enclose_the_largest_eigenvalue():
+    # boundary orders (an empty inner block), K_{2k+1} at s = 2k, and orders 90 and 128
+    eps = np.finfo(float).eps
+    for n, k, ss in _family_stacks():
+        for build in (family_q_matrix, family_distance_matrix):
+            M = build(n, k, ss)
+            x = _block_test_vectors(M, k, ss)
+            assert (x > 0).all()
+            for j, s in enumerate(ss):   # constant on each block of the member
+                blocks = positional_blocks(ExtremalParams(n, k, s))
+                assert all(len(set(x[j, list(b)].tolist())) <= 1 for b in blocks)
+            lo, hi = family_radius_bounds(M, k, ss)
+            eig = largest_eigenvalues(M)
+            slack = n * eps * hi
+            assert (lo - slack <= eig).all() and (eig <= hi + slack).all()
+            assert (hi - lo <= 1e-13 * hi * n).all()
+    assert family_radius_bounds(family_q_matrix(11, 1, []), 1, []).shape == (2, 0)
+
+
+def test_family_radius_bounds_hold_for_any_positive_vector(monkeypatch):
+    # Collatz-Wielandt holds whatever x > 0 is; a poor x only widens the enclosure
+    rng = np.random.default_rng(5)
+    M = family_distance_matrix(30, 2, [4, 6, 9])
+    eig = largest_eigenvalues(M)
+    monkeypatch.setattr(spectral, "_block_test_vectors",
+                        lambda M, k, s_values: rng.uniform(0.5, 2.0, M.shape[:2]))
+    lo, hi = family_radius_bounds(M, 2, [4, 6, 9])
+    assert (lo <= eig).all() and (eig <= hi).all() and (hi - lo > 1).all()
 
 
 def test_spectral_report_fields():

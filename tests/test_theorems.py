@@ -1,14 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
                      largest_real_root, closed_form, parse_graph6, verify_witness)
-from fracext import theorems
+from fracext import spectral, theorems
 from fracext.corpus import all_graphs, complement_corpus, connected_graphs
 from fracext.spectral import (SWEEP_CHUNK_ENTRIES, family_cubic, family_distance_matrix,
-                              family_q_matrix, largest_eigenvalue)
+                              family_q_matrix, family_radius_bounds, largest_eigenvalues)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -303,17 +304,23 @@ def test_lemma_grid_parallel_matches_serial():
 
 
 def _point_value(quantity, n, k, s):
-    """(eigenvalue, root) of one family member: one largest_eigenvalue call
-    on its own matrix and the scalar reference bisection of its cubic."""
+    """(root, error) of one family member: the scalar reference bisection of
+    its cubic, and max(hi - root, root - lo) over the enclosure of its own
+    matrix, taken as a stack of one."""
     build = family_q_matrix if quantity == "q" else family_distance_matrix
-    return (largest_eigenvalue(build(n, k, [s])[0]),
-            largest_real_root_reference(family_cubic(quantity, n, k, s)))
+    root = largest_real_root_reference(family_cubic(quantity, n, k, s))
+    lo, hi = family_radius_bounds(build(n, k, [s]), k, [s])[:, 0].tolist()
+    return root, max(hi - root, root - lo)
 
 
 # grid-delta's three commands
 GRID_DELTA = (("q1q2", dict(k_max=3, n_max=40)),
               ("q1q3", dict(k_max=1, n_max=90, delta_max=3)),
               ("mu_compare", dict(k_max=1, n_max=90, delta_max=3)))
+# the grids of criteria 6 and 7
+CRITERIA_GRIDS = (("q1q2", dict(k_max=3, n_max=40)),
+                  ("q1q3", dict(k_max=2, n_max=90, delta_max=7)),
+                  ("mu_compare", dict(k_max=2, n_max=90, delta_max=7)))
 
 
 def test_grid_rows_bitwise_equal_a_per_point_reference():
@@ -327,27 +334,111 @@ def test_grid_rows_bitwise_equal_a_per_point_reference():
     for quantity, rows in reports:
         for row in rows:
             s_rhs = row.delta if row.delta is not None else 2 * row.k
-            lhs, lhs_root = _point_value(quantity, row.n, row.k, row.s)
-            rhs, rhs_root = _point_value(quantity, row.n, row.k, s_rhs)
-            want = (lhs, rhs, abs(lhs - lhs_root), abs(rhs - rhs_root))
+            lhs, lhs_err = _point_value(quantity, row.n, row.k, row.s)
+            rhs, rhs_err = _point_value(quantity, row.n, row.k, s_rhs)
             got = (row.lhs, row.rhs, row.lhs_err, row.rhs_err)
-            assert [x.hex() for x in got] == [x.hex() for x in want], row
+            assert [x.hex() for x in got] == [x.hex() for x in (lhs, rhs, lhs_err, rhs_err)], row
             points += 1
     assert points > 1001 + 1757 + 1596 + 1000
 
 
+def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7():
+    """The dense cross-check the grids no longer run: at every point, each
+    side's eigvalsh value lies within 1e-8 of the row value and inside the
+    row's enclosure widened by n * eps * hi, a slack for the rounding of the
+    matvec and of the eigensolver (the largest excursion measured is 0.41 of
+    it).  The members of each (k, n) are factored in chunked stacks."""
+    eps = np.finfo(float).eps
+    points = 0
+    for lemma, bounds in CRITERIA_GRIDS:
+        build = family_distance_matrix if lemma == "mu_compare" else family_q_matrix
+        rows = lemma_grid(lemma, **bounds).rows
+        members = {}   # (k, n) -> the s values its rows use
+        for row in rows:
+            members.setdefault((row.k, row.n), set()).update(
+                (row.s, row.delta if row.delta is not None else 2 * row.k))
+        value = {}   # (k, n, s) -> (eigenvalue, lo, hi)
+        for (k, n), ss in members.items():
+            ss = sorted(ss)
+            size = SWEEP_CHUNK_ENTRIES // (n * n)
+            for i in range(0, len(ss), size):
+                part = ss[i:i + size]
+                M = build(n, k, part)
+                lo, hi = family_radius_bounds(M, k, part)
+                for s, eig, l, h in zip(part, largest_eigenvalues(M).tolist(),
+                                        lo.tolist(), hi.tolist()):
+                    value[k, n, s] = eig, l, h
+        for row in rows:
+            s_rhs = row.delta if row.delta is not None else 2 * row.k
+            for s, side, err in ((row.s, row.lhs, row.lhs_err), (s_rhs, row.rhs, row.rhs_err)):
+                eig, lo, hi = value[row.k, row.n, s]
+                slack = row.n * eps * hi
+                assert abs(eig - side) < 1e-8, row
+                assert lo - slack <= eig <= hi + slack, row
+                assert abs(eig - side) <= err + slack, row
+        points += len(rows)
+    assert points == 1001 + 11_777 + 7_222
+
+
+def test_lemma_grid_flags_shifted_roots_at_every_row(monkeypatch):
+    real = theorems.largest_real_roots
+    monkeypatch.setattr(theorems, "largest_real_roots", lambda cubics: real(cubics) + 1e-6)
+    for lemma, bounds in GRID_DELTA[:2]:
+        rep = lemma_grid(lemma, **bounds)
+        crosscheck = [v.row for v in rep.violations if v.kind == "crosscheck"]
+        assert crosscheck == list(rep.rows) and rep.points > 1000
+        assert rep.max_crosscheck_error > 0.9e-6
+
+
+def test_a_test_vector_with_a_zero_entry_makes_a_violation(monkeypatch):
+    real = spectral._block_test_vectors
+    target = (13, 1, 5)   # (n, k, s), a left-hand member of the q1q2 grid
+
+    def zeroed(M, k, s_values):
+        x = real(M, k, s_values)
+        for j, s in enumerate(s_values):
+            if (M.shape[1], k, s) == target:
+                x[j, -1] = 0.0
+        return x
+
+    monkeypatch.setattr(spectral, "_block_test_vectors", zeroed)
+    lo, hi = family_radius_bounds(family_q_matrix(13, 1, [4, 5]), 1, [4, 5])
+    assert lo[1] == -np.inf and hi[1] == np.inf and lo[0] <= hi[0] < np.inf
+    rep = lemma_grid("q1q2", k_max=1, n_max=14)
+    [violation] = rep.violations
+    assert violation.kind == "crosscheck"
+    assert (violation.row.n, violation.row.k, violation.row.s) == target
+    assert violation.row.lhs_err == rep.max_crosscheck_error == np.inf
+
+
+def test_grids_and_probes_run_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for lemma, bounds in (("q1q2", dict(k_max=2, n_max=20)),
+                          ("q1q3", dict(k_max=1, n_max=40, delta_max=4)),
+                          ("mu_compare", dict(k_max=1, n_max=48, delta_max=4))):
+        assert lemma_grid(lemma, jobs=1, **bounds).ok
+    for kind in ("q", "mu"):
+        assert probe_gap_region(kind, 1, 3).all_hold
+
+
 def test_lemma_grid_stacks_stay_within_the_chunk_bound(monkeypatch):
     sizes = []
-    real = theorems.largest_eigenvalues
 
-    def recording(stack):
-        sizes.append(stack.size)
-        return real(stack)
+    def recording(build):
+        def built(n, k, s_values):
+            stack = build(n, k, s_values)
+            sizes.append(stack.size)
+            return stack
+        return built
 
-    monkeypatch.setattr(theorems, "largest_eigenvalues", recording)
+    for name in ("family_q_matrix", "family_distance_matrix"):
+        monkeypatch.setattr(theorems, name, recording(getattr(theorems, name)))
     points = sum(lemma_grid(lemma, **bounds).points for lemma, bounds in GRID_DELTA)
     assert max(sizes) <= SWEEP_CHUNK_ENTRIES
-    assert len(sizes) < points / 2   # members go to the eigensolver in stacks
+    assert len(sizes) < points / 2   # members are built and enclosed in stacks
     assert min(sizes) < 90 * 90 < max(sizes)   # order-90 chunks hold two members
 
 
