@@ -11,8 +11,9 @@ are built from its adjacency stack, the distance matrices are one BFS over
 the stack, and largest_eigenvalues is one eigensolver call.  The family
 matrices of many values of s are built as one stack, family_radius_bounds
 encloses their spectral radii with one matvec each and no dense
-eigensolve, and the largest roots of many cubics come from one numpy
-bisection pass.
+eigensolve, taking its test vectors from the Perron vectors of the exact
+3x3 quotients of family_quotients (one np.linalg.eig call), and the
+largest roots of many cubics come from one numpy bisection pass.
 """
 from __future__ import annotations
 
@@ -122,43 +123,52 @@ def family_distance_matrix(n: int, k: int, s_values) -> np.ndarray:
     return _family_stack(n, k, s_values, 2.0)
 
 
-def _block_test_vectors(M: np.ndarray, k: int, s_values) -> np.ndarray:
-    """(m, n) positive test vectors for a stack of family matrices, read off M.
-
-    Each vector is constant on the three blocks of its member (n, k, s), with
-    block values the Perron vector of M's 3x3 block quotient: entry (i, j) is
-    the sum of the first row of block i over block j.  An empty inner block
-    (n = 2s-2k+1) has no row of its own, so its quotient row is zeroed and its
-    value, which no vertex takes, is 0.
+def family_quotients(quantity: str, k, n, s) -> np.ndarray:
+    """(m, 3, 3) quotients of Q ("q") or D ("mu") of the family members
+    (n, k, s), one per entry of the equal-length arrays k, n and s, taken
+    from the block sizes s, n1 = n-2s+2k-1 and t = s-2k+1 as integer-valued
+    float64.  Each is quotient(M, positional_blocks(p)) of the member's M,
+    except that an empty inner block (n1 = 0) has no row, so row 1 is zero.
     """
-    m, n = M.shape[:2]
-    s = np.asarray(s_values, dtype=np.intp)
-    firsts = np.zeros((m, 3), dtype=np.intp)   # the first vertex of each block
-    firsts[:, 1] = s
-    firsts[:, 2] = n - (s - 2 * k + 1)
-    label = (np.arange(n) >= s[:, None]).astype(np.intp)   # each vertex's block
-    label += np.arange(n) >= firsts[:, 2:]
-    member = np.arange(m)[:, None]
-    B = np.matmul(M[member, firsts], (label[:, :, None] == np.arange(3)).astype(float))
-    B[firsts[:, 1] == firsts[:, 2], 1] = 0.0
+    k, n, s = (np.asarray(v, dtype=float) for v in (k, n, s))
+    n1, t, zero = n - 2 * s + 2 * k - 1, s - 2 * k + 1, np.zeros_like(n)
+    rows = ([[s + n - 2, n1, t], [s, 2 * n1 + s - 2, zero], [s, zero, s]] if quantity == "q"
+            else [[s - 1, n1, t], [s, n1 - 1, 2 * t], [s, 2 * n1, 2 * t - 2]])
+    B = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    B[n1 == 0, 1] = 0.0
+    return B
+
+
+def block_perron_vectors(B: np.ndarray) -> np.ndarray:
+    """(m, 3) Perron vectors, summing to 1, of a stack of 3x3 quotients, from
+    one np.linalg.eig call; it factors each matrix on its own, so each vector
+    is bitwise the one a call on its matrix alone gives."""
     w, V = np.linalg.eig(B)
-    p = V[member[:, 0], :, w.real.argmax(axis=1)].real
-    p /= p.sum(axis=1, keepdims=True)
-    return p[member, label]
+    p = V[np.arange(len(B)), :, w.real.argmax(axis=1)].real
+    return p / p.sum(axis=1, keepdims=True)
 
 
-def family_radius_bounds(M: np.ndarray, k: int, s_values) -> np.ndarray:
+def _block_vectors(values: np.ndarray, n: int, k: int, s_values) -> np.ndarray:
+    """(m, n) vectors constant on the three blocks of each member (n, k, s):
+    block i of member j takes values[j, i]."""
+    s = np.asarray(s_values, dtype=np.intp)[:, None]
+    label = (np.arange(n) >= s).astype(np.intp) + (np.arange(n) >= n - (s - 2 * k + 1))
+    return values[np.arange(len(s))[:, None], label]
+
+
+def family_radius_bounds(M: np.ndarray, k: int, s_values, values: np.ndarray) -> np.ndarray:
     """(2, m) rows lo, hi enclosing the spectral radius of each matrix of a
     family stack, the output of family_q_matrix or family_distance_matrix
     at (n, k, s) for the s of s_values.
 
     Collatz-Wielandt: for a nonnegative M and any x > 0, min_i (Mx)_i/x_i
-    <= rho(M) <= max_i (Mx)_i/x_i, whatever x is.  x is _block_test_vectors';
-    as the three-block partition is equitable, it is close to M's Perron
-    vector and the enclosure is tight up to the rounding of one matvec.  A
-    member whose x is not strictly positive gets (-inf, inf).
+    <= rho(M) <= max_i (Mx)_i/x_i, whatever x is.  x is constant on each
+    member's three blocks, with the member's row of the (m, 3) block values,
+    its quotient's Perron vector (block_perron_vectors); the partition is
+    equitable, so the enclosure is tight up to the rounding of one matvec.
+    A member whose x is not strictly positive gets (-inf, inf).
     """
-    x = _block_test_vectors(M, k, s_values)
+    x = _block_vectors(values, M.shape[1], k, s_values)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.matmul(M, x[:, :, None])[:, :, 0] / x
     positive = (x > 0.0).all(axis=1)
@@ -226,17 +236,9 @@ def quotient(M, blocks) -> QuotientMatrix:
         raise ValueError("blocks must partition 0..n-1")
     if any(len(b) == 0 for b in blocks):
         raise ValueError("empty block")
-    equitable = True
-    rows = []
-    for bi in blocks:
-        row = []
-        for bj in blocks:
-            sums = A[np.ix_(list(bi), list(bj))].sum(axis=1)
-            if not (sums == sums[0]).all():
-                equitable = False
-            row.append(Fraction(int(sums.sum()), len(bi)))
-        rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows), equitable)
+    sums = [[A[np.ix_(list(bi), list(bj))].sum(axis=1) for bj in blocks] for bi in blocks]
+    return QuotientMatrix(tuple(tuple(Fraction(int(r.sum()), len(r)) for r in row) for row in sums),
+                          all((r == r[0]).all() for row in sums for r in row))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ a value against a bound or a family value is settled by _compare.
 
 The grids take each family member's q or mu from its closed-form cubic and
 back every root with a Collatz-Wielandt enclosure of the member's dense
-matrix (_grid_rows), so the eigensolver runs only in TheoremSpec.values.
+matrix (_grid_rows): a grid makes one eigensolver call, on 3x3 quotients,
+and a dense eigensolver runs only in TheoremSpec.values.
 
 _classify is the one classification route: it takes graphs of one order,
 computes the bound quantity of those past the hypotheses in one
@@ -42,10 +43,10 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
-                       family_distance_matrix, family_q_matrix, family_radius_bounds,
-                       largest_eigenvalues, largest_real_root, largest_real_roots,
-                       signless_laplacians)
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, block_perron_vectors,
+                       distance_matrices, family_cubic, family_distance_matrix, family_q_matrix,
+                       family_quotients, family_radius_bounds, largest_eigenvalues,
+                       largest_real_root, largest_real_roots, signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -179,11 +180,13 @@ def _classify(graphs: Sequence[Graph], spec: TheoremSpec) -> Iterator[tuple]:
     stats = [graph_stats(g) for g in graphs]
     failed = [spec.hypotheses(st.n, st.min_degree, st.connected) for st in stats]
     values = iter(spec.values([g for g, f in zip(graphs, failed) if f is None]))
+    degrees = {st.min_degree for st, f in zip(stats, failed) if f is None}
+    thresholds = {d: spec.threshold(graphs[0].n, d) for d in degrees}   # the graphs share one order
     for g, st, f in zip(graphs, stats, failed):
         if f is not None:
             yield HYPOTHESES_NOT_MET, st, None, None, f, None
             continue
-        value, thr = next(values), spec.threshold(st.n, st.min_degree)
+        value, thr = next(values), thresholds[st.min_degree]
         if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
             yield BOUND_NOT_MET, st, value, thr, "", None
             continue
@@ -450,13 +453,13 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
 
 def _member_bounds(quantity: str, span: tuple) -> np.ndarray:
     """(2, m) enclosures lo, hi of q or mu of the family at (n, k, s) for each
-    s of the span (k, n, s values), its matrices built in stacks of at most
-    SWEEP_CHUNK_ENTRIES entries."""
-    k, n, members = span
+    s of the span (k, n, s values, their (m, 3) block values), its matrices
+    built in stacks of at most SWEEP_CHUNK_ENTRIES entries."""
+    k, n, members, values = span
     build = family_q_matrix if quantity == "q" else family_distance_matrix
     size = max(1, SWEEP_CHUNK_ENTRIES // (n * n))
     return np.concatenate([family_radius_bounds(build(n, k, members[i:i + size]), k,
-                                                members[i:i + size])
+                                                members[i:i + size], values[i:i + size])
                            for i in range(0, len(members), size)], axis=1)
 
 
@@ -465,30 +468,30 @@ def _grid_rows(lemma: str, quantity: str, groups: list, jobs: int) -> list[GridR
     group by group (_grid_groups' (k, delta, n, members, first)), in order.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, and every root of the grid comes from one largest_real_roots
-    pass.  Its cross-check error is max(hi - r, r - lo) over the
-    Collatz-Wielandt enclosure lo <= rho(M) <= hi of the member's own dense
-    matrix M (family_radius_bounds), so it is at least |rho(M) - r| up to
-    the rounding of one matvec; a member whose test vector is not strictly
-    positive gets error inf.  The delta lemmas have one group per delta at
-    each (k, n), and those groups share their members, so each member is
-    evaluated once: the members of each (k, n) are fanned out to jobs
-    processes for their enclosures.
+    cubic, all from one largest_real_roots pass.  Its cross-check error is
+    max(hi - r, r - lo) over the Collatz-Wielandt enclosure lo <= rho(M) <= hi
+    of the member's dense matrix M (family_radius_bounds): at least
+    |rho(M) - r| up to the rounding of one matvec, inf for a test vector not
+    strictly positive.  The test vectors' block values are the Perron vectors
+    of the members' exact 3x3 quotients (family_quotients), from one
+    eigensolver call per grid, so a chunk only builds M and does its matvec.
+    The delta lemmas' groups at one (k, n) share their members, so each
+    member is evaluated once; the members of each (k, n) are fanned out to
+    jobs processes.
     """
     spans: dict[tuple[int, int], range] = {}   # (k, n) -> the s values its groups use
     for k, _, n, members, _ in groups:
         have = spans.get((k, n), members)
         spans[k, n] = range(min(have.start, members.start), max(have.stop, members.stop))
+    points = np.array([(k, n, s) for (k, n), span in spans.items() for s in span]).reshape(-1, 3)
+    cuts = np.cumsum([len(span) for span in spans.values()])[:-1]
+    block_values = np.split(block_perron_vectors(family_quotients(quantity, *points.T)), cuts)
     bounds = _map(functools.partial(_member_bounds, quantity),
-                  [(k, n, span) for (k, n), span in spans.items()], jobs)
-    roots = largest_real_roots(family_cubic(quantity, n, k, s)
-                               for (k, n), span in spans.items() for s in span)
-    values = {}   # (k, n) -> (roots, cross-check errors) over its span
-    at = 0
-    for key, (lo, hi) in zip(spans, bounds):
-        root = roots[at:at + len(lo)]
-        values[key] = root, np.maximum(hi - root, root - lo)
-        at += len(lo)
+                  [(k, n, span, v) for ((k, n), span), v in zip(spans.items(), block_values)], jobs)
+    roots = np.split(largest_real_roots(family_cubic(quantity, n, k, s)
+                                        for k, n, s in points.tolist()), cuts)
+    values = {key: (root, np.maximum(hi - root, root - lo))   # (k, n) -> (roots, errors)
+              for key, root, (lo, hi) in zip(spans, roots, bounds)}
     rows = []
     for k, delta, n, members, first in groups:
         start = members.start - spans[k, n].start
@@ -509,12 +512,9 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     for s >= delta+1 once n >= 12*delta-2k+1.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic.  Every point cross-checks r against the member's dense matrix M
-    without factoring it: M is nonnegative, so for any x > 0,
-    min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i, and the error
-    max(hi - r, r - lo) is at least |rho(M) - r| whatever x is.  A point
-    whose error exceeds CROSSCHECK_TOL, or whose x is not strictly positive
-    (error inf), is a "crosscheck" violation.
+    cubic, and its error bounds |rho(M) - r| for the member's dense matrix M
+    without factoring M (_grid_rows).  A point whose error exceeds
+    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
@@ -524,10 +524,7 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     quantity = "mu" if mu_side else "q"
     rows = tuple(_grid_rows(lemma, quantity, list(_grid_groups(lemma, k_max, n_max, delta_max)),
                             jobs))
-    violations = []
-    min_margin = float("inf")
-    max_err = 0.0
-    equality_points = 0
+    violations, min_margin, max_err, equality_points = [], float("inf"), 0.0, 0
     for row in rows:
         max_err = max(max_err, row.lhs_err, row.rhs_err)
         if row.lhs_err > CROSSCHECK_TOL or row.rhs_err > CROSSCHECK_TOL:

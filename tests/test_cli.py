@@ -483,6 +483,8 @@ def test_jobs_below_one_exits_2(capsys):
     ["grid", "--lemma", "q1q2", "-k", "2", "-n", "16", "--format", "json"],
     ["grid", "--lemma", "mu_compare", "-k", "1", "-n", "40", "--delta", "3",
      "--format", "json"],
+    # grid-delta's q1q3 command: block values shipped to the workers with their spans
+    ["grid", "--lemma", "q1q3", "-k", "1", "-n", "90", "--delta", "3", "--format", "json"],
     ["report", "-k", "1"],
 ])
 def test_output_identical_across_jobs(argv, tmp_path):
@@ -492,6 +494,13 @@ def test_output_identical_across_jobs(argv, tmp_path):
         assert main(argv + ["--jobs", jobs, "-o", str(out_file)]) == 0
         outs.append(out_file.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_empty_grid_scans_nothing(jobs, capsys):
+    # no order reaches the least order 2k+6, so the grid has no member to solve
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "5", "--jobs", jobs], capsys)
+    assert code == 0 and "scanned: 0\n" in out
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -9,11 +9,13 @@ from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, compl
                      cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext import spectral
-from fracext.spectral import (_block_test_vectors, _f_pi_prime_1, adjacency_matrices,
+from fracext.spectral import (_block_vectors, _f_pi_prime_1, adjacency_matrices,
                               distance_matrices, family_cubic, family_distance_matrix,
-                              family_q_matrix, family_radius_bounds, largest_eigenvalues,
-                              largest_real_roots, positional_blocks, signless_laplacians)
+                              family_q_matrix, family_quotients, family_radius_bounds,
+                              largest_eigenvalues, largest_real_roots, positional_blocks,
+                              signless_laplacians)
 from fracext.theorems import _grid_groups
+from block_vector_oracle import block_test_vectors, family_block_values
 from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
                      positional_blocks_prime, random_connected_graph, random_graph,
                      signless_laplacian)
@@ -347,23 +349,49 @@ def test_family_matrices_match_graph_construction():
             build(8, 1, [2, 5])
 
 
+def test_family_quotients_equal_the_quotients_read_off_the_matrices():
+    # k <= 4: boundary orders (an empty inner block, whose row and column are
+    # zero), K_{2k+1} at s = 2k, and orders 90 and 128
+    stacks = _family_stacks() + [(9, 4, [8]), (11, 4, [9]), (20, 4, [8, 9, 10, 11]),
+                                 (90, 4, [8, 13, 48]), (128, 4, [8, 13, 67])]
+    members = 0
+    for n, k, ss in stacks:
+        for quantity, build in (("q", family_q_matrix), ("mu", family_distance_matrix)):
+            B = family_quotients(quantity, [k] * len(ss), [n] * len(ss), ss)
+            assert B.dtype == np.float64 and B.shape == (len(ss), 3, 3)
+            for M, b, s in zip(build(n, k, ss), B, ss):
+                blocks = positional_blocks(ExtremalParams(n, k, s))
+                live = [i for i, block in enumerate(blocks) if len(block)]
+                q = quotient(M, [blocks[i] for i in live])
+                assert q.equitable
+                assert [[b[i, j] for j in live] for i in live] == [list(row) for row in q.entries]
+                assert all(b[i, j] == 0.0 for i in range(3) for j in range(3)
+                           if i not in live or j not in live)
+                members += 1
+    assert members == 2 * (90 + 18 + 12)
+    assert family_quotients("q", [], [], []).shape == (0, 3, 3)
+
+
 def test_family_radius_bounds_enclose_the_largest_eigenvalue():
     # boundary orders (an empty inner block), K_{2k+1} at s = 2k, and orders 90 and 128
     eps = np.finfo(float).eps
     for n, k, ss in _family_stacks():
-        for build in (family_q_matrix, family_distance_matrix):
+        for quantity, build in (("q", family_q_matrix), ("mu", family_distance_matrix)):
             M = build(n, k, ss)
-            x = _block_test_vectors(M, k, ss)
+            values = family_block_values(quantity, n, k, ss)
+            x = _block_vectors(values, n, k, ss)
             assert (x > 0).all()
+            assert x.tobytes() == block_test_vectors(M, k, ss).tobytes()
             for j, s in enumerate(ss):   # constant on each block of the member
                 blocks = positional_blocks(ExtremalParams(n, k, s))
                 assert all(len(set(x[j, list(b)].tolist())) <= 1 for b in blocks)
-            lo, hi = family_radius_bounds(M, k, ss)
+            lo, hi = family_radius_bounds(M, k, ss, values)
             eig = largest_eigenvalues(M)
             slack = n * eps * hi
             assert (lo - slack <= eig).all() and (eig <= hi + slack).all()
             assert (hi - lo <= 1e-13 * hi * n).all()
-    assert family_radius_bounds(family_q_matrix(11, 1, []), 1, []).shape == (2, 0)
+    assert family_radius_bounds(family_q_matrix(11, 1, []), 1, [],
+                                family_block_values("q", 11, 1, [])).shape == (2, 0)
 
 
 def test_family_radius_bounds_hold_for_any_positive_vector(monkeypatch):
@@ -371,9 +399,9 @@ def test_family_radius_bounds_hold_for_any_positive_vector(monkeypatch):
     rng = np.random.default_rng(5)
     M = family_distance_matrix(30, 2, [4, 6, 9])
     eig = largest_eigenvalues(M)
-    monkeypatch.setattr(spectral, "_block_test_vectors",
-                        lambda M, k, s_values: rng.uniform(0.5, 2.0, M.shape[:2]))
-    lo, hi = family_radius_bounds(M, 2, [4, 6, 9])
+    monkeypatch.setattr(spectral, "_block_vectors",
+                        lambda values, n, k, s_values: rng.uniform(0.5, 2.0, (len(s_values), n)))
+    lo, hi = family_radius_bounds(M, 2, [4, 6, 9], family_block_values("mu", 30, 2, [4, 6, 9]))
     assert (lo <= eig).all() and (eig <= hi).all() and (hi - lo > 1).all()
 
 

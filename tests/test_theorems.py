@@ -15,6 +15,7 @@ from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
+from block_vector_oracle import block_test_vectors, family_block_values
 from root_oracle import largest_real_root_reference
 from sweep_oracle import sweep_reference
 
@@ -309,7 +310,8 @@ def _point_value(quantity, n, k, s):
     matrix, taken as a stack of one."""
     build = family_q_matrix if quantity == "q" else family_distance_matrix
     root = largest_real_root_reference(family_cubic(quantity, n, k, s))
-    lo, hi = family_radius_bounds(build(n, k, [s]), k, [s])[:, 0].tolist()
+    lo, hi = family_radius_bounds(build(n, k, [s]), k, [s],
+                                  family_block_values(quantity, n, k, [s]))[:, 0].tolist()
     return root, max(hi - root, root - lo)
 
 
@@ -351,6 +353,7 @@ def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7
     eps = np.finfo(float).eps
     points = 0
     for lemma, bounds in CRITERIA_GRIDS:
+        quantity = "mu" if lemma == "mu_compare" else "q"
         build = family_distance_matrix if lemma == "mu_compare" else family_q_matrix
         rows = lemma_grid(lemma, **bounds).rows
         members = {}   # (k, n) -> the s values its rows use
@@ -364,7 +367,8 @@ def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7
             for i in range(0, len(ss), size):
                 part = ss[i:i + size]
                 M = build(n, k, part)
-                lo, hi = family_radius_bounds(M, k, part)
+                lo, hi = family_radius_bounds(M, k, part,
+                                              family_block_values(quantity, n, k, part))
                 for s, eig, l, h in zip(part, largest_eigenvalues(M).tolist(),
                                         lo.tolist(), hi.tolist()):
                     value[k, n, s] = eig, l, h
@@ -391,24 +395,75 @@ def test_lemma_grid_flags_shifted_roots_at_every_row(monkeypatch):
 
 
 def test_a_test_vector_with_a_zero_entry_makes_a_violation(monkeypatch):
-    real = spectral._block_test_vectors
+    real = spectral._block_vectors
     target = (13, 1, 5)   # (n, k, s), a left-hand member of the q1q2 grid
 
-    def zeroed(M, k, s_values):
-        x = real(M, k, s_values)
+    def zeroed(values, n, k, s_values):
+        x = real(values, n, k, s_values)
         for j, s in enumerate(s_values):
-            if (M.shape[1], k, s) == target:
+            if (n, k, s) == target:
                 x[j, -1] = 0.0
         return x
 
-    monkeypatch.setattr(spectral, "_block_test_vectors", zeroed)
-    lo, hi = family_radius_bounds(family_q_matrix(13, 1, [4, 5]), 1, [4, 5])
+    monkeypatch.setattr(spectral, "_block_vectors", zeroed)
+    lo, hi = family_radius_bounds(family_q_matrix(13, 1, [4, 5]), 1, [4, 5],
+                                  family_block_values("q", 13, 1, [4, 5]))
     assert lo[1] == -np.inf and hi[1] == np.inf and lo[0] <= hi[0] < np.inf
     rep = lemma_grid("q1q2", k_max=1, n_max=14)
     [violation] = rep.violations
     assert violation.kind == "crosscheck"
     assert (violation.row.n, violation.row.k, violation.row.s) == target
     assert violation.row.lhs_err == rep.max_crosscheck_error == np.inf
+
+
+def test_grid_test_vectors_bitwise_equal_the_reference_read_off_each_matrix(monkeypatch):
+    # every member of grid-delta's grids, through the grids' own route: block
+    # values from one eigensolve per grid, expanded per chunk
+    real = theorems.family_radius_bounds
+    checked = set()
+
+    def checking(M, k, s_values, values):
+        n = M.shape[1]
+        x = spectral._block_vectors(values, n, k, s_values)
+        assert x.tobytes() == block_test_vectors(M, k, s_values).tobytes(), (n, k, s_values)
+        checked.update((k, n, s) for s in s_values)
+        return real(M, k, s_values, values)
+
+    monkeypatch.setattr(theorems, "family_radius_bounds", checking)
+    for lemma, bounds in GRID_DELTA:
+        checked.clear()
+        rows = lemma_grid(lemma, **bounds).rows
+        used = {(r.k, r.n, r.s) for r in rows}
+        used |= {(r.k, r.n, r.delta if r.delta is not None else 2 * r.k) for r in rows}
+        assert checked == used and len(used) > 900
+
+
+def test_one_quotient_eigensolve_per_grid_and_none_per_chunk(monkeypatch):
+    stacks = []
+    chunks = []
+    eig = np.linalg.eig
+    real = theorems.family_radius_bounds
+
+    def counting_eig(B):
+        stacks.append(B.shape)
+        return eig(B)
+
+    def counting_chunks(M, k, s_values, values):
+        chunks.append(len(s_values))
+        return real(M, k, s_values, values)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(theorems, "family_radius_bounds", counting_chunks)
+    runs = [lambda lemma=lemma, bounds=bounds: lemma_grid(lemma, **bounds)
+            for lemma, bounds in GRID_DELTA]
+    runs += [lambda kind=kind: probe_gap_region(kind, 1, 3) for kind in ("q", "mu")]
+    for run in runs:
+        stacks.clear()
+        chunks.clear()
+        run()
+        # one (m, 3, 3) stack holding every member that the chunks enclose
+        assert len(stacks) == 1 and len(chunks) > 1
+        assert stacks[0] == (sum(chunks), 3, 3)
 
 
 def test_grids_and_probes_run_no_dense_eigensolver(monkeypatch):
