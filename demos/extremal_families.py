@@ -33,8 +33,9 @@ for delta in (3, 4, 5):
     rep = spectral_report(extremal_graph(p3))
     print(f"{p3.n:3d} {delta:5d}  {rep.q_radius:14.10f}  {rep.distance_radius:14.10f}")
 
-# orders past the graph6 limit still work; the matrix builders are direct
-from fracext.spectral import family_q_matrix
-big = family_q_matrix(90, 2, [7])[0]   # the stack of one member
+# orders past the graph6 limit still work; the stacked matrix builders take
+# the family graph like any other
+from fracext.spectral import adjacency_matrices, signless_laplacians
+big = signless_laplacians(adjacency_matrices([extremal_graph(ExtremalParams(90, 2, 7))]))[0]
 print(f"\norder 90 family Q matrix: shape {big.shape}, "
       f"radius {largest_eigenvalue(big):.8f}")

@@ -220,8 +220,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_grid(args, out) -> int:
-    rep = lemma_grid(args.lemma, k_max=args.k, n_max=args.n,
-                     delta_max=args.delta, jobs=args.jobs)
+    rep = lemma_grid(args.lemma, k_max=args.k, n_max=args.n, delta_max=args.delta)
     doc = {
         "command": "grid",
         "config": {"lemma": args.lemma, "k_max": args.k, "n_max": args.n,
@@ -295,7 +294,7 @@ def cmd_report(args, out) -> int:
              ("mu_compare", dict(k_max=2 if full else 1, n_max=90 if full else 45,
                                  delta_max=7 if full else 3))]
     for lemma, bounds in grids:
-        rep = lemma_grid(lemma, jobs=args.jobs, **bounds)
+        rep = lemma_grid(lemma, **bounds)
         passed.append(rep.ok)
         results.append({"section": "grid", "lemma": lemma, **bounds,
                         "points": rep.points, "violations": len(rep.violations),
@@ -355,8 +354,9 @@ def _worker_count(text: str) -> int:
 
 
 def _add_parallel(sub):
-    # only sweep, grid and report fan work out to processes; the job count
-    # changes no output byte, so it appears nowhere in the output
+    # sweep fans work out to processes; grid and report accept the option
+    # but run in one.  The job count changes no output byte, so it appears
+    # nowhere in the output
     sub.add_argument("--jobs", type=_worker_count, default=1,
                      help="worker processes")
 

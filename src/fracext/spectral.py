@@ -8,12 +8,10 @@ charpoly3(quotient(...)) can be asserted coefficient by coefficient.
 Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
 are built from its adjacency stack, the distance matrices are one BFS over
-the stack, and largest_eigenvalues is one eigensolver call.  The family
-matrices of many values of s are built as one stack, family_radius_bounds
-encloses their spectral radii with one matvec each and no dense
-eigensolve, taking its test vectors from the Perron vectors of the exact
-3x3 quotients of family_quotients (one np.linalg.eig call), and the
-largest roots of many cubics come from one numpy bisection pass.
+the stack, and largest_eigenvalues is one eigensolver call.  The largest
+roots of many cubics come from one numpy bisection pass, and each comes
+with the width of a certified bracket: Horner rounding-error bounds, or
+exact arithmetic where those do not settle it, prove the root inside.
 """
 from __future__ import annotations
 
@@ -84,96 +82,6 @@ def distance_matrices(A: np.ndarray) -> np.ndarray:
     if not seen.all():
         raise ValueError("distance matrix requires a connected graph")
     return D
-
-
-def _family_stack(n: int, k: int, s_values, far: float) -> np.ndarray:
-    """Float64 stack (m, n, n) of the family members (n, k, s), one per s.
-
-    Vertices follow extremal_graph: 0 on the diagonal, far on the pairs of
-    an inner or independent vertex with an independent one (the pairs that
-    are not adjacent, at distance 2) and 1 elsewhere.  Each member is two
-    slice fills, which run faster than a broadcast build of the stack.
-    ExtremalParams rejects an invalid member.
-    """
-    M = np.ones((len(s_values), n, n))
-    for j, s in enumerate(s_values):
-        c = s + ExtremalParams(n, k, s).inner_size   # dominating plus inner block
-        M[j, s:, c:] = far
-        M[j, c:, s:] = far
-    M.reshape(len(M), n * n)[:, ::n + 1] = 0.0   # each member's diagonal, as a view
-    return M
-
-
-def family_q_matrix(n: int, k: int, s_values) -> np.ndarray:
-    """Signless Laplacians (m, n, n) of the family members (n, k, s), one per s.
-
-    The lemma grids evaluate thousands of family members; a direct build
-    skips Graph construction and adjacency_matrices.  The entries are
-    integers held as float64, so a stack goes to family_radius_bounds, or
-    to an eigensolver, without a copy.
-    """
-    Q = _family_stack(n, k, s_values, 0.0)
-    Q.reshape(len(Q), n * n)[:, ::n + 1] = Q.sum(axis=2)
-    return Q
-
-
-def family_distance_matrix(n: int, k: int, s_values) -> np.ndarray:
-    """Distance matrices (m, n, n) of the family members (n, k, s), one per s,
-    float64 as in family_q_matrix; every member has diameter 2, so no BFS."""
-    return _family_stack(n, k, s_values, 2.0)
-
-
-def family_quotients(quantity: str, k, n, s) -> np.ndarray:
-    """(m, 3, 3) quotients of Q ("q") or D ("mu") of the family members
-    (n, k, s), one per entry of the equal-length arrays k, n and s, taken
-    from the block sizes s, n1 = n-2s+2k-1 and t = s-2k+1 as integer-valued
-    float64.  Each is quotient(M, positional_blocks(p)) of the member's M,
-    except that an empty inner block (n1 = 0) has no row, so row 1 is zero.
-    """
-    k, n, s = (np.asarray(v, dtype=float) for v in (k, n, s))
-    n1, t, zero = n - 2 * s + 2 * k - 1, s - 2 * k + 1, np.zeros_like(n)
-    rows = ([[s + n - 2, n1, t], [s, 2 * n1 + s - 2, zero], [s, zero, s]] if quantity == "q"
-            else [[s - 1, n1, t], [s, n1 - 1, 2 * t], [s, 2 * n1, 2 * t - 2]])
-    B = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-    B[n1 == 0, 1] = 0.0
-    return B
-
-
-def block_perron_vectors(B: np.ndarray) -> np.ndarray:
-    """(m, 3) Perron vectors, summing to 1, of a stack of 3x3 quotients, from
-    one np.linalg.eig call; it factors each matrix on its own, so each vector
-    is bitwise the one a call on its matrix alone gives."""
-    w, V = np.linalg.eig(B)
-    p = V[np.arange(len(B)), :, w.real.argmax(axis=1)].real
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _block_vectors(values: np.ndarray, n: int, k: int, s_values) -> np.ndarray:
-    """(m, n) vectors constant on the three blocks of each member (n, k, s):
-    block i of member j takes values[j, i]."""
-    s = np.asarray(s_values, dtype=np.intp)[:, None]
-    label = (np.arange(n) >= s).astype(np.intp) + (np.arange(n) >= n - (s - 2 * k + 1))
-    return values[np.arange(len(s))[:, None], label]
-
-
-def family_radius_bounds(M: np.ndarray, k: int, s_values, values: np.ndarray) -> np.ndarray:
-    """(2, m) rows lo, hi enclosing the spectral radius of each matrix of a
-    family stack, the output of family_q_matrix or family_distance_matrix
-    at (n, k, s) for the s of s_values.
-
-    Collatz-Wielandt: for a nonnegative M and any x > 0, min_i (Mx)_i/x_i
-    <= rho(M) <= max_i (Mx)_i/x_i, whatever x is.  x is constant on each
-    member's three blocks, with the member's row of the (m, 3) block values,
-    its quotient's Perron vector (block_perron_vectors); the partition is
-    equitable, so the enclosure is tight up to the rounding of one matvec.
-    A member whose x is not strictly positive gets (-inf, inf).
-    """
-    x = _block_vectors(values, M.shape[1], k, s_values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.matmul(M, x[:, :, None])[:, :, 0] / x
-    positive = (x > 0.0).all(axis=1)
-    return np.stack([np.where(positive, ratio.min(axis=1), -np.inf),
-                     np.where(positive, ratio.max(axis=1), np.inf)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +287,52 @@ def _cubic_values(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((x + C[:, 0]) * x + C[:, 1]) * x + C[:, 2]
 
 
-def largest_real_roots(cubics) -> np.ndarray:
-    """Largest real root of each monic cubic of an iterable, by bracketing bisection.
+# a bisection bracket [lo, hi] is widened by this times max(1, |hi|) at each
+# end before it is certified
+BRACKET_WIDENING = 1e-13
+# Horner's rounding error on a polynomial of degree d <= 3 is at most
+# gamma_2d * sum |c_i| |x|^i, gamma_6 = 6u / (1 - 6u) with u = 2^-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 5.1); 7u also covers the
+# rounding of that sum's own float evaluation
+_HORNER_GAMMA = 7 * 2.0 ** -53
+
+
+def _certified(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lanes whose float evaluations prove f(lo) < 0 and f, f', f'' > 0 at hi.
+
+    Each value must clear its Horner error bound, taken as the same Horner
+    scheme on |c_i| and |x|.  f'' is increasing, so the three signs at hi
+    keep f positive from hi on, and the largest root lies in (lo, hi).
+    """
+    A, c2, c1 = np.abs(C), C[:, 0], C[:, 1]
+    a2, a1, ah = A[:, 0], A[:, 1], np.abs(hi)
+    return ((_cubic_values(C, lo) < -_HORNER_GAMMA * _cubic_values(A, np.abs(lo)))
+            & (_cubic_values(C, hi) > _HORNER_GAMMA * _cubic_values(A, ah))
+            & ((3.0 * hi + 2.0 * c2) * hi + c1 > _HORNER_GAMMA * ((3.0 * ah + 2.0 * a2) * ah + a1))
+            & (6.0 * hi + 2.0 * c2 > _HORNER_GAMMA * (6.0 * ah + 2.0 * a2)))
+
+
+def _certified_exactly(c2: float, c1: float, c0: float, lo: float, hi: float) -> bool:
+    """_certified's four signs in exact arithmetic at the same two floats,
+    for integer coefficients held exactly as floats."""
+    c2, c1, c0, lo, hi = map(Fraction, (c2, c1, c0, lo, hi))
+    return (((lo + c2) * lo + c1) * lo + c0 < 0 < ((hi + c2) * hi + c1) * hi + c0
+            and (3 * hi + 2 * c2) * hi + c1 > 0 and 3 * hi + c2 > 0)
+
+
+def _enclosure_widths(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """hi - lo, rounded up, of each lane whose bracket _certified proves,
+    or else _certified_exactly does; inf for a lane that both reject."""
+    ok = _certified(C, lo, hi)
+    for i in np.flatnonzero(~ok).tolist():
+        ok[i] = _certified_exactly(*C[i].tolist(), lo[i], hi[i])
+    return np.where(ok, np.nextafter(hi - lo, np.inf), np.inf)
+
+
+def largest_real_roots(cubics) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, widths): the largest real root of each monic cubic of an
+    iterable, by bracketing bisection, and the width of a proven enclosure
+    of that root which holds the returned value.
 
     The Cauchy bound 1 + max|coeff| brackets all roots; the derivative's
     critical points isolate the rightmost one.  Bisection stops once the
@@ -389,10 +341,25 @@ def largest_real_roots(cubics) -> np.ndarray:
     One numpy pass bisects every cubic: each lane takes the same IEEE steps
     as a scalar loop over that cubic alone, so every root is bitwise the
     one that loop gives.  The coefficients are read as a stream, so no list
-    of cubics is held.
+    of cubics is held; each must be an integer below 2^53 in magnitude, so
+    it is exact in float64.
+
+    The final bracket, widened by BRACKET_WIDENING, holds the returned
+    value, and it holds the largest root when _certified proves it, or else
+    when the same four signs hold exactly (_certified_exactly); its width
+    then bounds |largest root - returned value|.  A lane that fails both,
+    such as a multiple largest root or a lone real root left of a local
+    maximum, gets width inf.
     """
-    C = np.fromiter((float(x) for c in cubics for x in (c.c2, c.c1, c.c0)),
-                    dtype=float).reshape(-1, 3)
+    bad = ValueError("cubic coefficients must be integers below 2^53 in magnitude")
+    try:
+        P = np.fromiter((v for c in cubics for x in (c.c2, c.c1, c.c0)
+                         for v in x.as_integer_ratio()), dtype=np.int64).reshape(-1, 3, 2)
+    except OverflowError:
+        raise bad from None
+    if (P[:, :, 1] != 1).any() or (np.abs(P[:, :, 0]) >= 1 << 53).any():
+        raise bad
+    C = P[:, :, 0].astype(float)
     c2, c1 = C[:, 0], C[:, 1]
     bound = 1.0 + np.abs(C).max(axis=1, initial=0.0)
     disc = c2 * c2 - 3.0 * c1
@@ -411,12 +378,14 @@ def largest_real_roots(cubics) -> np.ndarray:
         hi = np.where(live & up, mid, hi)
         lo = np.where(live & ~up, mid, lo)
         live &= hi - lo > 1e-13 * np.maximum(1.0, np.abs(hi))
-    return np.where(_cubic_values(C, hi) == 0.0, hi, 0.5 * (lo + hi))
+    pad = BRACKET_WIDENING * np.maximum(1.0, np.abs(hi))
+    return (np.where(_cubic_values(C, hi) == 0.0, hi, 0.5 * (lo + hi)),
+            _enclosure_widths(C, lo - pad, hi + pad))
 
 
 def largest_real_root(c: Cubic) -> float:
-    """Largest real root of one monic cubic: the bulk pass on a list of one."""
-    return float(largest_real_roots([c])[0])
+    """Largest real root of one monic cubic: the first lane of the bulk pass."""
+    return float(largest_real_roots([c])[0][0])
 
 
 # ---------------------------------------------------------------------------

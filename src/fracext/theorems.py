@@ -11,9 +11,9 @@ on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
 
 The grids take each family member's q or mu from its closed-form cubic and
-back every root with a Collatz-Wielandt enclosure of the member's dense
-matrix (_grid_rows): a grid makes one eigensolver call, on 3x3 quotients,
-and a dense eigensolver runs only in TheoremSpec.values.
+back every root with the width of its certified bracket (_grid_rows): a
+grid builds no matrix and makes no eigensolver call, and a dense
+eigensolver runs only in TheoremSpec.values.
 
 _classify is the one classification route: it takes graphs of one order,
 computes the bound quantity of those past the hypotheses in one
@@ -37,16 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, block_perron_vectors,
-                       distance_matrices, family_cubic, family_distance_matrix, family_q_matrix,
-                       family_quotients, family_radius_bounds, largest_eigenvalues,
-                       largest_real_root, largest_real_roots, signless_laplacians)
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
+                       largest_eigenvalues, largest_real_root, largest_real_roots,
+                       signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -402,8 +399,8 @@ class GridRow:
     s: int
     lhs: float
     rhs: float
-    lhs_err: float     # max(hi - lhs, lhs - lo), lo <= rho <= hi the enclosure of the left
-                       # member's matrix: at least |rho - lhs|, inf for a bad test vector
+    lhs_err: float     # the width of lhs's certified bracket, which holds lhs and the left
+                       # member's spectral radius rho: at least |rho - lhs|, inf if uncertified
     rhs_err: float
     equality_expected: bool
 
@@ -451,59 +448,41 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
                     yield k, delta, n, range(s_rhs, s_hi + 1), s_lo - s_rhs
 
 
-def _member_bounds(quantity: str, span: tuple) -> np.ndarray:
-    """(2, m) enclosures lo, hi of q or mu of the family at (n, k, s) for each
-    s of the span (k, n, s values, their (m, 3) block values), its matrices
-    built in stacks of at most SWEEP_CHUNK_ENTRIES entries."""
-    k, n, members, values = span
-    build = family_q_matrix if quantity == "q" else family_distance_matrix
-    size = max(1, SWEEP_CHUNK_ENTRIES // (n * n))
-    return np.concatenate([family_radius_bounds(build(n, k, members[i:i + size]), k,
-                                                members[i:i + size], values[i:i + size])
-                           for i in range(0, len(members), size)], axis=1)
-
-
-def _grid_rows(lemma: str, quantity: str, groups: list, jobs: int) -> list[GridRow]:
+def _grid_rows(lemma: str, quantity: str, groups: list) -> list[GridRow]:
     """Rows comparing the family at each left-hand s against it at s_rhs,
     group by group (_grid_groups' (k, delta, n, members, first)), in order.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, all from one largest_real_roots pass.  Its cross-check error is
-    max(hi - r, r - lo) over the Collatz-Wielandt enclosure lo <= rho(M) <= hi
-    of the member's dense matrix M (family_radius_bounds): at least
-    |rho(M) - r| up to the rounding of one matvec, inf for a test vector not
-    strictly positive.  The test vectors' block values are the Perron vectors
-    of the members' exact 3x3 quotients (family_quotients), from one
-    eigensolver call per grid, so a chunk only builds M and does its matvec.
-    The delta lemmas' groups at one (k, n) share their members, so each
-    member is evaluated once; the members of each (k, n) are fanned out to
-    jobs processes.
+    cubic, and its cross-check error is the width of r's certified bracket,
+    all from one largest_real_roots pass.  The closed form is the
+    characteristic polynomial of the member's 3x3 quotient over an
+    equitable partition (an identity tests/test_spectral.py proves for all
+    parameters), whose largest root is the member's q or mu, so the width
+    bounds |rho(M) - r| for the member's matrix M; inf for a bracket that
+    neither certificate proves.  The delta lemmas' groups at
+    one (k, n) share their members, so each member is evaluated once.
     """
     spans: dict[tuple[int, int], range] = {}   # (k, n) -> the s values its groups use
     for k, _, n, members, _ in groups:
         have = spans.get((k, n), members)
         spans[k, n] = range(min(have.start, members.start), max(have.stop, members.stop))
-    points = np.array([(k, n, s) for (k, n), span in spans.items() for s in span]).reshape(-1, 3)
-    cuts = np.cumsum([len(span) for span in spans.values()])[:-1]
-    block_values = np.split(block_perron_vectors(family_quotients(quantity, *points.T)), cuts)
-    bounds = _map(functools.partial(_member_bounds, quantity),
-                  [(k, n, span, v) for ((k, n), span), v in zip(spans.items(), block_values)], jobs)
-    roots = np.split(largest_real_roots(family_cubic(quantity, n, k, s)
-                                        for k, n, s in points.tolist()), cuts)
-    values = {key: (root, np.maximum(hi - root, root - lo))   # (k, n) -> (roots, errors)
-              for key, root, (lo, hi) in zip(spans, roots, bounds)}
+    offsets, lane = {}, 0   # (k, n) -> the lane of member s, less s
+    for key, span in spans.items():
+        offsets[key] = lane - span.start
+        lane += len(span)
+    roots, widths = largest_real_roots(family_cubic(quantity, n, k, s)
+                                       for (k, n), span in spans.items() for s in span)
     rows = []
     for k, delta, n, members, first in groups:
-        start = members.start - spans[k, n].start
-        root, err = (v[start:start + len(members)].tolist() for v in values[k, n])
+        lanes = slice(offsets[k, n] + members.start, offsets[k, n] + members.stop)
+        root, err = roots[lanes].tolist(), widths[lanes].tolist()
         rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=root[0],
                          lhs_err=lhs_err, rhs_err=err[0], equality_expected=s == members[0])
                  for s, lhs, lhs_err in zip(members[first:], root[first:], err[first:])]
     return rows
 
 
-def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None,
-               jobs: int = 1) -> GridReport:
+def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None) -> GridReport:
     """Verify one comparison inequality over a parameter grid.
 
     q1q2: q(family at s) below q(family at 2k) for n >= max(2s-2k+1, 2k+6),
@@ -512,9 +491,10 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
     for s >= delta+1 once n >= 12*delta-2k+1.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, and its error bounds |rho(M) - r| for the member's dense matrix M
-    without factoring M (_grid_rows).  A point whose error exceeds
-    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.
+    cubic, and its error is the width of r's certified bracket, a proven
+    bound on |rho(M) - r| for the member's matrix M (_grid_rows).  A point
+    whose error exceeds CROSSCHECK_TOL, or is inf, is a "crosscheck"
+    violation.
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
@@ -522,8 +502,7 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
         raise ValueError("k must be at least 1")
     mu_side = lemma == "mu_compare"
     quantity = "mu" if mu_side else "q"
-    rows = tuple(_grid_rows(lemma, quantity, list(_grid_groups(lemma, k_max, n_max, delta_max)),
-                            jobs))
+    rows = tuple(_grid_rows(lemma, quantity, list(_grid_groups(lemma, k_max, n_max, delta_max))))
     violations, min_margin, max_err, equality_points = [], float("inf"), 0.0, 0
     for row in rows:
         max_err = max(max_err, row.lhs_err, row.rhs_err)
@@ -635,7 +614,7 @@ def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
     served = theorem_spec("q_2" if kind == "q" else "mu", k)
     orders = range(6 * delta, served.min_order(delta))
     groups = [(k, delta, n, range(delta, (n + 2 * k - 1) // 2 + 1), 1) for n in orders]
-    rows = _grid_rows(f"gap_{kind}", kind, groups, 1)
+    rows = _grid_rows(f"gap_{kind}", kind, groups)
     margins = [(r.lhs - r.rhs if kind == "mu" else r.rhs - r.lhs) for r in rows]
     min_margin = min(margins) if margins else float("inf")
     return GapProbeReport(kind=kind, k=k, delta=delta, rows=tuple(rows),

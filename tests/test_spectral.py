@@ -5,17 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracext import (Cubic, ExtremalParams, Graph, charpoly3, closed_form, complete,
-                     cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
+from fracext import (Cubic, ExtremalParams, Graph, QuotientMatrix, charpoly3, closed_form,
+                     complete, cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext import spectral
-from fracext.spectral import (_block_vectors, _f_pi_prime_1, adjacency_matrices,
-                              distance_matrices, family_cubic, family_distance_matrix,
-                              family_q_matrix, family_quotients, family_radius_bounds,
-                              largest_eigenvalues, largest_real_roots, positional_blocks,
-                              signless_laplacians)
+from fracext.spectral import (_f_pi_1, _f_pi_prime_1, _phi_b1, adjacency_matrices,
+                              distance_matrices, family_cubic, largest_eigenvalues,
+                              largest_real_roots, positional_blocks, signless_laplacians)
 from fracext.theorems import _grid_groups
-from block_vector_oracle import block_test_vectors, family_block_values
+import family_enclosure
+from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
+                              family_distance_matrix, family_q_matrix, family_quotients,
+                              family_radius_bounds)
 from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
                      positional_blocks_prime, random_connected_graph, random_graph,
                      signless_laplacian)
@@ -222,12 +223,106 @@ def test_largest_real_roots_bitwise_equal_the_scalar_reference():
     # 1001 + 11777 + 7222 grid points and the right-hand member of each of
     # the 672 delta-lemma groups; q1q2's right-hand member is one of its points
     assert len(cubics) == 4 + 20_000 + 672
-    got = largest_real_roots(cubics)
-    assert got.dtype == np.float64 and got.shape == (len(cubics),)
+    got, widths = largest_real_roots(cubics)
+    assert got.dtype == widths.dtype == np.float64
+    assert got.shape == widths.shape == (len(cubics),)
     want = [largest_real_root_reference(c) for c in cubics]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-    assert largest_real_roots(iter(cubics[:2])).tolist() == want[:2]   # a stream is read once
-    assert largest_real_roots([]).shape == (0,)
+    stream = largest_real_roots(iter(cubics[:2]))   # a stream is read once
+    assert stream[0].tolist() == want[:2] and stream[1].tolist() == widths[:2].tolist()
+    assert all(a.shape == (0,) for a in largest_real_roots([]))
+
+
+def test_every_grid_bracket_is_certified_in_floats(monkeypatch):
+    """Every member of the criteria 6 and 7 grids gets a certified bracket
+    from the Horner error bounds alone, far inside the 1e-8 gate."""
+    exact = []
+    monkeypatch.setattr(spectral, "_certified_exactly", lambda *a: exact.append(a))
+    roots, widths = largest_real_roots(_grid_cubics())
+    assert exact == [] and len(widths) == 20_672
+    assert (widths > 0).all() and widths.max() < 1e-10
+
+
+def _exact_value(c, x):
+    x = Fraction(x)
+    return ((x + c.c2) * x + c.c1) * x + c.c0
+
+
+def _with_roots(a, b, c):
+    return Cubic(Fraction(-(a + b + c)), Fraction(a * b + a * c + b * c), Fraction(-a * b * c))
+
+
+def test_certified_brackets_hold_the_largest_root():
+    """Distinct integer roots a > b > c up to 10^5 in magnitude: a finite
+    width bounds |root - a|, and nearly every bracket is certified."""
+    rng = random.Random(41)
+    refused = 0
+    for _ in range(600):
+        a, b, c = sorted(rng.sample(range(-10**5, 10**5), 3), reverse=True)
+        [root], [width] = largest_real_roots([_with_roots(a, b, c)])
+        if math.isfinite(width):
+            assert abs(root - a) <= width
+        refused += width == math.inf
+    assert refused <= 3
+    # close roots far from 0 make float signs unreliable: the bisection ends
+    # 1.8e-9 from the root, well outside its bracket, and no width is claimed
+    [root], [width] = largest_real_roots([_with_roots(-833, -834, -851)])
+    assert abs(root + 833) > 1e-9 and width == math.inf
+    # random cubics, with one or three real roots: a finite width is a true bound
+    for _ in range(300):
+        c2, c1, c0 = (rng.randint(-10**4, 10**4) for _ in range(3))
+        cubic = Cubic(Fraction(c2), Fraction(c1), Fraction(c0))
+        [root], [width] = largest_real_roots([cubic])
+        if math.isfinite(width):
+            assert _exact_value(cubic, root - width) < 0 < _exact_value(cubic, root + width)
+
+
+def test_a_bracket_the_floats_reject_is_certified_exactly(monkeypatch):
+    # without widening, the bisection's own bracket around q_1's threshold
+    # at k = 1, order 8 is too tight for the Horner bounds, and holds exactly
+    cubic = family_cubic("q", 8, 1, 2)
+    widened, [width] = largest_real_roots([cubic])
+    calls = []
+    real = spectral._certified_exactly
+    monkeypatch.setattr(spectral, "_certified_exactly",
+                        lambda *a: calls.append(real(*a)) or calls[-1])
+    monkeypatch.setattr(spectral, "BRACKET_WIDENING", 0.0)
+    roots, [tight] = largest_real_roots([cubic])
+    assert calls == [True]
+    assert roots.tolist() == widened.tolist() and 0 < tight < width < 1e-11
+
+
+def test_a_bracket_neither_certificate_proves_gets_inf():
+    # a double largest root: f keeps its sign across it, so no bracket is proved
+    double = Cubic(Fraction(-41), Fraction(440), Fraction(-400))   # (x-20)^2 (x-1)
+    [root], [width] = largest_real_roots([double])
+    assert root == pytest.approx(20.0, abs=1e-6) and width == math.inf
+    # a lone real root left of the local maximum, where f'' < 0
+    lone = Cubic(Fraction(3), Fraction(-8), Fraction(10))   # (x+5)(x^2-2x+2)
+    [root], [width] = largest_real_roots([lone])
+    assert root == pytest.approx(-5.0, abs=1e-12) and width == math.inf
+
+
+def test_a_zero_at_the_upper_end_is_the_root_and_is_certified():
+    # (x-6)(x+2)(x+4): the bisection lands on 6, and p(hi) == 0 returns it
+    cubic = Cubic(Fraction(0), Fraction(-28), Fraction(-48))
+    assert largest_real_root_reference(cubic) == 6.0
+    [root], [width] = largest_real_roots([cubic])
+    assert root == 6.0 and 0 < width < 1e-11
+    # K_{2k+1}, the family at s = 2k and order 2k+1, has roots 4k, 2k and
+    # 2k-1; its bracket holds 4k, though the bisection stops short of it
+    for k in range(1, 8):
+        [root], [width] = largest_real_roots([family_cubic("q", 2 * k + 1, k, 2 * k)])
+        assert abs(root - 4 * k) <= width < 1e-10
+
+
+def test_largest_real_roots_take_integer_coefficients_below_2_53():
+    for cubic in (Cubic(Fraction(1, 2), Fraction(0), Fraction(0)),
+                  Cubic(Fraction(0), Fraction(2 ** 53), Fraction(0)),
+                  Cubic(Fraction(0), Fraction(0), Fraction(-2 ** 64))):
+        with pytest.raises(ValueError, match="integers below 2\\^53"):
+            largest_real_roots([cubic])
+    assert largest_real_root(Cubic(Fraction(0), Fraction(0), Fraction(1 - 2 ** 53))) > 0
 
 
 def test_largest_real_root_vs_numpy():
@@ -399,10 +494,73 @@ def test_family_radius_bounds_hold_for_any_positive_vector(monkeypatch):
     rng = np.random.default_rng(5)
     M = family_distance_matrix(30, 2, [4, 6, 9])
     eig = largest_eigenvalues(M)
-    monkeypatch.setattr(spectral, "_block_vectors",
+    monkeypatch.setattr(family_enclosure, "_block_vectors",
                         lambda values, n, k, s_values: rng.uniform(0.5, 2.0, (len(s_values), n)))
     lo, hi = family_radius_bounds(M, 2, [4, 6, 9], family_block_values("mu", 30, 2, [4, 6, 9]))
     assert (lo <= eig).all() and (eig <= hi).all() and (hi - lo > 1).all()
+
+
+def _exact_quotient(quantity, k, n, s, live=(0, 1, 2)):
+    """The quotient family_quotients builds for member (n, k, s), over the
+    blocks of live, as an exact QuotientMatrix; its entries are polynomials
+    of degree 1 in (k, n, s)."""
+    [B] = family_quotients(quantity, [k], [n], [s])
+    return QuotientMatrix(tuple(tuple(Fraction(int(B[i, j])) for j in live) for i in live), True)
+
+
+def test_closed_forms_are_the_quotient_charpolys_as_identities():
+    """charpoly3 of the exact quotient against _f_pi_1 (q) and _phi_b1 (mu).
+
+    The quotient's entries are linear in (k, n, s), so its characteristic
+    coefficients have degree <= 3 in each variable, as do the closed forms.
+    Agreement on a 4x4x4 product grid therefore proves each identity for all
+    parameters; the grid's inner block is never empty, as in every member
+    above the boundary order.  With the quotient taken over an equitable
+    partition (test_family_quotients_equal_the_quotients_read_off_the_matrices),
+    the closed form's largest root is the member's q or mu at every order
+    the grids reach.
+    """
+    points = 0
+    for k in range(1, 5):
+        for n in range(40, 44):
+            for s in range(9, 13):
+                assert n - 2 * s + 2 * k - 1 > 0
+                assert charpoly3(_exact_quotient("q", k, n, s)) == _f_pi_1(n, k, s)
+                assert charpoly3(_exact_quotient("mu", k, n, s)) == _phi_b1(n, k, s)
+                points += 1
+    assert points == 64
+
+
+def _charpoly2(q):
+    """(trace, determinant) of a 2x2 quotient: its charpoly is x^2 - tr x + det."""
+    (a, b), (c, d) = q.entries
+    return a + d, a * d - b * c
+
+
+def test_boundary_closed_forms_factor_over_the_2x2_quotient():
+    """At the boundary order n = 2s-2k+1 the inner block is empty, and the
+    quotient over the clique and the independent blocks is 2x2, with charpoly
+    p2.  As identities in (k, s), proved on a 4x4 grid (every coefficient
+    has degree <= 3 in each variable): _f_pi_prime_1 = (x - s) p2 and
+    _phi_b1 at that order = (x + 1) p2.  The extra root lies below p2's
+    largest: p2(s) = -ts < 0 for q, and for mu p2(-1) = s(t - 1) >= 0 with
+    p2's vertex at (s + 2t - 3)/2 > -1, where t = s-2k+1 >= 1.
+    """
+    def times(r, tr, det):   # (x - r)(x^2 - tr x + det) as a Cubic
+        return Cubic(-tr - r, det + r * tr, -r * det)
+
+    points = 0
+    for k in range(1, 5):
+        for s in range(9, 13):
+            n, t = 2 * s - 2 * k + 1, s - 2 * k + 1
+            tr, det = _charpoly2(_exact_quotient("q", k, n, s, live=(0, 2)))
+            assert _f_pi_prime_1(k, s) == times(Fraction(s), tr, det)
+            assert s * s - tr * s + det == -t * s < 0
+            tr, det = _charpoly2(_exact_quotient("mu", k, n, s, live=(0, 2)))
+            assert _phi_b1(n, k, s) == times(Fraction(-1), tr, det)
+            assert 1 + tr + det == s * (t - 1) and tr == s + 2 * t - 3 > -2
+            points += 1
+    assert points == 16
 
 
 def test_spectral_report_fields():

@@ -1,21 +1,23 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
+from fracext import (Cubic, ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
                      largest_real_root, closed_form, parse_graph6, verify_witness)
 from fracext import spectral, theorems
 from fracext.corpus import all_graphs, complement_corpus, connected_graphs
-from fracext.spectral import (SWEEP_CHUNK_ENTRIES, family_cubic, family_distance_matrix,
-                              family_q_matrix, family_radius_bounds, largest_eigenvalues)
+from fracext.spectral import SWEEP_CHUNK_ENTRIES, family_cubic, largest_real_roots
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
-from block_vector_oracle import block_test_vectors, family_block_values
+import family_enclosure
+from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
+                              family_matrices, member_values)
 from root_oracle import largest_real_root_reference
 from sweep_oracle import sweep_reference
 
@@ -298,21 +300,15 @@ def test_lemma_grid_crosscheck_guard_fires(monkeypatch):
     assert all(v.kind == "crosscheck" for v in rep.violations)
 
 
-def test_lemma_grid_parallel_matches_serial():
-    a = lemma_grid("q1q3", k_max=1, n_max=40, delta_max=4, jobs=1)
-    b = lemma_grid("q1q3", k_max=1, n_max=40, delta_max=4, jobs=3)
-    assert a == b and a.ok
-
-
-def _point_value(quantity, n, k, s):
-    """(root, error) of one family member: the scalar reference bisection of
-    its cubic, and max(hi - root, root - lo) over the enclosure of its own
-    matrix, taken as a stack of one."""
-    build = family_q_matrix if quantity == "q" else family_distance_matrix
-    root = largest_real_root_reference(family_cubic(quantity, n, k, s))
-    lo, hi = family_radius_bounds(build(n, k, [s]), k, [s],
-                                  family_block_values(quantity, n, k, [s]))[:, 0].tolist()
-    return root, max(hi - root, root - lo)
+def _point_values(members):
+    """{(quantity, n, k, s): (root, error)} of family members: the scalar
+    reference bisection of each cubic, and the width of its certified
+    bracket, from one pass over the members in reverse sorted order, not in
+    the grid's lane order (each lane is computed on its own)."""
+    members = sorted(set(members), reverse=True)
+    cubics = [family_cubic(*m) for m in members]
+    widths = largest_real_roots(cubics)[1].tolist()
+    return {m: (largest_real_root_reference(c), w) for m, c, w in zip(members, cubics, widths)}
 
 
 # grid-delta's three commands
@@ -332,46 +328,42 @@ def test_grid_rows_bitwise_equal_a_per_point_reference():
     reports = [("mu" if lemma == "mu_compare" else "q", lemma_grid(lemma, **bounds).rows)
                for lemma, bounds in grids]
     reports += [(kind, probe_gap_region(kind, 1, 3).rows) for kind in ("q", "mu")]
+    sides = [(quantity, row, (row.s, row.delta if row.delta is not None else 2 * row.k))
+             for quantity, rows in reports for row in rows]
+    value = _point_values((quantity, row.n, row.k, s) for quantity, row, pair in sides
+                          for s in pair)
     points = 0
-    for quantity, rows in reports:
-        for row in rows:
-            s_rhs = row.delta if row.delta is not None else 2 * row.k
-            lhs, lhs_err = _point_value(quantity, row.n, row.k, row.s)
-            rhs, rhs_err = _point_value(quantity, row.n, row.k, s_rhs)
-            got = (row.lhs, row.rhs, row.lhs_err, row.rhs_err)
-            assert [x.hex() for x in got] == [x.hex() for x in (lhs, rhs, lhs_err, rhs_err)], row
-            points += 1
+    for quantity, row, (s, s_rhs) in sides:
+        lhs, lhs_err = value[quantity, row.n, row.k, s]
+        rhs, rhs_err = value[quantity, row.n, row.k, s_rhs]
+        got = (row.lhs, row.rhs, row.lhs_err, row.rhs_err)
+        assert [x.hex() for x in got] == [x.hex() for x in (lhs, rhs, lhs_err, rhs_err)], row
+        points += 1
     assert points > 1001 + 1757 + 1596 + 1000
+
+
+def _members(rows):
+    """{(k, n): sorted s values} of every member either side of the rows use."""
+    members = {}
+    for row in rows:
+        members.setdefault((row.k, row.n), set()).update(
+            (row.s, row.delta if row.delta is not None else 2 * row.k))
+    return {key: sorted(ss) for key, ss in members.items()}
 
 
 def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7():
     """The dense cross-check the grids no longer run: at every point, each
-    side's eigvalsh value lies within 1e-8 of the row value and inside the
-    row's enclosure widened by n * eps * hi, a slack for the rounding of the
-    matvec and of the eigensolver (the largest excursion measured is 0.41 of
-    it).  The members of each (k, n) are factored in chunked stacks."""
+    side's eigvalsh value lies within 1e-8 of the row value, inside the
+    Collatz-Wielandt enclosure of the member's own matrix and inside the
+    row's certified bracket, each widened by n * eps * hi, a slack for the
+    rounding of the matvec and of the eigensolver.  The members of each
+    (k, n) are built and factored in chunked stacks."""
     eps = np.finfo(float).eps
     points = 0
     for lemma, bounds in CRITERIA_GRIDS:
         quantity = "mu" if lemma == "mu_compare" else "q"
-        build = family_distance_matrix if lemma == "mu_compare" else family_q_matrix
         rows = lemma_grid(lemma, **bounds).rows
-        members = {}   # (k, n) -> the s values its rows use
-        for row in rows:
-            members.setdefault((row.k, row.n), set()).update(
-                (row.s, row.delta if row.delta is not None else 2 * row.k))
-        value = {}   # (k, n, s) -> (eigenvalue, lo, hi)
-        for (k, n), ss in members.items():
-            ss = sorted(ss)
-            size = SWEEP_CHUNK_ENTRIES // (n * n)
-            for i in range(0, len(ss), size):
-                part = ss[i:i + size]
-                M = build(n, k, part)
-                lo, hi = family_radius_bounds(M, k, part,
-                                              family_block_values(quantity, n, k, part))
-                for s, eig, l, h in zip(part, largest_eigenvalues(M).tolist(),
-                                        lo.tolist(), hi.tolist()):
-                    value[k, n, s] = eig, l, h
+        value = member_values(quantity, _members(rows))
         for row in rows:
             s_rhs = row.delta if row.delta is not None else 2 * row.k
             for s, side, err in ((row.s, row.lhs, row.lhs_err), (s_rhs, row.rhs, row.rhs_err)):
@@ -385,64 +377,62 @@ def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7
 
 
 def test_lemma_grid_flags_shifted_roots_at_every_row(monkeypatch):
-    real = theorems.largest_real_roots
-    monkeypatch.setattr(theorems, "largest_real_roots", lambda cubics: real(cubics) + 1e-6)
+    # every bracket shifted right by 1e-6 misses its root, so neither
+    # certificate proves it, while the returned roots stay as they were
+    real = spectral._enclosure_widths
+    monkeypatch.setattr(spectral, "_enclosure_widths",
+                        lambda C, lo, hi: real(C, lo + 1e-6, hi + 1e-6))
     for lemma, bounds in GRID_DELTA[:2]:
         rep = lemma_grid(lemma, **bounds)
         crosscheck = [v.row for v in rep.violations if v.kind == "crosscheck"]
         assert crosscheck == list(rep.rows) and rep.points > 1000
-        assert rep.max_crosscheck_error > 0.9e-6
+        assert rep.max_crosscheck_error == np.inf
+        assert all(v.kind == "crosscheck" for v in rep.violations)
 
 
-def test_a_test_vector_with_a_zero_entry_makes_a_violation(monkeypatch):
-    real = spectral._block_vectors
-    target = (13, 1, 5)   # (n, k, s), a left-hand member of the q1q2 grid
-
-    def zeroed(values, n, k, s_values):
-        x = real(values, n, k, s_values)
-        for j, s in enumerate(s_values):
-            if (n, k, s) == target:
-                x[j, -1] = 0.0
-        return x
-
-    monkeypatch.setattr(spectral, "_block_vectors", zeroed)
-    lo, hi = family_radius_bounds(family_q_matrix(13, 1, [4, 5]), 1, [4, 5],
-                                  family_block_values("q", 13, 1, [4, 5]))
-    assert lo[1] == -np.inf and hi[1] == np.inf and lo[0] <= hi[0] < np.inf
+def test_an_uncertified_bracket_makes_one_violation(monkeypatch):
+    # one left-hand member of the q1q2 grid takes a cubic with a double
+    # largest root at 20, below the right-hand side's 22.198: its root stays
+    # on the right side of the inequality, but neither the float nor the
+    # exact certificate proves a bracket, so its error is inf
+    real = theorems.family_cubic
+    target = (13, 1, 5)   # (n, k, s)
+    double = Cubic(Fraction(-41), Fraction(440), Fraction(-400))   # (x-20)^2 (x-1)
+    monkeypatch.setattr(theorems, "family_cubic",
+                        lambda quantity, n, k, s: double if (n, k, s) == target
+                        else real(quantity, n, k, s))
     rep = lemma_grid("q1q2", k_max=1, n_max=14)
     [violation] = rep.violations
     assert violation.kind == "crosscheck"
     assert (violation.row.n, violation.row.k, violation.row.s) == target
+    assert abs(violation.row.lhs - 20.0) < 1e-6 and violation.row.lhs < violation.row.rhs
     assert violation.row.lhs_err == rep.max_crosscheck_error == np.inf
 
 
-def test_grid_test_vectors_bitwise_equal_the_reference_read_off_each_matrix(monkeypatch):
-    # every member of grid-delta's grids, through the grids' own route: block
-    # values from one eigensolve per grid, expanded per chunk
-    real = theorems.family_radius_bounds
-    checked = set()
-
-    def checking(M, k, s_values, values):
-        n = M.shape[1]
-        x = spectral._block_vectors(values, n, k, s_values)
-        assert x.tobytes() == block_test_vectors(M, k, s_values).tobytes(), (n, k, s_values)
-        checked.update((k, n, s) for s in s_values)
-        return real(M, k, s_values, values)
-
-    monkeypatch.setattr(theorems, "family_radius_bounds", checking)
+def test_grid_test_vectors_bitwise_equal_the_reference_read_off_each_matrix():
+    # every member of grid-delta's grids, in the chunks the dense cross-check
+    # builds: block values from the quotients' Perron vectors, expanded into
+    # x, are bitwise the ones read off each member's own matrix
     for lemma, bounds in GRID_DELTA:
-        checked.clear()
-        rows = lemma_grid(lemma, **bounds).rows
-        used = {(r.k, r.n, r.s) for r in rows}
-        used |= {(r.k, r.n, r.delta if r.delta is not None else 2 * r.k) for r in rows}
-        assert checked == used and len(used) > 900
+        quantity = "mu" if lemma == "mu_compare" else "q"
+        members = _members(lemma_grid(lemma, **bounds).rows)
+        for (k, n), ss in members.items():
+            size = max(1, SWEEP_CHUNK_ENTRIES // (n * n))
+            for part in (ss[i:i + size] for i in range(0, len(ss), size)):
+                x = _block_vectors(family_block_values(quantity, n, k, part), n, k, part)
+                M = family_matrices(quantity, n, k, part)
+                assert x.tobytes() == block_test_vectors(M, k, part).tobytes(), (n, k, part)
+        assert sum(map(len, members.values())) > 900
 
 
 def test_one_quotient_eigensolve_per_grid_and_none_per_chunk(monkeypatch):
+    # the grids themselves make no eig call; the dense cross-check of a
+    # grid's members makes one, an (m, 3, 3) stack holding every member
+    # that its chunks enclose
     stacks = []
     chunks = []
     eig = np.linalg.eig
-    real = theorems.family_radius_bounds
+    real = family_enclosure.family_radius_bounds
 
     def counting_eig(B):
         stacks.append(B.shape)
@@ -453,48 +443,33 @@ def test_one_quotient_eigensolve_per_grid_and_none_per_chunk(monkeypatch):
         return real(M, k, s_values, values)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    monkeypatch.setattr(theorems, "family_radius_bounds", counting_chunks)
-    runs = [lambda lemma=lemma, bounds=bounds: lemma_grid(lemma, **bounds)
+    monkeypatch.setattr(family_enclosure, "family_radius_bounds", counting_chunks)
+    runs = [("mu" if lemma == "mu_compare" else "q",
+             lambda lemma=lemma, bounds=bounds: lemma_grid(lemma, **bounds).rows)
             for lemma, bounds in GRID_DELTA]
-    runs += [lambda kind=kind: probe_gap_region(kind, 1, 3) for kind in ("q", "mu")]
-    for run in runs:
+    runs += [(kind, lambda kind=kind: probe_gap_region(kind, 1, 3).rows) for kind in ("q", "mu")]
+    for quantity, run in runs:
         stacks.clear()
         chunks.clear()
-        run()
-        # one (m, 3, 3) stack holding every member that the chunks enclose
+        rows = run()
+        assert stacks == []
+        member_values(quantity, _members(rows))
         assert len(stacks) == 1 and len(chunks) > 1
         assert stacks[0] == (sum(chunks), 3, 3)
 
 
 def test_grids_and_probes_run_no_dense_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
+        raise AssertionError("an eigensolver was called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     for lemma, bounds in (("q1q2", dict(k_max=2, n_max=20)),
                           ("q1q3", dict(k_max=1, n_max=40, delta_max=4)),
                           ("mu_compare", dict(k_max=1, n_max=48, delta_max=4))):
-        assert lemma_grid(lemma, jobs=1, **bounds).ok
+        assert lemma_grid(lemma, **bounds).ok
     for kind in ("q", "mu"):
         assert probe_gap_region(kind, 1, 3).all_hold
-
-
-def test_lemma_grid_stacks_stay_within_the_chunk_bound(monkeypatch):
-    sizes = []
-
-    def recording(build):
-        def built(n, k, s_values):
-            stack = build(n, k, s_values)
-            sizes.append(stack.size)
-            return stack
-        return built
-
-    for name in ("family_q_matrix", "family_distance_matrix"):
-        monkeypatch.setattr(theorems, name, recording(getattr(theorems, name)))
-    points = sum(lemma_grid(lemma, **bounds).points for lemma, bounds in GRID_DELTA)
-    assert max(sizes) <= SWEEP_CHUNK_ENTRIES
-    assert len(sizes) < points / 2   # members are built and enclosed in stacks
-    assert min(sizes) < 90 * 90 < max(sizes)   # order-90 chunks hold two members
 
 
 def test_map_pool_has_no_more_workers_than_items(monkeypatch):
