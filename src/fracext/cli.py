@@ -38,9 +38,9 @@ def _fmt(x) -> str:
 def _jsonable(x, strict: bool):
     """x as plain data: dataclasses as dicts, rationals as p/q text and
     floats at 12 significant digits.  A non-finite float (a grid or probe
-    with no strict row leaves +inf, and so does a grid point whose test
-    vector is not strictly positive) becomes None when strict, as JSON
-    cannot carry it, and stays as it is for text and csv, which print it."""
+    with no strict row leaves +inf, and so does a grid point whose bracket
+    neither certificate proves) becomes None when strict, as JSON cannot
+    carry it, and stays as it is for text and csv, which print it."""
     if isinstance(x, (str, int)) or x is None:
         return x
     if isinstance(x, float):

@@ -1,17 +1,18 @@
 """Spectral machinery: matrices, largest eigenvalues, exact quotients,
 and the closed-form characteristic cubics of the extremal families.
 
-Numeric spectral radii come from LAPACK's symmetric eigensolver; everything
-structural (quotient matrices, characteristic polynomials, closed forms)
-is exact over the rationals, so the identity between a family's cubic and
-charpoly3(quotient(...)) can be asserted coefficient by coefficient.
+Numeric spectral radii come from LAPACK's symmetric eigensolver; quotient
+matrices and their characteristic polynomials are exact over the
+rationals.  The closed forms are integer polynomials in (n, k, s), written
+once: on Python ints they give one member's exact cubic, to assert against
+charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
 Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
 are built from its adjacency stack, the distance matrices are one BFS over
 the stack, and largest_eigenvalues is one eigensolver call.  The largest
-roots of many cubics come from one numpy bisection pass, and each comes
-with the width of a certified bracket: Horner rounding-error bounds, or
-exact arithmetic where those do not settle it, prove the root inside.
+roots of many integer cubics come from one numpy bisection pass, and each
+comes with the width of a certified bracket: Horner rounding-error bounds,
+or exact arithmetic where those do not settle it, prove the root inside.
 """
 from __future__ import annotations
 
@@ -151,13 +152,13 @@ def quotient(M, blocks) -> QuotientMatrix:
 
 @dataclass(frozen=True)
 class Cubic:
-    """Monic cubic x^3 + c2 x^2 + c1 x + c0 with exact coefficients."""
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
+    """Monic cubic x^3 + c2 x^2 + c1 x + c0 with exact (int or Fraction) coefficients."""
+    c2: Fraction | int
+    c1: Fraction | int
+    c0: Fraction | int
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (Fraction(1), self.c2, self.c1, self.c0)
+        return tuple(map(Fraction, (1, self.c2, self.c1, self.c0)))
 
 
 def charpoly3(q: QuotientMatrix) -> Cubic:
@@ -190,29 +191,24 @@ _FAMILY_PARAMS = {"f2": ("n",), "f_pi_1": ("n", "s"), "f_pi_prime_1": ("s",),
 FAMILIES = tuple(_FAMILY_PARAMS)
 
 
-def _f_pi_1(n: int, k: int, s: int) -> Cubic:
-    F = Fraction
-    return Cubic(
-        F(s - 3 * n - 4 * k + 6),
-        F(-4 * s * s + (8 * k + n - 4) * s + 4 * k * n - 8 * n - 8 * k + 2 * n * n + 8),
-        F(-2 * s ** 3 + (8 * k + 4 * n - 10) * s * s
-          + (-8 * k * k - 8 * k * n + 20 * k - 2 * n * n + 10 * n - 12) * s))
+def _f_pi_1(n, k, s):   # each builder takes ints or int64 arrays, and gives (c2, c1, c0)
+    return (s - 3 * n - 4 * k + 6,
+            -4 * s * s + (8 * k + n - 4) * s + 4 * k * n - 8 * n - 8 * k + 2 * n * n + 8,
+            -2 * s ** 3 + (8 * k + 4 * n - 10) * s * s
+            + (-8 * k * k - 8 * k * n + 20 * k - 2 * n * n + 10 * n - 12) * s)
 
 
-def _f_pi_prime_1(k: int, s: int) -> Cubic:
+def _f_pi_prime_1(k, s):
     """q's cubic at the boundary order 2s-2k+1; at s = 2k, where the family
     is K_{2k+1}, it factors as (x - 4k)(x - 2k)(x - 2k + 1)."""
-    F = Fraction
-    return Cubic(F(2 * k - 5 * s + 1), F(6 * s * s - 2 * k * s - 3 * s), F(-2 * s ** 3 + 2 * s * s))
+    return 2 * k - 5 * s + 1, 6 * s * s - 2 * k * s - 3 * s, -2 * s ** 3 + 2 * s * s
 
 
-def _phi_b1(n: int, k: int, s: int) -> Cubic:
-    F = Fraction
-    return Cubic(
-        F(2 * k - n - s + 3),
-        F(5 * s * s - 14 * k * s - 2 * n * s + 8 * k * k + 4 * k * n + 6 * s - 6 * k - 5 * n + 6),
-        F(-2 * s ** 3 + 6 * k * s * s + n * s * s + 2 * s * s - 4 * k * k * s - 2 * k * n * s
-          - 10 * k * s - n * s + 6 * s + 8 * k * k + 4 * k * n - 8 * k - 4 * n + 4))
+def _phi_b1(n, k, s):
+    return (2 * k - n - s + 3,
+            5 * s * s - 14 * k * s - 2 * n * s + 8 * k * k + 4 * k * n + 6 * s - 6 * k - 5 * n + 6,
+            -2 * s ** 3 + 6 * k * s * s + n * s * s + 2 * s * s - 4 * k * k * s - 2 * k * n * s
+            - 10 * k * s - n * s + 6 * s + 8 * k * k + 4 * k * n - 8 * k - 4 * n + 4)
 
 
 def closed_form(family: str, *, n: int | None = None, k: int,
@@ -240,46 +236,58 @@ def closed_form(family: str, *, n: int | None = None, k: int,
     if family == "f2":
         if n is None or n < 2 * k + 2:
             raise ValueError("f2 needs n >= 2k+2")
-        return _f_pi_1(n, k, 2 * k)
+        return Cubic(*_f_pi_1(n, k, 2 * k))
     if family == "f_pi_1":
         if n is None or s is None or s < 2 * k or n < 2 * s - 2 * k + 2:
             raise ValueError("f_pi_1 needs s >= 2k and n >= 2s-2k+2")
-        return _f_pi_1(n, k, s)
+        return Cubic(*_f_pi_1(n, k, s))
     if family == "f_pi_prime_1":
         if s is None or s < 2 * k + 1:
             raise ValueError("f_pi_prime_1 needs s >= 2k+1 (order is 2s-2k+1)")
-        return _f_pi_prime_1(k, s)
+        return Cubic(*_f_pi_prime_1(k, s))
     if family == "f3_q":
         if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
             raise ValueError("f3_q needs delta >= 2k+1 and n >= 2*delta-2k+2")
-        return _f_pi_1(n, k, delta)
+        return Cubic(*_f_pi_1(n, k, delta))
     if family == "phi_B1":
         if n is None or s is None or s < 2 * k or n < 2 * s - 2 * k + 1:
             raise ValueError("phi_B1 needs s >= 2k and n >= 2s-2k+1")
-        return _phi_b1(n, k, s)
+        return Cubic(*_phi_b1(n, k, s))
     if family == "phi_B3_case1":
         if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
             raise ValueError("phi_B3_case1 needs delta >= 2k+1 and n >= 2*delta-2k+2")
-        return _phi_b1(n, k, delta)
+        return Cubic(*_phi_b1(n, k, delta))
     # phi_B3_case2, the one family left
     if s is None or delta is None or delta < 2 * k + 1 or s < delta + 1:
         raise ValueError("phi_B3_case2 needs delta >= 2k+1 and s >= delta+1")
-    return _phi_b1(2 * s - 2 * k + 1, k, delta)
+    return Cubic(*_phi_b1(2 * s - 2 * k + 1, k, delta))
 
 
-def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
-    """The cubic whose largest root is the family's q ("q") or mu ("mu").
+def family_coefficients(quantity: str, members) -> np.ndarray:
+    """(m, 3) int64 rows (c2, c1, c0) of the cubics whose largest roots are the
+    family's q ("q") or mu ("mu"), for m members (n, k, s) at once.
 
     phi_B1 covers mu at every order; q takes f_pi_1 above the boundary
     order n = 2s-2k+1 and f_pi_prime_1 at it, for every s >= 2k (at s = 2k
     that member is K_{2k+1}, below closed_form's f_pi_prime_1 region).
     """
+    n, k, s = np.asarray(members, dtype=np.int64).reshape(-1, 3).T
+    # every valid member has 1 <= k < s < n < 2^18 (the first four tests), so no
+    # int64 partial result wraps: each closed form, expanded as written, has
+    # monomials of magnitude at most n^3 whose integer factors add up to at
+    # most 84 (f_pi_1's c0), and 84 * 2^54 < 2^63
+    if not ((1 <= k) & (k < s) & (s < n) & (n < 1 << 18)
+            & (2 * k <= s) & (2 * s - 2 * k < n)).all():
+        raise ValueError("family members need k >= 1, s >= 2k and 2s-2k+1 <= n < 2^18")
     if quantity == "mu":
-        return closed_form("phi_B1", n=n, k=k, s=s)
-    if n >= 2 * s - 2 * k + 2:
-        return closed_form("f_pi_1", n=n, k=k, s=s)
-    ExtremalParams(n, k, s)   # rejects an invalid member, so n = 2s-2k+1 here
-    return _f_pi_prime_1(k, s)
+        return np.stack(_phi_b1(n, k, s), axis=1)
+    return np.where((n == 2 * s - 2 * k + 1)[:, None], np.stack(_f_pi_prime_1(k, s), axis=1),
+                    np.stack(_f_pi_1(n, k, s), axis=1))
+
+
+def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
+    """One member's cubic (family_coefficients), with int coefficients."""
+    return Cubic(*family_coefficients(quantity, [(n, k, s)])[0].tolist())
 
 
 def _cubic_values(C: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -329,10 +337,11 @@ def _enclosure_widths(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.where(ok, np.nextafter(hi - lo, np.inf), np.inf)
 
 
-def largest_real_roots(cubics) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, widths): the largest real root of each monic cubic of an
-    iterable, by bracketing bisection, and the width of a proven enclosure
-    of that root which holds the returned value.
+def largest_real_roots(C) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, widths): the largest real root of each monic cubic, given as
+    the rows (c2, c1, c0) of an (m, 3) integer array, by bracketing
+    bisection, and the width of a proven enclosure of that root which holds
+    the returned value.
 
     The Cauchy bound 1 + max|coeff| brackets all roots; the derivative's
     critical points isolate the rightmost one.  Bisection stops once the
@@ -340,9 +349,8 @@ def largest_real_roots(cubics) -> tuple[np.ndarray, np.ndarray]:
     (absolute below 1), and a zero at the upper end is the root itself.
     One numpy pass bisects every cubic: each lane takes the same IEEE steps
     as a scalar loop over that cubic alone, so every root is bitwise the
-    one that loop gives.  The coefficients are read as a stream, so no list
-    of cubics is held; each must be an integer below 2^53 in magnitude, so
-    it is exact in float64.
+    one that loop gives.  Every coefficient must be below 2^53 in
+    magnitude, so it is exact in float64.
 
     The final bracket, widened by BRACKET_WIDENING, holds the returned
     value, and it holds the largest root when _certified proves it, or else
@@ -351,15 +359,11 @@ def largest_real_roots(cubics) -> tuple[np.ndarray, np.ndarray]:
     such as a multiple largest root or a lone real root left of a local
     maximum, gets width inf.
     """
-    bad = ValueError("cubic coefficients must be integers below 2^53 in magnitude")
-    try:
-        P = np.fromiter((v for c in cubics for x in (c.c2, c.c1, c.c0)
-                         for v in x.as_integer_ratio()), dtype=np.int64).reshape(-1, 3, 2)
-    except OverflowError:
-        raise bad from None
-    if (P[:, :, 1] != 1).any() or (np.abs(P[:, :, 0]) >= 1 << 53).any():
-        raise bad
-    C = P[:, :, 0].astype(float)
+    C = np.asarray(C)
+    integer = C.dtype.kind == "i"
+    C = C.astype(float)
+    if not integer or (np.abs(C) >= 2.0 ** 53).any():
+        raise ValueError("cubic coefficients must be integers below 2^53 in magnitude")
     c2, c1 = C[:, 0], C[:, 1]
     bound = 1.0 + np.abs(C).max(axis=1, initial=0.0)
     disc = c2 * c2 - 3.0 * c1
@@ -384,8 +388,10 @@ def largest_real_roots(cubics) -> tuple[np.ndarray, np.ndarray]:
 
 
 def largest_real_root(c: Cubic) -> float:
-    """Largest real root of one monic cubic: the first lane of the bulk pass."""
-    return float(largest_real_roots([c])[0][0])
+    """Largest real root of one monic cubic: the first lane of the bulk pass.  An integral
+    Fraction goes in as its int; any other, or an int past int64, is refused."""
+    row = [x.numerator if x.denominator == 1 else x for x in (c.c2, c.c1, c.c0)]
+    return float(largest_real_roots([row])[0][0])
 
 
 # ---------------------------------------------------------------------------

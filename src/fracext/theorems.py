@@ -41,9 +41,9 @@ from .graphs import (ExtremalParams, Graph, extremal_edge_count,
                      extremal_graph, graph_stats, is_connected, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices, family_cubic,
-                       largest_eigenvalues, largest_real_root, largest_real_roots,
-                       signless_laplacians)
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices,
+                       family_coefficients, family_cubic, largest_eigenvalues,
+                       largest_real_root, largest_real_roots, signless_laplacians)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -435,8 +435,8 @@ def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
     start at s_rhs for q1q2, whose equality row sits there (first = 0),
     and just above it for the two delta lemmas (first = 1).
     """
-    if lemma != "q1q2" and delta_max is None:
-        raise ValueError(f"{lemma} grid needs a delta bound")
+    if (delta_max is None) != (lemma == "q1q2"):
+        raise ValueError(f"{lemma} grid {'needs a' if delta_max is None else 'takes no'} delta bound")
     for k in range(1, k_max + 1):
         spec = theorem_spec(_LEMMA_THEOREM[lemma], k)
         for delta in range(2 * k + 1, delta_max + 1) if spec.uses_delta else (None,):
@@ -453,29 +453,21 @@ def _grid_rows(lemma: str, quantity: str, groups: list) -> list[GridRow]:
     group by group (_grid_groups' (k, delta, n, members, first)), in order.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, and its cross-check error is the width of r's certified bracket,
-    all from one largest_real_roots pass.  The closed form is the
-    characteristic polynomial of the member's 3x3 quotient over an
-    equitable partition (an identity tests/test_spectral.py proves for all
-    parameters), whose largest root is the member's q or mu, so the width
-    bounds |rho(M) - r| for the member's matrix M; inf for a bracket that
-    neither certificate proves.  The delta lemmas' groups at
-    one (k, n) share their members, so each member is evaluated once.
+    cubic, and its cross-check error is the width of r's certified bracket:
+    one family_coefficients evaluation gives the integer cubics of every
+    member of every group, and one largest_real_roots pass their roots and
+    widths.  The closed form is the characteristic polynomial of the
+    member's 3x3 quotient over an equitable partition (an identity
+    tests/test_spectral.py proves for all parameters), whose largest root is
+    the member's q or mu, so the width bounds |rho(M) - r| for the member's
+    matrix M; inf for a bracket that neither certificate proves.
     """
-    spans: dict[tuple[int, int], range] = {}   # (k, n) -> the s values its groups use
-    for k, _, n, members, _ in groups:
-        have = spans.get((k, n), members)
-        spans[k, n] = range(min(have.start, members.start), max(have.stop, members.stop))
-    offsets, lane = {}, 0   # (k, n) -> the lane of member s, less s
-    for key, span in spans.items():
-        offsets[key] = lane - span.start
-        lane += len(span)
-    roots, widths = largest_real_roots(family_cubic(quantity, n, k, s)
-                                       for (k, n), span in spans.items() for s in span)
-    rows = []
+    C = family_coefficients(quantity, [(n, k, s) for k, _, n, members, _ in groups for s in members])
+    roots, widths = (a.tolist() for a in largest_real_roots(C))
+    rows, lane = [], 0
     for k, delta, n, members, first in groups:
-        lanes = slice(offsets[k, n] + members.start, offsets[k, n] + members.stop)
-        root, err = roots[lanes].tolist(), widths[lanes].tolist()
+        root, err = roots[lane:lane + len(members)], widths[lane:lane + len(members)]
+        lane += len(members)
         rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=root[0],
                          lhs_err=lhs_err, rhs_err=err[0], equality_expected=s == members[0])
                  for s, lhs, lhs_err in zip(members[first:], root[first:], err[first:])]

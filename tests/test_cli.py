@@ -368,6 +368,15 @@ def test_grid_without_strict_rows_is_strict_json(capsys):
     assert code == 2 and out == "" and "k must be at least 1" in err
 
 
+def test_grid_rejects_a_delta_bound_its_lemma_does_not_take(capsys):
+    # q1q2 has no delta, so a --delta there is an error, not echoed and ignored
+    code, out, err = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "10", "--delta", "5"],
+                         capsys)
+    assert code == 2 and out == "" and "q1q2 grid takes no delta bound" in err
+    code, out, err = run(["grid", "--lemma", "q1q3", "-k", "1", "-n", "40"], capsys)
+    assert code == 2 and out == "" and "q1q3 grid needs a delta bound" in err
+
+
 def _floats(x):
     """Every float inside parsed json."""
     if isinstance(x, float):

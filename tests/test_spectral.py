@@ -10,8 +10,9 @@ from fracext import (Cubic, ExtremalParams, Graph, QuotientMatrix, charpoly3, cl
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext import spectral
 from fracext.spectral import (_f_pi_1, _f_pi_prime_1, _phi_b1, adjacency_matrices,
-                              distance_matrices, family_cubic, largest_eigenvalues,
-                              largest_real_roots, positional_blocks, signless_laplacians)
+                              distance_matrices, family_coefficients, family_cubic,
+                              largest_eigenvalues, largest_real_roots, positional_blocks,
+                              signless_laplacians)
 from fracext.theorems import _grid_groups
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
@@ -207,30 +208,37 @@ def test_largest_real_root_edge_cases():
     assert largest_real_root(EDGE_CUBICS[1][0]) == 0.0
 
 
-def _grid_cubics():
-    """Every cubic of the criteria 6 and 7 grids, right-hand sides included."""
+def _rows(cubics):
+    """The (m, 3) int64 coefficient rows of cubics with integer coefficients."""
+    return np.array([[c.c2, c.c1, c.c0] for c in cubics], dtype=np.int64).reshape(-1, 3)
+
+
+def _grid_coefficients():
+    """The coefficient rows of every member of the criteria 6 and 7 grids,
+    right-hand sides included, one family_coefficients call per grid."""
+    grids = []
     for lemma, bounds in (("q1q2", dict(k_max=3, n_max=40, delta_max=None)),
                           ("q1q3", dict(k_max=2, n_max=90, delta_max=7)),
                           ("mu_compare", dict(k_max=2, n_max=90, delta_max=7))):
         quantity = "mu" if lemma == "mu_compare" else "q"
-        for k, _, n, members, _ in _grid_groups(lemma, **bounds):
-            for s in members:
-                yield family_cubic(quantity, n, k, s)
+        grids.append(family_coefficients(quantity, [
+            (n, k, s) for k, _, n, members, _ in _grid_groups(lemma, **bounds) for s in members]))
+    return np.concatenate(grids)
 
 
 def test_largest_real_roots_bitwise_equal_the_scalar_reference():
-    cubics = [*(c for c, _, _ in EDGE_CUBICS), *_grid_cubics()]
+    C = np.concatenate([_rows(c for c, _, _ in EDGE_CUBICS), _grid_coefficients()])
     # 1001 + 11777 + 7222 grid points and the right-hand member of each of
     # the 672 delta-lemma groups; q1q2's right-hand member is one of its points
-    assert len(cubics) == 4 + 20_000 + 672
-    got, widths = largest_real_roots(cubics)
+    assert C.shape == (4 + 20_000 + 672, 3)
+    got, widths = largest_real_roots(C)
     assert got.dtype == widths.dtype == np.float64
-    assert got.shape == widths.shape == (len(cubics),)
-    want = [largest_real_root_reference(c) for c in cubics]
+    assert got.shape == widths.shape == (len(C),)
+    want = [largest_real_root_reference(Cubic(*row)) for row in C.tolist()]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-    stream = largest_real_roots(iter(cubics[:2]))   # a stream is read once
-    assert stream[0].tolist() == want[:2] and stream[1].tolist() == widths[:2].tolist()
-    assert all(a.shape == (0,) for a in largest_real_roots([]))
+    head = largest_real_roots(C[:2])   # each lane is computed on its own
+    assert head[0].tolist() == want[:2] and head[1].tolist() == widths[:2].tolist()
+    assert all(a.shape == (0,) for a in largest_real_roots(np.zeros((0, 3), dtype=np.int64)))
 
 
 def test_every_grid_bracket_is_certified_in_floats(monkeypatch):
@@ -238,7 +246,7 @@ def test_every_grid_bracket_is_certified_in_floats(monkeypatch):
     from the Horner error bounds alone, far inside the 1e-8 gate."""
     exact = []
     monkeypatch.setattr(spectral, "_certified_exactly", lambda *a: exact.append(a))
-    roots, widths = largest_real_roots(_grid_cubics())
+    roots, widths = largest_real_roots(_grid_coefficients())
     assert exact == [] and len(widths) == 20_672
     assert (widths > 0).all() and widths.max() < 1e-10
 
@@ -259,20 +267,20 @@ def test_certified_brackets_hold_the_largest_root():
     refused = 0
     for _ in range(600):
         a, b, c = sorted(rng.sample(range(-10**5, 10**5), 3), reverse=True)
-        [root], [width] = largest_real_roots([_with_roots(a, b, c)])
+        [root], [width] = largest_real_roots(_rows([_with_roots(a, b, c)]))
         if math.isfinite(width):
             assert abs(root - a) <= width
         refused += width == math.inf
     assert refused <= 3
     # close roots far from 0 make float signs unreliable: the bisection ends
     # 1.8e-9 from the root, well outside its bracket, and no width is claimed
-    [root], [width] = largest_real_roots([_with_roots(-833, -834, -851)])
+    [root], [width] = largest_real_roots(_rows([_with_roots(-833, -834, -851)]))
     assert abs(root + 833) > 1e-9 and width == math.inf
     # random cubics, with one or three real roots: a finite width is a true bound
     for _ in range(300):
         c2, c1, c0 = (rng.randint(-10**4, 10**4) for _ in range(3))
         cubic = Cubic(Fraction(c2), Fraction(c1), Fraction(c0))
-        [root], [width] = largest_real_roots([cubic])
+        [root], [width] = largest_real_roots(_rows([cubic]))
         if math.isfinite(width):
             assert _exact_value(cubic, root - width) < 0 < _exact_value(cubic, root + width)
 
@@ -280,14 +288,14 @@ def test_certified_brackets_hold_the_largest_root():
 def test_a_bracket_the_floats_reject_is_certified_exactly(monkeypatch):
     # without widening, the bisection's own bracket around q_1's threshold
     # at k = 1, order 8 is too tight for the Horner bounds, and holds exactly
-    cubic = family_cubic("q", 8, 1, 2)
-    widened, [width] = largest_real_roots([cubic])
+    C = family_coefficients("q", [(8, 1, 2)])
+    widened, [width] = largest_real_roots(C)
     calls = []
     real = spectral._certified_exactly
     monkeypatch.setattr(spectral, "_certified_exactly",
                         lambda *a: calls.append(real(*a)) or calls[-1])
     monkeypatch.setattr(spectral, "BRACKET_WIDENING", 0.0)
-    roots, [tight] = largest_real_roots([cubic])
+    roots, [tight] = largest_real_roots(C)
     assert calls == [True]
     assert roots.tolist() == widened.tolist() and 0 < tight < width < 1e-11
 
@@ -295,11 +303,11 @@ def test_a_bracket_the_floats_reject_is_certified_exactly(monkeypatch):
 def test_a_bracket_neither_certificate_proves_gets_inf():
     # a double largest root: f keeps its sign across it, so no bracket is proved
     double = Cubic(Fraction(-41), Fraction(440), Fraction(-400))   # (x-20)^2 (x-1)
-    [root], [width] = largest_real_roots([double])
+    [root], [width] = largest_real_roots(_rows([double]))
     assert root == pytest.approx(20.0, abs=1e-6) and width == math.inf
     # a lone real root left of the local maximum, where f'' < 0
     lone = Cubic(Fraction(3), Fraction(-8), Fraction(10))   # (x+5)(x^2-2x+2)
-    [root], [width] = largest_real_roots([lone])
+    [root], [width] = largest_real_roots(_rows([lone]))
     assert root == pytest.approx(-5.0, abs=1e-12) and width == math.inf
 
 
@@ -307,12 +315,12 @@ def test_a_zero_at_the_upper_end_is_the_root_and_is_certified():
     # (x-6)(x+2)(x+4): the bisection lands on 6, and p(hi) == 0 returns it
     cubic = Cubic(Fraction(0), Fraction(-28), Fraction(-48))
     assert largest_real_root_reference(cubic) == 6.0
-    [root], [width] = largest_real_roots([cubic])
+    [root], [width] = largest_real_roots(_rows([cubic]))
     assert root == 6.0 and 0 < width < 1e-11
     # K_{2k+1}, the family at s = 2k and order 2k+1, has roots 4k, 2k and
     # 2k-1; its bracket holds 4k, though the bisection stops short of it
     for k in range(1, 8):
-        [root], [width] = largest_real_roots([family_cubic("q", 2 * k + 1, k, 2 * k)])
+        [root], [width] = largest_real_roots(family_coefficients("q", [(2 * k + 1, k, 2 * k)]))
         assert abs(root - 4 * k) <= width < 1e-10
 
 
@@ -321,8 +329,34 @@ def test_largest_real_roots_take_integer_coefficients_below_2_53():
                   Cubic(Fraction(0), Fraction(2 ** 53), Fraction(0)),
                   Cubic(Fraction(0), Fraction(0), Fraction(-2 ** 64))):
         with pytest.raises(ValueError, match="integers below 2\\^53"):
-            largest_real_roots([cubic])
+            largest_real_root(cubic)
     assert largest_real_root(Cubic(Fraction(0), Fraction(0), Fraction(1 - 2 ** 53))) > 0
+    assert largest_real_root(Cubic(0, 0, 1 - 2 ** 53)) > 0
+    # the array entry takes integer arrays only, each entry below 2^53
+    for C in (np.array([[0.5, 0.0, 0.0]]), np.array([[0, 1 << 53, 0]]),
+              np.array([[0, 0, -(1 << 63)]])):
+        with pytest.raises(ValueError, match="integers below 2\\^53"):
+            largest_real_roots(C)
+
+
+def test_family_coefficients_raise_rather_than_wrap():
+    # this q member's c0 is about -2^64: past int64, refused before any int64 work
+    n, k, s = 1 << 22, 1, 1 << 21
+    assert abs(_f_pi_1(n, k, s)[2]) > 1 << 63
+    with pytest.raises(ValueError, match="n < 2\\^18"):
+        family_coefficients("q", [(n, k, s)])
+    # this one's c0 lies between 2^53 and 2^63: the int64 rows hold it exactly,
+    # and the root pass refuses it
+    member = (262_143, 64_808, 130_607)
+    [row] = family_coefficients("q", [member]).tolist()
+    assert row == list(_f_pi_1(*member)) and 1 << 53 < abs(row[2]) < 1 << 63
+    with pytest.raises(ValueError, match="integers below 2\\^53"):
+        largest_real_roots(family_coefficients("q", [member]))
+    # invalid members, and entries that would wrap int64's doubling, are refused
+    for bad in ((10, 0, 2), (10, 1, 1), (8, 1, 5), (1 << 18, 1, 2), (10, 1 << 62, 3),
+                (10, 1, 1 << 62)):
+        with pytest.raises(ValueError, match="family members need"):
+            family_coefficients("mu", [bad])
 
 
 def test_largest_real_root_vs_numpy():
@@ -525,10 +559,15 @@ def test_closed_forms_are_the_quotient_charpolys_as_identities():
         for n in range(40, 44):
             for s in range(9, 13):
                 assert n - 2 * s + 2 * k - 1 > 0
-                assert charpoly3(_exact_quotient("q", k, n, s)) == _f_pi_1(n, k, s)
-                assert charpoly3(_exact_quotient("mu", k, n, s)) == _phi_b1(n, k, s)
+                assert _coefficients(charpoly3(_exact_quotient("q", k, n, s))) == _f_pi_1(n, k, s)
+                assert _coefficients(charpoly3(_exact_quotient("mu", k, n, s))) == _phi_b1(n, k, s)
                 points += 1
     assert points == 64
+
+
+def _coefficients(cubic):
+    """(c2, c1, c0) of a Cubic, to compare with a closed form's tuple."""
+    return cubic.c2, cubic.c1, cubic.c0
 
 
 def _charpoly2(q):
@@ -546,8 +585,8 @@ def test_boundary_closed_forms_factor_over_the_2x2_quotient():
     largest: p2(s) = -ts < 0 for q, and for mu p2(-1) = s(t - 1) >= 0 with
     p2's vertex at (s + 2t - 3)/2 > -1, where t = s-2k+1 >= 1.
     """
-    def times(r, tr, det):   # (x - r)(x^2 - tr x + det) as a Cubic
-        return Cubic(-tr - r, det + r * tr, -r * det)
+    def times(r, tr, det):   # (c2, c1, c0) of (x - r)(x^2 - tr x + det)
+        return -tr - r, det + r * tr, -r * det
 
     points = 0
     for k in range(1, 5):
@@ -637,9 +676,7 @@ def test_f_pi_prime_1_at_s_2k_is_the_cubic_of_k_2k_plus_1():
     # the family at s = 2k and order 2k+1 is K_{2k+1}, whose q is 4k
     for k in range(1, 5):
         a, b, c = 4 * k, 2 * k, 2 * k - 1
-        assert _f_pi_prime_1(k, 2 * k) == Cubic(Fraction(-(a + b + c)),
-                                                Fraction(a * b + a * c + b * c),
-                                                Fraction(-a * b * c))
+        assert _f_pi_prime_1(k, 2 * k) == (-(a + b + c), a * b + a * c + b * c, -a * b * c)
 
 
 def test_family_cubic_roots_match_every_small_family_member():

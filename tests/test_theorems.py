@@ -1,15 +1,15 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fracext import (Cubic, ExtremalParams, Graph, complete, cycle, disjoint_union,
+from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
                      emit_graph6, extremal_edge_count, extremal_graph,
                      largest_real_root, closed_form, parse_graph6, verify_witness)
 from fracext import spectral, theorems
 from fracext.corpus import all_graphs, complement_corpus, connected_graphs
-from fracext.spectral import SWEEP_CHUNK_ENTRIES, family_cubic, largest_real_roots
+from fracext.spectral import (SWEEP_CHUNK_ENTRIES, family_coefficients, family_cubic,
+                              largest_real_roots)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -307,7 +307,7 @@ def _point_values(members):
     the grid's lane order (each lane is computed on its own)."""
     members = sorted(set(members), reverse=True)
     cubics = [family_cubic(*m) for m in members]
-    widths = largest_real_roots(cubics)[1].tolist()
+    widths = largest_real_roots([[c.c2, c.c1, c.c0] for c in cubics])[1].tolist()
     return {m: (largest_real_root_reference(c), w) for m, c, w in zip(members, cubics, widths)}
 
 
@@ -395,12 +395,17 @@ def test_an_uncertified_bracket_makes_one_violation(monkeypatch):
     # largest root at 20, below the right-hand side's 22.198: its root stays
     # on the right side of the inequality, but neither the float nor the
     # exact certificate proves a bracket, so its error is inf
-    real = theorems.family_cubic
+    real = theorems.family_coefficients
     target = (13, 1, 5)   # (n, k, s)
-    double = Cubic(Fraction(-41), Fraction(440), Fraction(-400))   # (x-20)^2 (x-1)
-    monkeypatch.setattr(theorems, "family_cubic",
-                        lambda quantity, n, k, s: double if (n, k, s) == target
-                        else real(quantity, n, k, s))
+
+    def with_a_double_root(quantity, members):
+        C = real(quantity, members)
+        lane = (np.asarray(members) == target).all(axis=1)
+        assert lane.sum() == 1
+        C[lane] = (-41, 440, -400)   # (x-20)^2 (x-1)
+        return C
+
+    monkeypatch.setattr(theorems, "family_coefficients", with_a_double_root)
     rep = lemma_grid("q1q2", k_max=1, n_max=14)
     [violation] = rep.violations
     assert violation.kind == "crosscheck"
@@ -470,6 +475,48 @@ def test_grids_and_probes_run_no_dense_eigensolver(monkeypatch):
         assert lemma_grid(lemma, **bounds).ok
     for kind in ("q", "mu"):
         assert probe_gap_region(kind, 1, 3).all_hold
+
+
+def test_grids_and_probes_evaluate_cubics_in_bulk(monkeypatch):
+    """A grid or probe builds no Cubic and calls neither closed_form nor
+    family_cubic: every member's cubic comes from one family_coefficients
+    evaluation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-member cubic was built")
+
+    for name in ("Cubic", "closed_form", "family_cubic"):
+        monkeypatch.setattr(spectral, name, refuse)
+        monkeypatch.setattr(theorems, name, refuse, raising=False)
+    calls = []
+    real = theorems.family_coefficients
+    monkeypatch.setattr(theorems, "family_coefficients",
+                        lambda *args: calls.append(args) or real(*args))
+    for lemma, bounds in GRID_DELTA:
+        assert lemma_grid(lemma, **bounds).ok
+    for kind in ("q", "mu"):
+        assert probe_gap_region(kind, 1, 3).all_hold
+    assert len(calls) == 5
+
+
+def test_family_coefficients_equal_closed_form_at_every_member_of_criteria_6_and_7():
+    """The int64 evaluation against closed_form's exact cubic, member by
+    member, boundary-order members (f_pi_prime_1 for q) included."""
+    members = boundary = 0
+    for lemma, bounds in CRITERIA_GRIDS:
+        quantity = "mu" if lemma == "mu_compare" else "q"
+        groups = theorems._grid_groups(lemma, **{"delta_max": None, **bounds})
+        grid = [(n, k, s) for k, _, n, ss, _ in groups for s in ss]
+        for (n, k, s), row in zip(grid, family_coefficients(quantity, grid).tolist()):
+            if quantity == "mu":
+                cubic = closed_form("phi_B1", n=n, k=k, s=s)
+            elif n == 2 * s - 2 * k + 1:
+                cubic = closed_form("f_pi_prime_1", k=k, s=s)
+                boundary += 1
+            else:
+                cubic = closed_form("f_pi_1", n=n, k=k, s=s)
+            assert row == [cubic.c2, cubic.c1, cubic.c0], (quantity, n, k, s)
+        members += len(grid)
+    assert members == 20_672 and boundary > 0
 
 
 def test_map_pool_has_no_more_workers_than_items(monkeypatch):
