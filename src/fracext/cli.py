@@ -195,7 +195,7 @@ def cmd_sweep(args, out) -> int:
     spec = theorem_spec(args.theorem, args.k)
     corpus, name = _load_corpus(args.corpus)
     try:
-        rep = sweep(corpus, spec, jobs=args.jobs)
+        rep = sweep(corpus, spec)
     finally:
         if args.corpus != "-" and hasattr(corpus, "close"):
             corpus.close()
@@ -343,24 +343,6 @@ def _add_common(sub):
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
 
 
-def _worker_count(text: str) -> int:
-    """--jobs: an integer of at least 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a worker count of at least 1, got {text!r}")
-
-
-def _add_parallel(sub):
-    # sweep fans work out to processes; grid and report accept the option
-    # but run in one.  The job count changes no output byte, so it appears
-    # nowhere in the output
-    sub.add_argument("--jobs", type=_worker_count, default=1,
-                     help="worker processes")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: building it costs
@@ -386,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus",
                    help="path, '-', 'connected:N', or 'complement:N:BUDGET'")
     _add_common(p)
-    _add_parallel(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = subs.add_parser("grid", help="verify a comparison inequality on a grid")
@@ -394,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="largest order")
     p.add_argument("--delta", type=int, default=None, help="largest minimum degree")
     _add_common(p)
-    _add_parallel(p)
     p.set_defaults(fn=cmd_grid)
 
     p = subs.add_parser("polys", help="closed-form characteristic coefficients")
@@ -410,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="acceptance-size grids and 10k samples per point")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    _add_parallel(p)
     p.set_defaults(fn=cmd_report)
     return ap
 

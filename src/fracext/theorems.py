@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -241,18 +242,6 @@ class SweepReport:
         return not self.counterexamples
 
 
-def _map(fn, items: Iterable, jobs: int) -> list:
-    """[fn(x) for x in items], fanned out to a pool of up to jobs processes."""
-    if jobs > 1:
-        items = list(items)
-        jobs = min(jobs, len(items))
-        if jobs > 1:
-            import multiprocessing as mp
-            with mp.Pool(jobs) as pool:
-                return list(pool.imap(fn, items, max(1, len(items) // (jobs * 8))))
-    return [fn(x) for x in items]
-
-
 def _corpus_graphs(corpus: Iterable, errors: list[tuple[int, str]]) -> Iterator[Graph]:
     """The corpus's graphs; malformed lines go to errors with their line number."""
     for lineno, item in enumerate(corpus, 1):
@@ -283,47 +272,30 @@ def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
     yield from pending.values()
 
 
-def _sweep_chunk(chunk: list[tuple[int, Graph]], spec: TheoremSpec):
-    """(tallies, [(position, result)]) of a chunk of graphs of one order.
-
-    The tallies are scanned, hypotheses met, bound met and confirmed; the
-    results kept are the equality cases and counterexamples, and no other
-    graph gets a CheckResult.
-    """
-    counts = dict.fromkeys((HYPOTHESES_NOT_MET, BOUND_NOT_MET, CONFIRMED), 0)
-    kept = []
-    for (pos, g), outcome in zip(chunk, _classify([g for _, g in chunk], spec)):
-        if outcome[0] in (EQUALITY_CASE, COUNTEREXAMPLE):
-            kept.append((pos, _result(g, spec, outcome)))
-        else:
-            counts[outcome[0]] += 1
-    hyp = len(chunk) - counts[HYPOTHESES_NOT_MET]
-    return (len(chunk), hyp, hyp - counts[BOUND_NOT_MET], counts[CONFIRMED]), kept
-
-
-def sweep(corpus: Iterable, spec: TheoremSpec, *, jobs: int = 1) -> SweepReport:
+def sweep(corpus: Iterable, spec: TheoremSpec) -> SweepReport:
     """Classify every graph of a corpus and aggregate.
 
     The corpus may yield Graph objects directly or graph6 text/byte lines
     (blank lines and # comments skipped).  Malformed lines are recorded
     with their line number and the sweep continues.  Graphs are classified
-    in chunks of one order (_sweep_chunk), fanned out to jobs processes,
-    and only tallies and the results past the bound are kept; equality
-    cases and counterexamples come back in input order regardless of the
-    parallelism degree.
+    in chunks of one order, and only tallies and the results past the
+    bound are kept: equality cases and counterexamples get a CheckResult,
+    and come back in input order.
     """
     errors: list[tuple[int, str]] = []
-    chunks = _order_chunks(_corpus_graphs(corpus, errors))
-    tallies = [0, 0, 0, 0]
+    counts: Counter[str] = Counter()
     kept = []
-    for chunk_tallies, chunk_kept in _map(functools.partial(_sweep_chunk, spec=spec),
-                                          chunks, jobs):
-        tallies = [a + b for a, b in zip(tallies, chunk_tallies)]
-        kept += chunk_kept
+    for chunk in _order_chunks(_corpus_graphs(corpus, errors)):
+        for (pos, g), outcome in zip(chunk, _classify([g for _, g in chunk], spec)):
+            counts[outcome[0]] += 1
+            if outcome[0] in (EQUALITY_CASE, COUNTEREXAMPLE):
+                kept.append((pos, _result(g, spec, outcome)))
     kept.sort(key=lambda item: item[0])
-    scanned, hyp, bound, conf = tallies
+    scanned = counts.total()
+    hyp = scanned - counts[HYPOTHESES_NOT_MET]
     return SweepReport(theorem=spec.id, k=spec.k, scanned=scanned,
-                       hypothesis_met=hyp, bound_met=bound, confirmed=conf,
+                       hypothesis_met=hyp, bound_met=hyp - counts[BOUND_NOT_MET],
+                       confirmed=counts[CONFIRMED],
                        equality_cases=tuple(r for _, r in kept if r.status == EQUALITY_CASE),
                        counterexamples=tuple(r for _, r in kept if r.status == COUNTEREXAMPLE),
                        parse_errors=tuple(errors))

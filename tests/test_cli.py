@@ -85,21 +85,6 @@ def test_check_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and out == ""
 
 
-def test_tol_option_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", G2_11, "--tol", "1e-9"])
-    assert exc.value.code == 2
-
-
-def test_parallel_options_only_where_they_act(capsys):
-    for cmd in (["check", G2_11], ["extremal", "-n", "11", "-s", "2"], ["polys", "f2", "-n", "11"]):
-        with pytest.raises(SystemExit) as exc:
-            main(cmd + ["--jobs", "2"])
-        assert exc.value.code == 2
-    assert build_parser().parse_args(["report", "--jobs", "2"]).jobs == 2
-    assert build_parser().parse_args(["report"]).jobs == 1
-
-
 def test_check_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(cycle(8)) + "\n"))
@@ -302,24 +287,7 @@ def test_sweep_malformed_generated_corpus(corpus, form, capsys):
     assert err.startswith("error:") and form in err
 
 
-def test_sweep_deterministic_across_jobs(tmp_path, capsys):
-    corpus = tmp_path / "c.g6"
-    corpus.write_text("".join(line + "\n" for line in
-                              [G2_11, emit_graph6(complete(11)),
-                               emit_graph6(cycle(11))] * 4))
-    outs = []
-    for jobs in ("1", "3"):
-        out_file = tmp_path / f"r{jobs}.json"
-        code = main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
-                     "--jobs", jobs, "--format", "json",
-                     "-o", str(out_file)])
-        assert code == 0
-        outs.append(out_file.read_bytes())
-    assert outs[0] == outs[1]
-    capsys.readouterr()
-
-
-def test_sweep_deterministic_across_jobs_over_several_chunks(tmp_path):
+def test_sweep_keeps_input_order_over_several_chunks(tmp_path):
     # 150 graphs each of orders 11 and 12, alternating: two chunks per order
     # (135 and 113 graphs fill one), with equality cases at both orders
     per_order = [[extremal_graph(ExtremalParams(n, 1, 2)), complete(n), cycle(n),
@@ -327,16 +295,10 @@ def test_sweep_deterministic_across_jobs_over_several_chunks(tmp_path):
     lines = [emit_graph6(per_order[i % 2][(i // 2) % 4]) for i in range(300)]
     corpus = tmp_path / "c.g6"
     corpus.write_text("".join(line + "\n" for line in lines))
-    outs = []
-    for jobs in ("1", "3"):
-        out_file = tmp_path / f"r{jobs}.json"
-        code = main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
-                     "--jobs", jobs, "--format", "json",
-                     "-o", str(out_file)])
-        assert code == 0
-        outs.append(out_file.read_bytes())
-    assert outs[0] == outs[1]
-    doc = json.loads(outs[0])
+    out_file = tmp_path / "r.json"
+    assert main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
+                 "--format", "json", "-o", str(out_file)]) == 0
+    doc = json.loads(out_file.read_text())
     assert doc["summary"]["scanned"] == 300
     assert [r["n"] for r in doc["results"]][:4] == [11, 12, 11, 12]
 
@@ -481,34 +443,9 @@ def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
                        "counterexamples": 3}
 
 
-def test_jobs_below_one_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--theorem", "q_1", "connected:4", "--jobs", "0"])
-    assert exc.value.code == 2
-    assert "worker count" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["grid", "--lemma", "q1q2", "-k", "2", "-n", "16", "--format", "json"],
-    ["grid", "--lemma", "mu_compare", "-k", "1", "-n", "40", "--delta", "3",
-     "--format", "json"],
-    # grid-delta's q1q3 command: block values shipped to the workers with their spans
-    ["grid", "--lemma", "q1q3", "-k", "1", "-n", "90", "--delta", "3", "--format", "json"],
-    ["report", "-k", "1"],
-])
-def test_output_identical_across_jobs(argv, tmp_path):
-    outs = []
-    for jobs in ("1", "2"):
-        out_file = tmp_path / f"out{jobs}"
-        assert main(argv + ["--jobs", jobs, "-o", str(out_file)]) == 0
-        outs.append(out_file.read_bytes())
-    assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_empty_grid_scans_nothing(jobs, capsys):
+def test_empty_grid_scans_nothing(capsys):
     # no order reaches the least order 2k+6, so the grid has no member to solve
-    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "5", "--jobs", jobs], capsys)
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "5"], capsys)
     assert code == 0 and "scanned: 0\n" in out
 
 
@@ -519,7 +456,7 @@ def test_empty_grid_scans_nothing(jobs, capsys):
      {"lemma": "q1q2", "k_max": 1, "n_max": 7, "delta_max": None}),
 ])
 def test_config_carries_no_job_count(argv, config, capsys):
-    code, out, _ = run(argv + ["--jobs", "2", "--format", "json"], capsys)
+    code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0 and json.loads(out)["config"] == config
 
 

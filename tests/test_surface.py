@@ -10,7 +10,8 @@ outside its own body.  The re-exports in fracext/__init__.py do not count,
 and neither do the tests: code only they call belongs in tests/.
 
 The command line's option strings are pinned per subcommand, so that a new
-option needs a deliberate edit here.
+option needs a deliberate edit here, and each removed option is rejected by
+every subcommand.
 """
 import argparse
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from fracext.cli import build_parser
+from fracext.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fracext"
@@ -121,12 +122,10 @@ def test_every_public_method_has_a_caller():
 OPTIONS = {
     "check": {"-h", "--help", "-k", "--format", "--output", "-o"},
     "extremal": {"-h", "--help", "-n", "-s", "--delta", "-k", "--format", "--output", "-o"},
-    "sweep": {"-h", "--help", "--theorem", "-k", "--format", "--output", "-o", "--jobs"},
-    "grid": {"-h", "--help", "--lemma", "-n", "--delta", "-k", "--format", "--output", "-o",
-             "--jobs"},
+    "sweep": {"-h", "--help", "--theorem", "-k", "--format", "--output", "-o"},
+    "grid": {"-h", "--help", "--lemma", "-n", "--delta", "-k", "--format", "--output", "-o"},
     "polys": {"-h", "--help", "-n", "-s", "--delta", "-k", "--format", "--output", "-o"},
-    "report": {"-h", "--help", "--full", "--seed", "-k", "--format", "--output", "-o",
-               "--jobs"},
+    "report": {"-h", "--help", "--full", "--seed", "-k", "--format", "--output", "-o"},
 }
 
 # the least argument list each subcommand accepts
@@ -152,11 +151,13 @@ def test_option_surface_is_pinned():
     assert found == OPTIONS
 
 
-def test_deterministic_option_is_gone(capsys):
+@pytest.mark.parametrize("option", [["--tol", "1e-9"], ["--deterministic"], ["--jobs", "2"]],
+                         ids=["tol", "deterministic", "jobs"])
+def test_removed_options_are_rejected(option, capsys):
     assert set(MINIMAL_ARGS) == set(_subparsers())
     for argv in MINIMAL_ARGS.values():
         build_parser().parse_args(argv)
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv + ["--deterministic"])
+            main(argv + option)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err

@@ -129,6 +129,21 @@ def test_graph_without_k_matching_past_the_bound_is_a_counterexample(monkeypatch
     assert r.status == theorems.COUNTEREXAMPLE and r.detail == ""
 
 
+@pytest.mark.parametrize("k, p", [(1, ExtremalParams(7, 1, 4)), (2, ExtremalParams(9, 2, 6))],
+                         ids=["k1", "k2"])
+def test_q1_order_hypothesis_is_tight(k, p, monkeypatch):
+    # at order 2k+5, one below q_1's least order, family(2k+5, k, 2k+2) is
+    # past the q_1 bound of its own order and not fractionally k-extendable
+    g, spec = extremal_graph(p), theorem_spec("q_1", k)
+    assert check_theorem(g, spec).status == "hypotheses_not_met"
+    monkeypatch.setitem(theorems._THEOREMS, "q_1",
+                        (*theorems._THEOREMS["q_1"][:4], lambda k, delta: 2 * k + 5))
+    r = check_theorem(g, spec)
+    assert r.status == theorems.COUNTEREXAMPLE and r.n == 2 * k + 5
+    assert verify_witness(g, k, r.oracle)
+    assert r.value - r.threshold > 0.25
+
+
 def test_check_theorem_large_order_graph6_round_trips():
     p = ExtremalParams(63, 1, 2)
     g = extremal_graph(p)
@@ -189,14 +204,11 @@ def test_sweep_mixed_corpus_and_errors():
     assert rep.ok
 
 
-def test_sweep_accepts_graph_objects_and_parallel_matches_serial():
+def test_sweep_accepts_graph_objects():
     graphs = [complete(11), cycle(11), extremal_graph(ExtremalParams(11, 1, 2)),
               Graph.from_edges(11, [(0, i) for i in range(1, 11)])] * 3
-    spec = theorem_spec("edge_1", 1)
-    serial = sweep(graphs, spec, jobs=1)
-    parallel = sweep(graphs, spec, jobs=3)
-    assert serial == parallel
-    assert serial.scanned == 12 and serial.confirmed == 3
+    rep = sweep(graphs, theorem_spec("edge_1", 1))
+    assert rep.scanned == 12 and rep.confirmed == 3
 
 
 def _near_family_graphs():
@@ -260,7 +272,7 @@ def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
     monkeypatch.setattr(theorems, "SWEEP_CHUNK_ENTRIES", 340)
     family = [extremal_graph(ExtremalParams(n, 1, 2)) for n in (11, 12, 13)]
     corpus = [family[i % 3] if i % 2 else complete(11 + i % 3) for i in range(30)]
-    rep = sweep(corpus, theorem_spec("edge_1", 1), jobs=2)
+    rep = sweep(corpus, theorem_spec("edge_1", 1))
     assert rep == sweep_reference(corpus, theorem_spec("edge_1", 1))
     assert [r.n for r in rep.equality_cases] == [12, 11, 13] * 5
 
@@ -517,32 +529,6 @@ def test_family_coefficients_equal_closed_form_at_every_member_of_criteria_6_and
             assert row == [cubic.c2, cubic.c1, cubic.c0], (quantity, n, k, s)
         members += len(grid)
     assert members == 20_672 and boundary > 0
-
-
-def test_map_pool_has_no_more_workers_than_items(monkeypatch):
-    # a fake pool records its size and maps in this process: nothing is started
-    import multiprocessing
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    assert theorems._map(abs, [-1, -2], 64) == [1, 2]
-    assert theorems._map(abs, iter([-1, -2, -3]), 2) == [1, 2, 3]
-    assert theorems._map(abs, [-1], 64) == [1]
-    assert theorems._map(abs, [], 64) == []
-    assert sizes == [2, 2]
 
 
 def test_sharpness_canonical_points():
