@@ -443,9 +443,11 @@ def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
                        "counterexamples": 3}
 
 
-def test_empty_grid_scans_nothing(capsys):
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_empty_grid_scans_nothing(k_max, capsys):
     # no order reaches the least order 2k+6, so the grid has no member to solve
-    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "5"], capsys)
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", str(k_max), "-n", "5"],
+                       capsys)
     assert code == 0 and "scanned: 0\n" in out
 
 
