@@ -20,8 +20,8 @@ for lemma in ("q1q3", "mu_compare"):
 # between 6*delta and the theorem's order bound nothing is asserted,
 # but the inequality keeps holding there; probe and report
 probe = probe_gap_region("mu", k=1, delta=3)
-print(f"\nmu gap region: {len(probe.rows)} rows, all hold: {probe.all_hold}, "
-      f"min margin {probe.min_margin:.4f}")
+print(f"\nmu gap region: {probe.points} rows, all hold: {probe.ok}, "
+      f"min margin {probe.min_strict_margin:.4f}")
 
 # sharpness: the extremal graph meets its bound exactly and is not extendable
 p = ExtremalParams(n=35, k=1, s=3)

@@ -304,8 +304,8 @@ def cmd_report(args, out) -> int:
         probe = probe_gap_region(kind, k, d0)
         passed.append(True)  # a probe asserts nothing
         results.append({"section": "gap_probe", "kind": kind, "delta": d0,
-                        "rows": len(probe.rows), "min_margin": probe.min_margin,
-                        "all_hold": probe.all_hold, "asserted": False})
+                        "rows": probe.points, "min_margin": probe.min_strict_margin,
+                        "all_hold": probe.ok, "asserted": False})
 
     spec = theorem_spec("mu", k)
     n_mu = spec.min_order(d0)

@@ -254,6 +254,12 @@ def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
         yield held
 
 
+def _level(children: Iterable[np.ndarray], n: int) -> tuple[Graph, ...]:
+    """The distinct graphs among the children's stacks, in canonical-form order."""
+    forms = {f for chunk in _chunks(children, n) for f in _canonical_forms(chunk)}
+    return tuple(from_triangle_bits(*f) for f in sorted(forms))
+
+
 def _vertex_children(parents: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
     """Children of the order n - 1 parents that add vertex n - 1 and pass
     canonical deletion and the twin-prefix test, a block of parents at a
@@ -298,10 +304,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if n <= 1:
         out = (empty_graph(n),)
     else:
-        forms: set[tuple[int, int]] = set()
-        for chunk in _chunks(_vertex_children(all_graphs(n - 1), n), n):
-            forms.update(_canonical_forms(chunk))
-        out = tuple(from_triangle_bits(*f) for f in sorted(forms))
+        out = _level(_vertex_children(all_graphs(n - 1), n), n)
     _ALL_CACHE[n] = out
     return out
 
@@ -314,7 +317,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return cached
 
 
-def _edge_children(graphs: list[Graph], n: int) -> Iterator[np.ndarray]:
+def _edge_children(graphs: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
     """Children of the graphs that add one edge uv and pass the twin-prefix
     test and canonical deletion, a block of graphs at a time: a block's
     table of pairs by vertices holds about SWEEP_CHUNK_ENTRIES entries."""
@@ -344,13 +347,10 @@ def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
     edges, up to isomorphism; isolated vertices allowed."""
     if max_edges < 0:
         raise ValueError("negative edge budget")
-    current = [empty_graph(n)]
+    current = (empty_graph(n),)
     out = list(current)
     for _ in range(max_edges):
-        forms: set[tuple[int, int]] = set()
-        for chunk in _chunks(_edge_children(current, n), n):
-            forms.update(_canonical_forms(chunk))
-        current = [from_triangle_bits(*f) for f in sorted(forms)]
+        current = _level(_edge_children(current, n), n)
         out.extend(current)
     return tuple(out)
 

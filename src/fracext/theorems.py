@@ -11,9 +11,12 @@ on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
 
 The grids take each family member's q or mu from its closed-form cubic and
-back every root with the width of its certified bracket (_grid_rows): a
-grid builds no matrix and makes no eigensolver call, and a dense
-eigensolver runs only in TheoremSpec.values.
+back every root with the width of its certified bracket: a grid builds no
+matrix and makes no eigensolver call, and a dense eigensolver runs only in
+TheoremSpec.values.  A gap probe is the q1q3 or mu_compare grid of one
+(k, delta) at the orders from 6*delta up to the least order, reported but
+not asserted; lemma_grid and probe_gap_region both build their groups in
+_grid_groups and their report in _grid_report.
 
 _classify is the one classification route: it takes graphs of one order,
 computes the bound quantity of those past the hypotheses in one
@@ -398,93 +401,90 @@ class GridReport:
         return not self.violations
 
 
-def _grid_groups(lemma: str, k_max: int, n_max: int, delta_max: int | None):
-    """Yield (k, delta, n, members, first); one group per right-hand-side value.
+def _grid_groups(spec: TheoremSpec, delta: int | None, orders: range):
+    """Yield (k, delta, n, members, first) of one (k, delta) at each order n
+    of orders; one group per right-hand-side value.
 
     members runs from s_rhs, the served theorem's family clique size, to
-    the largest valid s, and members[first:] are the left-hand values.
-    Orders start at the served theorem's min_order; the left-hand values
-    start at s_rhs for q1q2, whose equality row sits there (first = 0),
-    and just above it for the two delta lemmas (first = 1).
+    the largest valid s, and members[first:] are the left-hand values: they
+    start at s_rhs for q1q2, whose equality row sits there (first = 0), and
+    just above it for the two delta lemmas and the probes (first = 1).
     """
-    if (delta_max is None) != (lemma == "q1q2"):
-        raise ValueError(f"{lemma} grid {'needs a' if delta_max is None else 'takes no'} delta bound")
-    for k in range(1, k_max + 1):
-        spec = theorem_spec(_LEMMA_THEOREM[lemma], k)
-        for delta in range(2 * k + 1, delta_max + 1) if spec.uses_delta else (None,):
-            for n in range(spec.min_order(delta), n_max + 1):
-                s_rhs = spec.family(n, delta).s
-                s_lo = s_rhs + 1 if spec.uses_delta else s_rhs
-                s_hi = (n + 2 * k - 1) // 2
-                if s_hi >= s_lo:
-                    yield k, delta, n, range(s_rhs, s_hi + 1), s_lo - s_rhs
+    first = 1 if spec.uses_delta else 0
+    for n in orders:
+        s_rhs = spec.family(n, delta).s
+        s_hi = (n + 2 * spec.k - 1) // 2
+        if s_hi >= s_rhs + first:
+            yield spec.k, delta, n, range(s_rhs, s_hi + 1), first
 
 
-def _grid_rows(lemma: str, quantity: str, groups: list) -> list[GridRow]:
-    """Rows comparing the family at each left-hand s against it at s_rhs,
-    group by group (_grid_groups' (k, delta, n, members, first)), in order.
+def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
+    """The rows comparing the family at each left-hand s against it at
+    s_rhs, group by group (_grid_groups), in order, and their verdicts.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, and its cross-check error is the width of r's certified bracket:
-    one family_coefficients evaluation gives the integer cubics of every
-    member of every group, and one largest_real_roots pass their roots and
-    widths.  The closed form is the characteristic polynomial of the
-    member's 3x3 quotient over an equitable partition (an identity
-    tests/test_spectral.py proves for all parameters), whose largest root is
-    the member's q or mu, so the width bounds |rho(M) - r| for the member's
-    matrix M; inf for a bracket that neither certificate proves.
+    cubic, and its error is the width of r's certified bracket: one
+    family_coefficients evaluation gives the integer cubics of every member
+    of every group, and one largest_real_roots pass their roots and widths.
+    The closed form is the characteristic polynomial of the member's 3x3
+    quotient over an equitable partition (an identity tests/test_spectral.py
+    proves for all parameters), whose largest root is the member's q or mu,
+    so the width bounds |rho(M) - r| for the member's matrix M; inf for a
+    bracket that neither certificate proves.  A point whose error exceeds
+    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation; _compare settles
+    the equality row at s_rhs and the strict rows above it.
     """
     C = family_coefficients(quantity, [(n, k, s) for k, _, n, members, _ in groups for s in members])
     roots, widths = (a.tolist() for a in largest_real_roots(C))
-    rows, lane = [], 0
+    strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks
+    rows, violations, lane = [], [], 0
+    min_margin, max_err, equality_points = float("inf"), 0.0, 0
     for k, delta, n, members, first in groups:
-        root, err = roots[lane:lane + len(members)], widths[lane:lane + len(members)]
+        rhs, rhs_err = roots[lane], widths[lane]
+        for s, lhs, lhs_err in zip(members[first:], roots[lane + first:lane + len(members)],
+                                   widths[lane + first:lane + len(members)]):
+            row = GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=rhs,
+                          lhs_err=lhs_err, rhs_err=rhs_err, equality_expected=s == members[0])
+            rows.append(row)
+            max_err = max(max_err, lhs_err, rhs_err)
+            if lhs_err > CROSSCHECK_TOL or rhs_err > CROSSCHECK_TOL:
+                violations.append(GridViolation(kind="crosscheck", row=row))
+            side = _compare(lhs, rhs)
+            if row.equality_expected:
+                equality_points += 1
+                if side != 0:
+                    violations.append(GridViolation(kind="equality", row=row))
+            else:
+                min_margin = min(min_margin, lhs - rhs if strict == 1 else rhs - lhs)
+                if side != strict:
+                    violations.append(GridViolation(kind="inequality", row=row))
         lane += len(members)
-        rows += [GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=root[0],
-                         lhs_err=lhs_err, rhs_err=err[0], equality_expected=s == members[0])
-                 for s, lhs, lhs_err in zip(members[first:], root[first:], err[first:])]
-    return rows
+    return GridReport(lemma=lemma, points=len(rows), violations=tuple(violations),
+                      equality_points=equality_points, max_crosscheck_error=max_err,
+                      min_strict_margin=min_margin, rows=tuple(rows))
 
 
 def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None) -> GridReport:
-    """Verify one comparison inequality over a parameter grid.
+    """Verify one comparison inequality over a parameter grid (_grid_report).
 
     q1q2: q(family at s) below q(family at 2k) for n >= max(2s-2k+1, 2k+6),
     equality exactly at s = 2k.  q1q3: strict for s >= delta+1 once
     2n >= 13*delta.  mu_compare: the distance radius ordering flips, strict
-    for s >= delta+1 once n >= 12*delta-2k+1.
-
-    Each side's value is the largest root r of the member's closed-form
-    cubic, and its error is the width of r's certified bracket, a proven
-    bound on |rho(M) - r| for the member's matrix M (_grid_rows).  A point
-    whose error exceeds CROSSCHECK_TOL, or is inf, is a "crosscheck"
-    violation.
+    for s >= delta+1 once n >= 12*delta-2k+1.  Each (k, delta) runs from the
+    served theorem's min_order to n_max.
     """
     if lemma not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma!r}")
     if k_max < 1:
         raise ValueError("k must be at least 1")
-    mu_side = lemma == "mu_compare"
-    quantity = "mu" if mu_side else "q"
-    rows = tuple(_grid_rows(lemma, quantity, list(_grid_groups(lemma, k_max, n_max, delta_max))))
-    violations, min_margin, max_err, equality_points = [], float("inf"), 0.0, 0
-    for row in rows:
-        max_err = max(max_err, row.lhs_err, row.rhs_err)
-        if row.lhs_err > CROSSCHECK_TOL or row.rhs_err > CROSSCHECK_TOL:
-            violations.append(GridViolation(kind="crosscheck", row=row))
-        side = _compare(row.lhs, row.rhs)
-        if row.equality_expected:
-            equality_points += 1
-            if side != 0:
-                violations.append(GridViolation(kind="equality", row=row))
-        else:
-            min_margin = min(min_margin, row.lhs - row.rhs if mu_side else row.rhs - row.lhs)
-            # mu of the family grows with s where its q shrinks
-            if side != (1 if mu_side else -1):
-                violations.append(GridViolation(kind="inequality", row=row))
-    return GridReport(lemma=lemma, points=len(rows), violations=tuple(violations),
-                      equality_points=equality_points, max_crosscheck_error=max_err,
-                      min_strict_margin=min_margin, rows=rows)
+    if (delta_max is None) != (lemma == "q1q2"):
+        raise ValueError(f"{lemma} grid {'needs a' if delta_max is None else 'takes no'} delta bound")
+    groups = []
+    for k in range(1, k_max + 1):
+        spec = theorem_spec(_LEMMA_THEOREM[lemma], k)
+        for delta in range(2 * k + 1, delta_max + 1) if spec.uses_delta else (None,):
+            groups += _grid_groups(spec, delta, range(spec.min_order(delta), n_max + 1))
+    return _grid_report(lemma, spec.quantity, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -553,36 +553,21 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
 # informational probes outside the proven regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapProbeReport:
-    """Unasserted findings in an order range the statements leave open."""
-    kind: str                       # "q" or "mu"
-    k: int
-    delta: int
-    rows: tuple[GridRow, ...]
-    min_margin: float
-    all_hold: bool
+def probe_gap_region(kind: str, k: int, delta: int) -> GridReport:
+    """The q1q3 (kind "q") or mu_compare (kind "mu") grid of one (k, delta)
+    where the hypotheses do not reach: the orders from 6*delta up to the
+    served theorem's least order, 2n < 13*delta for q (the two q-side
+    statements differ here) and n < 12*delta-2k+1 for mu.
 
-
-def probe_gap_region(kind: str, k: int, delta: int) -> GapProbeReport:
-    """Probe the comparison inequality where the hypotheses do not reach.
-
-    kind "q": orders with 6*delta <= n and 2n < 13*delta (the two q-side
-    statements differ here).  kind "mu": 6*delta <= n < 12*delta-2k+1.
-    Findings are reported, never asserted.
+    Its lemma is gap_q or gap_mu.  Findings are reported, never asserted.
     """
     if kind not in ("q", "mu"):
         raise ValueError("kind must be 'q' or 'mu'")
     if delta < 2 * k + 1:
         raise ValueError("delta below 2k+1 is outside every variant")
-    served = theorem_spec("q_2" if kind == "q" else "mu", k)
-    orders = range(6 * delta, served.min_order(delta))
-    groups = [(k, delta, n, range(delta, (n + 2 * k - 1) // 2 + 1), 1) for n in orders]
-    rows = _grid_rows(f"gap_{kind}", kind, groups)
-    margins = [(r.lhs - r.rhs if kind == "mu" else r.rhs - r.lhs) for r in rows]
-    min_margin = min(margins) if margins else float("inf")
-    return GapProbeReport(kind=kind, k=k, delta=delta, rows=tuple(rows),
-                          min_margin=min_margin, all_hold=min_margin > 0.0)
+    spec = theorem_spec("q_2" if kind == "q" else "mu", k)
+    groups = list(_grid_groups(spec, delta, range(6 * delta, spec.min_order(delta))))
+    return _grid_report(f"gap_{kind}", kind, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared test utilities: reference implementations kept deliberately naive."""
 import math
 
-from fracext import ExtremalParams, Graph, corpus, extremal_graph
+import numpy as np
+
+from fracext import ExtremalParams, Graph, corpus, extremal_graph, theorems
 from fracext.graph6 import _header
 from fracext.spectral import adjacency_matrices, distance_matrices, signless_laplacians
 
@@ -22,6 +24,25 @@ def distance_matrix_array(g):
 def canonical_form(g):
     """(order, packed upper-triangle bits) of one graph: the stack of one."""
     return corpus._canonical_forms(corpus._stack([g]))[0]
+
+
+def grid_groups(lemma, k_max, n_max, delta_max=None):
+    """The (k, delta, n, members, first) groups of lemma_grid(lemma, ...), in its order."""
+    for k in range(1, k_max + 1):
+        spec = theorems.theorem_spec(theorems._LEMMA_THEOREM[lemma], k)
+        for delta in range(2 * k + 1, delta_max + 1) if spec.uses_delta else (None,):
+            yield from theorems._grid_groups(spec, delta, range(spec.min_order(delta), n_max + 1))
+
+
+def with_member_cubic(real, quantity, member, coefficients):
+    """family_coefficients real, with the (n, k, s) member's row in every
+    call for quantity replaced by the coefficients (c2, c1, c0)."""
+    def patched(q, members):
+        C = real(q, members)
+        if q == quantity:
+            C[(np.asarray(members) == member).all(axis=1)] = coefficients
+        return C
+    return patched
 
 
 def brute_matching_number(g, active=None):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from fracext import (ExtremalParams, Verdict, complete, cycle, emit_graph6, extr
                      parse_graph6, verify_witness)
 from fracext.cli import build_parser, main
 from fracext.theorems import GridViolation
+from helpers import with_member_cubic
 
 G2_11 = emit_graph6(extremal_graph(ExtremalParams(11, 1, 2)))
 
@@ -420,9 +422,43 @@ def test_report_quick(capsys):
     assert sections == {"edge_identities", "sharpness", "grid", "gap_probe",
                         "sampling"}
     probes = [r for r in doc["results"] if r["section"] == "gap_probe"]
-    assert all(r["asserted"] is False for r in probes)
+    assert probes == [
+        {"section": "gap_probe", "kind": "q", "delta": 3, "rows": 13,
+         "min_margin": 1.19636602346, "all_hold": True, "asserted": False},
+        {"section": "gap_probe", "kind": "mu", "delta": 3, "rows": 174,
+         "min_margin": 0.832498093404, "all_hold": True, "asserted": False}]
     assert doc["config"] == {"k": 1, "full": False, "seed": 0}
     assert doc["summary"]["confirmed"] == doc["summary"]["scanned"] == 14
+
+
+def test_report_shows_a_failing_probe_and_still_confirms_it(capsys, monkeypatch):
+    # one mu probe row falls below its right-hand side: the section says so,
+    # but a probe asserts nothing, so the summary and exit code are unchanged
+    from fracext import theorems
+    monkeypatch.setattr(theorems, "family_coefficients", with_member_cubic(
+        theorems.family_coefficients, "mu", (19, 1, 5), (-23, 62, -40)))   # (x-20)(x-2)(x-1)
+    code, out, _ = run(["report", "-k", "1", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    probes = {r["kind"]: r for r in doc["results"] if r["section"] == "gap_probe"}
+    assert probes["q"]["all_hold"] is True
+    assert probes["mu"]["all_hold"] is False and probes["mu"]["min_margin"] < 0
+    assert doc["summary"] == {"scanned": 14, "confirmed": 14, "equality_cases": 0,
+                              "counterexamples": 0}
+
+
+@pytest.mark.parametrize("argv, md5", [
+    (["grid", "--lemma", "q1q2", "-k", "3", "-n", "40"], "1a20820d54769c21e887739093fead04"),
+    (["grid", "--lemma", "q1q3", "-k", "1", "-n", "90", "--delta", "3"],
+     "19cbf41b248902ec048decca2800256e"),
+    (["grid", "--lemma", "mu_compare", "-k", "1", "-n", "90", "--delta", "3"],
+     "ea144e7790b204dc250962b66e44dd3f"),
+])
+def test_grid_delta_json_bytes_are_pinned(argv, md5, capsys):
+    # int64 cubics and bisection only, no LAPACK: the bytes do not depend on the BLAS build
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):

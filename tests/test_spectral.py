@@ -13,12 +13,11 @@ from fracext.spectral import (_f_pi_1, _f_pi_prime_1, _phi_b1, adjacency_matrice
                               distance_matrices, family_coefficients, family_cubic,
                               largest_eigenvalues, largest_real_roots, positional_blocks,
                               signless_laplacians)
-from fracext.theorems import _grid_groups
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_distance_matrix, family_q_matrix, family_quotients,
                               family_radius_bounds)
-from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall,
+from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall, grid_groups,
                      positional_blocks_prime, random_connected_graph, random_graph,
                      signless_laplacian)
 from root_oracle import largest_real_root_reference
@@ -222,7 +221,7 @@ def _grid_coefficients():
                           ("mu_compare", dict(k_max=2, n_max=90, delta_max=7))):
         quantity = "mu" if lemma == "mu_compare" else "q"
         grids.append(family_coefficients(quantity, [
-            (n, k, s) for k, _, n, members, _ in _grid_groups(lemma, **bounds) for s in members]))
+            (n, k, s) for k, _, n, members, _ in grid_groups(lemma, **bounds) for s in members]))
     return np.concatenate(grids)
 
 

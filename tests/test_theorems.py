@@ -18,6 +18,7 @@ from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_matrices, member_values)
+from helpers import grid_groups, with_member_cubic
 from root_oracle import largest_real_root_reference
 from sweep_oracle import sweep_reference
 
@@ -55,6 +56,7 @@ def test_min_order_is_the_least_order_of_each_region():
 
 
 def test_grids_start_at_their_theorems_min_order():
+    # and the gap probe of each delta lemma's (k, delta) ends just below it
     served = {"q1q2": "q_1", "q1q3": "q_2", "mu_compare": "mu"}
     for lemma, bounds in (("q1q2", dict(k_max=2, n_max=14)),
                           ("q1q3", dict(k_max=1, n_max=28, delta_max=4)),
@@ -65,6 +67,11 @@ def test_grids_start_at_their_theorems_min_order():
         assert len(first) == 2, lemma
         for (k, delta), n in first.items():
             assert n == theorem_spec(served[lemma], k).min_order(delta), (lemma, k, delta)
+            if delta is not None:
+                kind = "mu" if lemma == "mu_compare" else "q"
+                probe = probe_gap_region(kind, k, delta)
+                assert probe.lemma == f"gap_{kind}"
+                assert sorted({row.n for row in probe.rows}) == list(range(6 * delta, n))
 
 
 def test_thresholds():
@@ -407,17 +414,9 @@ def test_an_uncertified_bracket_makes_one_violation(monkeypatch):
     # largest root at 20, below the right-hand side's 22.198: its root stays
     # on the right side of the inequality, but neither the float nor the
     # exact certificate proves a bracket, so its error is inf
-    real = theorems.family_coefficients
     target = (13, 1, 5)   # (n, k, s)
-
-    def with_a_double_root(quantity, members):
-        C = real(quantity, members)
-        lane = (np.asarray(members) == target).all(axis=1)
-        assert lane.sum() == 1
-        C[lane] = (-41, 440, -400)   # (x-20)^2 (x-1)
-        return C
-
-    monkeypatch.setattr(theorems, "family_coefficients", with_a_double_root)
+    monkeypatch.setattr(theorems, "family_coefficients", with_member_cubic(
+        theorems.family_coefficients, "q", target, (-41, 440, -400)))   # (x-20)^2 (x-1)
     rep = lemma_grid("q1q2", k_max=1, n_max=14)
     [violation] = rep.violations
     assert violation.kind == "crosscheck"
@@ -486,7 +485,7 @@ def test_grids_and_probes_run_no_dense_eigensolver(monkeypatch):
                           ("mu_compare", dict(k_max=1, n_max=48, delta_max=4))):
         assert lemma_grid(lemma, **bounds).ok
     for kind in ("q", "mu"):
-        assert probe_gap_region(kind, 1, 3).all_hold
+        assert probe_gap_region(kind, 1, 3).ok
 
 
 def test_grids_and_probes_evaluate_cubics_in_bulk(monkeypatch):
@@ -506,7 +505,7 @@ def test_grids_and_probes_evaluate_cubics_in_bulk(monkeypatch):
     for lemma, bounds in GRID_DELTA:
         assert lemma_grid(lemma, **bounds).ok
     for kind in ("q", "mu"):
-        assert probe_gap_region(kind, 1, 3).all_hold
+        assert probe_gap_region(kind, 1, 3).ok
     assert len(calls) == 5
 
 
@@ -516,7 +515,7 @@ def test_family_coefficients_equal_closed_form_at_every_member_of_criteria_6_and
     members = boundary = 0
     for lemma, bounds in CRITERIA_GRIDS:
         quantity = "mu" if lemma == "mu_compare" else "q"
-        groups = theorems._grid_groups(lemma, **{"delta_max": None, **bounds})
+        groups = grid_groups(lemma, **bounds)
         grid = [(n, k, s) for k, _, n, ss, _ in groups for s in ss]
         for (n, k, s), row in zip(grid, family_coefficients(quantity, grid).tolist()):
             if quantity == "mu":
@@ -555,11 +554,28 @@ def test_clique_witness_holds_small_and_large():
 
 def test_probe_gap_region_reports_only():
     rep = probe_gap_region("q", 1, 3)
-    assert rep.rows and rep.all_hold and rep.min_margin > 0
+    assert rep.rows and rep.ok and rep.min_strict_margin > 0
     rep = probe_gap_region("mu", 1, 3)
-    assert rep.rows and rep.all_hold
+    assert rep.rows and rep.ok
     with pytest.raises(ValueError):
         probe_gap_region("e", 1, 3)
+    with pytest.raises(ValueError, match="2k\\+1"):
+        probe_gap_region("q", 2, 4)
+
+
+def test_a_probe_row_past_its_bound_is_one_inequality_violation(monkeypatch):
+    # one left-hand member of the mu probe at k = 1, delta = 3 takes the cubic
+    # (x-20)(x-2)(x-1): its root 20, certified, falls below the right-hand
+    # side's 21.779, where mu should grow with s
+    monkeypatch.setattr(theorems, "family_coefficients", with_member_cubic(
+        theorems.family_coefficients, "mu", (19, 1, 5), (-23, 62, -40)))
+    rep = probe_gap_region("mu", 1, 3)
+    [violation] = rep.violations
+    assert violation.kind == "inequality" and not rep.ok
+    assert (violation.row.n, violation.row.k, violation.row.s) == (19, 1, 5)
+    assert abs(violation.row.lhs - 20.0) <= violation.row.lhs_err < 1e-8
+    assert violation.row.lhs < violation.row.rhs
+    assert rep.min_strict_margin == violation.row.lhs - violation.row.rhs < 0
 
 
 def test_sampling_determinism_and_tallies():
