@@ -461,6 +461,19 @@ def test_grid_delta_json_bytes_are_pinned(argv, md5, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+@pytest.mark.parametrize("argv,md5", [
+    (["sweep", "--theorem", "q_1", "-k", "1", "connected:8"],
+     "4cac817ffbafb016d0e53d3819c8ff67"),
+    (["sweep", "--theorem", "edge_1", "-k", "1", "complement:11:8"],
+     "fdda3589a41af84e8542f2e6b800f873"),
+])
+def test_sweep_json_bytes_are_pinned(argv, md5, capsys):
+    # the kept results carry the graph6 of the corpus's own vertex labels
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
     # one violation per grid: three of the fourteen sections fail their check
     from fracext import cli
