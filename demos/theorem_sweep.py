@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
 # Sweep a whole corpus against one spectral bound and inspect the outcome.
-from fracext import emit_graph6, parse_graph6
-from fracext.corpus import connected_graphs, complement_corpus
+from fracext import complement, emit_graph6, parse_graph6
+from fracext.corpus import all_graphs, connected_graphs, complement_corpus, sparse_graphs
 from fracext.theorems import theorem_spec, check_theorem, sweep
+
+# the corpora: one graph per isomorphism class, canonically ordered
+for n in range(1, 9):
+    print(f"order {n}: {len(all_graphs(n)):5d} graphs, {len(connected_graphs(n)):5d} connected")
+# a dense corpus is the complements of a sparse one, class for class
+assert complement_corpus(6, 4) == tuple(complement(g) for g in sparse_graphs(6, 4))
 
 spec = theorem_spec("q_1", k=1)
 

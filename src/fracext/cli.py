@@ -24,7 +24,7 @@ from .graphs import ExtremalParams, extremal_graph
 from .graph6 import emit_graph6, parse_graph6
 from .matching import BAD_MATCHING, BAD_SET, Verdict, is_fext_definitional
 from .spectral import FAMILIES, closed_form, family_cubic, largest_real_root, spectral_report
-from .corpus import complement_corpus, connected_graphs
+from .corpus import complement_stack, connected_stack
 from .theorems import (LEMMA_IDS, THEOREM_IDS, edge_count_identities, lemma_grid,
                        probe_gap_region, sample_spanning_subgraphs, sharpness,
                        sweep, theorem_spec)
@@ -179,8 +179,9 @@ def _load_corpus(arg: str):
     if arg == "-":
         return sys.stdin.buffer, "stdin"
     kind, _, rest = arg.partition(":")
-    generated = {"connected": ("connected:N", connected_graphs),
-                 "complement": ("complement:N:BUDGET", complement_corpus)}
+    # a generated corpus goes to sweep as the adjacency stack it is built as
+    generated = {"connected": ("connected:N", connected_stack),
+                 "complement": ("complement:N:BUDGET", complement_stack)}
     if kind in generated:
         form, build = generated[kind]
         fields = rest.split(":")

@@ -41,7 +41,14 @@ Everything before the search runs on numpy stacks of 0/1 adjacency
 matrices of one order.  The generators build a block of parents' children
 and filter them as arrays, then stream the survivors to canonicalisation
 in chunks of at most spectral.SWEEP_CHUNK_ENTRIES matrix entries, so the
-memory held does not grow with the corpus.  Twins need no row hashing: the
+memory held does not grow with the candidates.  A level's canonical forms
+are packed triangle rows (graph6.pack_triangles), sorted and deduplicated
+as one array and decoded back into one uint8 stack
+(graph6.decode_triangles).  The per-order caches hold these stacks, the
+next order's children are built from them directly, and connected_stack
+and complement_stack hand them to sweeps as they are; all_graphs,
+connected_graphs, sparse_graphs and complement_corpus build Graph tuples
+from them (spectral.stack_graphs).  Twins need no row hashing: the
 rows of u and w differ in deg u + deg w - 2|N(u) & N(w)| columns, two of
 them u and w when u, w are adjacent, so u, w are twins exactly when that
 count is 2 A[u, w], one batched matrix product for the whole stack.
@@ -74,17 +81,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph6 import from_triangle_bits
-from .graphs import Graph, complement, empty_graph, is_connected
-from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices
+from .graph6 import decode_triangles, pack_triangles
+from .graphs import MAX_VERTICES, CapacityError, Graph
+from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags, stack_graphs
 
-_ALL_CACHE: dict[int, tuple[Graph, ...]] = {}
-_CONN_CACHE: dict[int, tuple[Graph, ...]] = {}
-
-
-def _stack(graphs) -> np.ndarray:
-    """uint8 adjacency matrices of graphs of one order, stacked."""
-    return adjacency_matrices(graphs).astype(np.uint8)
+# order -> the uint8 adjacency stack of all (connected) graphs of that order
+_ALL_CACHE: dict[int, np.ndarray] = {}
+_CONN_CACHE: dict[int, np.ndarray] = {}
 
 
 def _twins(A: np.ndarray) -> np.ndarray:
@@ -201,12 +204,15 @@ def _search(rows: tuple[int, ...], cells: list[list[int]], twin: list[int]) -> i
     return best_path[n]
 
 
-def _canonical_forms(A: np.ndarray) -> list[tuple[int, int]]:
-    """(order, packed upper-triangle bits) of every graph of a stack of one
-    order, maximal over the labelings that place the refinement cells in
-    order: read off the cell order when the cells force it, else searched."""
+def _canonical_forms(A: np.ndarray) -> np.ndarray:
+    """The canonical form of every graph of a stack of one order, as
+    pack_triangles rows: the upper triangle maximal over the labelings that
+    place the refinement cells in order, read off the cell order when the
+    cells force it, else searched."""
     B, n = A.shape[:2]
-    out = [(n, 0)] * B
+    nbits = n * (n - 1) // 2
+    width, pad = (nbits + 7) // 8, -nbits % 8
+    out = np.zeros((B, width), dtype=np.uint8)
     if n <= 1:
         return out
     g = np.arange(B)[:, None]
@@ -219,25 +225,20 @@ def _canonical_forms(A: np.ndarray) -> list[tuple[int, int]]:
     T = _twins(A)
     forced = T[g, order, first].all(axis=1)
     hit = np.flatnonzero(forced)
-    # the pairs (q, p), q < p, in graph6 column order: the strict lower
-    # triangle of the relabeled matrix, row by row
     labeled = order[hit]
-    tri = np.packbits(A[hit[:, None, None], labeled[:, :, None], labeled[:, None, :]]
-                      [:, np.tri(n, k=-1, dtype=bool)], axis=1)
-    width, pad = tri.shape[1], -(n * (n - 1) // 2) % 8
-    blob = tri.tobytes()
-    for b, at in zip(hit.tolist(), range(0, len(blob), width)):
-        out[b] = (n, int.from_bytes(blob[at:at + width], "big") >> pad)
+    out[hit] = pack_triangles(A[hit[:, None, None], labeled[:, :, None], labeled[:, None, :]])
     rest = np.flatnonzero(~forced)
-    width = (n + 7) // 8
+    row_width = (n + 7) // 8
     blob = np.packbits(A[rest], axis=2, bitorder="little").tobytes()
-    for i, (b, labels, new, twin) in enumerate(zip(rest.tolist(), order[rest].tolist(),
-                                                   opens[rest].tolist(),
-                                                   T[rest].argmax(axis=2).tolist())):
-        rows = tuple(int.from_bytes(blob[at:at + width], "little")
-                     for at in range(i * n * width, (i + 1) * n * width, width))
+    searched = []
+    for i, (labels, new, twin) in enumerate(zip(order[rest].tolist(), opens[rest].tolist(),
+                                                T[rest].argmax(axis=2).tolist())):
+        rows = tuple(int.from_bytes(blob[at:at + row_width], "little")
+                     for at in range(i * n * row_width, (i + 1) * n * row_width, row_width))
         starts = [p for p, fresh in enumerate(new) if fresh] + [n]
-        out[b] = (n, _search(rows, [labels[s:t] for s, t in zip(starts, starts[1:])], twin))
+        bits = _search(rows, [labels[s:t] for s, t in zip(starts, starts[1:])], twin)
+        searched.append((bits << pad).to_bytes(width, "big"))
+    out[rest] = np.frombuffer(b"".join(searched), dtype=np.uint8).reshape(len(rest), width)
     return out
 
 
@@ -254,13 +255,25 @@ def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
         yield held
 
 
-def _level(children: Iterable[np.ndarray], n: int) -> tuple[Graph, ...]:
-    """The distinct graphs among the children's stacks, in canonical-form order."""
-    forms = {f for chunk in _chunks(children, n) for f in _canonical_forms(chunk)}
-    return tuple(from_triangle_bits(*f) for f in sorted(forms))
+def _level(children: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The distinct graphs among the children's stacks, in canonical-form
+    order, as one uint8 stack: the forms are sorted and deduplicated as
+    fixed-width byte strings, whose order is their integers' order."""
+    forms = [_canonical_forms(chunk) for chunk in _chunks(children, n)]
+    if not forms:
+        return np.zeros((0, n, n), dtype=np.uint8)
+    packed = np.concatenate(forms)
+    width = packed.shape[1]
+    unique = np.unique(packed.view(f"S{width}").ravel()).view(np.uint8).reshape(-1, width)
+    return decode_triangles(n, unique)
 
 
-def _vertex_children(parents: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"order {n} outside 0..{MAX_VERTICES}")
+
+
+def _vertex_children(parents: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Children of the order n - 1 parents that add vertex n - 1 and pass
     canonical deletion and the twin-prefix test, a block of parents at a
     time: a block's table of subsets by vertices holds about
@@ -271,7 +284,7 @@ def _vertex_children(parents: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]
     s = S.sum(axis=1)
     block = max(1, SWEEP_CHUNK_ENTRIES // (len(S) * n))
     for i in range(0, len(parents), block):
-        A = _stack(parents[i:i + block])
+        A = parents[i:i + block]
         deg = A.sum(axis=2)
         top = deg.max(axis=1)[:, None]
         # canonical deletion, first by degree: s > top, or s = top missing every top vertex
@@ -294,37 +307,46 @@ def _vertex_children(parents: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]
         yield child
 
 
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """Every graph of order n up to isomorphism, canonically ordered."""
-    if n < 0:
-        raise ValueError("negative order")
+def _all_stack(n: int) -> np.ndarray:
+    """Every graph of order n up to isomorphism, canonically ordered, as one
+    uint8 stack; the order is checked before any smaller order is built."""
+    _check_order(n)
     cached = _ALL_CACHE.get(n)
-    if cached is not None:
-        return cached
-    if n <= 1:
-        out = (empty_graph(n),)
-    else:
-        out = _level(_vertex_children(all_graphs(n - 1), n), n)
-    _ALL_CACHE[n] = out
-    return out
-
-
-def connected_graphs(n: int) -> tuple[Graph, ...]:
-    cached = _CONN_CACHE.get(n)
     if cached is None:
-        cached = tuple(g for g in all_graphs(n) if is_connected(g))
-        _CONN_CACHE[n] = cached
+        if n <= 1:
+            cached = np.zeros((1, n, n), dtype=np.uint8)
+        else:
+            cached = _level(_vertex_children(_all_stack(n - 1), n), n)
+        _ALL_CACHE[n] = cached
     return cached
 
 
-def _edge_children(graphs: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    """Every graph of order n up to isomorphism, canonically ordered."""
+    return stack_graphs(_all_stack(n))
+
+
+def connected_stack(n: int) -> np.ndarray:
+    """The connected graphs of all_graphs(n), in its order, as one uint8 stack."""
+    cached = _CONN_CACHE.get(n)
+    if cached is None:
+        A = _all_stack(n)
+        cached = _CONN_CACHE[n] = A[connected_flags(A)]
+    return cached
+
+
+def connected_graphs(n: int) -> tuple[Graph, ...]:
+    return stack_graphs(connected_stack(n))
+
+
+def _edge_children(graphs: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Children of the graphs that add one edge uv and pass the twin-prefix
     test and canonical deletion, a block of graphs at a time: a block's
     table of pairs by vertices holds about SWEEP_CHUNK_ENTRIES entries."""
     u, v = np.triu_indices(n, 1)
     block = max(1, SWEEP_CHUNK_ENTRIES // max(1, len(u) * n))
     for i in range(0, len(graphs), block):
-        A = _stack(graphs[i:i + block])
+        A = graphs[i:i + block]
         T = _twins(A)
         rank = np.tril(T, -1).sum(axis=2)   # earlier members of the vertex's twin class
         # twin prefixes: u first in its class, v first or second after u
@@ -342,17 +364,28 @@ def _edge_children(graphs: tuple[Graph, ...], n: int) -> Iterator[np.ndarray]:
         yield child[((d < hi) | (d == hi) & (top_nbr <= lo)).all(axis=1)]
 
 
-def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
-    """Graphs on n labeled-then-canonicalized vertices with <= max_edges
-    edges, up to isomorphism; isolated vertices allowed."""
+def _sparse_stack(n: int, max_edges: int) -> np.ndarray:
+    """The graphs of sparse_graphs(n, max_edges), in its order, as one uint8 stack."""
+    _check_order(n)
     if max_edges < 0:
         raise ValueError("negative edge budget")
-    current = (empty_graph(n),)
-    out = list(current)
+    levels = [np.zeros((1, n, n), dtype=np.uint8)]
     for _ in range(max_edges):
-        current = _level(_edge_children(current, n), n)
-        out.extend(current)
-    return tuple(out)
+        levels.append(_level(_edge_children(levels[-1], n), n))
+    return np.concatenate(levels)
+
+
+def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
+    """Graphs on n labeled-then-canonicalized vertices with <= max_edges
+    edges, up to isomorphism, level by level in edge count; isolated
+    vertices allowed."""
+    return stack_graphs(_sparse_stack(n, max_edges))
+
+
+def complement_stack(n: int, complement_budget: int) -> np.ndarray:
+    """The graphs of complement_corpus(n, complement_budget), in its order,
+    as one uint8 stack."""
+    return _sparse_stack(n, complement_budget) ^ (1 - np.eye(n, dtype=np.uint8))
 
 
 def complement_corpus(n: int, complement_budget: int) -> tuple[Graph, ...]:
@@ -361,7 +394,7 @@ def complement_corpus(n: int, complement_budget: int) -> tuple[Graph, ...]:
     This is the natural exhaustive corpus for edge-count sweeps near the
     complete graph.
     """
-    return tuple(complement(g) for g in sparse_graphs(n, complement_budget))
+    return stack_graphs(complement_stack(n, complement_budget))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -369,5 +402,5 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     the pair is canonicalised as one stack of two."""
     if g.n != h.n:
         return False
-    form_g, form_h = _canonical_forms(_stack([g, h]))
-    return form_g == form_h
+    form_g, form_h = _canonical_forms(adjacency_matrices([g, h]))
+    return bool((form_g == form_h).all())

@@ -4,10 +4,19 @@ upper-triangle layout: the pairs in column order ((0,1),(0,2),(1,2),
 group offset by 63.  The size header is the group n for n <= 62, else '~'
 and n in three groups; being bit-exact, the codec rejects the long form
 below order 63 and the eight-byte '~~' form.
+
+The same layout, zero-padded to whole bytes instead of 6-bit groups, is the
+packed form of a stack of graphs of one order: pack_triangles writes it,
+one row per graph, and decode_triangles turns the rows back into a uint8
+adjacency stack with one np.unpackbits and a triangle scatter.  Corpus
+canonical forms are such rows, and at one order their byte order is the
+order of from_triangle_bits's integers.
 """
 from __future__ import annotations
 
 import binascii
+
+import numpy as np
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -39,6 +48,24 @@ def from_triangle_bits(n: int, bits: int) -> Graph:
             rows[j] |= 1 << i
             col ^= low
     return Graph._of(n, tuple(rows))
+
+
+def pack_triangles(A: np.ndarray) -> np.ndarray:
+    """The upper triangles of an (m, n, n) 0/1 adjacency stack, packed: row b
+    holds graph b's pairs in column order, most significant bit first,
+    zero-padded to whole bytes.  Read as a big-endian integer and shifted
+    right past the padding, a row is from_triangle_bits's bits."""
+    # the strict lower triangle row by row is (1,0),(2,0),(2,1),(3,0),...:
+    # the pairs (q, p), q < p, in column order
+    return np.packbits(A[:, np.tri(A.shape[1], k=-1, dtype=bool)], axis=1)
+
+
+def decode_triangles(n: int, packed: np.ndarray) -> np.ndarray:
+    """The (m, n, n) uint8 adjacency stack of m pack_triangles rows of order n."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    A = np.zeros((len(packed), n, n), dtype=np.uint8)
+    A[:, lower] = np.unpackbits(packed, axis=1, count=n * (n - 1) // 2)
+    return A | A.transpose(0, 2, 1)
 
 
 def _header(n: int) -> str:

@@ -4,9 +4,10 @@ Vertices are 0..n-1; each adjacency row is an integer bitmask, so subset
 work (isolated counts, connected components) is plain integer arithmetic.
 Orders are capped at 128: enumeration corpora stay tiny, but the sharpness
 grids need join-family graphs up to order 90.  Only the public `Graph(n, rows)`
-checks rows; the builders here, `graph6.from_triangle_bits` and the corpus and
-sampler loops make valid rows by construction and check only the order, through
-`Graph._of`.  The join family K_s v (K_{n1} u t*K1) that witnesses sharpness of
+checks rows; the builders here, `graph6.from_triangle_bits` (behind
+parse_graph6), `spectral.stack_graphs` (the Graphs of corpus and classified
+adjacency stacks) and the sampler loop make valid rows by construction and
+check only the order, through `Graph._of`.  The join family K_s v (K_{n1} u t*K1) that witnesses sharpness of
 the extendability bounds is built and recognized here.
 """
 from __future__ import annotations

@@ -7,9 +7,11 @@ rationals.  The closed forms are integer polynomials in (n, k, s), written
 once: on Python ints they give one member's exact cubic, to assert against
 charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
 Graph matrices are built in numpy, for a stack of graphs of one order at
-once: adjacency_matrices is the one reader of Graph's bit rows, Q and D
-are built from its adjacency stack, the distance matrices are one BFS over
-the stack, and largest_eigenvalues is one eigensolver call.  The largest
+once: adjacency_matrices is the one reader of Graph's bit rows and
+stack_graphs the one writer, Q and D are built from an adjacency stack,
+the distance matrices are one BFS over the stack, connectivity is one
+reachability search from vertex 0 over it, and largest_eigenvalues is one
+eigensolver call.  The largest
 roots of many integer cubics come from one numpy bisection pass, and each
 comes with the width of a certified bracket: Horner rounding-error bounds,
 or exact arithmetic where those do not settle it, prove the root inside.
@@ -39,17 +41,54 @@ def adjacency_matrices(graphs) -> np.ndarray:
     """0/1 adjacency matrices of graphs of one order, stacked (m, n, n), int64.
 
     The one reader of the bit-row format here: each row is written as
-    (n + 7) // 8 little-endian bytes, the rows of every graph are unpacked
-    in one call and the padding columns past n are sliced off.
+    (n + 7) // 8 little-endian bytes, and the rows of every graph are
+    unpacked in one call, n columns each.
     """
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("a stack holds graphs of one order")
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows),
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for g in graphs for r in g.rows]),
                            dtype=np.uint8).reshape(len(graphs), n, width)
-    bits = np.unpackbits(packed, axis=2, bitorder="little")
-    return bits[:, :, :n].astype(np.int64)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(np.int64)
+
+
+def stack_graphs(A: np.ndarray) -> tuple[Graph, ...]:
+    """The graphs of an (m, n, n) 0/1 adjacency stack: adjacency_matrices's
+    inverse, each row packed into (n + 7) // 8 little-endian bytes in one call."""
+    m, n = A.shape[:2]
+    width = (n + 7) // 8
+    blob = np.packbits(A, axis=2, bitorder="little").tobytes()
+    rows = [int.from_bytes(blob[i * width:(i + 1) * width], "little") for i in range(m * n)]
+    return tuple(Graph._of(n, tuple(rows[b * n:(b + 1) * n])) for b in range(m))
+
+
+def connected_flags(A: np.ndarray) -> list[bool]:
+    """Whether each graph of an (m, n, n) 0/1 integer adjacency stack is
+    connected, as a list; the order-0 graph is.
+
+    The set reached from vertex 0, a 0/1 row per graph, grows by one stacked
+    vector-matrix product per step, chunk by chunk, until every vertex of
+    the chunk is reached or no graph's set grows, so a path of any length
+    is followed to its end.  The products run in the stack's own integer
+    type: no entry exceeds n + 1 <= 129, so even uint8 holds it.
+    """
+    m, n = A.shape[:2]
+    size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+    out: list[bool] = []
+    for at in range(0, m, size):
+        F = A[at:at + size]
+        reach = F[:, :1, :].copy()   # vertex 0's neighbours
+        reach[:, :, :1] = 1          # and vertex 0
+        count = np.count_nonzero(reach)
+        while count < reach.size:
+            reach = np.matmul(reach, F) + reach
+            np.minimum(reach, 1, out=reach)
+            count, before = np.count_nonzero(reach), count
+            if count == before:
+                break
+        out += reach.all(axis=(1, 2)).tolist()
+    return out
 
 
 def signless_laplacians(A: np.ndarray) -> np.ndarray:

@@ -18,13 +18,18 @@ TheoremSpec.values.  A gap probe is the q1q3 or mu_compare grid of one
 not asserted; lemma_grid and probe_gap_region both build their groups in
 _grid_groups and their report in _grid_report.
 
-_classify is the one classification route: it takes graphs of one order,
-computes the bound quantity of those past the hypotheses in one
-TheoremSpec.values call (one eigensolver call), and yields each graph's
-outcome in input order.  check_theorem runs it on one graph and builds its
-CheckResult; sweep runs it on chunks of graphs of one order and keeps only
-tallies, so a CheckResult, with its graph6, is built only for an equality
-case or a counterexample.
+_classify is the one classification route: it takes a 0/1 adjacency stack
+of one order, reads degrees, e and delta off its row sums and connectivity
+off one stacked reachability search (spectral.connected_flags), computes the
+bound quantity of the graphs past the hypotheses in one TheoremSpec.values
+call on the same stack (one eigensolver call), and yields each graph's
+outcome in stack order.  A Graph is built only for a graph that reaches
+the oracle.  check_theorem runs it on a stack of one and builds its
+CheckResult; sweep runs it on chunks of one order and keeps only tallies,
+so a CheckResult, with its graph6, is built only for an equality case or a
+counterexample.  A sweep takes a generated corpus as the stack it is
+(corpus.connected_stack, corpus.complement_stack); Graph objects and
+graph6 lines are stacked chunk by chunk through spectral.adjacency_matrices.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
@@ -39,15 +44,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .graphs import (ExtremalParams, Graph, extremal_edge_count,
-                     extremal_graph, graph_stats, is_connected, matches_extremal)
+                     extremal_graph, graph_stats, matches_extremal)
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices,
-                       family_coefficients, family_cubic, largest_eigenvalues,
-                       largest_real_root, largest_real_roots, signless_laplacians)
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags,
+                       distance_matrices, family_coefficients, family_cubic,
+                       largest_eigenvalues, largest_real_root, largest_real_roots,
+                       signless_laplacians, stack_graphs)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -131,18 +139,16 @@ class TheoremSpec:
         """The family member's own edge count, q or mu; memoized per member."""
         return _family_threshold(self.quantity, self.family(n, delta))
 
-    def values(self, graphs: Sequence[Graph]) -> list[float | int]:
-        """Each graph's own bound quantity: its edge count, or its q or mu.
-
-        The graphs share one order; their matrices are built as one stack
-        and go to the eigensolver in one call.
-        """
+    def values(self, A: np.ndarray) -> list[float | int]:
+        """Each graph's own bound quantity, its edge count or its q or mu,
+        for an (m, n, n) 0/1 adjacency stack: its Q or D stack goes to the
+        eigensolver in one call."""
         if self.quantity == "e":
-            return [g.edge_count() for g in graphs]
-        if not graphs:
+            return (A.sum(axis=(1, 2), dtype=np.int64) // 2).tolist()
+        if not len(A):
             return []
         build = signless_laplacians if self.quantity == "q" else distance_matrices
-        return largest_eigenvalues(build(adjacency_matrices(graphs))).tolist()
+        return largest_eigenvalues(build(A)).tolist()
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
@@ -171,48 +177,63 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
-def _classify(graphs: Sequence[Graph], spec: TheoremSpec) -> Iterator[tuple]:
-    """(status, stats, value, threshold, detail, verdict) of each graph, in input order.
+def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
+    """(status, e, delta, connected, value, threshold, detail, verdict, graph)
+    of each graph of an (m, n, n) 0/1 adjacency stack of one order, in
+    stack order.
 
-    The graphs share one order, and one spec.values call computes the bound
-    quantity of those past the hypotheses.  The tests run in the order that
-    check_theorem documents.
+    e and delta come from the row sums and connectivity from connected_flags;
+    one spec.values call on the stack's graphs past the hypotheses computes
+    their bound quantity.  graph is the Graph the oracle ran on, built from
+    the stack, and None for a graph that did not reach it.  The tests run
+    in the order that check_theorem documents.
     """
-    stats = [graph_stats(g) for g in graphs]
-    failed = [spec.hypotheses(st.n, st.min_degree, st.connected) for st in stats]
-    values = iter(spec.values([g for g, f in zip(graphs, failed) if f is None]))
-    degrees = {st.min_degree for st, f in zip(stats, failed) if f is None}
-    thresholds = {d: spec.threshold(graphs[0].n, d) for d in degrees}   # the graphs share one order
-    for g, st, f in zip(graphs, stats, failed):
+    n = A.shape[1]
+    deg = A.sum(axis=2)
+    # every degree is below n, so the initial value n - 1 changes no minimum
+    # and gives the order-0 graph delta 0
+    delta = deg.min(axis=1, initial=max(n - 1, 0)).tolist()
+    e = [twice // 2 for twice in deg.sum(axis=1).tolist()]
+    connected = connected_flags(A)
+    reasons = {key: spec.hypotheses(n, *key) for key in set(zip(delta, connected))}
+    failed = [reasons[key] for key in zip(delta, connected)]
+    past = [i for i, f in enumerate(failed) if f is None]
+    values = iter(spec.values(A[past]) if past else ())
+    thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
+    below = -1 if spec.bound_side == ">=" else 1
+    for i, f in enumerate(failed):
+        stats = e[i], delta[i], connected[i]
         if f is not None:
-            yield HYPOTHESES_NOT_MET, st, None, None, f, None
+            yield HYPOTHESES_NOT_MET, *stats, None, None, f, None, None
             continue
-        value, thr = next(values), thresholds[st.min_degree]
-        if _compare(value, thr) == (-1 if spec.bound_side == ">=" else 1):
-            yield BOUND_NOT_MET, st, value, thr, "", None
+        value, thr = next(values), thresholds[delta[i]]
+        if _compare(value, thr) == below:
+            yield BOUND_NOT_MET, *stats, value, thr, "", None, None
             continue
+        [g] = stack_graphs(A[i:i + 1])
         verdict = is_fext_definitional(g, spec.k)
         status, detail = COUNTEREXAMPLE, ""
-        if matches_extremal(g, spec.family(st.n, st.min_degree)):
+        if matches_extremal(g, spec.family(n, delta[i])):
             if verdict.answer:
                 raise RuntimeError("exceptional graph reported extendable; recognizer and oracle disagree")
             status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
         elif verdict.answer:
             status = CONFIRMED
-        yield status, st, value, thr, detail, verdict
+        yield status, *stats, value, thr, detail, verdict, g
 
 
 def _result(g: Graph, spec: TheoremSpec, outcome: tuple) -> CheckResult:
     """The CheckResult of one _classify outcome of g."""
-    status, st, value, thr, detail, verdict = outcome
-    return CheckResult(status=status, theorem=spec.id, k=spec.k, n=st.n, e=st.e,
-                       min_degree=st.min_degree, connected=st.connected,
+    status, e, delta, connected, value, thr, detail, verdict, _ = outcome
+    return CheckResult(status=status, theorem=spec.id, k=spec.k, n=g.n, e=e,
+                       min_degree=delta, connected=connected,
                        graph6=emit_graph6(g), value=value, threshold=thr,
                        detail=detail, oracle=verdict)
 
 
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
-    """Classify one graph against one sufficient condition.
+    """Classify one graph against one sufficient condition: _classify on
+    the stack of one.
 
     Order: hypotheses, then the bound, then the exceptional-graph test,
     then is_fext_definitional, which decides at every order.  A
@@ -220,7 +241,7 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     is not fractionally k-extendable, and is not the exceptional graph;
     none should ever appear.
     """
-    [outcome] = _classify([g], spec)
+    [outcome] = _classify(adjacency_matrices([g]), spec)
     return _result(g, spec, outcome)
 
 
@@ -263,36 +284,52 @@ def _corpus_graphs(corpus: Iterable, errors: list[tuple[int, str]]) -> Iterator[
         yield g
 
 
-def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
-    """(input position, graph) pairs in chunks of one order, each yielded
-    as soon as it is full."""
+def _chunk_size(n: int) -> int:
+    """Graphs of order n per classification chunk: SWEEP_CHUNK_ENTRIES entries."""
+    return max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+
+
+def _order_chunks(graphs: Iterable[Graph]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(input positions, adjacency stack) of chunks of one order, each
+    stacked and yielded as soon as it is full."""
     pending: dict[int, list[tuple[int, Graph]]] = {}
     for pos, g in enumerate(graphs):
         chunk = pending.setdefault(g.n, [])
         chunk.append((pos, g))
-        if len(chunk) == max(1, SWEEP_CHUNK_ENTRIES // max(1, g.n * g.n)):
-            yield pending.pop(g.n)
-    yield from pending.values()
+        if len(chunk) == _chunk_size(g.n):
+            del pending[g.n]
+            yield [p for p, _ in chunk], adjacency_matrices([h for _, h in chunk])
+    for chunk in pending.values():
+        yield [p for p, _ in chunk], adjacency_matrices([h for _, h in chunk])
 
 
-def sweep(corpus: Iterable, spec: TheoremSpec) -> SweepReport:
+def _stack_chunks(A: np.ndarray) -> Iterator[tuple[range, np.ndarray]]:
+    """(positions, chunk) of an (m, n, n) adjacency stack."""
+    size = _chunk_size(A.shape[1])
+    for at in range(0, len(A), size):
+        yield range(at, min(at + size, len(A))), A[at:at + size]
+
+
+def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
     """Classify every graph of a corpus and aggregate.
 
-    The corpus may yield Graph objects directly or graph6 text/byte lines
-    (blank lines and # comments skipped).  Malformed lines are recorded
-    with their line number and the sweep continues.  Graphs are classified
-    in chunks of one order, and only tallies and the results past the
-    bound are kept: equality cases and counterexamples get a CheckResult,
-    and come back in input order.
+    The corpus is an (m, n, n) 0/1 adjacency stack, or it yields Graph
+    objects or graph6 text/byte lines (blank lines and # comments
+    skipped).  Malformed lines are recorded with their line number and the
+    sweep continues.  Graphs are classified in chunks of one order, and
+    only tallies and the results past the bound are kept: equality cases
+    and counterexamples get a CheckResult, and come back in input order.
     """
     errors: list[tuple[int, str]] = []
     counts: Counter[str] = Counter()
     kept = []
-    for chunk in _order_chunks(_corpus_graphs(corpus, errors)):
-        for (pos, g), outcome in zip(chunk, _classify([g for _, g in chunk], spec)):
+    chunks = (_stack_chunks(corpus) if isinstance(corpus, np.ndarray)
+              else _order_chunks(_corpus_graphs(corpus, errors)))
+    for positions, A in chunks:
+        for pos, outcome in zip(positions, _classify(A, spec)):
             counts[outcome[0]] += 1
             if outcome[0] in (EQUALITY_CASE, COUNTEREXAMPLE):
-                kept.append((pos, _result(g, spec, outcome)))
+                kept.append((pos, _result(outcome[-1], spec, outcome)))
     kept.sort(key=lambda item: item[0])
     scanned = counts.total()
     hyp = scanned - counts[HYPOTHESES_NOT_MET]
@@ -535,7 +572,7 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
 
     thr = spec.threshold(st.n, st.min_degree)
-    [value] = spec.values([g])
+    [value] = spec.values(adjacency_matrices([g]))
     floor = floor_ok = None
     if spec.id == "mu":
         floor = float(st.n - p.s + 2 * spec.k + 3)
@@ -598,7 +635,8 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     The family graphs sit exactly on their thresholds, so every connected
     proper spanning subgraph should fall on the wrong side of the bound
     (monotonicity) and never class as a counterexample.  Disconnecting
-    deletions are rejected and resampled.  Fixed seed, reproducible.
+    deletions are rejected, by the classification's own connectivity test,
+    and resampled.  Fixed seed, reproducible.
     """
     rng = random.Random(seed)
     src = extremal_graph(p)
@@ -615,11 +653,10 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
             for u, v in rng.sample(edges, d):
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
-            g = Graph._of(src.n, tuple(rows))
-            if is_connected(g):
+            res = check_theorem(Graph._of(src.n, tuple(rows)), spec)
+            if res.connected:
                 break
             rejected += 1
-        res = check_theorem(g, spec)
         tallies[res.status] = tallies.get(res.status, 0) + 1
         if res.status == COUNTEREXAMPLE:
             cex.append(res)

@@ -11,14 +11,14 @@ children of one graph are canonicalised as one stack: helpers.canonical_form
 is the stack of one, and tests/test_corpus.py checks that a graph's form does not
 depend on the stack it is in.
 """
-from fracext import corpus
 from fracext.graph6 import from_triangle_bits
 from fracext.graphs import Graph, empty_graph
+from helpers import canonical_forms
 
 
 def _forms(children):
     """The canonical forms of graphs of one order."""
-    return corpus._canonical_forms(corpus._stack(children)) if children else []
+    return canonical_forms(children) if children else []
 
 
 def all_graphs_reference(n):

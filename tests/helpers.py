@@ -21,9 +21,18 @@ def distance_matrix_array(g):
     return distance_matrices(adjacency_matrices([g]))[0]
 
 
+def canonical_forms(graphs):
+    """(order, packed upper-triangle bits) of each graph of one order,
+    canonicalised as one stack: each packed row read as an integer."""
+    n = graphs[0].n
+    pad = -(n * (n - 1) // 2) % 8
+    return [(n, int.from_bytes(row.tobytes(), "big") >> pad)
+            for row in corpus._canonical_forms(adjacency_matrices(graphs))]
+
+
 def canonical_form(g):
     """(order, packed upper-triangle bits) of one graph: the stack of one."""
-    return corpus._canonical_forms(corpus._stack([g]))[0]
+    return canonical_forms([g])[0]
 
 
 def grid_groups(lemma, k_max, n_max, delta_max=None):

@@ -289,6 +289,44 @@ def test_sweep_malformed_generated_corpus(corpus, form, capsys):
     assert err.startswith("error:") and form in err
 
 
+@pytest.mark.parametrize("corpus", ["connected:129", "complement:129:0"])
+def test_sweep_generated_corpus_above_the_order_cap_exits_2(corpus, capsys):
+    # the order is checked before any smaller order is enumerated
+    code, out, err = run(["sweep", "--theorem", "q_1", corpus], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: order 129 outside 0..128\n"
+
+
+def test_sweep_connected_0_scans_the_order_0_graph(capsys):
+    code, out, _ = run(["sweep", "--theorem", "q_1", "connected:0", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["summary"]["scanned"] == 1
+
+
+def test_generated_sweeps_build_no_graph_per_corpus_member(monkeypatch, capsys):
+    # the sweep path neither decodes forms one by one nor reads a Graph's
+    # statistics: with those three functions refusing, both pinned sweeps
+    # still print their pinned bytes
+    import fracext
+    from fracext import corpus, graph6, graphs
+
+    def refuse(*args):
+        raise AssertionError("called on the sweep path")
+
+    originals = (graph6.from_triangle_bits, graphs.graph_stats, graphs.is_connected)
+    for module in (fracext, *(getattr(fracext, name) for name in
+                              ("graphs", "graph6", "matching", "spectral", "corpus", "theorems", "cli"))):
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(corpus, "_ALL_CACHE", {})
+    monkeypatch.setattr(corpus, "_CONN_CACHE", {})
+    for argv, md5 in (("q_1 connected:8", "4cac817ffbafb016d0e53d3819c8ff67"),
+                      ("edge_1 complement:11:8", "fdda3589a41af84e8542f2e6b800f873")):
+        theorem, corpus_arg = argv.split()
+        code, out, _ = run(["sweep", "--theorem", theorem, corpus_arg, "--format", "json"], capsys)
+        assert code == 0 and hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_sweep_keeps_input_order_over_several_chunks(tmp_path):
     # 150 graphs each of orders 11 and 12, alternating: two chunks per order
     # (135 and 113 graphs fill one), with equality cases at both orders

@@ -9,9 +9,10 @@ from fracext import corpus
 from fracext.corpus import (all_graphs, are_isomorphic, complement_corpus,
                             connected_graphs, sparse_graphs)
 from fracext.graph6 import emit_graph6, from_triangle_bits
+from fracext.spectral import adjacency_matrices
 from canonical_oracle import canonical_form_reference, refinement_cells_reference
 from corpus_oracle import all_graphs_reference, sparse_graphs_reference
-from helpers import canonical_form, random_graph, relabel
+from helpers import canonical_form, canonical_forms, random_graph, relabel
 
 # counts frozen from the standard unlabeled enumeration sequences
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -69,7 +70,7 @@ def test_canonical_deletion_skips_most_candidates(monkeypatch):
 
 def test_order_8_search_reaches_a_quarter_of_the_candidates(monkeypatch):
     """all_graphs(8) canonicalises 16373 candidates and searches 4005."""
-    monkeypatch.setattr(corpus, "_ALL_CACHE", {n: all_graphs(n) for n in range(8)})
+    monkeypatch.setattr(corpus, "_ALL_CACHE", {n: corpus._all_stack(n) for n in range(8)})
     counts = _count_routes(monkeypatch)
     assert len(all_graphs(8)) == 12346
     assert counts[0] <= 16373 and counts[1] <= 4005
@@ -115,7 +116,7 @@ def test_canonical_form_equals_unpruned_reference():
 
 def _cells(graphs):
     """The stacked refinement's cells of graphs of one order, graph by graph."""
-    colours = corpus._refine(corpus._stack(graphs))
+    colours = corpus._refine(adjacency_matrices(graphs))
     return [[[v for v in range(len(c)) if c[v] == k] for k in range(max(c, default=-1) + 1)]
             for c in colours.tolist()]
 
@@ -171,7 +172,7 @@ def test_refinement_cells_equal_reference_on_random_graphs():
         assert routes >= ({"discrete"} if n == 1 or n >= 6 else set()) | ({"twins"} if n >= 2 else set()), n
         assert n < 4 or "search" in routes, n
         if n <= 20:
-            assert corpus._canonical_forms(corpus._stack(stack)) == [canonical_form(g) for g in stack]
+            assert canonical_forms(stack) == [canonical_form(g) for g in stack]
 
 
 def test_canonical_form_large_twin_classes():

@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from fracext import (MAX_VERTICES, Graph6Error, complete, cycle, empty_graph, emit_graph6,
                      parse_graph6)
-from helpers import random_graph, reference_graph6
+from fracext.corpus import all_graphs
+from fracext.graph6 import decode_triangles, from_triangle_bits, pack_triangles
+from fracext.spectral import stack_graphs
+from helpers import canonical_forms, random_graph, reference_graph6
 
 
 def test_frozen_decodings():
@@ -77,3 +81,33 @@ def test_malformed_offsets():
         with pytest.raises(Graph6Error) as e:
             parse_graph6(text)
         assert e.value.offset == offset, text
+
+
+def _packed_row(n, bits):
+    """from_triangle_bits's integer as one pack_triangles row: shifted left
+    past the padding to whole bytes, big-endian."""
+    nbits = n * (n - 1) // 2
+    return np.frombuffer((bits << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), dtype=np.uint8)
+
+
+def _assert_bulk_codec_matches(n, bits_list):
+    packed = np.array([_packed_row(n, b) for b in bits_list], dtype=np.uint8)
+    A = decode_triangles(n, packed)
+    assert A.dtype == np.uint8 and A.shape == (len(bits_list), n, n)
+    assert [g.rows for g in stack_graphs(A)] == [from_triangle_bits(n, b).rows for b in bits_list]
+    assert (pack_triangles(A) == packed).all()
+
+
+def test_bulk_decoder_equals_from_triangle_bits_on_every_class():
+    for n in range(8):
+        forms = canonical_forms(all_graphs(n))
+        _assert_bulk_codec_matches(n, [bits for _, bits in forms])
+
+
+def test_bulk_decoder_equals_from_triangle_bits_on_random_forms():
+    # orders 0-2, the padding around 62-64 where the long header starts, and the cap
+    rng = random.Random(47)
+    for n in (0, 1, 2, 62, 63, 64, 127, 128):
+        nbits = n * (n - 1) // 2
+        bits_list = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(6)]
+        _assert_bulk_codec_matches(n, bits_list)

@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union,
-                     emit_graph6, extremal_edge_count, extremal_graph,
-                     largest_real_root, closed_form, parse_graph6, verify_witness)
+from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
+                     emit_graph6, extremal_edge_count, extremal_graph, graph_stats,
+                     largest_real_root, closed_form, parse_graph6, path, verify_witness)
 from fracext import spectral, theorems
-from fracext.corpus import all_graphs, complement_corpus, connected_graphs
-from fracext.spectral import (SWEEP_CHUNK_ENTRIES, family_coefficients, family_cubic,
-                              largest_real_roots)
+from fracext.corpus import (all_graphs, complement_corpus, complement_stack, connected_graphs,
+                            connected_stack)
+from fracext.spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, family_coefficients,
+                              family_cubic, largest_real_roots, stack_graphs)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -292,6 +293,38 @@ def test_sweep_builds_results_only_for_what_it_keeps(monkeypatch):
     rep = sweep(complement_corpus(9, 6), theorem_spec("q_1", 1))
     assert rep.bound_met == 25 and rep.confirmed == 24
     assert len(emitted) == len(rep.equality_cases) + len(rep.counterexamples) == 1
+
+
+def _stacked_stats(graphs):
+    """(e, delta, connected) of graphs of one order, as _classify reads them off the stack."""
+    outcomes = theorems._classify(adjacency_matrices(graphs), theorem_spec("edge_1", 1))
+    return [tuple(outcome[1:4]) for outcome in outcomes]
+
+
+def test_stacked_stats_equal_graph_stats():
+    # every graph of order <= 7; a path of diameter 127, which a fixed number
+    # of reachability steps would cut short; two components of order 64
+    stacks = [all_graphs(n) for n in range(8)]
+    stacks += [[path(128), disjoint_union(path(127), empty_graph(1)),
+                disjoint_union(complete(64), complete(64))]]
+    for graphs in stacks:
+        want = [(st.e, st.min_degree, st.connected) for st in map(graph_stats, graphs)]
+        assert _stacked_stats(graphs) == want
+    assert _stacked_stats([path(128)]) == [(127, 1, True)]
+    assert _stacked_stats([empty_graph(0)]) == [(0, 0, True)]
+    assert _stacked_stats([empty_graph(1)]) == [(0, 0, True)]
+
+
+@pytest.mark.parametrize("theorem", ["edge_1", "q_1", "mu"])
+def test_sweep_of_a_generated_stack_equals_its_graphs_and_lines(theorem):
+    # one corpus three ways: the stack a generated corpus is swept as, its
+    # Graph tuple and its graph6 lines
+    spec = theorem_spec(theorem, 1)
+    for stack in (connected_stack(7), complement_stack(9, 6)):
+        graphs = stack_graphs(stack)
+        want = sweep_reference(graphs, spec)
+        lines = [emit_graph6(g) for g in graphs]
+        assert sweep(stack, spec) == sweep(graphs, spec) == sweep(lines, spec) == want
 
 
 def test_edge_count_identities():
