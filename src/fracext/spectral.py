@@ -87,7 +87,8 @@ def connected_flags(A: np.ndarray) -> list[bool]:
             count, before = np.count_nonzero(reach), count
             if count == before:
                 break
-        out += reach.all(axis=(1, 2)).tolist()
+        # every vertex of the chunk reached: each of its graphs is connected
+        out += [True] * len(F) if count == reach.size else reach.all(axis=(1, 2)).tolist()
     return out
 
 

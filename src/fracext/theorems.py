@@ -634,13 +634,17 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
 
     The family graphs sit exactly on their thresholds, so every connected
     proper spanning subgraph should fall on the wrong side of the bound
-    (monotonicity) and never class as a counterexample.  Disconnecting
-    deletions are rejected, by the classification's own connectivity test,
-    and resampled.  Fixed seed, reproducible.
+    (monotonicity) and never class as a counterexample.  Each draw is
+    classified as check_theorem classifies one graph, by _classify on a
+    stack of one: the family's adjacency stack with the cut pairs zeroed.
+    Disconnecting deletions are rejected, on that classification's own
+    connectivity, and resampled.  The draw's bit rows give the result's
+    Graph.  Fixed seed, reproducible.
     """
     rng = random.Random(seed)
     src = extremal_graph(p)
-    edges = src.edges()
+    n, edges = src.n, src.edges()
+    family = adjacency_matrices([src])
     max_d = min(MAX_DELETIONS, len(edges) - 1)
     tallies: dict[str, int] = {}
     cex: list[CheckResult] = []
@@ -648,15 +652,18 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     rejected = 0
     for _ in range(samples):
         while True:
-            d = rng.randint(1, max_d)
-            rows = list(src.rows)
-            for u, v in rng.sample(edges, d):
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
-            res = check_theorem(Graph._of(src.n, tuple(rows)), spec)
-            if res.connected:
+            cut = rng.sample(edges, rng.randint(1, max_d))
+            A = family.copy()
+            A.reshape(n * n)[[i for u, v in cut for i in (u * n + v, v * n + u)]] = 0
+            [outcome] = _classify(A, spec)
+            if outcome[3]:   # connected
                 break
             rejected += 1
+        rows = list(src.rows)
+        for u, v in cut:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        res = _result(Graph._of(n, tuple(rows)), spec, outcome)
         tallies[res.status] = tallies.get(res.status, 0) + 1
         if res.status == COUNTEREXAMPLE:
             cex.append(res)
