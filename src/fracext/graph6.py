@@ -63,9 +63,11 @@ def pack_triangles(A: np.ndarray) -> np.ndarray:
 def decode_triangles(n: int, packed: np.ndarray) -> np.ndarray:
     """The (m, n, n) uint8 adjacency stack of m pack_triangles rows of order n."""
     lower = np.tri(n, k=-1, dtype=bool)
+    bits = np.unpackbits(packed, axis=1, count=n * (n - 1) // 2)
     A = np.zeros((len(packed), n, n), dtype=np.uint8)
-    A[:, lower] = np.unpackbits(packed, axis=1, count=n * (n - 1) // 2)
-    return A | A.transpose(0, 2, 1)
+    A[:, lower] = bits
+    A.transpose(0, 2, 1)[:, lower] = bits   # the mirror image, through a view
+    return A
 
 
 def _header(n: int) -> str:

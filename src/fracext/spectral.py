@@ -11,10 +11,10 @@ once: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, Q and D are built from an adjacency stack,
 the distance matrices are one BFS over the stack, connectivity is one
 reachability search from vertex 0 over it, and largest_eigenvalues is one
-eigensolver call.  The largest
-roots of many integer cubics come from one numpy bisection pass, and each
-comes with the width of a certified bracket: Horner rounding-error bounds,
-or exact arithmetic where those do not settle it, prove the root inside.
+eigensolver call.  The largest roots of many integer cubics come from one
+numpy bisection pass, and each comes with the width of a certified
+bracket: Horner rounding-error bounds, or exact arithmetic where those do
+not settle it, prove the root inside.
 """
 from __future__ import annotations
 
@@ -77,18 +77,18 @@ def connected_flags(A: np.ndarray) -> list[bool]:
     size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
     out: list[bool] = []
     for at in range(0, m, size):
-        F = A[at:at + size]
-        reach = F[:, :1, :].copy()   # vertex 0's neighbours
-        reach[:, :, :1] = 1          # and vertex 0
+        chunk = A[at:at + size]
+        reach = chunk[:, :1, :].copy()   # vertex 0's neighbours
+        reach[:, :, :1] = 1              # and vertex 0
         count = np.count_nonzero(reach)
         while count < reach.size:
-            reach = np.matmul(reach, F) + reach
+            reach = np.matmul(reach, chunk) + reach
             np.minimum(reach, 1, out=reach)
             count, before = np.count_nonzero(reach), count
             if count == before:
                 break
         # every vertex of the chunk reached: each of its graphs is connected
-        out += [True] * len(F) if count == reach.size else reach.all(axis=(1, 2)).tolist()
+        out += [True] * len(chunk) if count == reach.size else reach.all(axis=(1, 2)).tolist()
     return out
 
 

@@ -289,18 +289,16 @@ def _chunk_size(n: int) -> int:
     return max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
 
 
-def _order_chunks(graphs: Iterable[Graph]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(input positions, adjacency stack) of chunks of one order, each
-    stacked and yielded as soon as it is full."""
+def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
+    """(input position, graph) pairs in chunks of one order, each yielded
+    as soon as it is full."""
     pending: dict[int, list[tuple[int, Graph]]] = {}
     for pos, g in enumerate(graphs):
         chunk = pending.setdefault(g.n, [])
         chunk.append((pos, g))
         if len(chunk) == _chunk_size(g.n):
-            del pending[g.n]
-            yield [p for p, _ in chunk], adjacency_matrices([h for _, h in chunk])
-    for chunk in pending.values():
-        yield [p for p, _ in chunk], adjacency_matrices([h for _, h in chunk])
+            yield pending.pop(g.n)
+    yield from pending.values()
 
 
 def _stack_chunks(A: np.ndarray) -> Iterator[tuple[range, np.ndarray]]:
@@ -323,8 +321,11 @@ def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
     errors: list[tuple[int, str]] = []
     counts: Counter[str] = Counter()
     kept = []
-    chunks = (_stack_chunks(corpus) if isinstance(corpus, np.ndarray)
-              else _order_chunks(_corpus_graphs(corpus, errors)))
+    if isinstance(corpus, np.ndarray):
+        chunks = _stack_chunks(corpus)
+    else:
+        chunks = (([pos for pos, _ in chunk], adjacency_matrices([g for _, g in chunk]))
+                  for chunk in _order_chunks(_corpus_graphs(corpus, errors)))
     for positions, A in chunks:
         for pos, outcome in zip(positions, _classify(A, spec)):
             counts[outcome[0]] += 1

@@ -64,10 +64,10 @@ def test_builders_make_rows_the_checking_constructor_accepts(monkeypatch):
               for n in range(MAX_VERTICES + 1)]
     built += [extremal_graph(ExtremalParams(n, k, s)) for n in range(3, 30, 4)
               for k in (1, 2, 3) for s in range(2 * k, (n + 2 * k - 1) // 2 + 1)]
-    draws = []
-    check = theorems.check_theorem
-    monkeypatch.setattr(theorems, "check_theorem",
-                        lambda g, spec: draws.append(g) or check(g, spec))
+    draws = []   # every draw's Graph goes to _result
+    result = theorems._result
+    monkeypatch.setattr(theorems, "_result",
+                        lambda g, spec, outcome: draws.append(g) or result(g, spec, outcome))
     theorems.sample_spanning_subgraphs(ExtremalParams(20, 1, 3), theorems.theorem_spec("mu", 1),
                                        samples=50, seed=3)
     assert len(draws) == 50

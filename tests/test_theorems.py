@@ -295,21 +295,23 @@ def test_sweep_builds_results_only_for_what_it_keeps(monkeypatch):
     assert len(emitted) == len(rep.equality_cases) + len(rep.counterexamples) == 1
 
 
-def _stacked_stats(graphs):
-    """(e, delta, connected) of graphs of one order, as _classify reads them off the stack."""
-    outcomes = theorems._classify(adjacency_matrices(graphs), theorem_spec("edge_1", 1))
-    return [tuple(outcome[1:4]) for outcome in outcomes]
+def _stacked_stats(graphs, dtype=np.int64):
+    """(e, delta, connected) of graphs of one order, as _classify reads them
+    off their stack, built in the given integer type."""
+    A = adjacency_matrices(graphs).astype(dtype)
+    return [tuple(outcome[1:4]) for outcome in theorems._classify(A, theorem_spec("edge_1", 1))]
 
 
 def test_stacked_stats_equal_graph_stats():
     # every graph of order <= 7; a path of diameter 127, which a fixed number
-    # of reachability steps would cut short; two components of order 64
+    # of reachability steps would cut short; two components of order 64; and
+    # K_128, whose reachability sums reach 128, in the corpora's uint8 too
     stacks = [all_graphs(n) for n in range(8)]
     stacks += [[path(128), disjoint_union(path(127), empty_graph(1)),
-                disjoint_union(complete(64), complete(64))]]
+                disjoint_union(complete(64), complete(64)), complete(128)]]
     for graphs in stacks:
         want = [(st.e, st.min_degree, st.connected) for st in map(graph_stats, graphs)]
-        assert _stacked_stats(graphs) == want
+        assert _stacked_stats(graphs) == _stacked_stats(graphs, np.uint8) == want
     assert _stacked_stats([path(128)]) == [(127, 1, True)]
     assert _stacked_stats([empty_graph(0)]) == [(0, 0, True)]
     assert _stacked_stats([empty_graph(1)]) == [(0, 0, True)]
