@@ -302,7 +302,7 @@ def test_sweep_connected_0_scans_the_order_0_graph(capsys):
     assert code == 0 and json.loads(out)["summary"]["scanned"] == 1
 
 
-def test_generated_sweeps_build_no_graph_per_corpus_member(monkeypatch, capsys):
+def test_generated_sweeps_skip_the_graph_decoder_and_graph_stats(monkeypatch, capsys):
     # the sweep path neither decodes forms one by one nor reads a Graph's
     # statistics: with those three functions refusing, both pinned sweeps
     # still print their pinned bytes
