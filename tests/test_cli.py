@@ -512,6 +512,17 @@ def test_sweep_json_bytes_are_pinned(argv, md5, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+@pytest.mark.parametrize("k_max, md5", [
+    (1, "ed228f84c06a8d12dedd14fc9c1fdbc6"),
+    (2, "b25c65f04bc23e87062bcbaae3302911"),
+])
+def test_report_json_bytes_are_pinned(k_max, md5, capsys):
+    # the sampling sections' draws, rejections and statuses are in these bytes
+    code, out, _ = run(["report", "-k", str(k_max), "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
     # one violation per grid: three of the fourteen sections fail their check
     from fracext import cli
