@@ -635,42 +635,42 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
 
     The family graphs sit exactly on their thresholds, so every connected
     proper spanning subgraph should fall on the wrong side of the bound
-    (monotonicity) and never class as a counterexample.  Each draw is
-    classified as check_theorem classifies one graph, by _classify on a
-    stack of one: the family's adjacency stack with the cut pairs zeroed.
-    Disconnecting deletions are rejected, on that classification's own
-    connectivity, and resampled.  The draw's bit rows give the result's
-    Graph.  Fixed seed, reproducible.
+    (monotonicity) and never class as a counterexample.  Draws come in
+    chunks of _chunk_size(n), at most the count still wanted; _classify
+    classifies a chunk as one stack, the family's adjacency stack with each
+    draw's cut pairs zeroed, and its connectivity rejects the disconnecting
+    deletions.  The cuts are one stream from random.Random(seed), and a
+    rejected cut's redraw is simply the next cut of that stream, so the
+    accepted draws, rejections and statuses are those of redrawing each
+    rejected cut at once: no chunk draws past the last draw wanted.
     """
     rng = random.Random(seed)
     src = extremal_graph(p)
     n, edges = src.n, src.edges()
     family = adjacency_matrices([src])
     max_d = min(MAX_DELETIONS, len(edges) - 1)
-    tallies: dict[str, int] = {}
-    cex: list[CheckResult] = []
-    eq: list[CheckResult] = []
+    tallies: Counter[str] = Counter()
+    kept: list[CheckResult] = []   # the counterexamples and equality cases
     rejected = 0
-    for _ in range(samples):
-        while True:
-            cut = rng.sample(edges, rng.randint(1, max_d))
-            A = family.copy()
-            A.reshape(n * n)[[i for u, v in cut for i in (u * n + v, v * n + u)]] = 0
-            [outcome] = _classify(A, spec)
-            if outcome[3]:   # connected
-                break
-            rejected += 1
-        rows = list(src.rows)
-        for u, v in cut:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        res = _result(Graph._of(n, tuple(rows)), spec, outcome)
-        tallies[res.status] = tallies.get(res.status, 0) + 1
-        if res.status == COUNTEREXAMPLE:
-            cex.append(res)
-        elif res.status == EQUALITY_CASE:
-            eq.append(res)
-    return SampleReport(params=p, theorem=spec.id, samples=samples,
-                        rejected=rejected,
+    while tallies.total() < samples:
+        cuts = [rng.sample(edges, rng.randint(1, max_d))
+                for _ in range(min(_chunk_size(n), samples - tallies.total()))]
+        A = family.repeat(len(cuts), axis=0)
+        draw, u, v = zip(*((b, u, v) for b, cut in enumerate(cuts) for u, v in cut))
+        A[draw, u, v] = A[draw, v, u] = 0
+        for cut, outcome in zip(cuts, _classify(A, spec)):
+            if not outcome[3]:   # disconnected
+                rejected += 1
+                continue
+            rows = list(src.rows)
+            for i, j in cut:
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+            res = _result(Graph._of(n, tuple(rows)), spec, outcome)
+            tallies[res.status] += 1
+            if res.status in (COUNTEREXAMPLE, EQUALITY_CASE):
+                kept.append(res)
+    return SampleReport(params=p, theorem=spec.id, samples=samples, rejected=rejected,
                         statuses=tuple(sorted(tallies.items())),
-                        counterexamples=tuple(cex), equality_cases=tuple(eq))
+                        counterexamples=tuple(r for r in kept if r.status == COUNTEREXAMPLE),
+                        equality_cases=tuple(r for r in kept if r.status == EQUALITY_CASE))

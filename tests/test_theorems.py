@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from family_enclosure import (_block_vectors, block_test_vectors, family_block_v
                               family_matrices, member_values)
 from helpers import grid_groups, with_member_cubic
 from root_oracle import largest_real_root_reference
+from sample_oracle import sample_reference
 from sweep_oracle import sweep_reference
 
 
@@ -624,3 +626,50 @@ def test_sampling_determinism_and_tallies():
     assert not a.counterexamples
     c = sample_spanning_subgraphs(p, spec, samples=60, seed=6)
     assert c.ok
+
+
+@pytest.mark.parametrize("theorem, params", [
+    ("mu", (35, 1, 3)), ("mu", (35, 1, 4)), ("mu", (35, 1, 5)),
+    ("q_2", (20, 1, 3)), ("edge_2", (14, 1, 3)),
+    ("q_1", (6, 1, 2)), ("q_1", (8, 1, 3)),
+])
+def test_sampling_matches_the_draw_by_draw_reference(theorem, params):
+    # 13 draws make one chunk at order 35: 12, 13 and 14 end inside, at and
+    # past its edge; the q_1 families reject disconnected draws, and at 500
+    # draws a rejected draw's redraw crosses into the next chunk
+    p, spec = ExtremalParams(*params), theorem_spec(theorem, 1)
+    counts = (0, 1, 12, 13, 14, 100) + ((500,) if theorem == "q_1" else ())
+    for samples in counts:
+        rep = sample_spanning_subgraphs(p, spec, samples=samples, seed=1)
+        assert rep == sample_reference(p, spec, samples=samples, seed=1)
+        assert sum(count for _, count in rep.statuses) == samples
+
+
+def test_sampling_rejects_disconnected_draws_and_redraws():
+    p, spec = ExtremalParams(6, 1, 2), theorem_spec("q_1", 1)
+    rep = sample_spanning_subgraphs(p, spec, samples=500, seed=1)
+    assert rep.rejected == 217
+    assert rep.statuses == (("hypotheses_not_met", 500),)
+    assert sample_spanning_subgraphs(ExtremalParams(8, 1, 3), spec,
+                                     samples=500, seed=1).rejected == 16
+
+
+def test_sampling_classifies_a_chunk_per_call(monkeypatch):
+    # 100 connected draws at order 35 come in chunks of 13: eight stacks, at
+    # most one eigensolver call each, and still one result per draw
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_classify", "largest_eigenvalues", "_result"):
+        monkeypatch.setattr(theorems, name, counted(name, getattr(theorems, name)))
+    rep = sample_spanning_subgraphs(ExtremalParams(35, 1, 3), theorem_spec("mu", 1),
+                                    samples=100, seed=1)
+    assert rep.rejected == 0 and theorems._chunk_size(35) == 13
+    assert calls["_classify"] == 8
+    assert calls["largest_eigenvalues"] <= 8
+    assert calls["_result"] == 100
