@@ -499,6 +499,35 @@ def test_grid_delta_json_bytes_are_pinned(argv, md5, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+@pytest.mark.parametrize("fmt, md5", [
+    ("json", "34034f190a71cabb84f3f5e0f012f2c2"),
+    ("csv", "b2d6c4b152d328a89d0a6a2efeb94b32"),
+])
+def test_grid_crosscheck_violation_bytes_are_pinned(fmt, md5, capsys, monkeypatch):
+    # an absurd crosscheck tolerance makes every grid point a violation row
+    from fracext import theorems
+    monkeypatch.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "12", "--format", fmt],
+                       capsys)
+    assert code == 1
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("fmt, md5", [
+    ("json", "604447f5ae29641e695e9d77437a1e9b"),
+    ("csv", "b25f8c1a8a816e6caa14c051bbcf3139"),
+])
+def test_grid_inequality_violation_bytes_are_pinned(fmt, md5, capsys, monkeypatch):
+    # one left-hand member's mu drops to 20, below its right-hand side
+    from fracext import theorems
+    monkeypatch.setattr(theorems, "family_coefficients", with_member_cubic(
+        theorems.family_coefficients, "mu", (36, 1, 5), (-23, 62, -40)))   # (x-20)(x-2)(x-1)
+    code, out, _ = run(["grid", "--lemma", "mu_compare", "-k", "1", "-n", "40", "--delta", "3",
+                        "--format", fmt], capsys)
+    assert code == 1 and out.count("inequality") == 1
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 @pytest.mark.parametrize("argv,md5", [
     (["sweep", "--theorem", "q_1", "-k", "1", "connected:8"],
      "4cac817ffbafb016d0e53d3819c8ff67"),
