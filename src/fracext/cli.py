@@ -81,11 +81,7 @@ def _emit(doc: dict, fmt: str, out) -> None:
         return
     if fmt == "csv":
         rows = [_flatten(r) for r in doc.get("results", [])]
-        names: list[str] = []
-        for r in rows:
-            for k in r:
-                if k not in names:
-                    names.append(k)
+        names = list(dict.fromkeys(k for r in rows for k in r))   # in first-seen order
         w = csv.DictWriter(out, fieldnames=names)
         w.writeheader()
         for r in rows:

@@ -55,11 +55,14 @@ def adjacency_matrices(graphs) -> np.ndarray:
 
 def stack_graphs(A: np.ndarray) -> tuple[Graph, ...]:
     """The graphs of an (m, n, n) 0/1 adjacency stack: adjacency_matrices's
-    inverse, each row packed into (n + 7) // 8 little-endian bytes in one call."""
+    inverse, each row packed in one call into n // 64 + 1 little-endian 64-bit
+    words (a spare one at n = 0, 64 and 128), read in one tolist and joined."""
     m, n = A.shape[:2]
-    width = (n + 7) // 8
-    blob = np.packbits(A, axis=2, bitorder="little").tobytes()
-    rows = [int.from_bytes(blob[i * width:(i + 1) * width], "little") for i in range(m * n)]
+    packed = np.zeros((m, n, 8 * (n // 64 + 1)), dtype=np.uint8)
+    packed[..., :(n + 7) // 8] = np.packbits(A, axis=2, bitorder="little")
+    *low, rows = packed.view("<u8").reshape(-1, n // 64 + 1).T.tolist()
+    for word in reversed(low):   # the top word first
+        rows = [(r << 64) | w for r, w in zip(rows, word)]
     return tuple(Graph._of(n, tuple(rows[b * n:(b + 1) * n])) for b in range(m))
 
 

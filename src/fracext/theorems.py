@@ -11,20 +11,19 @@ on in regions where exhaustive search is impossible.  Every comparison of
 a value against a bound or a family value is settled by _compare.
 
 The grids take each family member's q or mu from its closed-form cubic and
-back every root with the width of its certified bracket: a grid builds no
-matrix and makes no eigensolver call, and a dense eigensolver runs only in
-TheoremSpec.values.  A gap probe is the q1q3 or mu_compare grid of one
-(k, delta) at the orders from 6*delta up to the least order, reported but
-not asserted; lemma_grid and probe_gap_region both build their groups in
-_grid_groups and their report in _grid_report.
+back every root with the width of its certified bracket, with no matrix or
+eigensolver call.  A gap probe is the q1q3 or mu_compare grid of one
+(k, delta) from order 6*delta up to the least order, reported but not
+asserted.  _grid_report decides a grid's rows as arrays over their lanes
+and builds a GridRow only for a violation or when its rows are read.
 
 _classify is the one classification route: it takes a 0/1 adjacency stack
 of one order, reads degrees, e and delta off its row sums and connectivity
 off one stacked reachability search (spectral.connected_flags), computes the
 bound quantity of the graphs past the hypotheses in one TheoremSpec.values
-call on the same stack (one eigensolver call), and yields each graph's
-outcome in stack order.  A Graph is built only for a graph that reaches
-the oracle.  check_theorem runs it on a stack of one and builds its
+call on the same stack (one eigensolver call) and tests it in one _compare
+call, and yields each graph's outcome in stack order.  A Graph is built
+only for a graph that reaches the oracle.  check_theorem runs it on a stack of one and builds its
 CheckResult; sweep runs it on chunks of one order and keeps only tallies,
 so a CheckResult, with its graph6, is built only for an equality case or a
 counterexample.  A sweep takes a generated corpus as the stack it is
@@ -42,7 +41,7 @@ import functools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -85,12 +84,12 @@ DEFAULT_TOL = 1e-10
 CROSSCHECK_TOL = 1e-8
 
 
-def _compare(x, ref) -> int:
-    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|)."""
-    margin = 10.0 * DEFAULT_TOL * max(1.0, abs(float(ref)))
-    if x < ref - margin:
-        return -1
-    return 1 if x > ref + margin else 0
+def _compare(x, ref):
+    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|),
+    elementwise in float64: a list for sequences and arrays, an int for scalars."""
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
+    margin = 10.0 * DEFAULT_TOL * np.maximum(1.0, np.abs(ref))
+    return ((x > ref + margin) * 1 - (x < ref - margin)).tolist()
 
 
 @functools.cache
@@ -183,10 +182,10 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     stack order.
 
     e and delta come from the row sums and connectivity from connected_flags;
-    one spec.values call on the stack's graphs past the hypotheses computes
-    their bound quantity.  graph is the Graph the oracle ran on, built from
-    the stack, and None for a graph that did not reach it.  The tests run
-    in the order that check_theorem documents.
+    one spec.values call on the graphs past the hypotheses computes their
+    bound quantity and one _compare call their bound test.  graph is the
+    Graph the oracle ran on, built from the stack, and None for a graph
+    that did not reach it.  The tests run in the order check_theorem documents.
     """
     n = A.shape[1]
     deg = A.sum(axis=2)
@@ -198,16 +197,18 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     reasons = {key: spec.hypotheses(n, *key) for key in set(zip(delta, connected))}
     failed = [reasons[key] for key in zip(delta, connected)]
     past = [i for i, f in enumerate(failed) if f is None]
-    values = iter(spec.values(A[past]) if past else ())
+    values = spec.values(A[past])
     thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
+    thrs = [thresholds[delta[i]] for i in past]
+    bounds = iter(zip(values, thrs, _compare(values, thrs)))
     below = -1 if spec.bound_side == ">=" else 1
     for i, f in enumerate(failed):
         stats = e[i], delta[i], connected[i]
         if f is not None:
             yield HYPOTHESES_NOT_MET, *stats, None, None, f, None, None
             continue
-        value, thr = next(values), thresholds[delta[i]]
-        if _compare(value, thr) == below:
+        value, thr, side = next(bounds)
+        if side == below:
             yield BOUND_NOT_MET, *stats, value, thr, "", None, None
             continue
         [g] = stack_graphs(A[i:i + 1])
@@ -432,7 +433,11 @@ class GridReport:
     equality_points: int
     max_crosscheck_error: float
     min_strict_margin: float
-    rows: tuple[GridRow, ...]
+    columns: tuple = field(compare=False, repr=False)   # rows' groups and lanes: _grid_rows
+
+    @property
+    def rows(self) -> tuple[GridRow, ...]:   # every row, built when read
+        return _grid_rows(self.lemma, self.columns, slice(None))
 
     @property
     def ok(self) -> bool:
@@ -456,6 +461,16 @@ def _grid_groups(spec: TheoremSpec, delta: int | None, orders: range):
             yield spec.k, delta, n, range(s_rhs, s_hi + 1), first
 
 
+def _grid_rows(lemma: str, columns: tuple, index) -> tuple[GridRow, ...]:
+    """The GridRows at index (array or slice) of (groups, group, left, right, roots, widths)."""
+    groups, group, left, right, roots, widths = columns
+    lt, rt = left[index], right[index]
+    return tuple(GridRow(lemma, k, delta, n, members[0] + i - j, *sides, i == j)
+                 for (k, delta, n, members, _), i, j, *sides in zip(
+                     [groups[g] for g in group[index].tolist()], lt.tolist(), rt.tolist(),
+                     *(v[x].tolist() for v in (roots, widths) for x in (lt, rt))))  # lhs, rhs, errs
+
+
 def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     """The rows comparing the family at each left-hand s against it at
     s_rhs, group by group (_grid_groups), in order, and their verdicts.
@@ -469,37 +484,33 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     proves for all parameters), whose largest root is the member's q or mu,
     so the width bounds |rho(M) - r| for the member's matrix M; inf for a
     bracket that neither certificate proves.  A point whose error exceeds
-    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation; _compare settles
-    the equality row at s_rhs and the strict rows above it.
+    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.  One _compare
+    call over the lanes settles the equality (left lane = right lane) and
+    strict rows; a GridRow is built only for a violation or when rows is read.
     """
     C = family_coefficients(quantity, [(n, k, s) for k, _, n, members, _ in groups for s in members])
-    roots, widths = (a.tolist() for a in largest_real_roots(C))
-    strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks
-    rows, violations, lane = [], [], 0
-    min_margin, max_err, equality_points = float("inf"), 0.0, 0
-    for k, delta, n, members, first in groups:
-        rhs, rhs_err = roots[lane], widths[lane]
-        for s, lhs, lhs_err in zip(members[first:], roots[lane + first:lane + len(members)],
-                                   widths[lane + first:lane + len(members)]):
-            row = GridRow(lemma=lemma, k=k, delta=delta, n=n, s=s, lhs=lhs, rhs=rhs,
-                          lhs_err=lhs_err, rhs_err=rhs_err, equality_expected=s == members[0])
-            rows.append(row)
-            max_err = max(max_err, lhs_err, rhs_err)
-            if lhs_err > CROSSCHECK_TOL or rhs_err > CROSSCHECK_TOL:
-                violations.append(GridViolation(kind="crosscheck", row=row))
-            side = _compare(lhs, rhs)
-            if row.equality_expected:
-                equality_points += 1
-                if side != 0:
-                    violations.append(GridViolation(kind="equality", row=row))
-            else:
-                min_margin = min(min_margin, lhs - rhs if strict == 1 else rhs - lhs)
-                if side != strict:
-                    violations.append(GridViolation(kind="inequality", row=row))
+    roots, widths = largest_real_roots(C)
+    group, left, right, lane = [], [], [], 0
+    for g, (_, _, _, members, first) in enumerate(groups):
+        group += [g] * (len(members) - first)
+        left += range(lane + first, lane + len(members))
+        right += [lane] * (len(members) - first)
         lane += len(members)
-    return GridReport(lemma=lemma, points=len(rows), violations=tuple(violations),
-                      equality_points=equality_points, max_crosscheck_error=max_err,
-                      min_strict_margin=min_margin, rows=tuple(rows))
+    group, left, right = (np.array(x, dtype=np.intp) for x in (group, left, right))
+    columns = groups, group, left, right, roots, widths
+    lhs, rhs, err = roots[left], roots[right], np.maximum(widths[left], widths[right])
+    strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks
+    equality, side = left == right, np.array(_compare(lhs, rhs), dtype=int)
+    cross, bad = err > CROSSCHECK_TOL, np.where(equality, side != 0, side != strict)
+    flagged = np.flatnonzero(cross | bad)
+    rows = zip(flagged.tolist(), _grid_rows(lemma, columns, flagged))
+    violations = tuple(GridViolation(kind, row) for i, row in rows for kind, hit in (
+        ("crosscheck", cross[i]), ("equality" if equality[i] else "inequality", bad[i])) if hit)
+    margins = (lhs - rhs if strict == 1 else rhs - lhs)[~equality]
+    return GridReport(lemma=lemma, points=len(left), violations=violations,
+                      equality_points=int(equality.sum()),
+                      max_crosscheck_error=float(err.max(initial=0.0)),
+                      min_strict_margin=float(margins.min(initial=np.inf)), columns=columns)
 
 
 def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = None) -> GridReport:

@@ -485,13 +485,16 @@ def test_report_shows_a_failing_probe_and_still_confirms_it(capsys, monkeypatch)
                               "counterexamples": 0}
 
 
-@pytest.mark.parametrize("argv, md5", [
-    (["grid", "--lemma", "q1q2", "-k", "3", "-n", "40"], "1a20820d54769c21e887739093fead04"),
-    (["grid", "--lemma", "q1q3", "-k", "1", "-n", "90", "--delta", "3"],
-     "19cbf41b248902ec048decca2800256e"),
-    (["grid", "--lemma", "mu_compare", "-k", "1", "-n", "90", "--delta", "3"],
-     "ea144e7790b204dc250962b66e44dd3f"),
-])
+# the benchmark's grid-delta commands
+GRID_DELTA_ARGV = (["grid", "--lemma", "q1q2", "-k", "3", "-n", "40"],
+                   ["grid", "--lemma", "q1q3", "-k", "1", "-n", "90", "--delta", "3"],
+                   ["grid", "--lemma", "mu_compare", "-k", "1", "-n", "90", "--delta", "3"])
+
+
+@pytest.mark.parametrize("argv, md5", zip(GRID_DELTA_ARGV, (
+    "1a20820d54769c21e887739093fead04",
+    "19cbf41b248902ec048decca2800256e",
+    "ea144e7790b204dc250962b66e44dd3f")))
 def test_grid_delta_json_bytes_are_pinned(argv, md5, capsys):
     # int64 cubics and bisection only, no LAPACK: the bytes do not depend on the BLAS build
     code, out, _ = run(argv + ["--format", "json"], capsys)
@@ -526,6 +529,41 @@ def test_grid_inequality_violation_bytes_are_pinned(fmt, md5, capsys, monkeypatc
                         "--format", fmt], capsys)
     assert code == 1 and out.count("inequality") == 1
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+def _counting(monkeypatch, module, name):
+    """A list that grows by one at each call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_grid_rows_are_built_for_violations_only(capsys, monkeypatch):
+    from fracext import theorems
+    rows, compares = (_counting(monkeypatch, theorems, name) for name in ("GridRow", "_compare"))
+    for argv in GRID_DELTA_ARGV:
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["summary"]["scanned"] > 1000
+    assert len(rows) == 0 and len(compares) == 3   # one _compare per grid
+    monkeypatch.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
+    code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "12", "--format", "json"],
+                       capsys)
+    assert code == 1 and len(rows) == json.loads(out)["summary"]["scanned"] > 0
+    assert len(compares) == 4
+
+
+def test_sweep_compares_once_per_classified_stack(capsys, monkeypatch):
+    from fracext import theorems
+    stacks, compares = (_counting(monkeypatch, theorems, name)
+                        for name in ("_classify", "_compare"))
+    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:7", "--format", "json"],
+                     capsys)
+    assert code == 0 and len(compares) == len(stacks) > 1
 
 
 @pytest.mark.parametrize("argv,md5", [

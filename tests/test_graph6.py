@@ -105,9 +105,10 @@ def test_bulk_decoder_equals_from_triangle_bits_on_every_class():
 
 
 def test_bulk_decoder_equals_from_triangle_bits_on_random_forms():
-    # orders 0-2, the padding around 62-64 where the long header starts, and the cap
+    # orders 0-2, the byte boundary 8-9, the padding around 62-64 where the long
+    # header starts, the 64-bit word boundaries 63-65 and 127-128, and the cap
     rng = random.Random(47)
-    for n in (0, 1, 2, 62, 63, 64, 127, 128):
+    for n in (0, 1, 2, 8, 9, 62, 63, 64, 65, 127, 128):
         nbits = n * (n - 1) // 2
         bits_list = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(6)]
         _assert_bulk_codec_matches(n, bits_list)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_matrices, member_values)
+from grid_oracle import compare_reference, grid_report_reference
 from helpers import grid_groups, with_member_cubic
 from root_oracle import largest_real_root_reference
 from sample_oracle import sample_reference
@@ -460,6 +462,88 @@ def test_an_uncertified_bracket_makes_one_violation(monkeypatch):
     assert (violation.row.n, violation.row.k, violation.row.s) == target
     assert abs(violation.row.lhs - 20.0) < 1e-6 and violation.row.lhs < violation.row.rhs
     assert violation.row.lhs_err == rep.max_crosscheck_error == np.inf
+
+
+def _assert_grid_equals_reference(rep, quantity, groups):
+    """Every field and row of rep equal the row-by-row reference's, floats
+    bitwise (repr round-trips a float and keeps the sign of a zero), and
+    every row field a plain Python value."""
+    ref = grid_report_reference(rep.lemma, quantity, list(groups))
+    got = {name: getattr(rep, name) for name in ref}
+    assert got == ref and repr(got) == repr(ref)
+    assert {type(x) for x in (rep.points, rep.equality_points)} == {int}
+    assert {type(x) for x in (rep.max_crosscheck_error, rep.min_strict_margin)} == {float}
+    for row in got["rows"] + tuple(v.row for v in rep.violations):
+        assert {type(getattr(row, f.name)) for f in fields(row)} <= {int, float, bool, str,
+                                                                     type(None)}, row
+    return got
+
+
+def _probe_groups(kind, k, delta):
+    spec = theorem_spec("q_2" if kind == "q" else "mu", k)
+    return theorems._grid_groups(spec, delta, range(6 * delta, spec.min_order(delta)))
+
+
+def test_grid_reports_equal_the_row_by_row_reference():
+    grids = GRID_DELTA + CRITERIA_GRIDS[1:] + (("q1q2", dict(k_max=1, n_max=5)),)   # last: empty
+    for lemma, bounds in grids:
+        quantity = "mu" if lemma == "mu_compare" else "q"
+        got = _assert_grid_equals_reference(lemma_grid(lemma, **bounds), quantity,
+                                            grid_groups(lemma, **bounds))
+        assert got["points"] == len(got["rows"]) and not got["violations"]
+    assert got["points"] == 0 and got["min_strict_margin"] == np.inf
+    for kind in ("q", "mu"):
+        for k, delta in ((1, 3), (2, 5)):
+            _assert_grid_equals_reference(probe_gap_region(kind, k, delta), kind,
+                                          _probe_groups(kind, k, delta))
+
+
+def test_flagged_grids_equal_the_row_by_row_reference(monkeypatch):
+    q1q2 = ("q1q2", dict(k_max=1, n_max=14))
+
+    def check(lemma, bounds, kinds):
+        quantity = "mu" if lemma == "mu_compare" else "q"
+        got = _assert_grid_equals_reference(lemma_grid(lemma, **bounds), quantity,
+                                            grid_groups(lemma, **bounds))
+        assert {v.kind for v in got["violations"]} == kinds
+
+    with monkeypatch.context() as m:   # every row a crosscheck violation
+        m.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
+        check(*q1q2, {"crosscheck"})
+    with monkeypatch.context() as m:   # every bracket shifted off its root
+        real = spectral._enclosure_widths
+        m.setattr(spectral, "_enclosure_widths", lambda C, lo, hi: real(C, lo + 1e-6, hi + 1e-6))
+        for lemma, bounds in GRID_DELTA:
+            check(lemma, bounds, {"crosscheck"})
+    for quantity, member, cubic, grid, kinds in (
+            # a double largest root: uncertified, on the right side of the inequality
+            ("q", (13, 1, 5), (-41, 440, -400), q1q2, {"crosscheck"}),
+            # the right-hand side of order 13 falls below every left-hand side
+            ("q", (13, 1, 2), (-41, 440, -400), q1q2, {"crosscheck", "inequality"}),
+            # one mu falls below its right-hand side: (x-20)(x-2)(x-1)
+            ("mu", (36, 1, 5), (-23, 62, -40), ("mu_compare", dict(k_max=1, n_max=40,
+                                                                   delta_max=3)),
+             {"inequality"})):
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "family_coefficients", with_member_cubic(
+                family_coefficients, quantity, member, cubic))
+            check(*grid, kinds)
+
+
+def test_compare_is_elementwise_and_returns_python_ints():
+    # values at, just inside and just outside the margin of refs either side of 1
+    refs = [0.0, 0.5, 1.0, -3.0, 12.3852, 1e6, 7, 47]
+    xs = [r + d * 10.0 * theorems.DEFAULT_TOL * max(1.0, abs(r)) * f
+          for r in refs for d in (-1, 1) for f in (0.5, 1.0, 1.5, 1e6)] + [0.0, 7, 48, np.nan]
+    pairs = [(x, r) for x in xs for r in refs]
+    got = theorems._compare([x for x, _ in pairs], [r for _, r in pairs])
+    assert got == [compare_reference(x, r) for x, r in pairs]
+    assert {type(side) for side in got} == {int} and set(got) == {-1, 0, 1}
+    assert theorems._compare(np.array([1.0, 2.0]), 1.5) == [-1, 1]
+    assert theorems._compare(np.empty(0), np.empty(0)) == []
+    for x, r in pairs[:50]:
+        side = theorems._compare(x, r)
+        assert type(side) is int and side == compare_reference(x, r)
 
 
 def test_grid_test_vectors_bitwise_equal_the_reference_read_off_each_matrix():
