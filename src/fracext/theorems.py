@@ -84,7 +84,7 @@ DEFAULT_TOL = 1e-10
 CROSSCHECK_TOL = 1e-8
 
 
-def _compare(x, ref):
+def _compare(x, ref) -> list[int] | int:
     """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|),
     elementwise in float64: a list for sequences and arrays, an int for scalars."""
     x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
@@ -197,7 +197,7 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     reasons = {key: spec.hypotheses(n, *key) for key in set(zip(delta, connected))}
     failed = [reasons[key] for key in zip(delta, connected)]
     past = [i for i, f in enumerate(failed) if f is None]
-    values = spec.values(A[past])
+    values = spec.values(A[past]) if past else []
     thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
     thrs = [thresholds[delta[i]] for i in past]
     bounds = iter(zip(values, thrs, _compare(values, thrs)))
