@@ -61,7 +61,7 @@ def stack_graphs(A: np.ndarray) -> tuple[Graph, ...]:
     packed = np.zeros((m, n, 8 * (n // 64 + 1)), dtype=np.uint8)
     packed[..., :(n + 7) // 8] = np.packbits(A, axis=2, bitorder="little")
     *low, rows = packed.view("<u8").reshape(-1, n // 64 + 1).T.tolist()
-    for word in reversed(low):   # the top word first
+    for word in reversed(low):   # the words below the top one, highest first
         rows = [(r << 64) | w for r, w in zip(rows, word)]
     return tuple(Graph._of(n, tuple(rows[b * n:(b + 1) * n])) for b in range(m))
 

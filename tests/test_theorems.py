@@ -485,7 +485,8 @@ def _probe_groups(kind, k, delta):
 
 
 def test_grid_reports_equal_the_row_by_row_reference():
-    grids = GRID_DELTA + CRITERIA_GRIDS[1:] + (("q1q2", dict(k_max=1, n_max=5)),)   # last: empty
+    # criterion 6's grid is grid-delta's q1q2 grid; the last grid is empty
+    grids = GRID_DELTA + CRITERIA_GRIDS[1:] + (("q1q2", dict(k_max=1, n_max=5)),)
     for lemma, bounds in grids:
         quantity = "mu" if lemma == "mu_compare" else "q"
         got = _assert_grid_equals_reference(lemma_grid(lemma, **bounds), quantity,
