@@ -17,18 +17,18 @@ eigensolver call.  A gap probe is the q1q3 or mu_compare grid of one
 asserted.  _grid_report decides a grid's rows as arrays over their lanes
 and builds a GridRow only for a violation or when its rows are read.
 
-_classify is the one classification route: it takes a 0/1 adjacency stack
-of one order, reads degrees, e and delta off its row sums and connectivity
-off one stacked reachability search (spectral.connected_flags), computes the
+_classify is the one classification route: it takes a 0/1 adjacency stack of
+one order, reads degrees, e and delta off its row sums and connectivity off
+one stacked reachability search (spectral.connected_flags), computes the
 bound quantity of the graphs past the hypotheses in one TheoremSpec.values
-call on the same stack (one eigensolver call) and tests it in one _compare
-call, and yields each graph's outcome in stack order.  A Graph is built
-only for a graph that reaches the oracle.  check_theorem runs it on a stack of one and builds its
-CheckResult; sweep runs it on chunks of one order and keeps only tallies,
-so a CheckResult, with its graph6, is built only for an equality case or a
+call (one eigensolver call) and tests it in one _compare call, and yields
+each graph's outcome in stack order.  A Graph is built only for a graph that
+reaches the oracle.  check_theorem runs it on a stack of one and builds its
+CheckResult; sweep runs it on chunks of one order and keeps only tallies, so
+a CheckResult, with its graph6, is built only for an equality case or a
 counterexample.  A sweep takes a generated corpus as the stack it is
-(corpus.connected_stack, corpus.complement_stack); Graph objects and
-graph6 lines are stacked chunk by chunk through spectral.adjacency_matrices.
+(corpus.connected_stack, corpus.complement_stack); Graph objects and graph6
+lines are stacked chunk by chunk through spectral.adjacency_matrices.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
