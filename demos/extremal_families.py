@@ -3,7 +3,7 @@
 import numpy as np
 
 from fracext import (ExtremalParams, extremal_graph, extremal_edge_count,
-                     emit_graph6, graph_stats, closed_form, largest_real_root,
+                     emit_graph6, closed_form, largest_real_root,
                      largest_eigenvalue, spectral_report)
 
 n, k = 11, 1
@@ -12,9 +12,9 @@ n, k = 11, 1
 for s in (2, 3, 4):
     p = ExtremalParams(n=n, k=k, s=s)
     g = extremal_graph(p)
-    st = graph_stats(g)
-    print(f"s={s}: {emit_graph6(g)}  e={st.e}  min_degree={st.min_degree}")
-    assert st.e == extremal_edge_count(p)
+    rep = spectral_report(g)
+    print(f"s={s}: {emit_graph6(g)}  e={rep.e}  min_degree={rep.min_degree}")
+    assert rep.e == extremal_edge_count(p)
 
 # s=2k is the densest member; its signless Laplacian radius has a closed
 # characteristic cubic whose largest root matches the matrix computation

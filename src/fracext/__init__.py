@@ -9,17 +9,13 @@ from .graphs import (
     CapacityError,
     ExtremalParams,
     Graph,
-    GraphStats,
     MAX_VERTICES,
-    complement,
     complete,
     cycle,
     disjoint_union,
     empty_graph,
     extremal_edge_count,
     extremal_graph,
-    graph_stats,
-    is_connected,
     isolated_count,
     join,
     matches_extremal,
@@ -47,13 +43,7 @@ from .spectral import (
     quotient,
     spectral_report,
 )
-from .corpus import (
-    all_graphs,
-    are_isomorphic,
-    complement_corpus,
-    connected_graphs,
-    sparse_graphs,
-)
+from .corpus import are_isomorphic
 from .theorems import (
     CheckResult,
     DEFAULT_TOL,

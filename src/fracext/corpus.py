@@ -46,12 +46,11 @@ are packed triangle rows (graph6.pack_triangles), sorted and deduplicated
 as one array and decoded back into one uint8 stack
 (graph6.decode_triangles).  The per-order caches hold these stacks, the
 next order's children are built from them directly, and connected_stack
-and complement_stack hand them to sweeps as they are; all_graphs,
-connected_graphs, sparse_graphs and complement_corpus build Graph tuples
-from them (spectral.stack_graphs).  Twins need no row hashing: the
-rows of u and w differ in deg u + deg w - 2|N(u) & N(w)| columns, two of
-them u and w when u, w are adjacent, so u, w are twins exactly when that
-count is 2 A[u, w], one batched matrix product for the whole stack.
+and complement_stack hand them to sweeps as they are, with no Graph built.
+Twins need no row hashing: the rows of u and w differ in
+deg u + deg w - 2|N(u) & N(w)| columns, two of them u and w when u, w are
+adjacent, so u, w are twins exactly when that count is 2 A[u, w], one
+batched matrix product for the whole stack.
 
 Colour refinement runs on the whole chunk at once.  A vertex's signature
 is its colour, then the sorted tuple of its neighbours' colours; a round
@@ -83,7 +82,7 @@ import numpy as np
 
 from .graph6 import decode_triangles, pack_triangles
 from .graphs import MAX_VERTICES, CapacityError, Graph
-from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags, stack_graphs
+from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags
 
 # order -> the uint8 adjacency stack of all (connected) graphs of that order
 _ALL_CACHE: dict[int, np.ndarray] = {}
@@ -321,22 +320,13 @@ def _all_stack(n: int) -> np.ndarray:
     return cached
 
 
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """Every graph of order n up to isomorphism, canonically ordered."""
-    return stack_graphs(_all_stack(n))
-
-
 def connected_stack(n: int) -> np.ndarray:
-    """The connected graphs of all_graphs(n), in its order, as one uint8 stack."""
+    """The connected graphs of _all_stack(n), in its order, as one uint8 stack."""
     cached = _CONN_CACHE.get(n)
     if cached is None:
         A = _all_stack(n)
         cached = _CONN_CACHE[n] = A[connected_flags(A)]
     return cached
-
-
-def connected_graphs(n: int) -> tuple[Graph, ...]:
-    return stack_graphs(connected_stack(n))
 
 
 def _edge_children(graphs: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -365,7 +355,9 @@ def _edge_children(graphs: np.ndarray, n: int) -> Iterator[np.ndarray]:
 
 
 def _sparse_stack(n: int, max_edges: int) -> np.ndarray:
-    """The graphs of sparse_graphs(n, max_edges), in its order, as one uint8 stack."""
+    """The graphs on n vertices with <= max_edges edges up to isomorphism,
+    level by level in edge count and canonically ordered in each level, as
+    one uint8 stack; isolated vertices allowed."""
     _check_order(n)
     if max_edges < 0:
         raise ValueError("negative edge budget")
@@ -375,26 +367,12 @@ def _sparse_stack(n: int, max_edges: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def sparse_graphs(n: int, max_edges: int) -> tuple[Graph, ...]:
-    """Graphs on n labeled-then-canonicalized vertices with <= max_edges
-    edges, up to isomorphism, level by level in edge count; isolated
-    vertices allowed."""
-    return stack_graphs(_sparse_stack(n, max_edges))
-
-
 def complement_stack(n: int, complement_budget: int) -> np.ndarray:
-    """The graphs of complement_corpus(n, complement_budget), in its order,
-    as one uint8 stack."""
+    """All graphs of order n whose complement has <= complement_budget edges,
+    the complements of _sparse_stack(n, complement_budget) in its order, as
+    one uint8 stack: the natural exhaustive corpus for edge-count sweeps
+    near the complete graph."""
     return _sparse_stack(n, complement_budget) ^ (1 - np.eye(n, dtype=np.uint8))
-
-
-def complement_corpus(n: int, complement_budget: int) -> tuple[Graph, ...]:
-    """All graphs of order n whose complement has <= complement_budget edges.
-
-    This is the natural exhaustive corpus for edge-count sweeps near the
-    complete graph.
-    """
-    return stack_graphs(complement_stack(n, complement_budget))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

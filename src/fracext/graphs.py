@@ -1,14 +1,16 @@
-"""Bitmask graphs, basic statistics, and the three-block join families.
+"""Bitmask graphs, their builders, and the three-block join families.
 
-Vertices are 0..n-1; each adjacency row is an integer bitmask, so subset
-work (isolated counts, connected components) is plain integer arithmetic.
-Orders are capped at 128: enumeration corpora stay tiny, but the sharpness
-grids need join-family graphs up to order 90.  Only the public `Graph(n, rows)`
-checks rows; the builders here, `graph6.from_triangle_bits` (behind
-parse_graph6), `spectral.stack_graphs` (the Graphs of corpus and classified
-adjacency stacks) and the sampler loop make valid rows by construction and
-check only the order, through `Graph._of`.  The join family K_s v (K_{n1} u t*K1) that witnesses sharpness of
-the extendability bounds is built and recognized here.
+Vertices are 0..n-1; each adjacency row is an integer bitmask, so the
+matching oracles' subset work (neighbourhoods, isolated counts) is plain
+integer arithmetic.  Edge counts, minimum degrees and connectivity are read
+off adjacency stacks instead (spectral.stack_stats).  Orders are capped at
+128: enumeration corpora stay tiny, but the sharpness grids need
+join-family graphs up to order 90.  Only the public `Graph(n, rows)` checks
+rows; the builders here, `graph6.from_triangle_bits` (behind parse_graph6),
+`spectral.stack_graphs` (the Graphs of corpus and classified adjacency
+stacks) and the sampler loop make valid rows by construction and check only
+the order, through `Graph._of`.  The join family K_s v (K_{n1} u t*K1) that
+witnesses sharpness of the extendability bounds is built and recognized here.
 """
 from __future__ import annotations
 
@@ -124,11 +126,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph._of(g.n + h.n, tuple(rows))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph._of(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
-
-
 def isolated_count(g: Graph, removed_mask: int = 0) -> int:
     """Number of isolated vertices of g - removed_mask (degree 0 after removal)."""
     return sum(1 for v, r in enumerate(g.rows) if not (removed_mask >> v & 1 or r & ~removed_mask))
@@ -143,32 +140,6 @@ def neighbourhood(g: Graph, mask: int) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def connected_component_mask(g: Graph, start: int = 0) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        frontier = neighbourhood(g, frontier) & ~seen
-        seen |= frontier
-    return seen
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or connected_component_mask(g, 0) == (1 << g.n) - 1
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    e: int
-    min_degree: int
-    connected: bool
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    degrees = [r.bit_count() for r in g.rows]
-    return GraphStats(g.n, sum(degrees) // 2, min(degrees, default=0), is_connected(g))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
 Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, Q and D are built from an adjacency stack,
-the distance matrices are one BFS over the stack, connectivity is one
-reachability search from vertex 0 over it, and largest_eigenvalues is one
-eigensolver call.  The largest roots of many integer cubics come from one
-numpy bisection pass, and each comes with the width of a certified
-bracket: Horner rounding-error bounds, or exact arithmetic where those do
-not settle it, prove the root inside.
+the distance matrices are one BFS over the stack, stack_stats is the one
+source of edge counts, minimum degrees and connectivity (row sums and one
+reachability search from vertex 0 over the stack), and
+largest_eigenvalues is one eigensolver call.  The largest roots of many
+integer cubics come from one numpy bisection pass, and each comes with
+the width of a certified bracket: Horner rounding-error bounds, or exact
+arithmetic where those do not settle it, prove the root inside.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, ExtremalParams, graph_stats
+from .graphs import Graph, ExtremalParams
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,18 @@ def connected_flags(A: np.ndarray) -> list[bool]:
         # every vertex of the chunk reached: each of its graphs is connected
         out += [True] * len(chunk) if count == reach.size else reach.all(axis=(1, 2)).tolist()
     return out
+
+
+def stack_stats(A: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
+    """(e, delta, connected) of each graph of an (m, n, n) 0/1 integer
+    adjacency stack, as three lists: the edge count and minimum degree from
+    the row sums, connectivity from connected_flags."""
+    n = A.shape[1]
+    deg = A.sum(axis=2)
+    # every degree is below n, so the initial value n - 1 changes no minimum
+    # and gives the order-0 graph delta 0
+    delta = deg.min(axis=1, initial=max(n - 1, 0)).tolist()
+    return [twice // 2 for twice in deg.sum(axis=1).tolist()], delta, connected_flags(A)
 
 
 def signless_laplacians(A: np.ndarray) -> np.ndarray:
@@ -454,13 +467,14 @@ class SpectralReport:
 
 
 def spectral_report(g: Graph) -> SpectralReport:
-    """Numeric spectral summary; distance data is None when disconnected.  A, Q
-    and D come from one unpack of the bit rows and go to one eigensolver call."""
-    st = graph_stats(g)
-    if not g.n:
-        return SpectralReport(st.n, st.e, st.min_degree, st.connected, 0.0, 0.0, None, None)
+    """Numeric spectral summary; distance data is None when disconnected.  One
+    unpack of the bit rows gives A, whose stack_stats give e, delta and
+    connectivity, and A, Q and D go to one eigensolver call."""
     A = adjacency_matrices([g])
-    D = distance_matrices(A) if st.connected else A[:0]   # no D: an empty stack
+    [e], [delta], [connected] = stack_stats(A)
+    if not g.n:
+        return SpectralReport(0, e, delta, connected, 0.0, 0.0, None, None)
+    D = distance_matrices(A) if connected else A[:0]   # no D: an empty stack
     radii = largest_eigenvalues(np.concatenate([A, signless_laplacians(A), D])).tolist()
-    mu, wien = (radii[2], int(D.sum()) // 2) if st.connected else (None, None)
-    return SpectralReport(st.n, st.e, st.min_degree, st.connected, radii[0], radii[1], mu, wien)
+    mu, wien = (radii[2], int(D.sum()) // 2) if connected else (None, None)
+    return SpectralReport(g.n, e, delta, connected, radii[0], radii[1], mu, wien)

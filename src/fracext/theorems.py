@@ -18,12 +18,14 @@ asserted.  _grid_report decides a grid's rows as arrays over their lanes
 and builds a GridRow only for a violation or when its rows are read.
 
 _classify is the one classification route: it takes a 0/1 adjacency stack of
-one order, reads degrees, e and delta off its row sums and connectivity off
-one stacked reachability search (spectral.connected_flags), computes the
-bound quantity of the graphs past the hypotheses in one TheoremSpec.values
-call (one eigensolver call) and tests it in one _compare call, and yields
-each graph's outcome in stack order.  A Graph is built only for a graph that
-reaches the oracle.  check_theorem runs it on a stack of one and builds its
+one order, reads e, delta and connectivity off it through spectral.stack_stats
+(row sums and one stacked reachability search), computes the bound quantity
+of the graphs past the hypotheses in one TheoremSpec.values call (one
+eigensolver call) and tests it in one _compare call, both skipped when no
+graph is past them, and yields each graph's outcome in stack order.
+sharpness reads the family graph's delta and connectivity through
+stack_stats too.  A Graph is built only for a graph that reaches the
+oracle.  check_theorem runs it on a stack of one and builds its
 CheckResult; sweep runs it on chunks of one order and keeps only tallies, so
 a CheckResult, with its graph6, is built only for an equality case or a
 counterexample.  A sweep takes a generated corpus as the stack it is
@@ -47,14 +49,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import (ExtremalParams, Graph, extremal_edge_count,
-                     extremal_graph, graph_stats, matches_extremal)
+from .graphs import ExtremalParams, Graph, extremal_edge_count, extremal_graph, matches_extremal
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags,
-                       distance_matrices, family_coefficients, family_cubic,
-                       largest_eigenvalues, largest_real_root, largest_real_roots,
-                       signless_laplacians, stack_graphs)
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices,
+                       family_coefficients, family_cubic, largest_eigenvalues,
+                       largest_real_root, largest_real_roots, signless_laplacians,
+                       stack_graphs, stack_stats)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -144,8 +145,6 @@ class TheoremSpec:
         eigensolver in one call."""
         if self.quantity == "e":
             return (A.sum(axis=(1, 2), dtype=np.int64) // 2).tolist()
-        if not len(A):
-            return []
         build = signless_laplacians if self.quantity == "q" else distance_matrices
         return largest_eigenvalues(build(A)).tolist()
 
@@ -181,26 +180,23 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     of each graph of an (m, n, n) 0/1 adjacency stack of one order, in
     stack order.
 
-    e and delta come from the row sums and connectivity from connected_flags;
-    one spec.values call on the graphs past the hypotheses computes their
-    bound quantity and one _compare call their bound test.  graph is the
-    Graph the oracle ran on, built from the stack, and None for a graph
-    that did not reach it.  The tests run in the order check_theorem documents.
+    e, delta and connected come from stack_stats; when some graph is past
+    the hypotheses, one spec.values call computes their bound quantity and
+    one _compare call their bound test.  graph is the Graph the oracle ran
+    on, built from the stack, and None for a graph that did not reach it.
+    The tests run in the order check_theorem documents.
     """
     n = A.shape[1]
-    deg = A.sum(axis=2)
-    # every degree is below n, so the initial value n - 1 changes no minimum
-    # and gives the order-0 graph delta 0
-    delta = deg.min(axis=1, initial=max(n - 1, 0)).tolist()
-    e = [twice // 2 for twice in deg.sum(axis=1).tolist()]
-    connected = connected_flags(A)
+    e, delta, connected = stack_stats(A)
     reasons = {key: spec.hypotheses(n, *key) for key in set(zip(delta, connected))}
     failed = [reasons[key] for key in zip(delta, connected)]
     past = [i for i, f in enumerate(failed) if f is None]
-    values = spec.values(A[past]) if past else []
-    thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
-    thrs = [thresholds[delta[i]] for i in past]
-    bounds = iter(zip(values, thrs, _compare(values, thrs)))
+    bounds = iter(())
+    if past:
+        values = spec.values(A[past])
+        thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
+        thrs = [thresholds[delta[i]] for i in past]
+        bounds = iter(zip(values, thrs, _compare(values, thrs)))
     below = -1 if spec.bound_side == ">=" else 1
     for i, f in enumerate(failed):
         stats = e[i], delta[i], connected[i]
@@ -580,21 +576,22 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     mean-distance floor n - delta + 2k + 3 on its radius.
     """
     g = extremal_graph(p)
-    st = graph_stats(g)
+    A = adjacency_matrices([g])
+    _, [delta], [connected] = stack_stats(A)
     not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
 
-    thr = spec.threshold(st.n, st.min_degree)
-    [value] = spec.values(adjacency_matrices([g]))
+    thr = spec.threshold(p.n, delta)
+    [value] = spec.values(A)
     floor = floor_ok = None
     if spec.id == "mu":
-        floor = float(st.n - p.s + 2 * spec.k + 3)
+        floor = float(p.n - p.s + 2 * spec.k + 3)
         floor_ok = _compare(value, floor) >= 0
     return SharpnessReport(params=p, theorem=spec.id, not_extendable=not_ext,
                            witness_is_clique=clique_wit,
                            bound_equality=_compare(value, thr) == 0,
                            value=value, threshold=thr,
-                           connected=st.connected,
-                           min_degree_is_s=st.min_degree == p.s,
+                           connected=connected,
+                           min_degree_is_s=delta == p.s,
                            mu_floor=floor, mu_floor_ok=floor_ok)
 
 

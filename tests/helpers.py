@@ -1,11 +1,62 @@
 """Shared test utilities: reference implementations kept deliberately naive."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fracext import ExtremalParams, Graph, corpus, extremal_graph, theorems
+from fracext import ExtremalParams, Graph, corpus, extremal_graph, neighbourhood, theorems
 from fracext.graph6 import _header
-from fracext.spectral import adjacency_matrices, distance_matrices, signless_laplacians
+from fracext.spectral import (adjacency_matrices, distance_matrices, signless_laplacians,
+                              stack_graphs)
+
+
+# the corpora as Graph tuples, in the order of the stacks they are built from
+def all_graphs(n):
+    return stack_graphs(corpus._all_stack(n))
+
+
+def connected_graphs(n):
+    return stack_graphs(corpus.connected_stack(n))
+
+
+def sparse_graphs(n, max_edges):
+    return stack_graphs(corpus._sparse_stack(n, max_edges))
+
+
+def complement_corpus(n, complement_budget):
+    return stack_graphs(corpus.complement_stack(n, complement_budget))
+
+
+def complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
+
+
+# graph statistics on the bit rows: the reference for spectral.stack_stats
+def connected_component_mask(g, start=0):
+    seen = 1 << start
+    frontier = seen
+    while frontier:
+        frontier = neighbourhood(g, frontier) & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_connected(g):
+    return g.n == 0 or connected_component_mask(g, 0) == (1 << g.n) - 1
+
+
+@dataclass(frozen=True)
+class GraphStats:
+    n: int
+    e: int
+    min_degree: int
+    connected: bool
+
+
+def graph_stats(g):
+    degrees = [r.bit_count() for r in g.rows]
+    return GraphStats(g.n, sum(degrees) // 2, min(degrees, default=0), is_connected(g))
 
 
 # one graph's matrices: the stacked builders on a stack of one

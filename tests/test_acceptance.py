@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from fracext import (DEFAULT_TOL, ExtremalParams, Graph, charpoly3,
-                     closed_form, extremal_graph, is_connected,
-                     largest_eigenvalue, largest_real_root, parse_graph6,
-                     quotient)
-from fracext.corpus import are_isomorphic, complement_corpus, connected_graphs
+                     closed_form, extremal_graph, largest_eigenvalue,
+                     largest_real_root, parse_graph6, quotient)
+from fracext.corpus import are_isomorphic
 from fracext.matching import _walk, extend_matching, verify_witness
 from fracext.spectral import positional_blocks
 from fracext.theorems import (lemma_grid, sample_spanning_subgraphs, sharpness,
                               sweep, theorem_spec)
-from helpers import (distance_matrix_array, positional_blocks_prime, random_connected_graph,
-                     signless_laplacian)
+from helpers import (complement_corpus, connected_graphs, distance_matrix_array, is_connected,
+                     positional_blocks_prime, random_connected_graph, signless_laplacian)
 from set_condition_oracle import is_fext_lemma
 
 HALF = Fraction(1, 2)

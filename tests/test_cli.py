@@ -302,21 +302,21 @@ def test_sweep_connected_0_scans_the_order_0_graph(capsys):
     assert code == 0 and json.loads(out)["summary"]["scanned"] == 1
 
 
-def test_generated_sweeps_skip_the_graph_decoder_and_graph_stats(monkeypatch, capsys):
-    # the sweep path neither decodes forms one by one nor reads a Graph's
-    # statistics: with those three functions refusing, both pinned sweeps
-    # still print their pinned bytes
+def test_generated_sweeps_skip_the_graph_decoder(monkeypatch, capsys):
+    # the sweep path does not decode forms one by one: with
+    # from_triangle_bits refusing, both pinned sweeps still print their
+    # pinned bytes
     import fracext
-    from fracext import corpus, graph6, graphs
+    from fracext import corpus, graph6
 
     def refuse(*args):
         raise AssertionError("called on the sweep path")
 
-    originals = (graph6.from_triangle_bits, graphs.graph_stats, graphs.is_connected)
+    decoder = graph6.from_triangle_bits
     for module in (fracext, *(getattr(fracext, name) for name in
                               ("graphs", "graph6", "matching", "spectral", "corpus", "theorems", "cli"))):
         for name, value in list(vars(module).items()):
-            if any(value is f for f in originals):
+            if value is decoder:
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
     monkeypatch.setattr(corpus, "_CONN_CACHE", {})
@@ -561,9 +561,16 @@ def test_sweep_compares_once_per_classified_stack(capsys, monkeypatch):
     from fracext import theorems
     stacks, compares = (_counting(monkeypatch, theorems, name)
                         for name in ("_classify", "_compare"))
-    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:7", "--format", "json"],
+    # every connected graph of order 8 is past q_1's hypotheses at k = 1
+    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:8", "--format", "json"],
                      capsys)
     assert code == 0 and len(compares) == len(stacks) > 1
+    # no graph of order 7 is, so its stacks skip the bound test
+    stacks.clear()
+    compares.clear()
+    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:7", "--format", "json"],
+                     capsys)
+    assert code == 0 and len(stacks) > 1 and not compares
 
 
 @pytest.mark.parametrize("argv,md5", [

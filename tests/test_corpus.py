@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from fracext import (ExtremalParams, Graph, complement, complete, cycle, disjoint_union,
-                     empty_graph, extremal_graph, is_connected, join, path)
+from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
+                     extremal_graph, join, path)
 from fracext import corpus
-from fracext.corpus import (all_graphs, are_isomorphic, complement_corpus,
-                            connected_graphs, sparse_graphs)
+from fracext.corpus import are_isomorphic
 from fracext.graph6 import emit_graph6, from_triangle_bits
 from fracext.spectral import adjacency_matrices
 from canonical_oracle import canonical_form_reference, refinement_cells_reference
 from corpus_oracle import all_graphs_reference, sparse_graphs_reference
-from helpers import canonical_form, canonical_forms, random_graph, relabel
+from helpers import (all_graphs, canonical_form, canonical_forms, complement, complement_corpus,
+                     connected_graphs, is_connected, random_graph, relabel, sparse_graphs)
 
 # counts frozen from the standard unlabeled enumeration sequences
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}

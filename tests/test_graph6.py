@@ -5,10 +5,9 @@ import pytest
 
 from fracext import (MAX_VERTICES, Graph6Error, complete, cycle, empty_graph, emit_graph6,
                      parse_graph6)
-from fracext.corpus import all_graphs
 from fracext.graph6 import decode_triangles, from_triangle_bits, pack_triangles
 from fracext.spectral import stack_graphs
-from helpers import canonical_forms, random_graph, reference_graph6
+from helpers import all_graphs, canonical_forms, random_graph, reference_graph6
 
 
 def test_frozen_decodings():

@@ -3,16 +3,15 @@ import random
 import pytest
 
 from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
-                     complement, complete, cycle, disjoint_union, empty_graph,
-                     extremal_edge_count, extremal_graph, graph_stats,
-                     is_connected, is_fext_definitional, isolated_count, join,
-                     matches_extremal, neighbourhood, path)
+                     complete, cycle, disjoint_union, empty_graph,
+                     extremal_edge_count, extremal_graph, is_fext_definitional,
+                     isolated_count, join, matches_extremal, neighbourhood, path)
 from fracext import theorems
-from fracext.graphs import connected_component_mask
 from fracext.graph6 import from_triangle_bits
-from fracext.corpus import all_graphs, are_isomorphic, complement_corpus, connected_graphs
+from fracext.corpus import are_isomorphic
 from fracext.matching import BAD_MATCHING
-from helpers import embeds_in_extremal, relabel
+from helpers import (all_graphs, complement, complement_corpus, connected_component_mask,
+                     connected_graphs, embeds_in_extremal, graph_stats, is_connected, relabel)
 
 
 def test_basic_constructors():

@@ -10,10 +10,10 @@ from fracext import (Graph, Verdict, complete, cycle,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional,
                      isolated_count, path, verify_witness)
-from fracext.corpus import all_graphs, connected_graphs
 from fracext.matching import _clique_cover_within, _has_k_matching_in_mask, _walk
 from covered_set_oracle import covered_sets, is_fext_by_covered_sets
-from helpers import brute_matching_number, petersen, random_connected_graph, random_graph
+from helpers import (all_graphs, brute_matching_number, connected_graphs, petersen,
+                     random_connected_graph, random_graph)
 from lp_oracle import fractional_pm_feasible_lp
 from set_condition_oracle import excess_table, is_fext_lemma
 

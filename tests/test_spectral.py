@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracext import (Cubic, ExtremalParams, Graph, QuotientMatrix, charpoly3, closed_form,
-                     complete, cycle, disjoint_union, empty_graph, extremal_graph, is_connected,
+                     complete, cycle, disjoint_union, empty_graph, extremal_graph,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext import spectral
 from fracext.spectral import (_f_pi_1, _f_pi_prime_1, _phi_b1, adjacency_matrices,
@@ -17,9 +17,9 @@ import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_distance_matrix, family_q_matrix, family_quotients,
                               family_radius_bounds)
-from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall, grid_groups,
-                     positional_blocks_prime, random_connected_graph, random_graph,
-                     signless_laplacian)
+from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall, graph_stats,
+                     grid_groups, is_connected, positional_blocks_prime, random_connected_graph,
+                     random_graph, signless_laplacian)
 from root_oracle import largest_real_root_reference
 
 
@@ -663,10 +663,15 @@ def test_spectral_report_bitwise_equal_to_the_builders_one_matrix_at_a_time():
                for n, k, s in ((3, 1, 2), (11, 1, 2), (35, 1, 3), (57, 2, 5),
                                (90, 2, 7), (128, 3, 7), (128, 1, 2))]
     assert sum(not is_connected(g) for g in graphs if g.n) >= 10
+    assert {0, 1, 128} <= {g.n for g in graphs}
     for g in graphs:
         rep = spectral_report(g)
         got = (rep.adjacency_radius, rep.q_radius, rep.distance_radius, rep.wiener)
         assert got == _report_one_matrix_at_a_time(g), g
+        # the statistics, from stack_stats, against the bit-row reference
+        st = graph_stats(g)
+        assert (rep.n, rep.e, rep.min_degree, rep.connected) == (st.n, st.e, st.min_degree,
+                                                                 st.connected), g
         # order 0 counts as connected but has no distance matrix
         assert rep.connected == (rep.distance_radius is not None) or g.n == 0
 

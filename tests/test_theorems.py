@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
-                     emit_graph6, extremal_edge_count, extremal_graph, graph_stats,
-                     largest_real_root, closed_form, parse_graph6, path, verify_witness)
+                     emit_graph6, extremal_edge_count, extremal_graph, largest_real_root,
+                     closed_form, parse_graph6, path, verify_witness)
 from fracext import spectral, theorems
-from fracext.corpus import (all_graphs, complement_corpus, complement_stack, connected_graphs,
-                            connected_stack)
+from fracext.corpus import complement_stack, connected_stack
 from fracext.spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, family_coefficients,
                               family_cubic, largest_real_roots, stack_graphs)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
@@ -22,7 +21,8 @@ import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_matrices, member_values)
 from grid_oracle import compare_reference, grid_report_reference
-from helpers import grid_groups, with_member_cubic
+from helpers import (all_graphs, complement_corpus, connected_graphs, graph_stats, grid_groups,
+                     with_member_cubic)
 from root_oracle import largest_real_root_reference
 from sample_oracle import sample_reference
 from sweep_oracle import sweep_reference
