@@ -37,16 +37,16 @@ the twin swaps generate the product of the symmetric groups on the classes.
   meets every twin class of P in a prefix of that class in vertex order.
   Every orbit of the product group has exactly one such subset.
 
-Everything before the search runs on numpy stacks of 0/1 adjacency
-matrices of one order.  The generators build a block of parents' children
-and filter them as arrays, then stream the survivors to canonicalisation
-in chunks of at most spectral.SWEEP_CHUNK_ENTRIES matrix entries, so the
-memory held does not grow with the candidates.  A level's canonical forms
-are packed triangle rows (graph6.pack_triangles), sorted and deduplicated
-as one array and decoded back into one uint8 stack
-(graph6.decode_triangles).  The per-order caches hold these stacks, the
-next order's children are built from them directly, and connected_stack
-and complement_stack hand them to sweeps as they are, with no Graph built.
+Everything before the search runs on numpy stacks of 0/1 adjacency matrices
+of one order.  The generators build a block of parents' children and filter
+them as arrays, then stream the survivors to canonicalisation in chunks of
+spectral.chunk_size graphs, so the memory held does not grow with the
+candidates.  A level's canonical forms are packed triangle rows
+(graph6.pack_triangles), sorted and deduplicated as one array and decoded
+back into one uint8 stack (graph6.decode_triangles).  The per-order caches
+hold these stacks, the next order's children are built from them directly,
+and connected_stack and complement_stack hand them to sweeps as they are,
+with no Graph built.
 Twins need no row hashing: the rows of u and w differ in
 deg u + deg w - 2|N(u) & N(w)| columns, two of them u and w when u, w are
 adjacent, so u, w are twins exactly when that count is 2 A[u, w], one
@@ -72,7 +72,8 @@ cell is a singleton or lies inside one twin class, the cell order itself
 gives the form with no search: two admissible labelings differ by a
 permutation of each cell's members, a permutation of twins is a product of
 twin swaps, and each swap is an automorphism, so the two labelings give the
-same bits.  Only the other graphs go to the DFS, seeded with the cells.
+same bits.  Only the other graphs go to the DFS, seeded with the cells,
+and it reads their bit rows off the Graphs of spectral.stack_graphs.
 """
 from __future__ import annotations
 
@@ -82,7 +83,8 @@ import numpy as np
 
 from .graph6 import decode_triangles, pack_triangles
 from .graphs import MAX_VERTICES, CapacityError, Graph
-from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags
+from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, chunk_size, connected_flags,
+                       stack_graphs)
 
 # order -> the uint8 adjacency stack of all (connected) graphs of that order
 _ALL_CACHE: dict[int, np.ndarray] = {}
@@ -227,23 +229,19 @@ def _canonical_forms(A: np.ndarray) -> np.ndarray:
     labeled = order[hit]
     out[hit] = pack_triangles(A[hit[:, None, None], labeled[:, :, None], labeled[:, None, :]])
     rest = np.flatnonzero(~forced)
-    row_width = (n + 7) // 8
-    blob = np.packbits(A[rest], axis=2, bitorder="little").tobytes()
     searched = []
-    for i, (labels, new, twin) in enumerate(zip(order[rest].tolist(), opens[rest].tolist(),
-                                                T[rest].argmax(axis=2).tolist())):
-        rows = tuple(int.from_bytes(blob[at:at + row_width], "little")
-                     for at in range(i * n * row_width, (i + 1) * n * row_width, row_width))
+    for g, labels, new, twin in zip(stack_graphs(A[rest]), order[rest].tolist(),
+                                    opens[rest].tolist(), T[rest].argmax(axis=2).tolist()):
         starts = [p for p, fresh in enumerate(new) if fresh] + [n]
-        bits = _search(rows, [labels[s:t] for s, t in zip(starts, starts[1:])], twin)
+        bits = _search(g.rows, [labels[s:t] for s, t in zip(starts, starts[1:])], twin)
         searched.append((bits << pad).to_bytes(width, "big"))
     out[rest] = np.frombuffer(b"".join(searched), dtype=np.uint8).reshape(len(rest), width)
     return out
 
 
 def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """The (k, n, n) stacks re-cut into chunks of SWEEP_CHUNK_ENTRIES entries."""
-    size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+    """The (k, n, n) stacks re-cut into chunks of chunk_size(n) graphs."""
+    size = chunk_size(n)
     held = np.empty((0, n, n), dtype=np.uint8)
     for s in stacks:
         held = np.concatenate([held, s])

@@ -7,10 +7,12 @@ below order 63 and the eight-byte '~~' form.
 
 The same layout, zero-padded to whole bytes instead of 6-bit groups, is the
 packed form of a stack of graphs of one order: pack_triangles writes it,
-one row per graph, and decode_triangles turns the rows back into a uint8
-adjacency stack with one np.unpackbits and a triangle scatter.  Corpus
-canonical forms are such rows, and at one order their byte order is the
-order of from_triangle_bits's integers.
+one row per graph.  decode_triangles turns the rows back into a uint8
+adjacency stack with one np.unpackbits and a triangle scatter, and
+stack_graph6 into graph6 text with one base64 call; emit_graph6 is that on
+a stack of one.  Corpus canonical forms are such rows, and at one order
+their byte order is the order of from_triangle_bits's integers, which
+parse_graph6 reads from text one graph at a time.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import binascii
 import numpy as np
 
 from .graphs import MAX_VERTICES, Graph
+from .spectral import adjacency_matrices
 
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BASE64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
@@ -125,13 +127,18 @@ def parse_graph6(text: str | bytes) -> Graph:
     return from_triangle_bits(n, bits >> pad)
 
 
+def stack_graph6(A: np.ndarray) -> list[str]:
+    """The graph6 line of each graph of an (m, n, n) 0/1 adjacency stack: its
+    pack_triangles row, zero-padded to whole 3-byte units, in base64."""
+    m, n = A.shape[:2]
+    nbits = n * (n - 1) // 2
+    units = np.zeros((m, (nbits + 23) // 24 * 3), dtype=np.uint8)
+    units[:, :(nbits + 7) // 8] = pack_triangles(A)
+    text = binascii.b2a_base64(units.tobytes(), newline=False).translate(_BASE64_TO_GRAPH6).decode()
+    head, step, groups = _header(n), units.shape[1] // 3 * 4, (nbits + 5) // 6
+    return [head + text[b * step:b * step + groups] for b in range(m)]
+
+
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string."""
-    # column j is row j's low j bits; packed from bit 0 up and bit-reversed per byte,
-    # they give the graph6 stream, zero-padded to whole 24-bit base64 units
-    tri, nbits = 0, g.n * (g.n - 1) // 2
-    for j in range(g.n - 1, 0, -1):
-        tri = (tri << j) | (g.rows[j] & ((1 << j) - 1))
-    stream = tri.to_bytes((nbits + 23) // 24 * 3, "little").translate(_REVERSED)
-    groups = binascii.b2a_base64(stream, newline=False).translate(_BASE64_TO_GRAPH6)
-    return _header(g.n) + groups[:(nbits + 5) // 6].decode("ascii")
+    """Encode a graph as a graph6 string: stack_graph6 on its stack of one."""
+    return stack_graph6(adjacency_matrices([g]))[0]

@@ -8,11 +8,12 @@ once: on Python ints they give one member's exact cubic, to assert against
 charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
 Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows and
-stack_graphs the one writer, Q and D are built from an adjacency stack,
-the distance matrices are one BFS over the stack, stack_stats is the one
-source of edge counts, minimum degrees and connectivity (row sums and one
-reachability search from vertex 0 over the stack), and
-largest_eigenvalues is one eigensolver call.  The largest roots of many
+stack_graphs the one writer, and graph6 alone turns a stack into packed
+rows or text.  Q and D are built from an adjacency stack, the distance
+matrices are one BFS over the stack, stack_stats is the one source of edge
+counts, minimum degrees and connectivity (row sums and one reachability
+search from vertex 0 over the stack), and largest_eigenvalues is one
+eigensolver call.  The largest roots of many
 integer cubics come from one numpy bisection pass, and each comes with
 the width of a certified bracket: Horner rounding-error bounds, or exact
 arithmetic where those do not settle it, prove the root inside.
@@ -36,6 +37,11 @@ from .graphs import Graph, ExtremalParams
 # order 35, one from order 91), so a chunk's float64 stack is at most
 # 128 KiB at every order
 SWEEP_CHUNK_ENTRIES = 1 << 14
+
+
+def chunk_size(n: int) -> int:
+    """Graphs of order n per chunk: SWEEP_CHUNK_ENTRIES matrix entries, at least one."""
+    return max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
 
 
 def adjacency_matrices(graphs) -> np.ndarray:
@@ -78,7 +84,7 @@ def connected_flags(A: np.ndarray) -> list[bool]:
     type: no entry exceeds n + 1 <= 129, so even uint8 holds it.
     """
     m, n = A.shape[:2]
-    size = max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+    size = chunk_size(n)
     out: list[bool] = []
     for at in range(0, m, size):
         chunk = A[at:at + size]

@@ -25,12 +25,13 @@ eigensolver call) and tests it in one _compare call, both skipped when no
 graph is past them, and yields each graph's outcome in stack order.
 sharpness reads the family graph's delta and connectivity through
 stack_stats too.  A Graph is built only for a graph that reaches the
-oracle.  check_theorem runs it on a stack of one and builds its
-CheckResult; sweep runs it on chunks of one order and keeps only tallies, so
-a CheckResult, with its graph6, is built only for an equality case or a
-counterexample.  A sweep takes a generated corpus as the stack it is
-(corpus.connected_stack, corpus.complement_stack); Graph objects and graph6
-lines are stacked chunk by chunk through spectral.adjacency_matrices.
+oracle, and no outcome carries one.  check_theorem runs it on a stack of
+one; sweep runs it on chunks of one order and keeps only tallies, so a
+CheckResult, with its graph6 line from graph6.stack_graph6, is built only
+for an equality case or a counterexample.  A sweep takes a generated corpus
+as the stack it is (corpus.connected_stack, corpus.complement_stack); Graph
+objects and graph6 lines are stacked chunk by chunk through
+spectral.adjacency_matrices.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
@@ -45,14 +46,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .graphs import ExtremalParams, Graph, extremal_edge_count, extremal_graph, matches_extremal
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import Graph6Error, parse_graph6, stack_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, distance_matrices,
+from .spectral import (adjacency_matrices, chunk_size, distance_matrices,
                        family_coefficients, family_cubic, largest_eigenvalues,
                        largest_real_root, largest_real_roots, signless_laplacians,
                        stack_graphs, stack_stats)
@@ -176,15 +178,15 @@ class CheckResult:
 
 
 def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
-    """(status, e, delta, connected, value, threshold, detail, verdict, graph)
-    of each graph of an (m, n, n) 0/1 adjacency stack of one order, in
-    stack order.
+    """(status, e, delta, connected, value, threshold, detail, verdict) of
+    each graph of an (m, n, n) 0/1 adjacency stack of one order, in stack
+    order.
 
     e, delta and connected come from stack_stats; when some graph is past
     the hypotheses, one spec.values call computes their bound quantity and
-    one _compare call their bound test.  graph is the Graph the oracle ran
-    on, built from the stack, and None for a graph that did not reach it.
-    The tests run in the order check_theorem documents.
+    one _compare call their bound test.  The oracle runs on a Graph built
+    from the stack, for a graph past the bound only.  The tests run in the
+    order check_theorem documents.
     """
     n = A.shape[1]
     e, delta, connected = stack_stats(A)
@@ -201,11 +203,11 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     for i, f in enumerate(failed):
         stats = e[i], delta[i], connected[i]
         if f is not None:
-            yield HYPOTHESES_NOT_MET, *stats, None, None, f, None, None
+            yield HYPOTHESES_NOT_MET, *stats, None, None, f, None
             continue
         value, thr, side = next(bounds)
         if side == below:
-            yield BOUND_NOT_MET, *stats, value, thr, "", None, None
+            yield BOUND_NOT_MET, *stats, value, thr, "", None
             continue
         [g] = stack_graphs(A[i:i + 1])
         verdict = is_fext_definitional(g, spec.k)
@@ -216,16 +218,13 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
             status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
         elif verdict.answer:
             status = CONFIRMED
-        yield status, *stats, value, thr, detail, verdict, g
+        yield status, *stats, value, thr, detail, verdict
 
 
-def _result(g: Graph, spec: TheoremSpec, outcome: tuple) -> CheckResult:
-    """The CheckResult of one _classify outcome of g."""
-    status, e, delta, connected, value, thr, detail, verdict, _ = outcome
-    return CheckResult(status=status, theorem=spec.id, k=spec.k, n=g.n, e=e,
-                       min_degree=delta, connected=connected,
-                       graph6=emit_graph6(g), value=value, threshold=thr,
-                       detail=detail, oracle=verdict)
+def _result(line: str, n: int, spec: TheoremSpec, outcome: tuple) -> CheckResult:
+    """The CheckResult of one _classify outcome of an order-n graph, given its graph6 line."""
+    status, e, delta, connected, *rest = outcome   # value, threshold, detail, verdict
+    return CheckResult(status, spec.id, spec.k, n, e, delta, connected, line, *rest)
 
 
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
@@ -238,8 +237,8 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     is not fractionally k-extendable, and is not the exceptional graph;
     none should ever appear.
     """
-    [outcome] = _classify(adjacency_matrices([g]), spec)
-    return _result(g, spec, outcome)
+    A = adjacency_matrices([g])
+    return _result(stack_graph6(A)[0], g.n, spec, next(_classify(A, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +280,6 @@ def _corpus_graphs(corpus: Iterable, errors: list[tuple[int, str]]) -> Iterator[
         yield g
 
 
-def _chunk_size(n: int) -> int:
-    """Graphs of order n per classification chunk: SWEEP_CHUNK_ENTRIES entries."""
-    return max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
-
-
 def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
     """(input position, graph) pairs in chunks of one order, each yielded
     as soon as it is full."""
@@ -293,16 +287,9 @@ def _order_chunks(graphs: Iterable[Graph]) -> Iterator[list[tuple[int, Graph]]]:
     for pos, g in enumerate(graphs):
         chunk = pending.setdefault(g.n, [])
         chunk.append((pos, g))
-        if len(chunk) == _chunk_size(g.n):
+        if len(chunk) == chunk_size(g.n):
             yield pending.pop(g.n)
     yield from pending.values()
-
-
-def _stack_chunks(A: np.ndarray) -> Iterator[tuple[range, np.ndarray]]:
-    """(positions, chunk) of an (m, n, n) adjacency stack."""
-    size = _chunk_size(A.shape[1])
-    for at in range(0, len(A), size):
-        yield range(at, min(at + size, len(A))), A[at:at + size]
 
 
 def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
@@ -319,15 +306,20 @@ def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
     counts: Counter[str] = Counter()
     kept = []
     if isinstance(corpus, np.ndarray):
-        chunks = _stack_chunks(corpus)
+        size = chunk_size(corpus.shape[1])
+        chunks = ((range(at, at + size), corpus[at:at + size])
+                  for at in range(0, len(corpus), size))
     else:
         chunks = (([pos for pos, _ in chunk], adjacency_matrices([g for _, g in chunk]))
                   for chunk in _order_chunks(_corpus_graphs(corpus, errors)))
     for positions, A in chunks:
-        for pos, outcome in zip(positions, _classify(A, spec)):
-            counts[outcome[0]] += 1
-            if outcome[0] in (EQUALITY_CASE, COUNTEREXAMPLE):
-                kept.append((pos, _result(outcome[-1], spec, outcome)))
+        outcomes = list(_classify(A, spec))
+        counts.update(outcome[0] for outcome in outcomes)
+        keep = [i for i, (status, *_) in enumerate(outcomes)
+                if status in (EQUALITY_CASE, COUNTEREXAMPLE)]
+        if keep:   # most chunks keep nothing, and then encode nothing
+            kept += [(positions[i], _result(line, A.shape[1], spec, outcomes[i]))
+                     for i, line in zip(keep, stack_graph6(A[keep]))]
     kept.sort(key=lambda item: item[0])
     scanned = counts.total()
     hyp = scanned - counts[HYPOTHESES_NOT_MET]
@@ -644,13 +636,14 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     The family graphs sit exactly on their thresholds, so every connected
     proper spanning subgraph should fall on the wrong side of the bound
     (monotonicity) and never class as a counterexample.  Draws come in
-    chunks of _chunk_size(n), at most the count still wanted; _classify
+    chunks of chunk_size(n), at most the count still wanted; _classify
     classifies a chunk as one stack, the family's adjacency stack with each
     draw's cut pairs zeroed, and its connectivity rejects the disconnecting
     deletions.  The cuts are one stream from random.Random(seed), and a
     rejected cut's redraw is simply the next cut of that stream, so the
     accepted draws, rejections and statuses are those of redrawing each
-    rejected cut at once: no chunk draws past the last draw wanted.
+    rejected cut at once: no chunk draws past the last draw wanted.  The
+    graph6 lines of a chunk's connected draws come from one stack_graph6 call.
     """
     rng = random.Random(seed)
     src = extremal_graph(p)
@@ -662,19 +655,15 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     rejected = 0
     while tallies.total() < samples:
         cuts = [rng.sample(edges, rng.randint(1, max_d))
-                for _ in range(min(_chunk_size(n), samples - tallies.total()))]
+                for _ in range(min(chunk_size(n), samples - tallies.total()))]
         A = family.repeat(len(cuts), axis=0)
         draw, u, v = zip(*((b, u, v) for b, cut in enumerate(cuts) for u, v in cut))
         A[draw, u, v] = A[draw, v, u] = 0
-        for cut, outcome in zip(cuts, _classify(A, spec)):
-            if not outcome[3]:   # disconnected
-                rejected += 1
-                continue
-            rows = list(src.rows)
-            for i, j in cut:
-                rows[i] ^= 1 << j
-                rows[j] ^= 1 << i
-            res = _result(Graph._of(n, tuple(rows)), spec, outcome)
+        outcomes = list(_classify(A, spec))
+        connected = [outcome[3] for outcome in outcomes]
+        rejected += connected.count(False)
+        for line, outcome in zip(stack_graph6(A[connected]), compress(outcomes, connected)):
+            res = _result(line, n, spec, outcome)
             tallies[res.status] += 1
             if res.status in (COUNTEREXAMPLE, EQUALITY_CASE):
                 kept.append(res)

@@ -4,8 +4,9 @@ The package's sampler draws its cuts in chunks and classifies each chunk
 as one stack.  This reference is the draw-by-draw loop it replaced: each
 draw is the family's adjacency stack with one cut zeroed, classified as a
 stack of one; a disconnecting cut is rejected and redrawn at once, and the
-draw's Graph comes from the family's bit rows with the cut pairs flipped.
-The two must return equal SampleReports.
+draw's Graph comes from the family's bit rows with the cut pairs flipped,
+its graph6 line from helpers.reference_graph6.  The two must return equal
+SampleReports.
 """
 import random
 
@@ -13,6 +14,7 @@ from fracext.graphs import Graph, extremal_graph
 from fracext.spectral import adjacency_matrices
 from fracext.theorems import (COUNTEREXAMPLE, EQUALITY_CASE, MAX_DELETIONS, SampleReport,
                               _classify, _result)
+from helpers import reference_graph6
 
 
 def sample_reference(p, spec, *, samples, seed):
@@ -39,7 +41,7 @@ def sample_reference(p, spec, *, samples, seed):
         for u, v in cut:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        res = _result(Graph._of(n, tuple(rows)), spec, outcome)
+        res = _result(reference_graph6(Graph._of(n, tuple(rows))), n, spec, outcome)
         tallies[res.status] = tallies.get(res.status, 0) + 1
         if res.status == COUNTEREXAMPLE:
             cex.append(res)

@@ -5,7 +5,7 @@ import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
                      extremal_graph, join, path)
-from fracext import corpus
+from fracext import corpus, spectral
 from fracext.corpus import are_isomorphic
 from fracext.graph6 import emit_graph6, from_triangle_bits
 from fracext.spectral import adjacency_matrices
@@ -87,7 +87,8 @@ def test_chunk_boundaries_leave_the_corpora_unchanged(monkeypatch):
     """At 512 entries a chunk holds 10 graphs of order 7 and 8 of order 8,
     and a block one vertex parent, so every order spans many chunks."""
     want = (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6))
-    monkeypatch.setattr(corpus, "SWEEP_CHUNK_ENTRIES", 512)
+    monkeypatch.setattr(corpus, "SWEEP_CHUNK_ENTRIES", 512)    # the child blocks
+    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)  # chunk_size
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
     assert (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6)) == want
 

@@ -5,8 +5,8 @@ import pytest
 
 from fracext import (MAX_VERTICES, Graph6Error, complete, cycle, empty_graph, emit_graph6,
                      parse_graph6)
-from fracext.graph6 import decode_triangles, from_triangle_bits, pack_triangles
-from fracext.spectral import stack_graphs
+from fracext.graph6 import decode_triangles, from_triangle_bits, pack_triangles, stack_graph6
+from fracext.spectral import adjacency_matrices, stack_graphs
 from helpers import all_graphs, canonical_forms, random_graph, reference_graph6
 
 
@@ -35,11 +35,20 @@ def test_round_trip_random():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 32), rng.random())
         assert parse_graph6(emit_graph6(g)) == g
+    # orders 0 and 1, whose packed rows have no bytes, up to the cap; int64 and
+    # uint8 stacks, a transposed view, a strided view, a boolean-mask selection
+    # (what the sampler passes) and the stack of no graphs
     for n in range(MAX_VERTICES + 1):
-        for p in (0.05, 0.5, 0.95):
-            g = random_graph(rng, n, p)
-            assert emit_graph6(g) == reference_graph6(g), (n, p)
-            assert parse_graph6(emit_graph6(g)) == g
+        graphs = [random_graph(rng, n, p) for p in (0.05, 0.5, 0.95)]
+        lines = [reference_graph6(g) for g in graphs]
+        assert [emit_graph6(g) for g in graphs] == lines, n
+        assert [parse_graph6(line) for line in lines] == graphs, n
+        A = adjacency_matrices(graphs)
+        for stack in (A, A.astype(np.uint8), A.swapaxes(1, 2)):
+            assert stack_graph6(stack) == lines, n
+        assert stack_graph6(A[::2]) == stack_graph6(A.astype(np.uint8)[[True, False, True]]) \
+            == lines[::2], n
+        assert stack_graph6(A[:0]) == stack_graph6(A.astype(np.uint8)[:0]) == [], n
 
 
 def test_order_limit():

@@ -7,7 +7,7 @@ from fracext import (CapacityError, ExtremalParams, Graph, MAX_VERTICES,
                      extremal_edge_count, extremal_graph, is_fext_definitional,
                      isolated_count, join, matches_extremal, neighbourhood, path)
 from fracext import theorems
-from fracext.graph6 import from_triangle_bits
+from fracext.graph6 import from_triangle_bits, parse_graph6
 from fracext.corpus import are_isomorphic
 from fracext.matching import BAD_MATCHING
 from helpers import (all_graphs, complement, complement_corpus, connected_component_mask,
@@ -63,10 +63,10 @@ def test_builders_make_rows_the_checking_constructor_accepts(monkeypatch):
               for n in range(MAX_VERTICES + 1)]
     built += [extremal_graph(ExtremalParams(n, k, s)) for n in range(3, 30, 4)
               for k in (1, 2, 3) for s in range(2 * k, (n + 2 * k - 1) // 2 + 1)]
-    draws = []   # every draw's Graph goes to _result
+    draws = []   # every draw's graph6 line goes to _result
     result = theorems._result
-    monkeypatch.setattr(theorems, "_result",
-                        lambda g, spec, outcome: draws.append(g) or result(g, spec, outcome))
+    monkeypatch.setattr(theorems, "_result", lambda line, n, spec, outcome:
+                        draws.append(parse_graph6(line)) or result(line, n, spec, outcome))
     theorems.sample_spanning_subgraphs(ExtremalParams(20, 1, 3), theorems.theorem_spec("mu", 1),
                                        samples=50, seed=3)
     assert len(draws) == 50

@@ -267,7 +267,7 @@ def test_sweep_matches_per_graph_reference(theorem, k, tmp_path, monkeypatch):
     want = sweep_reference(lines, spec)
     assert want.scanned > 400 and len(want.parse_errors) == 1
     # 6 to 20 graphs per chunk, so every order spans several chunks
-    monkeypatch.setattr(theorems, "SWEEP_CHUNK_ENTRIES", 512)
+    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)
     with open(path, "rb") as corpus:
         assert sweep(corpus, spec) == want
     if k == 1:
@@ -281,7 +281,7 @@ def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
     # equality cases of three orders, interleaved, in chunks of two graphs:
     # the order-11 chunk (positions 0, 3) fills before the order-12 chunk
     # (1, 4), so the chunks do not come back in input order
-    monkeypatch.setattr(theorems, "SWEEP_CHUNK_ENTRIES", 340)
+    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 340)
     family = [extremal_graph(ExtremalParams(n, 1, 2)) for n in (11, 12, 13)]
     corpus = [family[i % 3] if i % 2 else complete(11 + i % 3) for i in range(30)]
     rep = sweep(corpus, theorem_spec("edge_1", 1))
@@ -290,13 +290,15 @@ def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
 
 
 def test_sweep_builds_results_only_for_what_it_keeps(monkeypatch):
-    # 25 graphs meet the bound: 24 confirmed and 1 equality case
+    # 25 graphs meet the bound: 24 confirmed and 1 equality case, whose row
+    # is the one row the sweep encodes
     emitted = []
-    monkeypatch.setattr(theorems, "emit_graph6",
-                        lambda g: emitted.append(g) or emit_graph6(g))
+    encode = theorems.stack_graph6
+    monkeypatch.setattr(theorems, "stack_graph6", lambda A: emitted.extend(encode(A)) or encode(A))
     rep = sweep(complement_corpus(9, 6), theorem_spec("q_1", 1))
     assert rep.bound_met == 25 and rep.confirmed == 24
-    assert len(emitted) == len(rep.equality_cases) + len(rep.counterexamples) == 1
+    assert len(rep.equality_cases) + len(rep.counterexamples) == 1
+    assert emitted == [rep.equality_cases[0].graph6]
 
 
 def _stacked_stats(graphs, dtype=np.int64):
@@ -754,7 +756,7 @@ def test_sampling_classifies_a_chunk_per_call(monkeypatch):
         monkeypatch.setattr(theorems, name, counted(name, getattr(theorems, name)))
     rep = sample_spanning_subgraphs(ExtremalParams(35, 1, 3), theorem_spec("mu", 1),
                                     samples=100, seed=1)
-    assert rep.rejected == 0 and theorems._chunk_size(35) == 13
+    assert rep.rejected == 0 and spectral.chunk_size(35) == 13
     assert calls["_classify"] == 8
     assert calls["largest_eigenvalues"] <= 8
     assert calls["_result"] == 100
