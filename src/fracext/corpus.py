@@ -38,15 +38,16 @@ the twin swaps generate the product of the symmetric groups on the classes.
   Every orbit of the product group has exactly one such subset.
 
 Everything before the search runs on numpy stacks of 0/1 adjacency matrices
-of one order.  The generators build a block of parents' children and filter
-them as arrays, then stream the survivors to canonicalisation in chunks of
-spectral.chunk_size graphs, so the memory held does not grow with the
-candidates.  A level's canonical forms are packed triangle rows
+of one order.  The generators build a block of parents' children, sized by
+SWEEP_CHUNK_ENTRIES, and filter them as arrays; each block's survivors are
+canonicalised as they are generated, so the memory held does not grow with
+the candidates.  A level's canonical forms are packed triangle rows
 (graph6.pack_triangles), sorted and deduplicated as one array and decoded
-back into one uint8 stack (graph6.decode_triangles).  The per-order caches
-hold these stacks, the next order's children are built from them directly,
-and connected_stack and complement_stack hand them to sweeps as they are,
-with no Graph built.
+back into one uint8 stack (graph6.decode_triangles).  One per-order cache
+holds the stacks of all graphs, and the next order's children are built
+from it directly.  connected_stack filters a cached stack on each call, and
+complement_stack builds its levels on each call, up to the complete graph
+at most; both hand sweeps the stacks as they are, with no Graph built.
 Twins need no row hashing: the rows of u and w differ in
 deg u + deg w - 2|N(u) & N(w)| columns, two of them u and w when u, w are
 adjacent, so u, w are twins exactly when that count is 2 A[u, w], one
@@ -83,12 +84,10 @@ import numpy as np
 
 from .graph6 import decode_triangles, pack_triangles
 from .graphs import MAX_VERTICES, CapacityError, Graph
-from .spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, chunk_size, connected_flags,
-                       stack_graphs)
+from .spectral import SWEEP_CHUNK_ENTRIES, adjacency_matrices, connected_flags, stack_graphs
 
-# order -> the uint8 adjacency stack of all (connected) graphs of that order
+# order -> the uint8 adjacency stack of all graphs of that order
 _ALL_CACHE: dict[int, np.ndarray] = {}
-_CONN_CACHE: dict[int, np.ndarray] = {}
 
 
 def _twins(A: np.ndarray) -> np.ndarray:
@@ -239,24 +238,12 @@ def _canonical_forms(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunks(stacks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """The (k, n, n) stacks re-cut into chunks of chunk_size(n) graphs."""
-    size = chunk_size(n)
-    held = np.empty((0, n, n), dtype=np.uint8)
-    for s in stacks:
-        held = np.concatenate([held, s])
-        while len(held) >= size:
-            yield held[:size]
-            held = held[size:]
-    if len(held):
-        yield held
-
-
 def _level(children: Iterable[np.ndarray], n: int) -> np.ndarray:
     """The distinct graphs among the children's stacks, in canonical-form
-    order, as one uint8 stack: the forms are sorted and deduplicated as
-    fixed-width byte strings, whose order is their integers' order."""
-    forms = [_canonical_forms(chunk) for chunk in _chunks(children, n)]
+    order, as one uint8 stack: each non-empty block is canonicalised as it
+    comes, and the forms are sorted and deduplicated as fixed-width byte
+    strings, whose order is their integers' order."""
+    forms = [_canonical_forms(block) for block in children if len(block)]
     if not forms:
         return np.zeros((0, n, n), dtype=np.uint8)
     packed = np.concatenate(forms)
@@ -319,12 +306,9 @@ def _all_stack(n: int) -> np.ndarray:
 
 
 def connected_stack(n: int) -> np.ndarray:
-    """The connected graphs of _all_stack(n), in its order, as one uint8 stack."""
-    cached = _CONN_CACHE.get(n)
-    if cached is None:
-        A = _all_stack(n)
-        cached = _CONN_CACHE[n] = A[connected_flags(A)]
-    return cached
+    """The connected graphs of _all_stack(n) in its order, filtered on each call."""
+    A = _all_stack(n)
+    return A[connected_flags(A)]
 
 
 def _edge_children(graphs: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -355,12 +339,12 @@ def _edge_children(graphs: np.ndarray, n: int) -> Iterator[np.ndarray]:
 def _sparse_stack(n: int, max_edges: int) -> np.ndarray:
     """The graphs on n vertices with <= max_edges edges up to isomorphism,
     level by level in edge count and canonically ordered in each level, as
-    one uint8 stack; isolated vertices allowed."""
+    one uint8 stack; isolated vertices allowed.  Levels stop at n(n-1)/2 edges."""
     _check_order(n)
     if max_edges < 0:
         raise ValueError("negative edge budget")
     levels = [np.zeros((1, n, n), dtype=np.uint8)]
-    for _ in range(max_edges):
+    for _ in range(min(max_edges, n * (n - 1) // 2)):
         levels.append(_level(_edge_children(levels[-1], n), n))
     return np.concatenate(levels)
 
@@ -369,7 +353,7 @@ def complement_stack(n: int, complement_budget: int) -> np.ndarray:
     """All graphs of order n whose complement has <= complement_budget edges,
     the complements of _sparse_stack(n, complement_budget) in its order, as
     one uint8 stack: the natural exhaustive corpus for edge-count sweeps
-    near the complete graph."""
+    near the complete graph (every graph once the budget reaches n(n-1)/2)."""
     return _sparse_stack(n, complement_budget) ^ (1 - np.eye(n, dtype=np.uint8))
 
 

@@ -264,30 +264,15 @@ def _deficiency_witness(g: Graph, mask: int, match_r: list[int], free: int) -> i
 
 
 def _half_integral_from_permutation(match_l: list[int], mask: int) -> dict[tuple[int, int], Fraction]:
-    """Decompose the double-cover matching into weight-1 pairs and 1/2 cycles."""
+    """The double-cover matching as an FPM: each vertex v of the mask adds 1/2 to
+    the edge {v, match_l[v]}, so a 2-cycle gets 1 and a longer cycle's edges 1/2."""
     h: dict[tuple[int, int], Fraction] = {}
-    seen = 0
-    v0 = mask
-    while v0:
-        low = v0 & -v0
-        start = low.bit_length() - 1
-        v0 ^= low
-        if (seen >> start) & 1:
-            continue
-        cyc = [start]
-        seen |= 1 << start
-        v = match_l[start]
-        while v != start:
-            cyc.append(v)
-            seen |= 1 << v
-            v = match_l[v]
-        if len(cyc) == 2:
-            a, b = cyc
-            h[(min(a, b), max(a, b))] = ONE
-        else:
-            for i, a in enumerate(cyc):
-                b = cyc[(i + 1) % len(cyc)]
-                h[(min(a, b), max(a, b))] = HALF
+    while mask:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        mask ^= low
+        edge = (min(v, match_l[v]), max(v, match_l[v]))
+        h[edge] = h.get(edge, 0) + HALF
     return h
 
 

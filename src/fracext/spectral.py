@@ -32,10 +32,10 @@ from .graphs import Graph, ExtremalParams
 # matrix builders
 # ---------------------------------------------------------------------------
 
-# sweeps classify, and corpora canonicalise, graphs of one order together in
-# chunks of at most this many matrix entries (256 graphs at order 8, 13 at
-# order 35, one from order 91), so a chunk's float64 stack is at most
-# 128 KiB at every order
+# sweeps classify graphs of one order together in chunks of at most this
+# many matrix entries (256 graphs at order 8, 13 at order 35, one from
+# order 91), so a chunk's float64 stack is at most 128 KiB at every order;
+# the corpus generators size their blocks of parents by it too
 SWEEP_CHUNK_ENTRIES = 1 << 14
 
 

@@ -409,7 +409,7 @@ class GridRow:
 
 @dataclass(frozen=True)
 class GridViolation:
-    kind: str          # "inequality", "equality", or "crosscheck"
+    kind: str          # "inequality" or "crosscheck"
     row: GridRow
 
 
@@ -473,8 +473,9 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     so the width bounds |rho(M) - r| for the member's matrix M; inf for a
     bracket that neither certificate proves.  A point whose error exceeds
     CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.  One _compare
-    call over the lanes settles the equality (left lane = right lane) and
-    strict rows; a GridRow is built only for a violation or when rows is read.
+    call over the lanes settles the strict rows; an equality row (left lane
+    = right lane) compares a root with itself and cannot be violated.  A
+    GridRow is built only for a violation or when rows is read.
     """
     C = family_coefficients(quantity, [(n, k, s) for k, _, n, members, _ in groups for s in members])
     roots, widths = largest_real_roots(C)
@@ -489,11 +490,12 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     lhs, rhs, err = roots[left], roots[right], np.maximum(widths[left], widths[right])
     strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks
     equality, side = left == right, np.array(_compare(lhs, rhs), dtype=int)
-    cross, bad = err > CROSSCHECK_TOL, np.where(equality, side != 0, side != strict)
+    # _compare of a lane with itself is 0, so only strict rows can be violated
+    cross, bad = err > CROSSCHECK_TOL, ~equality & (side != strict)
     flagged = np.flatnonzero(cross | bad)
     rows = zip(flagged.tolist(), _grid_rows(lemma, columns, flagged))
     violations = tuple(GridViolation(kind, row) for i, row in rows for kind, hit in (
-        ("crosscheck", cross[i]), ("equality" if equality[i] else "inequality", bad[i])) if hit)
+        ("crosscheck", cross[i]), ("inequality", bad[i])) if hit)
     margins = (lhs - rhs if strict == 1 else rhs - lhs)[~equality]
     return GridReport(lemma=lemma, points=len(left), violations=violations,
                       equality_points=int(equality.sum()),

@@ -319,7 +319,6 @@ def test_generated_sweeps_skip_the_graph_decoder(monkeypatch, capsys):
             if value is decoder:
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
-    monkeypatch.setattr(corpus, "_CONN_CACHE", {})
     for argv, md5 in (("q_1 connected:8", "4cac817ffbafb016d0e53d3819c8ff67"),
                       ("edge_1 complement:11:8", "fdda3589a41af84e8542f2e6b800f873")):
         theorem, corpus_arg = argv.split()

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
@@ -84,13 +85,16 @@ def test_sparse_graphs_skip_most_candidates(monkeypatch):
 
 
 def test_chunk_boundaries_leave_the_corpora_unchanged(monkeypatch):
-    """At 512 entries a chunk holds 10 graphs of order 7 and 8 of order 8,
-    and a block one vertex parent, so every order spans many chunks."""
-    want = (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6))
+    """At 512 entries the corpus patch narrows the child blocks, each
+    canonicalised as one stack, to one vertex parent at order 7 and to two
+    edge parents at order 8 and one at order 9; the spectral patch narrows
+    the connected_flags chunks to 10 graphs of order 7."""
+    want = (all_graphs(7), connected_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6))
     monkeypatch.setattr(corpus, "SWEEP_CHUNK_ENTRIES", 512)    # the child blocks
-    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)  # chunk_size
+    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)  # the connected_flags chunks
     monkeypatch.setattr(corpus, "_ALL_CACHE", {})
-    assert (all_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6)) == want
+    assert (all_graphs(7), connected_graphs(7), sparse_graphs(8, 6),
+            complement_corpus(9, 6)) == want
 
 
 def _relabeled(rng, g):
@@ -276,8 +280,21 @@ def test_sparse_graphs_against_filter():
     assert all(g.edge_count() <= 3 for g in got)
 
 
-def test_complement_corpus():
-    corpus = complement_corpus(6, 4)
+def test_complement_corpus(monkeypatch):
+    """A budget past n(n-1)/2 builds no level past the complete graph."""
+    got = complement_corpus(6, 4)
     want = {canonical_form(complement(g)) for g in sparse_graphs(6, 4)}
-    assert {canonical_form(g) for g in corpus} == want
-    assert all(g.edge_count() >= 15 - 4 for g in corpus)
+    assert {canonical_form(g) for g in got} == want
+    assert all(g.edge_count() >= 15 - 4 for g in got)
+    for n in range(7):
+        top = n * (n - 1) // 2
+        assert np.array_equal(corpus.complement_stack(n, top + 3), corpus.complement_stack(n, top)), n
+    full, level, calls = corpus.complement_stack(5, 10), corpus._level, []
+
+    def counted(children, n):
+        calls.append(n)
+        return level(children, n)
+
+    monkeypatch.setattr(corpus, "_level", counted)
+    assert np.array_equal(corpus.complement_stack(5, 1000), full)
+    assert len(calls) <= 10
