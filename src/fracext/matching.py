@@ -264,15 +264,16 @@ def _deficiency_witness(g: Graph, mask: int, match_r: list[int], free: int) -> i
 
 
 def _half_integral_from_permutation(match_l: list[int], mask: int) -> dict[tuple[int, int], Fraction]:
-    """The double-cover matching as an FPM: each vertex v of the mask adds 1/2 to
-    the edge {v, match_l[v]}, so a 2-cycle gets 1 and a longer cycle's edges 1/2."""
+    """The double-cover matching as an FPM: each vertex v of the mask picks the
+    edge {v, match_l[v]}, so an edge that both its ends pick, a 2-cycle, gets 1
+    at its second pick, with no Fraction arithmetic, and a longer cycle's edges 1/2."""
     h: dict[tuple[int, int], Fraction] = {}
     while mask:
         low = mask & -mask
         v = low.bit_length() - 1
         mask ^= low
         edge = (min(v, match_l[v]), max(v, match_l[v]))
-        h[edge] = h.get(edge, 0) + HALF
+        h[edge] = ONE if edge in h else HALF
     return h
 
 

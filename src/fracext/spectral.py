@@ -13,7 +13,9 @@ rows or text.  Q and D are built from an adjacency stack, the distance
 matrices are one BFS over the stack, stack_stats is the one source of edge
 counts, minimum degrees and connectivity (row sums and one reachability
 search from vertex 0 over the stack), and largest_eigenvalues is one
-eigensolver call.  The largest roots of many
+eigensolver call.  radius_bounds encloses the spectral radius of each
+integer matrix of a stack exactly, in int64 on the grid of 2^-20, from a
+Rayleigh quotient and a Collatz-Wielandt ratio.  The largest roots of many
 integer cubics come from one numpy bisection pass, and each comes with
 the width of a certified bracket: Horner rounding-error bounds, or exact
 arithmetic where those do not settle it, prove the root inside.
@@ -165,6 +167,47 @@ def largest_eigenvalues(stack) -> np.ndarray:
     if not np.array_equal(A, A.swapaxes(1, 2)):
         raise ValueError("matrix must be symmetric")
     return np.linalg.eigvalsh(A)[:, -1]
+
+
+# radius_bounds's bounds, and the thresholds' brackets they are compared with,
+# are integers in units of 2^-DYADIC_BITS, so each comparison is exact
+DYADIC_BITS = 20
+
+
+def radius_bounds(M: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper), int64 arrays with lower <= 2^DYADIC_BITS * rho(M) <= upper
+    for each matrix M of an (m, n, n) stack of nonnegative symmetric integer
+    matrices, each row with a positive entry (the Q or D of a connected graph of
+    order >= 2), and steps >= 1.
+
+    With x = M^steps * 1 > 0 in integers, the Rayleigh quotient x'Mx / x'x is at
+    most rho(M), as M is symmetric, and the Collatz-Wielandt ratio
+    max_v (Mx)_v / x_v at least rho(M), as M is nonnegative and x positive.
+    Both are rounded outward onto the dyadic grid by integer floor and ceiling
+    division, so no float takes part.
+    """
+    M = M.astype(np.int64, copy=False)
+    x = M.sum(axis=2)   # M * 1
+    if not (x > 0).all():
+        raise ValueError("every row of every matrix needs a positive entry")
+    # with R the largest row sum and t = steps, 0 < x_v <= R^t and (Mx)_v <= R^(t+1),
+    # so x'x <= n R^2t and x'Mx <= n R^(2t+1).  The largest int64 values formed are
+    # (Mx)_v 2^20 + x_v < R^(t+1) 2^21, x'Mx, and the remainder of x'Mx / x'x times
+    # 2^20, below n R^2t 2^20.  At order 128 Q has R <= 2 * 127 < 2^8 and t = 2, so
+    # n R^4 2^20 < 2^59; D has R <= 127^2 < 2^14 and t = 1, so n R^2 2^20 < 2^55.
+    # x'Mx 2^20 itself (about 1.4e20 for K_128's Q) is never formed: the quotient
+    # and the remainder of x'Mx / x'x are scaled apart.
+    R, t, n = int(x.max(initial=1)), steps, M.shape[1]
+    if max(R ** (t + 1) << (DYADIC_BITS + 1), n * R ** (2 * t + 1),
+           n * R ** (2 * t) << DYADIC_BITS) >= 1 << 63:
+        raise ValueError(f"row sums up to {R} at order {n} overflow int64 at {t} steps")
+    for _ in range(steps - 1):
+        x = np.matmul(M, x[:, :, None])[:, :, 0]
+    y = np.matmul(M, x[:, :, None])[:, :, 0]
+    upper = (((y << DYADIC_BITS) + x - 1) // x).max(axis=1)
+    xx = np.einsum("ij,ij->i", x, x)
+    whole, rest = np.divmod(np.einsum("ij,ij->i", x, y), xx)
+    return (whole << DYADIC_BITS) + (rest << DYADIC_BITS) // xx, upper
 
 
 def largest_eigenvalue(M) -> float:

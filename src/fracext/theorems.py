@@ -7,8 +7,10 @@ family member's own edge count, q or mu.  Each TheoremSpec carries its
 hypotheses, its threshold, and its exceptional graph; check_theorem
 classifies a single graph, sweep classifies a corpus in bulk, and the grid,
 sharpness, and sampling routines certify the inequalities the proofs lean
-on in regions where exhaustive search is impossible.  Every comparison of
-a value against a bound or a family value is settled by _compare.
+on in regions where exhaustive search is impossible.  A graph's bound test
+is settled exactly wherever its certificates decide it (below), and by
+_compare's float margin of 1e-9 only where they leave it open; the grids,
+sharpness and the rest compare through _compare.
 
 The grids take each family member's q or mu from its closed-form cubic and
 back every root with the width of its certified bracket, with no matrix or
@@ -19,10 +21,17 @@ and builds a GridRow only for a violation or when its rows are read.
 
 _classify is the one classification route: it takes a 0/1 adjacency stack of
 one order, reads e, delta and connectivity off it through spectral.stack_stats
-(row sums and one stacked reachability search), computes the bound quantity
-of the graphs past the hypotheses in one TheoremSpec.values call (one
-eigensolver call) and tests it in one _compare call, both skipped when no
-graph is past them, and yields each graph's outcome in stack order.
+(row sums and one stacked reachability search), settles the bound test of the
+graphs past the hypotheses in one _bound_sides call, skipped when no graph is
+past them, and yields each graph's outcome in stack order.  An edge count is
+compared as an integer.  For q and mu, exact certificates decide most graphs:
+spectral.radius_bounds gives each graph's Rayleigh lower and Collatz-Wielandt
+upper bound, and a graph whose bounds clear its threshold's certified bracket,
+both on the grid of 2^-20, is proven below or above it with no eigenvalue.
+Only the graphs left open, the family members among them, go to one
+eigensolver call and one _compare call.  A value that no caller reads is not
+computed: check_theorem, and the equality cases and counterexamples that
+sweeps and samples keep, still carry the eigensolver's float value.
 sharpness reads the family graph's delta and connectivity through
 stack_stats too.  A Graph is built only for a graph that reaches the
 oracle, and no outcome carries one.  check_theorem runs it on a stack of
@@ -44,7 +53,7 @@ import functools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator
@@ -54,10 +63,9 @@ import numpy as np
 from .graphs import ExtremalParams, Graph, extremal_edge_count, extremal_graph, matches_extremal
 from .graph6 import Graph6Error, parse_graph6, stack_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (adjacency_matrices, chunk_size, distance_matrices,
-                       family_coefficients, family_cubic, largest_eigenvalues,
-                       largest_real_root, largest_real_roots, signless_laplacians,
-                       stack_graphs, stack_stats)
+from .spectral import (DYADIC_BITS, adjacency_matrices, chunk_size, distance_matrices,
+                       family_coefficients, largest_eigenvalues, largest_real_roots,
+                       radius_bounds, signless_laplacians, stack_graphs, stack_stats)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -96,10 +104,24 @@ def _compare(x, ref) -> list[int] | int:
 
 
 @functools.cache
-def _family_threshold(quantity: str, p: ExtremalParams):
+def _family_threshold(quantity: str, p: ExtremalParams) -> tuple:
+    """(threshold, lo, hi): the family member's own edge count, q or mu, and
+    for q and mu integers with lo <= 2^DYADIC_BITS * threshold <= hi.
+
+    q and mu are the largest root of the member's cubic, and [lo, hi] its
+    certified bracket, root -/+ width from the same largest_real_roots call,
+    rounded outward onto the dyadic grid in exact arithmetic.  An edge
+    count is compared as the integer it is, with no bracket.
+    """
     if quantity == "e":
-        return extremal_edge_count(p)
-    return largest_real_root(family_cubic(quantity, p.n, p.k, p.s))
+        return extremal_edge_count(p), None, None
+    roots, widths = largest_real_roots(family_coefficients(quantity, [(p.n, p.k, p.s)]))
+    root, width = float(roots[0]), float(widths[0])
+    if not math.isfinite(width):   # never: a family's q or mu is a simple root
+        raise ArithmeticError(f"the {quantity} bracket of {p} is not certified")
+    scale = Fraction(1 << DYADIC_BITS)
+    return (root, math.floor((Fraction(root) - Fraction(width)) * scale),
+            math.ceil((Fraction(root) + Fraction(width)) * scale))
 
 
 @dataclass(frozen=True)
@@ -139,7 +161,11 @@ class TheoremSpec:
 
     def threshold(self, n: int, delta: int):
         """The family member's own edge count, q or mu; memoized per member."""
-        return _family_threshold(self.quantity, self.family(n, delta))
+        return _family_threshold(self.quantity, self.family(n, delta))[0]
+
+    def matrices(self, A: np.ndarray) -> np.ndarray:
+        """The Q (q) or D (mu) stack of an (m, n, n) 0/1 adjacency stack."""
+        return signless_laplacians(A) if self.quantity == "q" else distance_matrices(A)
 
     def values(self, A: np.ndarray) -> list[float | int]:
         """Each graph's own bound quantity, its edge count or its q or mu,
@@ -147,8 +173,7 @@ class TheoremSpec:
         eigensolver in one call."""
         if self.quantity == "e":
             return (A.sum(axis=(1, 2), dtype=np.int64) // 2).tolist()
-        build = signless_laplacians if self.quantity == "q" else distance_matrices
-        return largest_eigenvalues(build(A)).tolist()
+        return largest_eigenvalues(self.matrices(A)).tolist()
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
@@ -177,16 +202,51 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
+def _bound_sides(A: np.ndarray, spec: TheoremSpec, e: list[int],
+                 delta: list[int]) -> tuple[list, tuple, list[int]]:
+    """(values, thresholds, sides) of the graphs of an (m, n, n) 0/1
+    adjacency stack past the hypotheses, given their edge counts and minimum
+    degrees: side -1, 0 or 1 as the graph's value is below, at or above its
+    threshold.
+
+    An edge count is compared as the integer it is.  For q and mu,
+    radius_bounds of the Q (x = Q^2 * 1) or D (x = D * 1) stack against the
+    dyadic brackets decide every graph whose bounds clear the bracket, with
+    no eigenvalue: its value is None.  Only the graphs left open, among them
+    every family member, which sits on its threshold, go to one
+    largest_eigenvalues call and one _compare call.
+    """
+    n = A.shape[1]
+    brackets = {d: _family_threshold(spec.quantity, spec.family(n, d)) for d in set(delta)}
+    thr, lo, hi = zip(*(brackets[d] for d in delta))
+    if spec.quantity == "e":
+        return e, thr, np.sign(np.subtract(e, thr)).tolist()
+    M = spec.matrices(A)
+    lower, upper = radius_bounds(M, 2 if spec.quantity == "q" else 1)
+    side = (lower > np.array(hi)).astype(int) - (upper < np.array(lo))
+    values = [None] * len(A)
+    left_open = np.flatnonzero(side == 0)
+    if left_open.size:
+        found = largest_eigenvalues(M[left_open]).tolist()
+        side[left_open] = _compare(found, [thr[i] for i in left_open.tolist()])
+        for i, value in zip(left_open.tolist(), found):
+            values[i] = value
+    return values, thr, side.tolist()
+
+
 def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     """(status, e, delta, connected, value, threshold, detail, verdict) of
     each graph of an (m, n, n) 0/1 adjacency stack of one order, in stack
     order.
 
     e, delta and connected come from stack_stats; when some graph is past
-    the hypotheses, one spec.values call computes their bound quantity and
-    one _compare call their bound test.  The oracle runs on a Graph built
-    from the stack, for a graph past the bound only.  The tests run in the
-    order check_theorem documents.
+    the hypotheses, one _bound_sides call settles their bound tests, exactly
+    except where a graph's certificates leave it open.  A value is None where
+    a certificate alone settled the test, except for an equality case or a
+    counterexample, which every caller keeps: those get it from the
+    eigensolver.  The oracle runs on a Graph built from the stack, for a
+    graph past the bound only.  The tests run in the order check_theorem
+    documents.
     """
     n = A.shape[1]
     e, delta, connected = stack_stats(A)
@@ -195,10 +255,7 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     past = [i for i, f in enumerate(failed) if f is None]
     bounds = iter(())
     if past:
-        values = spec.values(A[past])
-        thresholds = {d: spec.threshold(n, d) for d in {delta[i] for i in past}}
-        thrs = [thresholds[delta[i]] for i in past]
-        bounds = iter(zip(values, thrs, _compare(values, thrs)))
+        bounds = zip(*_bound_sides(A[past], spec, [e[i] for i in past], [delta[i] for i in past]))
     below = -1 if spec.bound_side == ">=" else 1
     for i, f in enumerate(failed):
         stats = e[i], delta[i], connected[i]
@@ -218,6 +275,8 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
             status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
         elif verdict.answer:
             status = CONFIRMED
+        if value is None and status in (EQUALITY_CASE, COUNTEREXAMPLE):
+            [value] = spec.values(A[i:i + 1])
         yield status, *stats, value, thr, detail, verdict
 
 
@@ -238,7 +297,10 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     none should ever appear.
     """
     A = adjacency_matrices([g])
-    return _result(stack_graph6(A)[0], g.n, spec, next(_classify(A, spec)))
+    r = _result(stack_graph6(A)[0], g.n, spec, next(_classify(A, spec)))
+    if r.value is None and r.threshold is not None:   # settled by a certificate alone
+        r = replace(r, value=spec.values(A)[0])
+    return r
 
 
 # ---------------------------------------------------------------------------

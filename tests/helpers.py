@@ -1,6 +1,7 @@
 """Shared test utilities: reference implementations kept deliberately naive."""
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,6 +145,25 @@ def random_connected_graph(rng, n_lo=4, n_hi=30, p_lo=0.12, p_hi=0.9):
             if rng.random() < p:
                 edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))
+
+
+def half_integral_by_cycles(match_l, mask):
+    """The FPM of a perfect double-cover matching by walking its permutation
+    cycles: a 2-cycle's edge gets 1, each edge of a longer cycle 1/2.  The
+    reference for matching._half_integral_from_permutation's per-vertex rule."""
+    h, seen = {}, set()
+    for start in (v for v in range(mask.bit_length()) if (mask >> v) & 1):
+        if start in seen:
+            continue
+        cyc, v = [start], match_l[start]
+        while v != start:
+            cyc.append(v)
+            v = match_l[v]
+        seen.update(cyc)
+        weight = Fraction(1) if len(cyc) == 2 else Fraction(1, 2)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            h[(min(a, b), max(a, b))] = weight
+    return h
 
 
 def reference_graph6(g):

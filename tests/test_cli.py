@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -556,20 +557,37 @@ def test_grid_rows_are_built_for_violations_only(capsys, monkeypatch):
     assert len(compares) == 4
 
 
-def test_sweep_compares_once_per_classified_stack(capsys, monkeypatch):
+def test_sweep_certificates_leave_few_graphs_to_the_eigensolver(capsys, monkeypatch):
     from fracext import theorems
-    stacks, compares = (_counting(monkeypatch, theorems, name)
-                        for name in ("_classify", "_compare"))
-    # every connected graph of order 8 is past q_1's hypotheses at k = 1
-    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:8", "--format", "json"],
-                     capsys)
-    assert code == 0 and len(compares) == len(stacks) > 1
+    settled, solved = [], []
+    real_sides, real_eig = theorems._bound_sides, theorems.largest_eigenvalues
+
+    def sides(*args):
+        values, thr, out = real_sides(*args)
+        settled.extend("open" if value is not None else side for value, side in zip(values, out))
+        return values, thr, out
+
+    monkeypatch.setattr(theorems, "_bound_sides", sides)
+    monkeypatch.setattr(theorems, "largest_eigenvalues", lambda M: solved.append(len(M)) or real_eig(M))
+    # every connected graph of order 8 is past q_1's hypotheses at k = 1: the
+    # certificates at t = 2 prove all but 7 of them below or above the bound,
+    # and the eigensolver sees those 7 only, the equality case among them
+    code, out, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:8", "--format", "json"],
+                       capsys)
+    assert code == 0 and json.loads(out)["summary"]["equality_cases"] == 1
+    assert Counter(settled) == {-1: 11_097, 1: 13, "open": 7} and sum(solved) == 7
     # no graph of order 7 is, so its stacks skip the bound test
-    stacks.clear()
-    compares.clear()
+    settled.clear()
+    solved.clear()
     code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:7", "--format", "json"],
                      capsys)
-    assert code == 0 and len(stacks) > 1 and not compares
+    assert code == 0 and not settled and not solved
+    # every draw of the order-35 samplers past the hypotheses is proven above mu's bound
+    for s in (3, 4, 5):
+        rep = theorems.sample_spanning_subgraphs(ExtremalParams(35, 1, s),
+                                                 theorems.theorem_spec("mu", 1), samples=1000)
+        assert dict(rep.statuses)["bound_not_met"] > 0
+    assert settled and set(settled) == {1} and not solved
 
 
 @pytest.mark.parametrize("argv,md5", [

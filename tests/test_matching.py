@@ -10,10 +10,11 @@ from fracext import (Graph, Verdict, complete, cycle,
                      extremal_graph, ExtremalParams, fractional_pm_exists,
                      has_k_matching, is_fext_definitional,
                      isolated_count, path, verify_witness)
-from fracext.matching import _clique_cover_within, _has_k_matching_in_mask, _walk
+from fracext.matching import (_clique_cover_within, _double_cover_matching,
+                              _half_integral_from_permutation, _has_k_matching_in_mask, _walk)
 from covered_set_oracle import covered_sets, is_fext_by_covered_sets
-from helpers import (all_graphs, brute_matching_number, connected_graphs, petersen,
-                     random_connected_graph, random_graph)
+from helpers import (all_graphs, brute_matching_number, connected_graphs,
+                     half_integral_by_cycles, petersen, random_connected_graph, random_graph)
 from lp_oracle import fractional_pm_feasible_lp
 from set_condition_oracle import excess_table, is_fext_lemma
 
@@ -117,6 +118,23 @@ def test_fpm_witness_on_random_graphs():
             _check_h(g, cert)
         else:
             assert isolated_count(g, cert) > cert.bit_count()
+
+
+def test_fpm_weights_match_the_cycle_walk():
+    """The per-vertex weight rule gives the cycle walk's FPM on seeded perfect
+    double-cover matchings: the same edges, each with the same Fraction."""
+    rng = random.Random(25)
+    perfect = 0
+    while perfect < 400:
+        g = random_connected_graph(rng, 8, 20)
+        mask = (1 << g.n) - 1
+        match_l, _, free, _ = _double_cover_matching(g, mask)
+        if free:
+            continue
+        perfect += 1
+        h = _half_integral_from_permutation(match_l, mask)
+        assert h == half_integral_by_cycles(match_l, mask), g
+        assert all(type(w) is Fraction for w in h.values())
 
 
 def test_extend_matching_behavior():

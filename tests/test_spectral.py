@@ -9,17 +9,17 @@ from fracext import (Cubic, ExtremalParams, Graph, QuotientMatrix, charpoly3, cl
                      complete, cycle, disjoint_union, empty_graph, extremal_graph,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
 from fracext import spectral
-from fracext.spectral import (_f_pi_1, _f_pi_prime_1, _phi_b1, adjacency_matrices,
-                              distance_matrices, family_coefficients, family_cubic,
-                              largest_eigenvalues, largest_real_roots, positional_blocks,
-                              signless_laplacians)
+from fracext.spectral import (DYADIC_BITS, _f_pi_1, _f_pi_prime_1, _phi_b1,
+                              adjacency_matrices, distance_matrices, family_coefficients,
+                              family_cubic, largest_eigenvalues, largest_real_roots,
+                              positional_blocks, radius_bounds, signless_laplacians)
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_distance_matrix, family_q_matrix, family_quotients,
                               family_radius_bounds)
-from helpers import (adjacency_matrix, distance_matrix_array, floyd_warshall, graph_stats,
-                     grid_groups, is_connected, positional_blocks_prime, random_connected_graph,
-                     random_graph, signless_laplacian)
+from helpers import (adjacency_matrix, connected_graphs, distance_matrix_array, floyd_warshall,
+                     graph_stats, grid_groups, is_connected, positional_blocks_prime,
+                     random_connected_graph, random_graph, signless_laplacian)
 from root_oracle import largest_real_root_reference
 
 
@@ -162,6 +162,61 @@ def test_largest_eigenvalue_rejects_bad_shapes():
         largest_eigenvalues(np.array([np.eye(2), [[0, 1], [2, 0]]]))
     with pytest.raises(ValueError, match="square"):
         largest_eigenvalues(np.eye(3))
+
+
+def _radius_bounds_in_fractions(M, steps):
+    """radius_bounds of one integer matrix, in Python ints and Fractions."""
+    rows = M.tolist()
+
+    def times(v):
+        return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+    x = [1] * len(rows)
+    for _ in range(steps):
+        x = times(x)
+    y = times(x)
+    scale = 1 << DYADIC_BITS
+    lower = math.floor(Fraction(sum(a * b for a, b in zip(x, y)), sum(a * a for a in x)) * scale)
+    return lower, max(math.ceil(Fraction(b, a) * scale) for a, b in zip(x, y))
+
+
+def test_radius_bounds_hold_the_largest_eigenvalue_of_every_small_graph():
+    scale, exact = 2.0 ** -DYADIC_BITS, 0
+    for n in range(2, 9):
+        A = adjacency_matrices(connected_graphs(n))
+        for M in (signless_laplacians(A), distance_matrices(A)):
+            eig = largest_eigenvalues(M)
+            slack = 1e-12 * eig
+            for steps in (1, 2):
+                lower, upper = radius_bounds(M, steps)
+                assert (lower <= upper).all()
+                assert (lower * scale <= eig + slack).all() and (eig - slack <= upper * scale).all()
+                if n <= 6:   # and equal to exact arithmetic, graph by graph
+                    assert list(zip(lower.tolist(), upper.tolist())) == \
+                        [_radius_bounds_in_fractions(m, steps) for m in M]
+                    exact += len(M)
+    assert exact == 2 * 2 * (1 + 2 + 6 + 21 + 112)
+
+
+@pytest.mark.parametrize("build, g, steps", [
+    (distance_matrices, path(128), 1),
+    (signless_laplacians, complete(128), 2),
+    (distance_matrices, extremal_graph(ExtremalParams(128, 3, 7)), 1),
+], ids=["D_P128", "Q_K128", "D_family_128_3_7"])
+def test_radius_bounds_at_order_128_equal_exact_arithmetic(build, g, steps):
+    # the largest row sums the int64 lanes must carry: no product or sum may wrap
+    M = build(adjacency_matrices([g]))
+    lower, upper = radius_bounds(M, steps)
+    assert (lower.tolist()[0], upper.tolist()[0]) == _radius_bounds_in_fractions(M[0], steps)
+    eig = largest_eigenvalues(M)[0] * 2 ** DYADIC_BITS
+    assert lower[0] <= eig * (1 + 1e-12) and eig * (1 - 1e-12) <= upper[0]
+
+
+def test_radius_bounds_refuse_a_zero_row_and_a_stack_that_would_wrap():
+    with pytest.raises(ValueError, match="positive entry"):
+        radius_bounds(signless_laplacians(adjacency_matrices([empty_graph(3)])), 1)
+    with pytest.raises(ValueError, match="overflow"):   # K_128's Q at t = 3
+        radius_bounds(signless_laplacians(adjacency_matrices([complete(128)])), 3)
 
 
 def test_quotient_exact_and_equitable():

@@ -11,7 +11,8 @@ from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, emp
 from fracext import spectral, theorems
 from fracext.corpus import complement_stack, connected_stack
 from fracext.spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, family_coefficients,
-                              family_cubic, largest_real_roots, stack_graphs)
+                              family_cubic, largest_real_roots, signless_laplacians,
+                              stack_graphs)
 from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
                               clique_witness_holds, edge_count_identities,
                               lemma_grid, probe_gap_region,
@@ -134,7 +135,7 @@ def test_graph_without_k_matching_past_the_bound_is_a_counterexample(monkeypatch
     # fractional k-extendability asks for a k-matching, so a graph without
     # one that meets hypotheses and bound refutes the condition: K_{1,12}
     # is connected, has order 13 = 2k+9 and no 2-matching
-    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: 0)
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (0, None, None))
     star = Graph.from_edges(13, [(0, i) for i in range(1, 13)])
     r = check_theorem(star, theorem_spec("edge_1", 2))
     assert r.oracle is not None and r.oracle.reason == "no_k_matching"
@@ -154,6 +155,18 @@ def test_q1_order_hypothesis_is_tight(k, p, monkeypatch):
     assert r.status == theorems.COUNTEREXAMPLE and r.n == 2 * k + 5
     assert verify_witness(g, k, r.oracle)
     assert r.value - r.threshold > 0.25
+
+
+def test_check_theorem_keeps_the_float_value_a_certificate_did_without(monkeypatch):
+    # C_11 is proven below q_1's threshold with no eigenvalue; check_theorem
+    # still hands back the eigensolver's value, bitwise, from one call
+    calls = []
+    real = theorems.largest_eigenvalues
+    monkeypatch.setattr(theorems, "largest_eigenvalues", lambda M: calls.append(len(M)) or real(M))
+    A = adjacency_matrices([cycle(11)])
+    r = check_theorem(cycle(11), theorem_spec("q_1", 1))
+    assert r.status == "bound_not_met" and calls == [1]
+    assert r.value == float(real(signless_laplacians(A))[0]) and type(r.value) is float
 
 
 def test_check_theorem_large_order_graph6_round_trips():
@@ -700,6 +713,61 @@ def test_a_probe_row_past_its_bound_is_one_inequality_violation(monkeypatch):
     assert abs(violation.row.lhs - 20.0) <= violation.row.lhs_err < 1e-8
     assert violation.row.lhs < violation.row.rhs
     assert rep.min_strict_margin == violation.row.lhs - violation.row.rhs < 0
+
+
+def _settled_sides_agree_with_eigvalsh(A, spec, delta, bound_sides=theorems._bound_sides):
+    """bound_sides of a stack, with each side that a certificate settled
+    (value None) checked against eigvalsh; a Counter of -1 and 1 for the
+    settled graphs and "open" for the others."""
+    e = (A.sum(axis=(1, 2)) // 2).tolist()
+    values, thr, sides = bound_sides(A, spec, e, delta)
+    truth = theorems._compare(spec.values(A), thr)
+    for value, side, true in zip(values, sides, truth):
+        assert value is not None or side in (-1, 1) and true != -side
+    return Counter(side if value is None else "open" for value, side in zip(values, sides))
+
+
+def test_certificates_never_contradict_eigvalsh_on_small_graphs():
+    # every connected graph of order 3-8, against q_1's threshold and the
+    # q_2 and mu thresholds of its own minimum degree where that family exists
+    tally = {theorem: Counter() for theorem in ("q_1", "q_2", "mu")}
+    for n in range(3, 9):
+        A = connected_stack(n)
+        delta = A.sum(axis=2).min(axis=1)
+        for theorem, counts in tally.items():
+            spec = theorem_spec(theorem, 1)
+            # the family of minimum degree d exists from order 2d - 1 on
+            keep = np.flatnonzero((delta >= 2) & (2 * delta - 1 <= n)) if spec.uses_delta \
+                else np.arange(len(A))
+            counts.update(_settled_sides_agree_with_eigvalsh(A[keep], spec, delta[keep].tolist()))
+    assert all(t[-1] and t[1] and t["open"] for t in tally.values()), tally
+
+
+@pytest.mark.parametrize("offset, side", [(-1, 1), (0, 0), (1, -1)])
+def test_certificates_prove_only_strict_sides(offset, side, monkeypatch):
+    # K_11's Q has every row sum 20, so both of its bounds are exactly 20: a
+    # bracket one grid step below or above is cleared, and one at 20 is a tie,
+    # which stays open for the eigensolver
+    end = (20 << spectral.DYADIC_BITS) + offset
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (20.0, end, end))
+    A = adjacency_matrices([complete(11)])
+    values, _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [55], [10])
+    assert sides == [side] and (values[0] is None) == (side != 0)
+
+
+def test_certificates_never_contradict_eigvalsh_on_criterion_10_draws(monkeypatch):
+    tally = Counter()
+
+    def checked(A, spec, e, delta):
+        tally.update(_settled_sides_agree_with_eigvalsh(A, spec, delta, real))
+        return real(A, spec, e, delta)
+
+    real = theorems._bound_sides
+    monkeypatch.setattr(theorems, "_bound_sides", checked)
+    spec = theorem_spec("mu", 1)
+    for s in (3, 4, 5):
+        sample_spanning_subgraphs(ExtremalParams(35, 1, s), spec, samples=10_000, seed=20260822 + s)
+    assert tally[1] > 9_000 and not tally[-1] and not tally["open"], tally
 
 
 def test_sampling_determinism_and_tallies():
