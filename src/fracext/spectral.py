@@ -10,7 +10,8 @@ Graph matrices are built in numpy, for a stack of graphs of one order at
 once: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, and graph6 alone turns a stack into packed
 rows or text.  Q and D are built from an adjacency stack, the distance
-matrices are one BFS over the stack, stack_stats is the one source of edge
+matrices sum the masks of pairs not yet reached, one float32 product over
+the stack per level, stack_stats is the one source of edge
 counts, minimum degrees and connectivity (row sums and one reachability
 search from vertex 0 over the stack), and largest_eigenvalues is one
 eigensolver call.  radius_bounds encloses the spectral radius of each
@@ -127,25 +128,29 @@ def signless_laplacians(A: np.ndarray) -> np.ndarray:
 def distance_matrices(A: np.ndarray) -> np.ndarray:
     """All-pairs distances for an (m, n, n) adjacency stack, int64.
 
-    One BFS from every source of every graph at once: row v of a graph's
-    frontier holds the vertices first reached from v at the current level,
-    and the next level is (frontier @ A) > 0 minus what was seen, one
-    np.matmul over the stack.  The float64 products of 0/1 matrices are
-    exact, as no sum exceeds n.  The stack runs to its largest diameter.
-    Raises ValueError when any graph is disconnected.
+    A sum of "not yet reached" masks: dist(u, v) counts the levels d >= 0
+    with dist(u, v) > d, so D = (J - I) + sum over d >= 1 of not R_d, where
+    R_d marks the pairs within d steps.  R_1 = I + A needs no product, and
+    each later level is one float32 product over the stack,
+    R_(d+1) = (R_d @ (I + A)) > 0, exact because no sum exceeds n <= 128 <
+    2^24.  The stack runs until every pair of every graph is reached, so a
+    stack of diameter-2 graphs takes one product.  Raises ValueError when
+    any graph is disconnected: a level then reaches nothing new.
     """
-    A = A.astype(np.float64)
-    D = np.zeros(A.shape, dtype=np.int64)
-    frontier = np.broadcast_to(np.eye(A.shape[1], dtype=bool), A.shape).copy()
-    seen = frontier.copy()
-    d = 0
-    while frontier.any():
-        d += 1
-        frontier = (np.matmul(frontier, A) > 0) & ~seen
-        D[frontier] = d
-        seen |= frontier
-    if not seen.all():
-        raise ValueError("distance matrix requires a connected graph")
+    n = A.shape[1]
+    diag = np.arange(n)
+    step = A.astype(np.float32)
+    step[:, diag, diag] = 1   # I + A
+    reach = step > 0          # R_1
+    D = np.ones(A.shape, dtype=np.int64)
+    D[:, diag, diag] = 0      # J - I
+    count = np.count_nonzero(reach)
+    while count < reach.size:
+        D += ~reach
+        reach = np.matmul(reach.astype(np.float32), step) > 0
+        count, before = np.count_nonzero(reach), count
+        if count == before:
+            raise ValueError("distance matrix requires a connected graph")
     return D
 
 

@@ -708,6 +708,8 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
     accepted draws, rejections and statuses are those of redrawing each
     rejected cut at once: no chunk draws past the last draw wanted.  The
     graph6 lines of a chunk's connected draws come from one stack_graph6 call.
+    Every connected draw's status is tallied from its outcome, and only a
+    counterexample or an equality case, the statuses kept, gets a CheckResult.
     """
     rng = random.Random(seed)
     src = extremal_graph(p)
@@ -727,10 +729,9 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
         connected = [outcome[3] for outcome in outcomes]
         rejected += connected.count(False)
         for line, outcome in zip(stack_graph6(A[connected]), compress(outcomes, connected)):
-            res = _result(line, n, spec, outcome)
-            tallies[res.status] += 1
-            if res.status in (COUNTEREXAMPLE, EQUALITY_CASE):
-                kept.append(res)
+            tallies[outcome[0]] += 1
+            if outcome[0] in (COUNTEREXAMPLE, EQUALITY_CASE):
+                kept.append(_result(line, n, spec, outcome))
     return SampleReport(params=p, theorem=spec.id, samples=samples, rejected=rejected,
                         statuses=tuple(sorted(tallies.items())),
                         counterexamples=tuple(r for r in kept if r.status == COUNTEREXAMPLE),

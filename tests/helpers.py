@@ -202,6 +202,26 @@ def floyd_warshall(g):
     return D
 
 
+def distance_matrices_by_frontier(A):
+    """All-pairs distances of an (m, n, n) adjacency stack by a float64 BFS
+    from every source at once: each level's frontier is (frontier @ A) > 0
+    minus what was seen, scattered into D at its level.  The reference for
+    spectral.distance_matrices's sum of reach masks."""
+    A = A.astype(np.float64)
+    D = np.zeros(A.shape, dtype=np.int64)
+    frontier = np.broadcast_to(np.eye(A.shape[1], dtype=bool), A.shape).copy()
+    seen = frontier.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = (np.matmul(frontier, A) > 0) & ~seen
+        D[frontier] = d
+        seen |= frontier
+    if not seen.all():
+        raise ValueError("distance matrix requires a connected graph")
+    return D
+
+
 def positional_blocks_prime(p):
     """Partition for the boundary order n = 2s-2k+1 (no inner clique):
     the independent block splits into s-2k vertices and one singleton."""

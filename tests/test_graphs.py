@@ -63,10 +63,15 @@ def test_builders_make_rows_the_checking_constructor_accepts(monkeypatch):
               for n in range(MAX_VERTICES + 1)]
     built += [extremal_graph(ExtremalParams(n, k, s)) for n in range(3, 30, 4)
               for k in (1, 2, 3) for s in range(2 * k, (n + 2 * k - 1) // 2 + 1)]
-    draws = []   # every draw's graph6 line goes to _result
-    result = theorems._result
-    monkeypatch.setattr(theorems, "_result", lambda line, n, spec, outcome:
-                        draws.append(parse_graph6(line)) or result(line, n, spec, outcome))
+    draws = []   # every connected draw's graph6 line comes from stack_graph6
+    encode = theorems.stack_graph6
+
+    def collect(A):
+        lines = encode(A)
+        draws.extend(map(parse_graph6, lines))
+        return lines
+
+    monkeypatch.setattr(theorems, "stack_graph6", collect)
     theorems.sample_spanning_subgraphs(ExtremalParams(20, 1, 3), theorems.theorem_spec("mu", 1),
                                        samples=50, seed=3)
     assert len(draws) == 50

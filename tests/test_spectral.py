@@ -8,18 +8,20 @@ import pytest
 from fracext import (Cubic, ExtremalParams, Graph, QuotientMatrix, charpoly3, closed_form,
                      complete, cycle, disjoint_union, empty_graph, extremal_graph,
                      largest_eigenvalue, largest_real_root, path, quotient, spectral_report)
-from fracext import spectral
+from fracext import spectral, theorems
+from fracext.corpus import connected_stack
 from fracext.spectral import (DYADIC_BITS, _f_pi_1, _f_pi_prime_1, _phi_b1,
                               adjacency_matrices, distance_matrices, family_coefficients,
                               family_cubic, largest_eigenvalues, largest_real_roots,
-                              positional_blocks, radius_bounds, signless_laplacians)
+                              positional_blocks, radius_bounds, signless_laplacians, stack_stats)
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_distance_matrix, family_q_matrix, family_quotients,
                               family_radius_bounds)
-from helpers import (adjacency_matrix, connected_graphs, distance_matrix_array, floyd_warshall,
-                     graph_stats, grid_groups, is_connected, positional_blocks_prime,
-                     random_connected_graph, random_graph, signless_laplacian)
+from helpers import (adjacency_matrix, connected_graphs, distance_matrices_by_frontier,
+                     distance_matrix_array, floyd_warshall, graph_stats, grid_groups,
+                     is_connected, positional_blocks_prime, random_connected_graph,
+                     random_graph, signless_laplacian)
 from root_oracle import largest_real_root_reference
 
 
@@ -107,6 +109,40 @@ def test_distance_matrices_vs_floyd_warshall_on_mixed_diameters():
     with pytest.raises(ValueError, match="connected"):
         distance_matrices(adjacency_matrices([path(8),
                                               disjoint_union(complete(4), complete(4))]))
+
+
+def test_distance_matrices_on_sampler_draws_beside_a_long_path():
+    # 13 connected draws of the sampler's kind (the order-35 mu family with
+    # 1..8 edges cut), all of diameter 2, stacked with P_35: the loop runs
+    # to level 34 while the draws are all reached after one product
+    rng = random.Random(37)
+    src = extremal_graph(ExtremalParams(35, 1, 3))
+    family, edges = adjacency_matrices([src]), src.edges()
+    draws = []
+    while len(draws) < 13:
+        A = family.copy()
+        for u, v in rng.sample(edges, rng.randint(1, theorems.MAX_DELETIONS)):
+            A[0, u, v] = A[0, v, u] = 0
+        if stack_stats(A)[2][0]:
+            draws.append(A)
+    A = np.concatenate([*draws, adjacency_matrices([path(35)])])
+    D = distance_matrices(A)
+    assert D.dtype == np.int64 and D[:13].max() == 2 and D[13].max() == 34
+    for a, d in zip(A, D):
+        [g] = spectral.stack_graphs(a[None])
+        assert d.tolist() == floyd_warshall(g)
+    # one disconnected graph among them: an isolated vertex in the last draw
+    broken = A.copy()
+    broken[12, 0, :] = broken[12, :, 0] = 0
+    with pytest.raises(ValueError, match="connected"):
+        distance_matrices(broken)
+
+
+def test_distance_matrices_equal_the_frontier_bfs_on_every_connected_graph():
+    # every connected graph of orders 1-8, each order as one stack
+    for n in range(1, 9):
+        A = connected_stack(n)
+        assert (distance_matrices(A) == distance_matrices_by_frontier(A)).all(), n
 
 
 @pytest.mark.parametrize("n", [1, 8, 35, 64, 65, 128])

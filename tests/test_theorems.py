@@ -811,7 +811,8 @@ def test_sampling_rejects_disconnected_draws_and_redraws():
 
 def test_sampling_classifies_a_chunk_per_call(monkeypatch):
     # 100 connected draws at order 35 come in chunks of 13: eight stacks, at
-    # most one eigensolver call each, and still one result per draw
+    # most one eigensolver call each, and no result for a draw that is below
+    # the bound or fails the hypotheses, as every one of them does
     calls = Counter()
 
     def counted(name, fn):
@@ -827,4 +828,5 @@ def test_sampling_classifies_a_chunk_per_call(monkeypatch):
     assert rep.rejected == 0 and spectral.chunk_size(35) == 13
     assert calls["_classify"] == 8
     assert calls["largest_eigenvalues"] <= 8
-    assert calls["_result"] == 100
+    assert rep.statuses == (("bound_not_met", 95), ("hypotheses_not_met", 5))
+    assert calls["_result"] == 0
