@@ -23,6 +23,7 @@ arithmetic where those do not settle it, prove the root inside.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -401,8 +402,8 @@ def family_cubic(quantity: str, n: int, k: int, s: int) -> Cubic:
 
 
 def _cubic_values(C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """((x + c2) x + c1) x + c0 for each row (c2, c1, c0) of C and its x."""
-    return ((x + C[:, 0]) * x + C[:, 1]) * x + C[:, 2]
+    """((x + c2) x + c1) x + c0 for each column (c2, c1, c0) of the (3, m) C and its x."""
+    return ((x + C[0]) * x + C[1]) * x + C[2]
 
 
 # a bisection bracket [lo, hi] is widened by this times max(1, |hi|) at each
@@ -422,8 +423,8 @@ def _certified(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     scheme on |c_i| and |x|.  f'' is increasing, so the three signs at hi
     keep f positive from hi on, and the largest root lies in (lo, hi).
     """
-    A, c2, c1 = np.abs(C), C[:, 0], C[:, 1]
-    a2, a1, ah = A[:, 0], A[:, 1], np.abs(hi)
+    A, c2, c1 = np.abs(C), C[0], C[1]
+    a2, a1, ah = A[0], A[1], np.abs(hi)
     return ((_cubic_values(C, lo) < -_HORNER_GAMMA * _cubic_values(A, np.abs(lo)))
             & (_cubic_values(C, hi) > _HORNER_GAMMA * _cubic_values(A, ah))
             & ((3.0 * hi + 2.0 * c2) * hi + c1 > _HORNER_GAMMA * ((3.0 * ah + 2.0 * a2) * ah + a1))
@@ -443,8 +444,18 @@ def _enclosure_widths(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     or else _certified_exactly does; inf for a lane that both reject."""
     ok = _certified(C, lo, hi)
     for i in np.flatnonzero(~ok).tolist():
-        ok[i] = _certified_exactly(*C[i].tolist(), lo[i], hi[i])
+        ok[i] = _certified_exactly(*C[:, i].tolist(), lo[i], hi[i])
     return np.where(ok, np.nextafter(hi - lo, np.inf), np.inf)
+
+
+def _unmasked_steps(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Bisection steps in which no lane of the brackets [lo, hi] can stop:
+    e - 3, where 2^(e-1) <= min (hi - lo) / T < 2^e and T = 1e-13 max(1, |lo|, |hi|)
+    lane by lane (largest_real_roots proves the count); 0 when that minimum is below 8."""
+    if not len(lo):
+        return 0
+    ratio = ((hi - lo) / (1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))).min()
+    return math.frexp(ratio)[1] - 3 if ratio >= 8.0 else 0
 
 
 def largest_real_roots(C) -> tuple[np.ndarray, np.ndarray]:
@@ -457,10 +468,26 @@ def largest_real_roots(C) -> tuple[np.ndarray, np.ndarray]:
     critical points isolate the rightmost one.  Bisection stops once the
     midpoint equals an end or the bracket is within 1e-13 relative
     (absolute below 1), and a zero at the upper end is the root itself.
-    One numpy pass bisects every cubic: each lane takes the same IEEE steps
-    as a scalar loop over that cubic alone, so every root is bitwise the
-    one that loop gives.  Every coefficient must be below 2^53 in
+    Every root is bitwise the one a scalar loop over that cubic alone gives
+    (tests/root_oracle.py), and every coefficient must be below 2^53 in
     magnitude, so it is exact in float64.
+
+    The bisection runs on all lanes at once in two stretches.  The first
+    runs blocks of _unmasked_steps steps, in place on contiguous
+    coefficient columns with no stop test; the second is the masked loop,
+    in which each lane stops on its own, for the last few steps.  No lane
+    can stop inside a block: with M = max(1, |lo|, |hi|) of a lane's
+    bracket at the block's start, T = 1e-13 M and w = hi - lo, the block
+    has s steps where w >= 2^(s+2) T (1 - 3u), u = 2^-53, because the
+    computed ratio w / T carries at most 3u relative error.  The brackets
+    nest, so every later |hi| is at most M, every later stop width
+    1e-13 max(1, |hi|) at most T (a rounded product is monotone), and
+    every midpoint 0.5 (lo + hi) lies within 2uM of the exact one.  So
+    after j <= s steps the bracket is still wider than w / 2^j - 4uM > 2T,
+    and at each step the midpoint falls strictly inside, and the rounded
+    width stays above T: neither stop test fires, and each lane takes
+    exactly the scalar loop's IEEE steps, with the same Horner order
+    ((mid + c2) mid + c1) mid + c0 and the same choice of end.
 
     The final bracket, widened by BRACKET_WIDENING, holds the returned
     value, and it holds the largest root when _certified proves it, or else
@@ -470,20 +497,35 @@ def largest_real_roots(C) -> tuple[np.ndarray, np.ndarray]:
     maximum, gets width inf.
     """
     C = np.asarray(C)
+    if C.ndim != 2 or C.shape[1] != 3:
+        raise ValueError(f"cubic coefficients come as an (m, 3) array, not shape {C.shape}")
     integer = C.dtype.kind == "i"
-    C = C.astype(float)
+    C = C.T.astype(float, order="C")   # (3, m): each coefficient's column contiguous
     if not integer or (np.abs(C) >= 2.0 ** 53).any():
         raise ValueError("cubic coefficients must be integers below 2^53 in magnitude")
-    c2, c1 = C[:, 0], C[:, 1]
-    bound = 1.0 + np.abs(C).max(axis=1, initial=0.0)
+    c2, c1, c0 = C
+    bound = 1.0 + np.abs(C).max(axis=0, initial=0.0)
     disc = c2 * c2 - 3.0 * c1
     r = np.sqrt(np.where(disc > 0.0, disc, 0.0))
     x_hi = (-c2 + r) / 3.0   # rightmost critical point (local min)
     right = _cubic_values(C, x_hi) <= 0.0   # else the root lies left of the local max
     lo = np.where((disc > 0.0) & right, x_hi, -bound)
     hi = np.where((disc > 0.0) & ~right, (-c2 - r) / 3.0, bound)
-    live = np.ones(len(C), dtype=bool)
-    for _ in range(200):
+    mid, value, steps = np.empty_like(lo), np.empty_like(lo), 0
+    while (block := _unmasked_steps(lo, hi)) > 0:
+        for _ in range(block):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            np.add(mid, c2, out=value)
+            value *= mid
+            value += c1
+            value *= mid
+            value += c0
+            up = value >= 0.0
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        steps += block
+    live = np.ones(len(lo), dtype=bool)
+    for _ in range(200 - steps):
         mid = 0.5 * (lo + hi)
         live &= (mid != lo) & (mid != hi)
         if not live.any():

@@ -526,9 +526,11 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     s_rhs, group by group (_grid_groups), in order, and their verdicts.
 
     Each side's value is the largest root r of the member's closed-form
-    cubic, and its error is the width of r's certified bracket: one
-    family_coefficients evaluation gives the integer cubics of every member
-    of every group, and one largest_real_roots pass their roots and widths.
+    cubic, and its error is the width of r's certified bracket: the
+    (n, k, s) members of every group and the rows' group, left and right
+    lanes are built with np.repeat and np.arange, one family_coefficients
+    evaluation gives the members' integer cubics, and one largest_real_roots
+    pass their roots and widths.
     The closed form is the characteristic polynomial of the member's 3x3
     quotient over an equitable partition (an identity tests/test_spectral.py
     proves for all parameters), whose largest root is the member's q or mu,
@@ -539,15 +541,16 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     = right lane) compares a root with itself and cannot be violated.  A
     GridRow is built only for a violation or when rows is read.
     """
-    C = family_coefficients(quantity, [(n, k, s) for k, _, n, members, _ in groups for s in members])
-    roots, widths = largest_real_roots(C)
-    group, left, right, lane = [], [], [], 0
-    for g, (_, _, _, members, first) in enumerate(groups):
-        group += [g] * (len(members) - first)
-        left += range(lane + first, lane + len(members))
-        right += [lane] * (len(members) - first)
-        lane += len(members)
-    group, left, right = (np.array(x, dtype=np.intp) for x in (group, left, right))
+    k, n, s0, size, first = np.array(
+        [(k, n, members.start, len(members), first) for k, _, n, members, first in groups],
+        dtype=np.intp).reshape(-1, 5).T
+    lane = np.cumsum(size) - size   # each group's first lane, its right-hand member
+    s = np.arange(size.sum()) + np.repeat(s0 - lane, size)
+    roots, widths = largest_real_roots(family_coefficients(
+        quantity, np.stack([np.repeat(n, size), np.repeat(k, size), s], axis=1)))
+    count = size - first   # rows per group
+    group, right = np.repeat(np.arange(len(groups)), count), np.repeat(lane, count)
+    left = np.arange(count.sum()) + np.repeat(lane + first - (np.cumsum(count) - count), count)
     columns = groups, group, left, right, roots, widths
     lhs, rhs, err = roots[left], roots[right], np.maximum(widths[left], widths[right])
     strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks

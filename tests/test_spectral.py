@@ -331,6 +331,57 @@ def test_largest_real_roots_bitwise_equal_the_scalar_reference():
     assert all(a.shape == (0,) for a in largest_real_roots(np.zeros((0, 3), dtype=np.int64)))
 
 
+def test_largest_real_roots_unmasked_stretch_keeps_the_scalar_steps():
+    """A seeded sample of the whole-range grids, with extreme lanes in the
+    same call: every root bitwise the scalar reference's, every lane equal
+    to its single-lane call."""
+    grids = [family_coefficients("mu" if lemma == "mu_compare" else "q", [
+        (n, k, s) for k, _, n, members, _ in grid_groups(lemma, **bounds) for s in members])
+        for lemma, bounds in (("q1q2", dict(k_max=61, n_max=128)),
+                              ("q1q3", dict(k_max=9, n_max=128, delta_max=19)),
+                              ("mu_compare", dict(k_max=5, n_max=128, delta_max=11)))]
+    whole = np.concatenate(grids)
+    assert [len(C) for C in grids] == [86_803, 138_310, 39_360]
+    big = 1 - 2 ** 53
+    # the largest c0; the zero cubic; a triple root; and the tightest first
+    # bracket an integer cubic can have, a third of its Cauchy bound wide, at
+    # the largest magnitude: it sets the first block's length
+    extreme = np.array([[0, 0, big], [0, 0, 0], [3, 3, 1], [big, big, 0]], dtype=np.int64)
+    C = np.concatenate([extreme, whole[sorted(random.Random(3803).sample(range(len(whole)), 3000))]])
+    roots, widths = largest_real_roots(C)
+    want = [largest_real_root_reference(Cubic(*row)) for row in C.tolist()]
+    assert [x.hex() for x in roots.tolist()] == [x.hex() for x in want]
+    single = [largest_real_roots(C[i:i + 1]) for i in range(len(C))]
+    assert [x.hex() for x in roots.tolist()] == [r[0].item().hex() for r, _ in single]
+    assert [x.hex() for x in widths.tolist()] == [w[0].item().hex() for _, w in single]
+    assert roots[1] == 0.0 and abs(roots[2] + 1.0) < 1e-4 and (widths[4:] < 1e-10).all()
+
+
+def test_unmasked_steps_leave_every_stop_to_the_masked_loop():
+    # no integer cubic's first bracket is narrower than about a third of its Cauchy
+    # bound, so a bracket at or below the block threshold is built here:
+    # T = 1e-13 max(1, |lo|, |hi|), and a block needs hi - lo >= 8T
+    lo = np.array([0.5, -3.0, 1e6])
+    T = 1e-13 * np.maximum(1.0, np.abs(lo))
+    for ratio, steps in ((0.0, 0), (4.0, 0), (7.99, 0), (8.01, 1), (15.99, 1), (16.01, 2),
+                          (1.5 * 2.0 ** 40, 38)):
+        assert spectral._unmasked_steps(lo, lo + ratio * T) == steps
+    assert spectral._unmasked_steps(np.array([1.0, 0.0]), np.array([1.0, 2.0])) == 0
+    assert spectral._unmasked_steps(np.zeros(0), np.zeros(0)) == 0
+
+
+def test_largest_real_roots_take_an_m_by_3_array():
+    for C in (np.zeros((2, 4), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
+              np.zeros(3, dtype=np.int64), np.zeros((1, 1, 3), dtype=np.int64), []):
+        with pytest.raises(ValueError, match="\\(m, 3\\) array"):
+            largest_real_roots(C)
+    # a fourth column used to widen the Cauchy bound of the three real ones
+    with pytest.raises(ValueError, match="\\(m, 3\\) array"):
+        largest_real_roots(np.array([[-6, 11, -6, 10 ** 6]]))
+    roots, widths = largest_real_roots(np.zeros((0, 3), dtype=np.int64))
+    assert roots.shape == widths.shape == (0,)
+
+
 def test_every_grid_bracket_is_certified_in_floats(monkeypatch):
     """Every member of the criteria 6 and 7 grids gets a certified bracket
     from the Horner error bounds alone, far inside the 1e-8 gate."""
