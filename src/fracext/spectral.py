@@ -6,18 +6,17 @@ matrices and their characteristic polynomials are exact over the
 rationals.  The closed forms are integer polynomials in (n, k, s), written
 once: on Python ints they give one member's exact cubic, to assert against
 charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
-Graph matrices are built in numpy, for a stack of graphs of one order at
-once: adjacency_matrices is the one reader of Graph's bit rows and
+Graph matrices are uint8 numpy stacks of graphs of one order, as corpus
+stacks are: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, and graph6 alone turns a stack into packed
-rows or text.  Q and D are built from an adjacency stack, the distance
-matrices sum the masks of pairs not yet reached, one float32 product over
-the stack per level, stack_stats is the one source of edge
-counts, minimum degrees and connectivity (row sums and one reachability
-search from vertex 0 over the stack), and largest_eigenvalues is one
-eigensolver call.  radius_bounds encloses the spectral radius of each
-integer matrix of a stack exactly, in int64 on the grid of 2^-20, from a
-Rayleigh quotient and a Collatz-Wielandt ratio.  The largest roots of many
-integer cubics come from one numpy bisection pass, and each comes with
+rows or text.  Q and D (degrees and distances are at most 127) are built
+from an adjacency stack, D as a sum of the masks of pairs not yet reached,
+one float32 product over the stack per level; stack_stats is the one
+source of edge counts, minimum degrees and connectivity, and
+largest_eigenvalues is one eigensolver call.  radius_bounds encloses the
+spectral radius of each matrix of a stack exactly, in int64 on the grid of
+2^-20, from a Rayleigh quotient and a Collatz-Wielandt ratio.  The largest
+roots of many integer cubics come from one numpy bisection pass, each with
 the width of a certified bracket: Horner rounding-error bounds, or exact
 arithmetic where those do not settle it, prove the root inside.
 """
@@ -36,24 +35,23 @@ from .graphs import Graph, ExtremalParams
 # matrix builders
 # ---------------------------------------------------------------------------
 
-# sweeps classify graphs of one order together in chunks of at most this
-# many matrix entries (256 graphs at order 8, 13 at order 35, one from
-# order 91), so a chunk's float64 stack is at most 128 KiB at every order;
-# the corpus generators size their blocks of parents by it too
+# the corpus generators size their blocks of parents by this many table
+# entries, and chunk_size the stacks that sweeps and the sampler classify
 SWEEP_CHUNK_ENTRIES = 1 << 14
 
 
 def chunk_size(n: int) -> int:
-    """Graphs of order n per chunk: SWEEP_CHUNK_ENTRIES matrix entries, at least one."""
-    return max(1, SWEEP_CHUNK_ENTRIES // max(1, n * n))
+    """Graphs of order n per chunk, linear in n: (SWEEP_CHUNK_ENTRIES >> 3) // n, at least
+    one; 256 at order 8 (2048 measured slower there), 58 at order 35, 16 at order 128."""
+    return max(1, (SWEEP_CHUNK_ENTRIES >> 3) // max(1, n))
 
 
 def adjacency_matrices(graphs) -> np.ndarray:
-    """0/1 adjacency matrices of graphs of one order, stacked (m, n, n), int64.
+    """0/1 adjacency matrices of graphs of one order, stacked (m, n, n), uint8.
 
     The one reader of the bit-row format here: each row is written as
     (n + 7) // 8 little-endian bytes, and the rows of every graph are
-    unpacked in one call, n columns each.
+    unpacked in one call, n columns each, into uint8, as corpus stacks are.
     """
     n = graphs[0].n
     if any(g.n != n for g in graphs):
@@ -61,7 +59,7 @@ def adjacency_matrices(graphs) -> np.ndarray:
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for g in graphs for r in g.rows]),
                            dtype=np.uint8).reshape(len(graphs), n, width)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(np.int64)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
 
 
 def stack_graphs(A: np.ndarray) -> tuple[Graph, ...]:
@@ -84,8 +82,7 @@ def connected_flags(A: np.ndarray) -> list[bool]:
     The set reached from vertex 0, a 0/1 row per graph, grows by one stacked
     vector-matrix product per step, chunk by chunk, until every vertex of
     the chunk is reached or no graph's set grows, so a path of any length
-    is followed to its end.  The products run in the stack's own integer
-    type: no entry exceeds n + 1 <= 129, so even uint8 holds it.
+    is followed to its end, in the stack's own integer type: no entry passes n + 1 <= 129.
     """
     m, n = A.shape[:2]
     size = chunk_size(n)
@@ -119,7 +116,8 @@ def stack_stats(A: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
 
 
 def signless_laplacians(A: np.ndarray) -> np.ndarray:
-    """Degree-diagonal plus adjacency, for an (m, n, n) adjacency stack; A is not modified."""
+    """Degree-diagonal plus adjacency of an (m, n, n) stack, in A's dtype (a degree is
+    at most 127, so uint8 holds it); A is not modified."""
     Q = A.copy()
     diag = np.arange(Q.shape[1])
     Q[:, diag, diag] = A.sum(axis=2)
@@ -127,7 +125,7 @@ def signless_laplacians(A: np.ndarray) -> np.ndarray:
 
 
 def distance_matrices(A: np.ndarray) -> np.ndarray:
-    """All-pairs distances for an (m, n, n) adjacency stack, int64.
+    """All-pairs distances, uint8 (at most n - 1 <= 127), for an (m, n, n) adjacency stack.
 
     A sum of "not yet reached" masks: dist(u, v) counts the levels d >= 0
     with dist(u, v) > d, so D = (J - I) + sum over d >= 1 of not R_d, where
@@ -143,7 +141,7 @@ def distance_matrices(A: np.ndarray) -> np.ndarray:
     step = A.astype(np.float32)
     step[:, diag, diag] = 1   # I + A
     reach = step > 0          # R_1
-    D = np.ones(A.shape, dtype=np.int64)
+    D = np.ones(A.shape, dtype=np.uint8)
     D[:, diag, diag] = 0      # J - I
     count = np.count_nonzero(reach)
     while count < reach.size:

@@ -698,22 +698,24 @@ class SampleReport:
 
 def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
                               samples: int = 10_000, seed: int = 0) -> SampleReport:
-    """Delete random edge subsets from a family graph and re-check the bound.
+    """Delete random edge subsets from a family graph samples >= 0 times (a
+    ValueError otherwise) and re-check the bound.
 
     The family graphs sit exactly on their thresholds, so every connected
     proper spanning subgraph should fall on the wrong side of the bound
     (monotonicity) and never class as a counterexample.  Draws come in
-    chunks of chunk_size(n), at most the count still wanted; _classify
-    classifies a chunk as one stack, the family's adjacency stack with each
-    draw's cut pairs zeroed, and its connectivity rejects the disconnecting
+    chunks of chunk_size(n) (58 at order 35), at most the count still wanted,
+    and _classify classifies a chunk as one uint8 stack, the family's with
+    each draw's cut pairs zeroed, whose connectivity rejects the disconnecting
     deletions.  The cuts are one stream from random.Random(seed), and a
-    rejected cut's redraw is simply the next cut of that stream, so the
-    accepted draws, rejections and statuses are those of redrawing each
-    rejected cut at once: no chunk draws past the last draw wanted.  The
-    graph6 lines of a chunk's connected draws come from one stack_graph6 call.
-    Every connected draw's status is tallied from its outcome, and only a
-    counterexample or an equality case, the statuses kept, gets a CheckResult.
+    rejected cut's redraw is the next cut of it, so the draws, rejections and
+    statuses are those of redrawing each rejected cut at once, whatever the
+    chunk size.  One stack_graph6 call gives a chunk's connected draws their
+    graph6 lines; each status is tallied, and only the kept ones,
+    counterexamples and equality cases, get a CheckResult.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, not {samples}")
     rng = random.Random(seed)
     src = extremal_graph(p)
     n, edges = src.n, src.edges()

@@ -328,18 +328,18 @@ def test_generated_sweeps_skip_the_graph_decoder(monkeypatch, capsys):
 
 
 def test_sweep_keeps_input_order_over_several_chunks(tmp_path):
-    # 150 graphs each of orders 11 and 12, alternating: two chunks per order
-    # (135 and 113 graphs fill one), with equality cases at both orders
+    # 200 graphs each of orders 11 and 12, alternating: two chunks per order
+    # (186 and 170 graphs fill one), with equality cases at both orders
     per_order = [[extremal_graph(ExtremalParams(n, 1, 2)), complete(n), cycle(n),
                   extremal_graph(ExtremalParams(n, 1, 3))] for n in (11, 12)]
-    lines = [emit_graph6(per_order[i % 2][(i // 2) % 4]) for i in range(300)]
+    lines = [emit_graph6(per_order[i % 2][(i // 2) % 4]) for i in range(400)]
     corpus = tmp_path / "c.g6"
     corpus.write_text("".join(line + "\n" for line in lines))
     out_file = tmp_path / "r.json"
     assert main(["sweep", "--theorem", "edge_1", "-k", "1", str(corpus),
                  "--format", "json", "-o", str(out_file)]) == 0
     doc = json.loads(out_file.read_text())
-    assert doc["summary"]["scanned"] == 300
+    assert doc["summary"]["scanned"] == 400
     assert [r["n"] for r in doc["results"]][:4] == [11, 12, 11, 12]
 
 

@@ -88,7 +88,7 @@ def test_chunk_boundaries_leave_the_corpora_unchanged(monkeypatch):
     """At 512 entries the corpus patch narrows the child blocks, each
     canonicalised as one stack, to one vertex parent at order 7 and to two
     edge parents at order 8 and one at order 9; the spectral patch narrows
-    the connected_flags chunks to 10 graphs of order 7."""
+    the connected_flags chunks to 9 graphs of order 7."""
     want = (all_graphs(7), connected_graphs(7), sparse_graphs(8, 6), complement_corpus(9, 6))
     monkeypatch.setattr(corpus, "SWEEP_CHUNK_ENTRIES", 512)    # the child blocks
     monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)  # the connected_flags chunks

@@ -46,7 +46,7 @@ def test_distance_matrix_array_vs_floyd_warshall():
     assert sum(g.n > 64 for g in randoms) >= 8
     for g, wiener in hand:
         D = distance_matrix_array(g)
-        assert D.dtype == np.int64 and int(D.sum()) // 2 == wiener
+        assert D.dtype == np.uint8 and int(D.sum()) // 2 == wiener
     for g in [g for g, _ in hand] + randoms:
         assert distance_matrix_array(g).tolist() == floyd_warshall(g), g
     broken = disjoint_union(complete(2), complete(2))
@@ -61,13 +61,13 @@ def test_adjacency_matrix_at_byte_widths():
     for n in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128):
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         A = adjacency_matrix(g)
-        assert A.dtype == np.int64 and A.shape == (n, n)
+        assert A.dtype == np.uint8 and A.shape == (n, n)
         assert A.tolist() == [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)], n
 
 
 def test_distance_matrix_array_small_and_disconnected_edges():
     D0 = distance_matrix_array(empty_graph(0))
-    assert D0.shape == (0, 0) and D0.dtype == np.int64
+    assert D0.shape == (0, 0) and D0.dtype == np.uint8
     assert distance_matrix_array(empty_graph(1)).tolist() == [[0]]
     # order 128 with vertex 127 isolated: the last bit of the widest row
     lone = Graph.from_edges(128, [(v, v + 1) for v in range(126)])
@@ -83,7 +83,7 @@ def test_stacked_builders_match_the_stack_of_one():
         before = A.copy()
         Q = signless_laplacians(A)
         assert (A == before).all(), "signless_laplacians wrote into A"
-        assert A.dtype == Q.dtype == np.int64 and A.shape == (3, n, n)
+        assert A.dtype == Q.dtype == np.uint8 and A.shape == (3, n, n)
         for g, a, q in zip(graphs, A, Q):
             assert (a == adjacency_matrix(g)).all() and (q == signless_laplacian(g)).all()
             assert (q == a + np.diag(a.sum(axis=1))).all()
@@ -102,7 +102,7 @@ def test_distance_matrices_vs_floyd_warshall_on_mixed_diameters():
         A = adjacency_matrices(stack)
         before = A.copy()
         D = distance_matrices(A)
-        assert D.dtype == np.int64 and (A == before).all()
+        assert D.dtype == np.uint8 and (A == before).all()
         for g, d in zip(stack, D):
             assert d.tolist() == floyd_warshall(g), g
     assert distance_matrices(adjacency_matrices(large))[0, 0, 127] == 127
@@ -127,7 +127,7 @@ def test_distance_matrices_on_sampler_draws_beside_a_long_path():
             draws.append(A)
     A = np.concatenate([*draws, adjacency_matrices([path(35)])])
     D = distance_matrices(A)
-    assert D.dtype == np.int64 and D[:13].max() == 2 and D[13].max() == 34
+    assert D.dtype == np.uint8 and D[:13].max() == 2 and D[13].max() == 34
     for a, d in zip(A, D):
         [g] = spectral.stack_graphs(a[None])
         assert d.tolist() == floyd_warshall(g)
@@ -246,6 +246,26 @@ def test_radius_bounds_at_order_128_equal_exact_arithmetic(build, g, steps):
     assert (lower.tolist()[0], upper.tolist()[0]) == _radius_bounds_in_fractions(M[0], steps)
     eig = largest_eigenvalues(M)[0] * 2 ** DYADIC_BITS
     assert lower[0] <= eig * (1 + 1e-12) and eig * (1 - 1e-12) <= upper[0]
+
+
+def test_narrow_stacks_stay_exact():
+    # uint8 holds every degree and distance up to order 128; radius_bounds
+    # casts to int64 before any sum or product, so a uint8 stack and its
+    # int64 copy give the same bounds, K_128's Q at t = 2 (the overflow
+    # guard's edge) and P_128's D among them, and the Wiener index of P_128
+    # is summed wide
+    rng = random.Random(41)
+    K, P = adjacency_matrices([complete(128)]), adjacency_matrices([path(128)])
+    Q, D = signless_laplacians(K), distance_matrices(P)
+    assert Q.dtype == D.dtype == np.uint8
+    assert (Q[0].diagonal() == 127).all() and D.max() == D[0, 0, 127] == 127
+    assert spectral_report(path(128)).wiener == 349504
+    A = adjacency_matrices([random_connected_graph(rng, 35, 35) for _ in range(6)])
+    for M, steps in ((Q, 2), (D, 1), (signless_laplacians(A), 2), (distance_matrices(A), 1)):
+        lower, upper = radius_bounds(M, steps)
+        wide = radius_bounds(M.astype(np.int64), steps)
+        assert lower.dtype == upper.dtype == np.int64
+        assert lower.tolist() == wide[0].tolist() and upper.tolist() == wide[1].tolist()
 
 
 def test_radius_bounds_refuse_a_zero_row_and_a_stack_that_would_wrap():

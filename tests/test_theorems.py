@@ -279,7 +279,7 @@ def test_sweep_matches_per_graph_reference(theorem, k, tmp_path, monkeypatch):
     path.write_text("".join(line + "\n" for line in lines))
     want = sweep_reference(lines, spec)
     assert want.scanned > 400 and len(want.parse_errors) == 1
-    # 6 to 20 graphs per chunk, so every order spans several chunks
+    # 7 to 12 graphs per chunk, so every order spans several chunks
     monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 512)
     with open(path, "rb") as corpus:
         assert sweep(corpus, spec) == want
@@ -294,7 +294,7 @@ def test_sweep_keeps_input_order_across_orders_and_chunks(monkeypatch):
     # equality cases of three orders, interleaved, in chunks of two graphs:
     # the order-11 chunk (positions 0, 3) fills before the order-12 chunk
     # (1, 4), so the chunks do not come back in input order
-    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 340)
+    monkeypatch.setattr(spectral, "SWEEP_CHUNK_ENTRIES", 256)
     family = [extremal_graph(ExtremalParams(n, 1, 2)) for n in (11, 12, 13)]
     corpus = [family[i % 3] if i % 2 else complete(11 + i % 3) for i in range(30)]
     rep = sweep(corpus, theorem_spec("edge_1", 1))
@@ -789,11 +789,13 @@ def test_sampling_determinism_and_tallies():
     ("q_1", (6, 1, 2)), ("q_1", (8, 1, 3)),
 ])
 def test_sampling_matches_the_draw_by_draw_reference(theorem, params):
-    # 13 draws make one chunk at order 35: 12, 13 and 14 end inside, at and
-    # past its edge; the q_1 families reject disconnected draws, and at 500
-    # draws a rejected draw's redraw crosses into the next chunk
+    # chunk_size(n) draws make one chunk (58 at order 35): one fewer, as
+    # many and one more end inside, at and past its edge; the q_1 families
+    # reject disconnected draws, and at 500 draws a rejected draw's redraw
+    # crosses into the next chunk
     p, spec = ExtremalParams(*params), theorem_spec(theorem, 1)
-    counts = (0, 1, 12, 13, 14, 100) + ((500,) if theorem == "q_1" else ())
+    size = spectral.chunk_size(p.n)
+    counts = (0, 1, size - 1, size, size + 1, 100) + ((500,) if theorem == "q_1" else ())
     for samples in counts:
         rep = sample_spanning_subgraphs(p, spec, samples=samples, seed=1)
         assert rep == sample_reference(p, spec, samples=samples, seed=1)
@@ -809,8 +811,53 @@ def test_sampling_rejects_disconnected_draws_and_redraws():
                                      samples=500, seed=1).rejected == 16
 
 
+def test_sampling_refuses_a_negative_sample_count():
+    # a report of -3 samples with no statuses would break samples == sum of statuses
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_spanning_subgraphs(ExtremalParams(35, 1, 3), theorem_spec("mu", 1), samples=-3)
+    empty = sample_spanning_subgraphs(ExtremalParams(35, 1, 3), theorem_spec("mu", 1), samples=0)
+    assert empty.samples == 0 and empty.statuses == () and empty.rejected == 0
+
+
+def test_chunk_size_is_linear_in_the_order():
+    # order 8 keeps the 256 graphs a chunk has always held: sweep-conn8's
+    # 11,117 connected graphs go through it, and a 2048-graph order-8 chunk
+    # read more peak memory (+5%) and fewer graphs a second (-5%) there
+    assert spectral.chunk_size(8) == 256
+    assert [spectral.chunk_size(n) for n in (0, 1, 35, 128, 4096)] == [2048, 2048, 58, 16, 1]
+
+
+def test_chunk_size_changes_no_result(monkeypatch):
+    # chunks of one graph, of the 13 and 58 graphs an order-35 chunk held
+    # under the quadratic and the linear rule, and of the whole input: the
+    # sampler's reports and graph6 stream, and a corpus sweep, are the same
+    streamed = []
+    real_graph6 = theorems.stack_graph6
+
+    def recorded(A):
+        lines = real_graph6(A)
+        streamed.extend(lines)
+        return lines
+
+    monkeypatch.setattr(theorems, "stack_graph6", recorded)
+    mu = theorem_spec("mu", 1)
+    corpus = complement_stack(11, 8)
+    runs = []
+    for size in (1, 13, 58, 10_000):
+        for module in (theorems, spectral):   # the classify and connected_flags chunks
+            monkeypatch.setattr(module, "chunk_size", lambda n, size=size: size)
+        streamed.clear()
+        reports = [sample_spanning_subgraphs(ExtremalParams(35, 1, s), mu, samples=200, seed=s)
+                   for s in (3, 4, 5)]
+        lines = list(streamed)
+        sweeps = [sweep(corpus, theorem_spec(t, 1)) for t in ("edge_1", "q_1")]
+        runs.append((reports, lines, sweeps))
+    assert len(runs[0][1]) == 600 and runs[0][2][0].equality_cases
+    assert all(run == runs[0] for run in runs[1:])
+
+
 def test_sampling_classifies_a_chunk_per_call(monkeypatch):
-    # 100 connected draws at order 35 come in chunks of 13: eight stacks, at
+    # 100 connected draws at order 35 come in chunks of 58: two stacks, at
     # most one eigensolver call each, and no result for a draw that is below
     # the bound or fails the hypotheses, as every one of them does
     calls = Counter()
@@ -825,8 +872,8 @@ def test_sampling_classifies_a_chunk_per_call(monkeypatch):
         monkeypatch.setattr(theorems, name, counted(name, getattr(theorems, name)))
     rep = sample_spanning_subgraphs(ExtremalParams(35, 1, 3), theorem_spec("mu", 1),
                                     samples=100, seed=1)
-    assert rep.rejected == 0 and spectral.chunk_size(35) == 13
-    assert calls["_classify"] == 8
-    assert calls["largest_eigenvalues"] <= 8
+    assert rep.rejected == 0 and spectral.chunk_size(35) == 58
+    assert calls["_classify"] == 2
+    assert calls["largest_eigenvalues"] <= 2
     assert rep.statuses == (("bound_not_met", 95), ("hypotheses_not_met", 5))
     assert calls["_result"] == 0
