@@ -237,13 +237,8 @@ def cmd_grid(args, out) -> int:
 
 
 def cmd_polys(args, out) -> int:
-    kwargs = {"k": args.k}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.s is not None:
-        kwargs["s"] = args.s
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
+    kwargs = {"k": args.k, **{name: getattr(args, name) for name in ("n", "s", "delta")
+                              if getattr(args, name) is not None}}
     cubic = closed_form(args.family, **kwargs)
     doc = {
         "command": "polys",

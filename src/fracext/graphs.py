@@ -4,12 +4,12 @@ Vertices are 0..n-1; each adjacency row is an integer bitmask, so the
 matching oracles' subset work (neighbourhoods, isolated counts) is plain
 integer arithmetic.  Edge counts, minimum degrees and connectivity are read
 off adjacency stacks instead (spectral.stack_stats).  Orders are capped at
-128: enumeration corpora stay tiny, but the sharpness grids need
-join-family graphs up to order 90.  Only the public `Graph(n, rows)` checks
-rows; the builders here, `graph6.from_triangle_bits` (behind parse_graph6)
-and `spectral.stack_graphs` (the Graphs of corpus and classified adjacency
-stacks) make valid rows by construction and check only the order, through
-`Graph._of`.  The join family K_s v (K_{n1} u t*K1) that
+128: enumeration corpora stay tiny, and sharpness builds join-family graphs
+up to that order (the comparison grids build no graph).  Only the public
+`Graph(n, rows)` checks rows; the builders here, `graph6.from_triangle_bits`
+(behind parse_graph6) and `spectral.stack_graphs` (the Graphs of corpus and
+classified adjacency stacks) make valid rows by construction and check only
+the order, through `Graph._of`.  The join family K_s v (K_{n1} u t*K1) that
 witnesses sharpness of the extendability bounds is built and recognized here.
 """
 from __future__ import annotations

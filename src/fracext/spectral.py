@@ -3,9 +3,10 @@ and the closed-form characteristic cubics of the extremal families.
 
 Numeric spectral radii come from LAPACK's symmetric eigensolver; quotient
 matrices and their characteristic polynomials are exact over the
-rationals.  The closed forms are integer polynomials in (n, k, s), written
-once: on Python ints they give one member's exact cubic, to assert against
-charpoly3(quotient(...)), and on int64 arrays a whole grid's cubics.
+rationals.  The family's q and mu cubics are integer polynomials in (n, k, s),
+written once and evaluated by family_coefficients over many members at once;
+each of closed_form's seven named forms is one member's, to assert against
+charpoly3(quotient(...)).
 Graph matrices are uint8 numpy stacks of graphs of one order, as corpus
 stacks are: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, and graph6 alone turns a stack into packed
@@ -293,13 +294,6 @@ def positional_blocks(p: ExtremalParams) -> tuple[range, range, range]:
 
 # closed forms --------------------------------------------------------------
 
-# the parameters, besides k, that each closed form takes
-_FAMILY_PARAMS = {"f2": ("n",), "f_pi_1": ("n", "s"), "f_pi_prime_1": ("s",),
-                  "f3_q": ("n", "delta"), "phi_B1": ("n", "s"),
-                  "phi_B3_case1": ("n", "delta"), "phi_B3_case2": ("s", "delta")}
-FAMILIES = tuple(_FAMILY_PARAMS)
-
-
 def _f_pi_1(n, k, s):   # each builder takes ints or int64 arrays, and gives (c2, c1, c0)
     return (s - 3 * n - 4 * k + 6,
             -4 * s * s + (8 * k + n - 4) * s + 4 * k * n - 8 * n - 8 * k + 2 * n * n + 8,
@@ -320,56 +314,48 @@ def _phi_b1(n, k, s):
             - 10 * k * s - n * s + 6 * s + 8 * k * k + 4 * k * n - 8 * k - 4 * n + 4)
 
 
+# form: (parameters besides k, quantity, region, member): each form is the q or
+# mu cubic of the family member (n, k, s) that member names as a function of
+# (n, k, s, delta), or False outside the region.  The region is the member's own
+# validity (2k <= s and 2s-2k+1 <= n: family_coefficients) and what member tests
+# beyond it; f_pi_prime_1 and phi_B3_case2 live at the boundary order 2s-2k+1.
+_FAMILIES = {
+    "f2": (("n",), "q", "n >= 2k+2", lambda n, k, s, d: n >= 2 * k + 2 and (n, k, 2 * k)),
+    "f_pi_1": (("n", "s"), "q", "s >= 2k and n >= 2s-2k+2",
+               lambda n, k, s, d: n >= 2 * s - 2 * k + 2 and (n, k, s)),
+    "f_pi_prime_1": (("s",), "q", "s >= 2k+1 (order is 2s-2k+1)",
+                     lambda n, k, s, d: s >= 2 * k + 1 and (2 * s - 2 * k + 1, k, s)),
+    "f3_q": (("n", "delta"), "q", "delta >= 2k+1 and n >= 2*delta-2k+2",
+             lambda n, k, s, d: d >= 2 * k + 1 and n >= 2 * d - 2 * k + 2 and (n, k, d)),
+    "phi_B1": (("n", "s"), "mu", "s >= 2k and n >= 2s-2k+1", lambda n, k, s, d: (n, k, s)),
+    "phi_B3_case1": (("n", "delta"), "mu", "delta >= 2k+1 and n >= 2*delta-2k+2",
+                     lambda n, k, s, d: d >= 2 * k + 1 and n >= 2 * d - 2 * k + 2 and (n, k, d)),
+    "phi_B3_case2": (("s", "delta"), "mu", "delta >= 2k+1 and s >= delta+1",
+                     lambda n, k, s, d: d >= 2 * k + 1 and s >= d + 1
+                     and (2 * s - 2 * k + 1, k, d)),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
 def closed_form(family: str, *, n: int | None = None, k: int,
                 s: int | None = None, delta: int | None = None) -> Cubic:
-    """Characteristic cubic of the named family's quotient matrix.
+    """Characteristic cubic of the named family's quotient matrix: the
+    family_cubic of the member its _FAMILIES row names.
 
-    Parameters outside the family's validity region, or ones the family does
-    not take, raise ValueError.
-    Regions: f2 needs n >= 2k+2; f_pi_1 needs s >= 2k, n >= 2s-2k+2;
-    f_pi_prime_1 lives at n = 2s-2k+1 with s >= 2k+1; f3_q and the
-    distance families substitute delta with delta >= 2k+1; phi_B1 extends
-    down to n = 2s-2k+1 where it still carries the right largest root;
-    phi_B3_case2 lives at n = 2s-2k+1 with s >= delta+1.  Four families are
-    substitutions into two cubics: f2 is f_pi_1 at s = 2k, f3_q is f_pi_1
-    at s = delta, phi_B3_case1 is phi_B1 at s = delta and phi_B3_case2 is
-    phi_B1 at order 2s-2k+1 with s = delta.
+    A parameter the family does not take, or parameters outside its region,
+    raise ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    for name, value in (("n", n), ("s", s), ("delta", delta)):
-        if value is not None and name not in _FAMILY_PARAMS[family]:
+    takes, quantity, region, member = _FAMILIES[family]
+    given = {"n": n, "s": s, "delta": delta}
+    for name, value in given.items():
+        if value is not None and name not in takes:
             raise ValueError(f"{family} takes no {name}")
-    if family == "f2":
-        if n is None or n < 2 * k + 2:
-            raise ValueError("f2 needs n >= 2k+2")
-        return Cubic(*_f_pi_1(n, k, 2 * k))
-    if family == "f_pi_1":
-        if n is None or s is None or s < 2 * k or n < 2 * s - 2 * k + 2:
-            raise ValueError("f_pi_1 needs s >= 2k and n >= 2s-2k+2")
-        return Cubic(*_f_pi_1(n, k, s))
-    if family == "f_pi_prime_1":
-        if s is None or s < 2 * k + 1:
-            raise ValueError("f_pi_prime_1 needs s >= 2k+1 (order is 2s-2k+1)")
-        return Cubic(*_f_pi_prime_1(k, s))
-    if family == "f3_q":
-        if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
-            raise ValueError("f3_q needs delta >= 2k+1 and n >= 2*delta-2k+2")
-        return Cubic(*_f_pi_1(n, k, delta))
-    if family == "phi_B1":
-        if n is None or s is None or s < 2 * k or n < 2 * s - 2 * k + 1:
-            raise ValueError("phi_B1 needs s >= 2k and n >= 2s-2k+1")
-        return Cubic(*_phi_b1(n, k, s))
-    if family == "phi_B3_case1":
-        if n is None or delta is None or delta < 2 * k + 1 or n < 2 * delta - 2 * k + 2:
-            raise ValueError("phi_B3_case1 needs delta >= 2k+1 and n >= 2*delta-2k+2")
-        return Cubic(*_phi_b1(n, k, delta))
-    # phi_B3_case2, the one family left
-    if s is None or delta is None or delta < 2 * k + 1 or s < delta + 1:
-        raise ValueError("phi_B3_case2 needs delta >= 2k+1 and s >= delta+1")
-    return Cubic(*_phi_b1(2 * s - 2 * k + 1, k, delta))
+    params = None not in [given[name] for name in takes] and member(n, k, s, delta)
+    if not params:
+        raise ValueError(f"{family} needs {region}")
+    return family_cubic(quantity, *params)
 
 
 def family_coefficients(quantity: str, members) -> np.ndarray:
@@ -380,7 +366,8 @@ def family_coefficients(quantity: str, members) -> np.ndarray:
     order n = 2s-2k+1 and f_pi_prime_1 at it, for every s >= 2k (at s = 2k
     that member is K_{2k+1}, below closed_form's f_pi_prime_1 region).
     """
-    n, k, s = np.asarray(members, dtype=np.int64).reshape(-1, 3).T
+    members = np.asarray(members).reshape(-1, 3)   # Python ints past int64 stay objects
+    n, k, s = members.T
     # every valid member has 1 <= k < s < n < 2^18 (the first four tests), so no
     # int64 partial result wraps: each closed form, expanded as written, has
     # monomials of magnitude at most n^3 whose integer factors add up to at
@@ -388,6 +375,7 @@ def family_coefficients(quantity: str, members) -> np.ndarray:
     if not ((1 <= k) & (k < s) & (s < n) & (n < 1 << 18)
             & (2 * k <= s) & (2 * s - 2 * k < n)).all():
         raise ValueError("family members need k >= 1, s >= 2k and 2s-2k+1 <= n < 2^18")
+    n, k, s = members.astype(np.int64, copy=False).T
     if quantity == "mu":
         return np.stack(_phi_b1(n, k, s), axis=1)
     return np.where((n == 2 * s - 2 * k + 1)[:, None], np.stack(_f_pi_prime_1(k, s), axis=1),

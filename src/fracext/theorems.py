@@ -3,11 +3,12 @@
 Five sufficient conditions are encoded: two edge-count bounds, two signless
 Laplacian bounds, and one distance spectral bound.  Every bound is sharp
 at the family K_s v (K_{n-2s+2k-1} u (s-2k+1)K_1), so each threshold is that
-family member's own edge count, q or mu.  Each TheoremSpec carries its
-hypotheses, its threshold, and its exceptional graph; check_theorem
-classifies a single graph, sweep classifies a corpus in bulk, and the grid,
-sharpness, and sampling routines certify the inequalities the proofs lean
-on in regions where exhaustive search is impossible.  A graph's bound test
+family member's own edge count, q or mu.  A TheoremSpec is a theorem id and
+k, and reads its hypotheses, its threshold, and its exceptional graph off
+the id's _THEOREMS row; check_theorem classifies a single graph, sweep
+classifies a corpus in bulk, and the grid, sharpness, and sampling routines
+certify the inequalities the proofs lean on in regions where exhaustive
+search is impossible.  A graph's bound test
 is settled exactly wherever its certificates decide it (below), and by
 _compare's float margin of 1e-9 only where they leave it open; the grids,
 sharpness and the rest compare through _compare.
@@ -126,18 +127,33 @@ def _family_threshold(quantity: str, p: ExtremalParams) -> tuple:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """One sufficient condition: hypotheses, compared quantity, threshold.
+    """One sufficient condition at one k: the _THEOREMS row of id, which
+    every property reads, so a spec holds nothing a row could contradict.
 
     quantity is "e", "q", or "mu"; bound_side is ">=" for the edge and
     signless Laplacian conditions and "<=" for the distance condition.
-    uses_delta picks the exceptional family's clique size: the graph's own
-    minimum degree when set, 2k otherwise.
+    uses_delta picks the exceptional family's clique size (clique).
     """
     id: str
     k: int
-    quantity: str
-    bound_side: str
-    uses_delta: bool
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if self.id not in _THEOREMS:
+            raise ValueError(f"unknown theorem id {self.id!r}")
+
+    @property
+    def quantity(self) -> str:
+        return _THEOREMS[self.id][0]
+
+    @property
+    def bound_side(self) -> str:
+        return _THEOREMS[self.id][1]
+
+    @property
+    def uses_delta(self) -> bool:
+        return _THEOREMS[self.id][2]
 
     def hypotheses(self, n: int, delta: int, connected: bool) -> str | None:
         """None when every hypothesis holds, else the first failure."""
@@ -155,9 +171,13 @@ class TheoremSpec:
         """The least order at which the hypotheses hold (delta unused by edge_1, q_1)."""
         return math.ceil(_THEOREMS[self.id][4](self.k, delta))
 
+    def clique(self, delta: int | None) -> int:
+        """The exceptional family's clique size s: the graph's own minimum
+        degree delta when uses_delta, 2k otherwise."""
+        return delta if self.uses_delta else 2 * self.k
+
     def family(self, n: int, delta: int) -> ExtremalParams:
-        s = delta if self.uses_delta else 2 * self.k
-        return ExtremalParams(n=n, k=self.k, s=s)
+        return ExtremalParams(n=n, k=self.k, s=self.clique(delta))
 
     def threshold(self, n: int, delta: int):
         """The family member's own edge count, q or mu; memoized per member."""
@@ -177,13 +197,7 @@ class TheoremSpec:
 
 
 def theorem_spec(theorem_id: str, k: int) -> TheoremSpec:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if theorem_id not in _THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    quantity, side, uses_delta = _THEOREMS[theorem_id][:3]
-    return TheoremSpec(id=theorem_id, k=k, quantity=quantity,
-                       bound_side=side, uses_delta=uses_delta)
+    return TheoremSpec(theorem_id, k)
 
 
 @dataclass(frozen=True)
@@ -498,14 +512,13 @@ def _grid_groups(spec: TheoremSpec, delta: int | None, orders: range):
     """Yield (k, delta, n, members, first) of one (k, delta) at each order n
     of orders; one group per right-hand-side value.
 
-    members runs from s_rhs, the served theorem's family clique size, to
-    the largest valid s, and members[first:] are the left-hand values: they
-    start at s_rhs for q1q2, whose equality row sits there (first = 0), and
-    just above it for the two delta lemmas and the probes (first = 1).
+    members runs from s_rhs = spec.clique(delta), the served theorem's family
+    clique size, to the largest valid s, and members[first:] are the left-hand
+    values: they start at s_rhs for q1q2, whose equality row sits there
+    (first = 0), and just above it for the two delta lemmas and the probes (first = 1).
     """
-    first = 1 if spec.uses_delta else 0
+    first, s_rhs = (1 if spec.uses_delta else 0), spec.clique(delta)
     for n in orders:
-        s_rhs = spec.family(n, delta).s
         s_hi = (n + 2 * spec.k - 1) // 2
         if s_hi >= s_rhs + first:
             yield spec.k, delta, n, range(s_rhs, s_hi + 1), first

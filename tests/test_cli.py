@@ -219,6 +219,33 @@ def test_polys_text_and_errors(capsys):
         build_parser().parse_args(["polys", "nope", "-k", "1"])
 
 
+@pytest.mark.parametrize("argv, md5", [
+    ("polys f2 -n 11 -k 1", "75fe05e4f766287b18536ab91b43acf4"),
+    ("polys f_pi_1 -n 11 -k 1 -s 3", "fa9280c894b9cf4a95bb693599073f36"),
+    ("polys f_pi_prime_1 -k 2 -s 5", "9ce2fbd6810e2206be614abe298d608a"),
+    ("polys f3_q -n 20 -k 1 --delta 3", "eea152537eb9ccd3c78baa87284016e5"),
+    ("polys phi_B1 -n 11 -k 1 -s 3", "6fe2e82840f04cb63e51a8c5b4343d54"),
+    ("polys phi_B3_case1 -n 35 -k 1 --delta 3", "cd700923807ec45d9dc2479540698566"),
+    ("polys phi_B3_case2 -k 1 -s 4 --delta 3", "87763d32ce0587319468e567c000c553"),
+    ("extremal -n 35 -k 1 -s 3", "5662256fdac1e7635107b2bde025fcab"),
+])
+def test_polys_and_extremal_json_bytes_are_pinned(argv, md5, capsys):
+    code, out, _ = run(argv.split() + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+def test_polys_orders_stop_below_two_to_the_eighteen(capsys):
+    # family_coefficients's int64 guard: every closed form is one member's cubic
+    code, out, _ = run(["polys", "f2", "-n", "262143", "-k", "1", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["n"] == 262143
+    code, out, err = run(["polys", "f2", "-n", "262144", "-k", "1"], capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+    # an order past int64 is refused the same way, not overflowed
+    code, out, err = run(["polys", "phi_B1", "-n", str(10 ** 22), "-k", "1", "-s", "3"], capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_sweep_file_corpus(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     corpus.write_text("# demo corpus\n" + G2_11 + "\nbroken line\n"

@@ -561,6 +561,62 @@ def test_closed_form_guards():
         closed_form("phi_B3_case2", n=9, k=1, s=4, delta=3)
 
 
+# Each closed form's region and cubic as the paper states them: family:
+# (parameters besides k, quantity, member (n, k, s), builder call, region), each
+# a function of (n, k, s, delta), and every region also needs k >= 1
+_PAPER_FORMS = {
+    "f2": (("n",), "q", lambda n, k, s, d: (n, k, 2 * k),
+           lambda n, k, s, d: _f_pi_1(n, k, 2 * k), lambda n, k, s, d: n >= 2 * k + 2),
+    "f_pi_1": (("n", "s"), "q", lambda n, k, s, d: (n, k, s), lambda n, k, s, d: _f_pi_1(n, k, s),
+               lambda n, k, s, d: s >= 2 * k and n >= 2 * s - 2 * k + 2),
+    "f_pi_prime_1": (("s",), "q", lambda n, k, s, d: (2 * s - 2 * k + 1, k, s),
+                     lambda n, k, s, d: _f_pi_prime_1(k, s), lambda n, k, s, d: s >= 2 * k + 1),
+    "f3_q": (("n", "delta"), "q", lambda n, k, s, d: (n, k, d), lambda n, k, s, d: _f_pi_1(n, k, d),
+             lambda n, k, s, d: d >= 2 * k + 1 and n >= 2 * d - 2 * k + 2),
+    "phi_B1": (("n", "s"), "mu", lambda n, k, s, d: (n, k, s), lambda n, k, s, d: _phi_b1(n, k, s),
+               lambda n, k, s, d: s >= 2 * k and n >= 2 * s - 2 * k + 1),
+    "phi_B3_case1": (("n", "delta"), "mu", lambda n, k, s, d: (n, k, d),
+                     lambda n, k, s, d: _phi_b1(n, k, d),
+                     lambda n, k, s, d: d >= 2 * k + 1 and n >= 2 * d - 2 * k + 2),
+    "phi_B3_case2": (("s", "delta"), "mu", lambda n, k, s, d: (2 * s - 2 * k + 1, k, d),
+                     lambda n, k, s, d: _phi_b1(2 * s - 2 * k + 1, k, d),
+                     lambda n, k, s, d: d >= 2 * k + 1 and s >= d + 1),
+}
+
+
+def test_closed_form_is_defined_exactly_on_the_paper_regions():
+    """Over n, s, delta in {None, 0..7, 9, 12, 20, 41} and k in 0..3,
+    closed_form succeeds exactly where its family takes the parameters given
+    and they lie in its region, and there it is the builder's cubic and the
+    family_cubic of the member; a parameter the family does not take is named."""
+    assert tuple(_PAPER_FORMS) == spectral.FAMILIES
+    values = [None, *range(8), 9, 12, 20, 41]
+    inside = 0
+    for family, (takes, quantity, member, builder, region) in _PAPER_FORMS.items():
+        for k in range(4):
+            for n in values:
+                for s in values:
+                    for delta in values:
+                        given = {"n": n, "s": s, "delta": delta}
+                        ok = (all((given[name] is None) != (name in takes) for name in given)
+                              and k >= 1 and region(n, k, s, delta))
+                        if not ok:
+                            with pytest.raises(ValueError):
+                                closed_form(family, n=n, k=k, s=s, delta=delta)
+                            continue
+                        inside += 1
+                        cubic = closed_form(family, n=n, k=k, s=s, delta=delta)
+                        assert cubic == Cubic(*builder(n, k, s, delta))
+                        assert cubic == family_cubic(quantity, *member(n, k, s, delta))
+                        assert all(type(c) is int for c in (cubic.c2, cubic.c1, cubic.c0))
+        # every parameter the family does not take is named, at a point inside
+        point = {"n": 41, "s": 5, "delta": 5}
+        for extra in set(point) - set(takes):
+            with pytest.raises(ValueError, match=f"^{family} takes no {extra}$"):
+                closed_form(family, k=1, **{name: point[name] for name in (*takes, extra)})
+    assert inside == 327
+
+
 def test_each_family_matches_one_constructed_quotient():
     """Spot instances of every closed form against an explicit matrix."""
     def q_cubic(p):

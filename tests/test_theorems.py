@@ -40,6 +40,33 @@ def test_theorem_spec_table():
         theorem_spec("edge_1", 0)
 
 
+# a TheoremSpec's settable fields: every other column is its _THEOREMS row's
+SPEC_FIELDS = ("id", "k")
+# id: (quantity, bound side, uses delta), as the paper states each condition
+PAPER_CONDITIONS = {"edge_1": ("e", ">=", False), "edge_2": ("e", ">=", True),
+                    "q_1": ("q", ">=", False), "q_2": ("q", ">=", True),
+                    "mu": ("mu", "<=", True)}
+
+
+def test_theorem_spec_is_its_id_and_k():
+    assert tuple(f.name for f in fields(theorems.TheoremSpec)) == SPEC_FIELDS
+    # a spec built directly is checked as theorem_spec's is
+    for bad in (("q_1", 0), ("nope", 1)):
+        with pytest.raises(ValueError):
+            theorems.TheoremSpec(*bad)
+    assert theorems.TheoremSpec("q_1", 2) == theorem_spec("q_1", 2)
+    for k in (1, 3):
+        specs = {tid: theorem_spec(tid, k) for tid in THEOREM_IDS}
+        assert {tid: (spec.quantity, spec.bound_side, spec.uses_delta)
+                for tid, spec in specs.items()} == PAPER_CONDITIONS
+        # the family's clique is the graph's minimum degree for the delta
+        # theorems and 2k for the others
+        assert {tid: spec.clique(2 * k + 4) for tid, spec in specs.items()} == {
+            "edge_1": 2 * k, "edge_2": 2 * k + 4, "q_1": 2 * k, "q_2": 2 * k + 4, "mu": 2 * k + 4}
+        assert specs["mu"].family(40, 2 * k + 4) == ExtremalParams(40, k, 2 * k + 4)
+        assert specs["q_1"].family(40, 2 * k + 4) == ExtremalParams(40, k, 2 * k)
+
+
 def test_hypotheses_messages():
     spec = theorem_spec("edge_1", 1)
     assert spec.hypotheses(11, 2, True) is None
