@@ -189,19 +189,23 @@ def extremal_edge_count(p: ExtremalParams) -> int:
     return c * (c - 1) // 2 + p.s * p.independent_size
 
 
-def matches_extremal(g: Graph, p: ExtremalParams) -> bool:
-    """Is g isomorphic to extremal_graph(p)?
-
-    The family is a threshold graph, so its degree sequence decides it:
-    s vertices of degree n-1, n1 = inner_size of degree s+n1-1 and
-    t = independent_size of degree s.  Proof that an equal sequence forces
-    the shape: the s vertices of degree n-1 are universal.  Removing them
-    leaves t isolated vertices and n1 vertices of degree n1-1, and those n1
-    can only be adjacent to each other, so they form a clique.  The
-    degenerate cases need no branch: when n1 = 1 the inner vertex has the
-    independent degree s, and when n1 = 0 and t = 1 the family is K_n.
+def extremal_degrees(p: ExtremalParams) -> tuple[int, ...]:
+    """The degree sequence of extremal_graph(p), non-increasing: s vertices
+    of degree n-1, n1 = inner_size of degree s+n1-1 and t = independent_size
+    of degree s.  The family is a threshold graph, so at order n this
+    sequence decides isomorphism with it (matches_extremal, and
+    theorems._bound_sides on a stack).  Proof: the s vertices of degree n-1
+    are universal.  Removing them leaves t isolated vertices and n1 vertices
+    of degree n1-1, and those n1 can only be adjacent to each other, so they
+    form a clique.  The degenerate cases need no branch: when n1 = 1 the
+    inner vertex has the independent degree s, and when n1 = 0 and t = 1 the
+    family is K_n.
     """
     s, n1, t = p.s, p.inner_size, p.independent_size
     # already non-increasing: n-1 > s+n1-1 because t >= 1
-    family = (p.n - 1,) * s + (s + n1 - 1,) * n1 + (s,) * t
-    return g.n == p.n and g.degree_sequence() == family
+    return (p.n - 1,) * s + (s + n1 - 1,) * n1 + (s,) * t
+
+
+def matches_extremal(g: Graph, p: ExtremalParams) -> bool:
+    """Is g isomorphic to extremal_graph(p)?  Order and degrees decide (extremal_degrees)."""
+    return g.n == p.n and g.degree_sequence() == extremal_degrees(p)

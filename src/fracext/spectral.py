@@ -5,8 +5,8 @@ Numeric spectral radii come from LAPACK's symmetric eigensolver; quotient
 matrices and their characteristic polynomials are exact over the
 rationals.  The family's q and mu cubics are integer polynomials in (n, k, s),
 written once and evaluated by family_coefficients over many members at once;
-each of closed_form's seven named forms is one member's, to assert against
-charpoly3(quotient(...)).
+each of closed_form's seven named forms is one member's, and
+theorems.sharpness asserts a member's against charpoly3(quotient(...)).
 Graph matrices are uint8 numpy stacks of graphs of one order, as corpus
 stacks are: adjacency_matrices is the one reader of Graph's bit rows and
 stack_graphs the one writer, and graph6 alone turns a stack into packed
@@ -232,9 +232,6 @@ class QuotientMatrix:
     """Exact block-row-sum matrix with an equitability certificate."""
     entries: tuple[tuple[Fraction, ...], ...]
     equitable: bool
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     @property
     def size(self) -> int:

@@ -8,40 +8,34 @@ k, and reads its hypotheses, its threshold, and its exceptional graph off
 the id's _THEOREMS row; check_theorem classifies a single graph, sweep
 classifies a corpus in bulk, and the grid, sharpness, and sampling routines
 certify the inequalities the proofs lean on in regions where exhaustive
-search is impossible.  A graph's bound test
-is settled exactly wherever its certificates decide it (below), and by
-_compare's float margin of 1e-9 only where they leave it open; the grids,
-sharpness and the rest compare through _compare.
-
-The grids take each family member's q or mu from its closed-form cubic and
-back every root with the width of its certified bracket, with no matrix or
-eigensolver call.  A gap probe is the q1q3 or mu_compare grid of one
-(k, delta) from order 6*delta up to the least order, reported but not
-asserted.  _grid_report decides a grid's rows as arrays over their lanes
-and builds a GridRow only for a violation or when its rows are read.
+search is impossible.
 
 _classify is the one classification route: it takes a 0/1 adjacency stack of
-one order, reads e, delta and connectivity off it through spectral.stack_stats
-(row sums and one stacked reachability search), settles the bound test of the
-graphs past the hypotheses in one _bound_sides call, skipped when no graph is
-past them, and yields each graph's outcome in stack order.  An edge count is
-compared as an integer.  For q and mu, exact certificates decide most graphs:
+one order, reads e, delta and connectivity off it through spectral.stack_stats,
+settles the bound test of the graphs past the hypotheses in one _bound_sides
+call, skipped when no graph is past them, and yields each graph's outcome in
+stack order.  An edge count is compared as an integer.  For q and mu,
 spectral.radius_bounds gives each graph's Rayleigh lower and Collatz-Wielandt
 upper bound, and a graph whose bounds clear its threshold's certified bracket,
 both on the grid of 2^-20, is proven below or above it with no eigenvalue.
-Only the graphs left open, the family members among them, go to one
-eigensolver call and one _compare call.  A value that no caller reads is not
-computed: check_theorem, and the equality cases and counterexamples that
-sweeps and samples keep, still carry the eigensolver's float value.
-sharpness reads the family graph's delta and connectivity through
-stack_stats too.  A Graph is built only for a graph that reaches the
-oracle, and no outcome carries one.  check_theorem runs it on a stack of
-one; sweep runs it on chunks of one order and keeps only tallies, so a
-CheckResult, with its graph6 line from graph6.stack_graph6, is built only
-for an equality case or a counterexample.  A sweep takes a generated corpus
-as the stack it is (corpus.connected_stack, corpus.complement_stack); Graph
-objects and graph6 lines are stacked chunk by chunk through
-spectral.adjacency_matrices.
+An open graph with the family's degree sequence is the family, on its
+threshold.  Only the other open graphs go to one eigensolver call and to
+_compare's float margin of 1e-9, the one float comparison left.  A value no
+caller reads is not computed: check_theorem, and the equality cases and
+counterexamples that sweeps and samples keep, still carry the eigensolver's
+float value.  sharpness classifies the family graph through check_theorem and
+proves its equality exactly.  A Graph is built only for a graph that reaches
+the oracle, and no outcome carries one.  sweep classifies chunks of one order
+and keeps only tallies, so a CheckResult, with its graph6 line from
+graph6.stack_graph6, is built only for an equality case or a counterexample.
+A generated corpus is swept as the stack it is; Graph objects and graph6
+lines are stacked chunk by chunk through spectral.adjacency_matrices.
+
+The grids take each family member's q or mu from its closed-form cubic and
+back every root with the width of its certified bracket, with no matrix or
+eigensolver call; a strict row holds when the two brackets are disjoint on
+its side.  A gap probe is the q1q3 or mu_compare grid of one (k, delta) from
+order 6*delta up to the least order, reported but not asserted.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
@@ -61,12 +55,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import ExtremalParams, Graph, extremal_edge_count, extremal_graph, matches_extremal
+from .graphs import (ExtremalParams, Graph, extremal_degrees, extremal_edge_count, extremal_graph,
+                     matches_extremal)
 from .graph6 import Graph6Error, parse_graph6, stack_graph6
 from .matching import BAD_SET, Verdict, is_fext_definitional, verify_witness
-from .spectral import (DYADIC_BITS, adjacency_matrices, chunk_size, distance_matrices,
-                       family_coefficients, largest_eigenvalues, largest_real_roots,
-                       radius_bounds, signless_laplacians, stack_graphs, stack_stats)
+from .spectral import (DYADIC_BITS, adjacency_matrices, charpoly3, chunk_size, distance_matrices,
+                       family_coefficients, family_cubic, largest_eigenvalues,
+                       largest_real_roots, positional_blocks, quotient, radius_bounds,
+                       signless_laplacians, stack_graphs, stack_stats)
 
 # id: (quantity, bound side, uses delta, least-order label, least order(k, delta))
 _THEOREMS = {
@@ -179,10 +175,6 @@ class TheoremSpec:
     def family(self, n: int, delta: int) -> ExtremalParams:
         return ExtremalParams(n=n, k=self.k, s=self.clique(delta))
 
-    def threshold(self, n: int, delta: int):
-        """The family member's own edge count, q or mu; memoized per member."""
-        return _family_threshold(self.quantity, self.family(n, delta))[0]
-
     def matrices(self, A: np.ndarray) -> np.ndarray:
         """The Q (q) or D (mu) stack of an (m, n, n) 0/1 adjacency stack."""
         return signless_laplacians(A) if self.quantity == "q" else distance_matrices(A)
@@ -226,9 +218,10 @@ def _bound_sides(A: np.ndarray, spec: TheoremSpec, e: list[int],
     An edge count is compared as the integer it is.  For q and mu,
     radius_bounds of the Q (x = Q^2 * 1) or D (x = D * 1) stack against the
     dyadic brackets decide every graph whose bounds clear the bracket, with
-    no eigenvalue: its value is None.  Only the graphs left open, among them
-    every family member, which sits on its threshold, go to one
-    largest_eigenvalues call and one _compare call.
+    no eigenvalue: its value is None.  The family member, whose value is its
+    threshold, stays open; an open graph with its degree sequence is that
+    member (graphs.extremal_degrees) and gets side 0, with value None.  Only
+    the other open graphs go to one largest_eigenvalues and _compare call.
     """
     n = A.shape[1]
     brackets = {d: _family_threshold(spec.quantity, spec.family(n, d)) for d in set(delta)}
@@ -240,6 +233,10 @@ def _bound_sides(A: np.ndarray, spec: TheoremSpec, e: list[int],
     side = (lower > np.array(hi)).astype(int) - (upper < np.array(lo))
     values = [None] * len(A)
     left_open = np.flatnonzero(side == 0)
+    if left_open.size:   # drop the family members: isomorphic graphs have equal values
+        family = {d: extremal_degrees(spec.family(n, d)) for d in set(delta)}
+        own = np.sort(A[left_open].sum(axis=2), axis=1)[:, ::-1]
+        left_open = left_open[(own != [family[delta[i]] for i in left_open.tolist()]).any(axis=1)]
     if left_open.size:
         found = largest_eigenvalues(M[left_open]).tolist()
         side[left_open] = _compare(found, [thr[i] for i in left_open.tolist()])
@@ -255,12 +252,12 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
 
     e, delta and connected come from stack_stats; when some graph is past
     the hypotheses, one _bound_sides call settles their bound tests, exactly
-    except where a graph's certificates leave it open.  A value is None where
-    a certificate alone settled the test, except for an equality case or a
-    counterexample, which every caller keeps: those get it from the
-    eigensolver.  The oracle runs on a Graph built from the stack, for a
-    graph past the bound only.  The tests run in the order check_theorem
-    documents.
+    except for a non-family graph that its certificates leave open.  A value
+    is None where a certificate or the degree sequence settled the test,
+    except for an equality case or a counterexample, which every caller
+    keeps: those get it from the eigensolver.  The oracle runs on a Graph
+    built from the stack, for a graph past the bound only.  The tests run in
+    the order check_theorem documents.
     """
     n = A.shape[1]
     e, delta, connected = stack_stats(A)
@@ -549,9 +546,11 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     proves for all parameters), whose largest root is the member's q or mu,
     so the width bounds |rho(M) - r| for the member's matrix M; inf for a
     bracket that neither certificate proves.  A point whose error exceeds
-    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.  One _compare
-    call over the lanes settles the strict rows; an equality row (left lane
-    = right lane) compares a root with itself and cannot be violated.  A
+    CROSSCHECK_TOL, or is inf, is a "crosscheck" violation.  A strict row
+    holds when the members' brackets, root -/+ width, are disjoint with the
+    left-hand one on the strict side; any other, an uncertified one
+    included, is an "inequality" violation.  An equality row (left lane =
+    right lane) compares a root with itself and cannot be violated.  A
     GridRow is built only for a violation or when rows is read.
     """
     k, n, s0, size, first = np.array(
@@ -567,9 +566,11 @@ def _grid_report(lemma: str, quantity: str, groups: list) -> GridReport:
     columns = groups, group, left, right, roots, widths
     lhs, rhs, err = roots[left], roots[right], np.maximum(widths[left], widths[right])
     strict = 1 if quantity == "mu" else -1   # mu of the family grows with s where its q shrinks
-    equality, side = left == right, np.array(_compare(lhs, rhs), dtype=int)
-    # _compare of a lane with itself is 0, so only strict rows can be violated
-    cross, bad = err > CROSSCHECK_TOL, ~equality & (side != strict)
+    # rounding is monotone, so ends strictly apart as floats are apart exactly
+    proven = (lhs - widths[left] > rhs + widths[right] if strict == 1
+              else lhs + widths[left] < rhs - widths[right])
+    equality, cross = left == right, err > CROSSCHECK_TOL
+    bad = ~equality & ~proven   # an equality row compares a lane with itself
     flagged = np.flatnonzero(cross | bad)
     rows = zip(flagged.tolist(), _grid_rows(lemma, columns, flagged))
     violations = tuple(GridViolation(kind, row) for i, row in rows for kind, hit in (
@@ -615,55 +616,52 @@ class SharpnessReport:
     not_extendable: bool
     witness_is_clique: bool
     bound_equality: bool
-    value: float | int
-    threshold: float | int
+    value: float | int | None
+    threshold: float | int | None
     connected: bool
     min_degree_is_s: bool
-    mu_floor: float | None = None
+    mu_floor: int | None = None
     mu_floor_ok: bool | None = None
 
     @property
     def ok(self) -> bool:
-        base = (self.not_extendable and self.witness_is_clique
-                and self.bound_equality and self.connected and self.min_degree_is_s)
-        return base and (self.mu_floor_ok is not False)
-
-
-def clique_witness_holds(g: Graph, k: int, s: int) -> tuple[bool, bool]:
-    """(not extendable, the join clique is a violating set).
-
-    The definitional oracle decides extendability; the clique certificate
-    is checked directly against the set condition.
-    """
-    clique = Verdict(False, BAD_SET, witness_set=(1 << s) - 1)
-    return not is_fext_definitional(g, k).answer, verify_witness(g, k, clique)
+        return (self.not_extendable and self.witness_is_clique and self.bound_equality
+                and self.connected and self.min_degree_is_s and self.mu_floor_ok is not False)
 
 
 def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     """Certify that the family graph sits exactly on the bound, unextendable.
 
-    Checks: is_fext_definitional rejects it and the join clique is a
-    violating set; its own bound quantity equals the threshold; it is
-    connected with minimum degree s.  For the distance bound, also checks the
-    mean-distance floor n - delta + 2k + 3 on its radius.
-    """
+    check_theorem's CheckResult gives the verdict, value, threshold,
+    connectivity and minimum degree; the join clique must pass verify_witness
+    as a violating set.  bound_equality holds only for an equality case, and
+    exactly: the edge count equals the threshold, or the Q (q) or D (mu)
+    quotient over positional_blocks is equitable with the threshold member's
+    family_cubic as its charpoly3.  Outside the hypotheses there is no
+    threshold and no oracle verdict: not ok.  For mu, the floor n - s + 2k + 3
+    holds when the member's dyadic bracket starts at or above it, or else
+    when its monic cubic is <= 0 there."""
     g = extremal_graph(p)
-    A = adjacency_matrices([g])
-    _, [delta], [connected] = stack_stats(A)
-    not_ext, clique_wit = clique_witness_holds(g, spec.k, p.s)
-
-    thr = spec.threshold(p.n, delta)
-    [value] = spec.values(A)
+    r = check_theorem(g, spec)
+    clique = Verdict(False, BAD_SET, witness_set=(1 << p.s) - 1)
+    equal = r.status == EQUALITY_CASE
+    if equal and spec.quantity == "e":
+        equal = r.value == r.threshold
+    elif equal:
+        q = quotient(spec.matrices(adjacency_matrices([g]))[0], positional_blocks(p))
+        m = spec.family(p.n, r.min_degree)   # the threshold's member
+        equal = q.equitable and charpoly3(q) == family_cubic(spec.quantity, m.n, m.k, m.s)
     floor = floor_ok = None
-    if spec.id == "mu":
-        floor = float(p.n - p.s + 2 * spec.k + 3)
-        floor_ok = _compare(value, floor) >= 0
-    return SharpnessReport(params=p, theorem=spec.id, not_extendable=not_ext,
-                           witness_is_clique=clique_wit,
-                           bound_equality=_compare(value, thr) == 0,
-                           value=value, threshold=thr,
-                           connected=connected,
-                           min_degree_is_s=delta == p.s,
+    if spec.quantity == "mu":
+        floor = p.n - p.s + 2 * spec.k + 3
+        c = family_cubic("mu", p.n, p.k, p.s)
+        floor_ok = (_family_threshold("mu", p)[1] >= floor << DYADIC_BITS
+                    or ((floor + c.c2) * floor + c.c1) * floor + c.c0 <= 0)
+    return SharpnessReport(params=p, theorem=spec.id,
+                           not_extendable=r.oracle is not None and not r.oracle.answer,
+                           witness_is_clique=verify_witness(g, spec.k, clique),
+                           bound_equality=equal, value=r.value, threshold=r.threshold,
+                           connected=r.connected, min_degree_is_s=r.min_degree == p.s,
                            mu_floor=floor, mu_floor_ok=floor_ok)
 
 

@@ -3,21 +3,31 @@
 The package's _grid_report decides a grid's rows with array operations
 over its lanes and builds a GridRow only for a flagged row, or when the
 report's rows are read.  This reference is the row-by-row loop it
-replaced: each row a GridRow, one scalar comparison per row (the scalar
-body _compare had), and running maximum and minimum.  The two must give equal fields and rows.  The
-cubics and the tolerance are read off the theorems module at call time,
-so a test that patches them there patches both.
+replaced: each row a GridRow, and running maximum and minimum.  A strict
+row is decided from its two certified brackets, root -/+ width, in exact
+Fraction arithmetic.  The package compares the rounded ends; rounding is
+monotone, so it proves a row only where this does, and the two differ
+only where two ends round to one float, which no grid row does.  The two
+must give equal fields and rows.  The cubics and the tolerance are read
+off the theorems module at call time, so a test that patches them there
+patches both.
 """
+import math
+from fractions import Fraction
+
 from fracext import theorems
-from fracext.theorems import DEFAULT_TOL, GridRow, GridViolation
+from fracext.theorems import GridRow, GridViolation
 
 
-def compare_reference(x, ref) -> int:
-    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|)."""
-    margin = 10.0 * DEFAULT_TOL * max(1.0, abs(float(ref)))
-    if x < ref - margin:
-        return -1
-    return 1 if x > ref + margin else 0
+def brackets_prove(lhs, lhs_err, rhs, rhs_err, strict) -> bool:
+    """Whether the brackets lhs -/+ lhs_err and rhs -/+ rhs_err are disjoint,
+    exactly, with lhs's above rhs's (strict 1) or below it (strict -1); an
+    infinite width proves nothing."""
+    if not (math.isfinite(lhs_err) and math.isfinite(rhs_err)):
+        return False
+    if strict == 1:
+        return Fraction(lhs) - Fraction(lhs_err) > Fraction(rhs) + Fraction(rhs_err)
+    return Fraction(lhs) + Fraction(lhs_err) < Fraction(rhs) - Fraction(rhs_err)
 
 
 def grid_report_reference(lemma, quantity, groups):
@@ -38,14 +48,13 @@ def grid_report_reference(lemma, quantity, groups):
             max_err = max(max_err, lhs_err, rhs_err)
             if lhs_err > theorems.CROSSCHECK_TOL or rhs_err > theorems.CROSSCHECK_TOL:
                 violations.append(GridViolation(kind="crosscheck", row=row))
-            side = compare_reference(lhs, rhs)
-            if row.equality_expected:
+            if row.equality_expected:   # the right-hand member compared with itself
                 equality_points += 1
-                if side != 0:
+                if lhs != rhs:
                     violations.append(GridViolation(kind="equality", row=row))
             else:
                 min_margin = min(min_margin, lhs - rhs if strict == 1 else rhs - lhs)
-                if side != strict:
+                if not brackets_prove(lhs, lhs_err, rhs, rhs_err, strict):
                     violations.append(GridViolation(kind="inequality", row=row))
         lane += len(members)
     return dict(lemma=lemma, points=len(rows), violations=tuple(violations),

@@ -279,7 +279,7 @@ def test_quotient_exact_and_equitable():
     p = ExtremalParams(n=11, k=1, s=2)
     q = quotient(signless_laplacian(extremal_graph(p)), positional_blocks(p))
     assert q.equitable and q.size == 3
-    assert q[0, 0] == Fraction(11)  # degree 10 clique pair plus one internal edge
+    assert q.entries[0][0] == Fraction(11)  # degree 10 clique pair plus one internal edge
     # an arbitrary unbalanced partition is flagged, not rejected
     bad = quotient(signless_laplacian(path(4)), (range(0, 2), range(2, 3), range(3, 4)))
     assert not bad.equitable

@@ -1,27 +1,29 @@
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fracext import (ExtremalParams, Graph, complete, cycle, disjoint_union, empty_graph,
-                     emit_graph6, extremal_edge_count, extremal_graph, largest_real_root,
-                     closed_form, parse_graph6, path, verify_witness)
+                     emit_graph6, extremal_edge_count, extremal_graph, is_fext_definitional,
+                     largest_real_root, closed_form, matches_extremal, parse_graph6, path,
+                     verify_witness)
 from fracext import spectral, theorems
 from fracext.corpus import complement_stack, connected_stack
 from fracext.spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, family_coefficients,
                               family_cubic, largest_real_roots, signless_laplacians,
                               stack_graphs)
-from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem,
-                              clique_witness_holds, edge_count_identities,
+from fracext.matching import BAD_SET, Verdict
+from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem, edge_count_identities,
                               lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
 import family_enclosure
 from family_enclosure import (_block_vectors, block_test_vectors, family_block_values,
                               family_matrices, member_values)
-from grid_oracle import compare_reference, grid_report_reference
+from grid_oracle import brackets_prove, grid_report_reference
 from helpers import (all_graphs, complement_corpus, connected_graphs, graph_stats, grid_groups,
                      with_member_cubic)
 from root_oracle import largest_real_root_reference
@@ -107,9 +109,14 @@ def test_grids_start_at_their_theorems_min_order():
                 assert sorted({row.n for row in probe.rows}) == list(range(6 * delta, n))
 
 
+def _threshold(spec, n, delta):
+    """The threshold that _classify compares a graph of order n and minimum degree delta with."""
+    return theorems._family_threshold(spec.quantity, spec.family(n, delta))[0]
+
+
 def test_thresholds():
-    assert theorem_spec("edge_1", 1).threshold(11, None) == 47
-    assert theorem_spec("edge_2", 1).threshold(18, 3) == \
+    assert _threshold(theorem_spec("edge_1", 1), 11, None) == 47
+    assert _threshold(theorem_spec("edge_2", 1), 18, 3) == \
         extremal_edge_count(ExtremalParams(18, 1, 3))
     # each q/mu threshold is exactly the largest root of the paper's own
     # cubic (f2, f3_q, phi_B3_case1) over its hypothesis region
@@ -117,15 +124,15 @@ def test_thresholds():
     for k in (1, 2, 3):
         q_1, q_2, mu = (theorem_spec(t, k) for t in ("q_1", "q_2", "mu"))
         for n in range(2 * k + 6, 61):
-            assert q_1.threshold(n, None) == largest_real_root(closed_form("f2", n=n, k=k))
+            assert _threshold(q_1, n, None) == largest_real_root(closed_form("f2", n=n, k=k))
             points += 1
         for delta in range(2 * k + 1, 61):
             for n in range(-(-13 * delta // 2), 61):
-                assert q_2.threshold(n, delta) == largest_real_root(
+                assert _threshold(q_2, n, delta) == largest_real_root(
                     closed_form("f3_q", n=n, k=k, delta=delta))
                 points += 1
             for n in range(12 * delta - 2 * k + 1, 61):
-                assert mu.threshold(n, delta) == largest_real_root(
+                assert _threshold(mu, n, delta) == largest_real_root(
                     closed_form("phi_B3_case1", n=n, k=k, delta=delta))
                 points += 1
     assert points == 453
@@ -478,7 +485,9 @@ def test_grid_rows_match_the_dense_eigenvalue_at_every_point_of_criteria_6_and_7
 
 def test_lemma_grid_flags_shifted_roots_at_every_row(monkeypatch):
     # every bracket shifted right by 1e-6 misses its root, so neither
-    # certificate proves it, while the returned roots stay as they were
+    # certificate proves it, while the returned roots stay as they were:
+    # every point is a crosscheck violation, and every strict row, whose
+    # infinite brackets cannot be disjoint, an inequality violation
     real = spectral._enclosure_widths
     monkeypatch.setattr(spectral, "_enclosure_widths",
                         lambda C, lo, hi: real(C, lo + 1e-6, hi + 1e-6))
@@ -487,20 +496,24 @@ def test_lemma_grid_flags_shifted_roots_at_every_row(monkeypatch):
         crosscheck = [v.row for v in rep.violations if v.kind == "crosscheck"]
         assert crosscheck == list(rep.rows) and rep.points > 1000
         assert rep.max_crosscheck_error == np.inf
-        assert all(v.kind == "crosscheck" for v in rep.violations)
+        inequality = [v.row for v in rep.violations if v.kind == "inequality"]
+        assert inequality == [row for row in rep.rows if not row.equality_expected]
+        assert len(rep.violations) == len(crosscheck) + len(inequality)
 
 
-def test_an_uncertified_bracket_makes_one_violation(monkeypatch):
+def test_an_uncertified_bracket_flags_one_row(monkeypatch):
     # one left-hand member of the q1q2 grid takes a cubic with a double
     # largest root at 20, below the right-hand side's 22.198: its root stays
     # on the right side of the inequality, but neither the float nor the
-    # exact certificate proves a bracket, so its error is inf
+    # exact certificate proves a bracket, so its error is inf, and an
+    # unbounded bracket proves no strict row
     target = (13, 1, 5)   # (n, k, s)
     monkeypatch.setattr(theorems, "family_coefficients", with_member_cubic(
         theorems.family_coefficients, "q", target, (-41, 440, -400)))   # (x-20)^2 (x-1)
     rep = lemma_grid("q1q2", k_max=1, n_max=14)
-    [violation] = rep.violations
-    assert violation.kind == "crosscheck"
+    assert [v.kind for v in rep.violations] == ["crosscheck", "inequality"]
+    violation = rep.violations[0]
+    assert rep.violations[1].row == violation.row
     assert (violation.row.n, violation.row.k, violation.row.s) == target
     assert abs(violation.row.lhs - 20.0) < 1e-6 and violation.row.lhs < violation.row.rhs
     assert violation.row.lhs_err == rep.max_crosscheck_error == np.inf
@@ -553,14 +566,14 @@ def test_flagged_grids_equal_the_row_by_row_reference(monkeypatch):
     with monkeypatch.context() as m:   # every row a crosscheck violation
         m.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
         check(*q1q2, {"crosscheck"})
-    with monkeypatch.context() as m:   # every bracket shifted off its root
+    with monkeypatch.context() as m:   # every bracket shifted off its root, proving no row
         real = spectral._enclosure_widths
         m.setattr(spectral, "_enclosure_widths", lambda C, lo, hi: real(C, lo + 1e-6, hi + 1e-6))
         for lemma, bounds in GRID_DELTA:
-            check(lemma, bounds, {"crosscheck"})
+            check(lemma, bounds, {"crosscheck", "inequality"})
     for quantity, member, cubic, grid, kinds in (
-            # a double largest root: uncertified, on the right side of the inequality
-            ("q", (13, 1, 5), (-41, 440, -400), q1q2, {"crosscheck"}),
+            # a double largest root: uncertified, so its row is not proven either
+            ("q", (13, 1, 5), (-41, 440, -400), q1q2, {"crosscheck", "inequality"}),
             # the right-hand side of order 13 falls below every left-hand side
             ("q", (13, 1, 2), (-41, 440, -400), q1q2, {"crosscheck", "inequality"}),
             # one mu falls below its right-hand side: (x-20)(x-2)(x-1)
@@ -571,6 +584,42 @@ def test_flagged_grids_equal_the_row_by_row_reference(monkeypatch):
             m.setattr(theorems, "family_coefficients", with_member_cubic(
                 family_coefficients, quantity, member, cubic))
             check(*grid, kinds)
+
+
+def _crafted_grid(monkeypatch, lemma, quantity, group, lanes):
+    """_grid_report of one group whose lanes get the crafted (root, width) pairs."""
+    roots, widths = (np.array(column) for column in zip(*lanes))
+    monkeypatch.setattr(theorems, "largest_real_roots", lambda C: (roots, widths))
+    rep = theorems._grid_report(lemma, quantity, [group])
+    _assert_grid_equals_reference(rep, quantity, [group])
+    return rep
+
+
+@pytest.mark.parametrize("lemma, quantity, group, sign", [
+    ("q1q2", "q", (1, None, 8, range(2, 5), 0), -1),      # rows at s = 2 (equality), 3 and 4
+    ("mu_compare", "mu", (1, 3, 35, range(3, 6), 1), 1),   # rows at s = 4 and 5
+])
+def test_strict_rows_are_decided_by_disjoint_brackets(lemma, quantity, group, sign, monkeypatch):
+    # against a right-hand root of 20 with width 1e-11, a left-hand bracket
+    # 5e-10 away on the strict side is disjoint and proven, though the gap
+    # lies inside the old float margin of 1e-9 relative; one 1.5e-11 away
+    # overlaps and is the one inequality violation
+    far, near = 20 + sign * 5e-10, 20 + sign * 1.5e-11
+    lanes = [(20.0, 1e-11), (far, 1e-11), (near, 1e-11)]   # s_rhs, then the two left-hand s
+    rep = _crafted_grid(monkeypatch, lemma, quantity, group, lanes)
+    [violation] = rep.violations
+    assert violation.kind == "inequality" and violation.row.lhs == near
+    assert brackets_prove(far, 1e-11, 20.0, 1e-11, sign)
+    assert not brackets_prove(near, 1e-11, 20.0, 1e-11, sign)
+    assert rep.min_strict_margin == abs(near - 20) < 1e-9 * 20
+
+
+def compare_reference(x, ref) -> int:
+    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|)."""
+    margin = 10.0 * theorems.DEFAULT_TOL * max(1.0, abs(float(ref)))
+    if x < ref - margin:
+        return -1
+    return 1 if x > ref + margin else 0
 
 
 def test_compare_is_elementwise_and_returns_python_ints():
@@ -711,9 +760,108 @@ def test_sharpness_canonical_points():
 
 
 def test_clique_witness_holds_small_and_large():
-    # a 30-vertex join clique at order 70 is decided like the order-11 one
+    # a 30-vertex join clique at order 70 is a violating set like the order-11
+    # one, and the oracle rejects both graphs
     for p in (ExtremalParams(70, 1, 30), ExtremalParams(11, 1, 2)):
-        assert clique_witness_holds(extremal_graph(p), 1, p.s) == (True, True)
+        g = extremal_graph(p)
+        assert verify_witness(g, 1, Verdict(False, BAD_SET, witness_set=(1 << p.s) - 1))
+        assert not is_fext_definitional(g, 1).answer
+
+
+@pytest.mark.parametrize("theorem, params", [
+    ("edge_1", (10, 1, 2)), ("q_1", (7, 1, 2)), ("edge_2", (17, 1, 3)),
+    ("q_2", (20, 1, 2)), ("mu", (34, 1, 3)),
+])
+def test_sharpness_outside_the_hypotheses_is_not_ok(theorem, params):
+    # one order below the least order, or (q_2) minimum degree 2 < 2k+1:
+    # check_theorem gives no threshold and runs no oracle, so nothing is sharp
+    p = ExtremalParams(*params)
+    rep = sharpness(p, theorem_spec(theorem, 1))
+    assert check_theorem(extremal_graph(p), theorem_spec(theorem, 1)).status == "hypotheses_not_met"
+    assert not rep.ok and not rep.bound_equality and not rep.not_extendable
+    assert rep.value is None and rep.threshold is None
+    assert rep.witness_is_clique and rep.connected and rep.min_degree_is_s
+
+
+@pytest.mark.parametrize("theorem, params", [("q_1", (8, 1, 2)), ("mu", (35, 1, 3))])
+def test_sharpness_equality_is_the_exact_quotient_identity(theorem, params, monkeypatch):
+    # the family graph's float value differs from its threshold in the last
+    # digits (2.7e-13 for mu at order 35); the identity of the quotient's
+    # cubic with the threshold's is exact, and one changed coefficient breaks it
+    p, spec = ExtremalParams(*params), theorem_spec(theorem, 1)
+    assert sharpness(p, spec).bound_equality
+    monkeypatch.setattr(theorems, "family_cubic",
+                        lambda *args: replace(family_cubic(*args), c0=family_cubic(*args).c0 + 1))
+    rep = sharpness(p, spec)
+    assert not rep.bound_equality and not rep.ok
+    assert rep.value == pytest.approx(rep.threshold, rel=1e-12)
+
+
+def test_sharpness_mu_floor_from_the_bracket_or_the_cubic_sign(monkeypatch):
+    # mu(35, 1, 3) = 38.5976 and its floor is 37: the bracket alone proves it,
+    # whatever the cubic's sign there.  With the bracket's lower end moved to
+    # 0, the cubic's sign at 37 (-2518) proves it, and the cubic (x-1)^3,
+    # positive at 37, leaves it unproven
+    p, spec = ExtremalParams(35, 1, 3), theorem_spec("mu", 1)
+    real = theorems._family_threshold
+
+    def low(quantity, member):
+        thr, _, hi = real(quantity, member)
+        return thr, 0, hi
+
+    def cube(*args):
+        return spectral.Cubic(-3, 3, -1)
+
+    assert real("mu", p)[1] >= 37 << spectral.DYADIC_BITS
+    for bracket, cubic, ok in ((real, family_cubic, True), (real, cube, True),
+                               (low, family_cubic, True), (low, cube, False)):
+        monkeypatch.setattr(theorems, "_family_threshold", bracket)
+        monkeypatch.setattr(theorems, "family_cubic", cubic)
+        rep = sharpness(p, spec)
+        assert rep.mu_floor == 37 and rep.mu_floor_ok is ok, (bracket, cubic)
+
+
+def test_sharpness_needs_the_equality_case(monkeypatch):
+    # family(12, 1, 3) is not edge_1's family at order 12.  With the edge
+    # threshold moved onto its 51 edges it meets the bound and is not
+    # extendable: a counterexample, never sharp, though its value equals
+    # the threshold
+    p, spec = ExtremalParams(12, 1, 3), theorem_spec("edge_1", 1)
+    monkeypatch.setattr(theorems, "_family_threshold",
+                        lambda quantity, member: (extremal_edge_count(p), None, None))
+    rep = sharpness(p, spec)
+    assert check_theorem(extremal_graph(p), spec).status == "COUNTEREXAMPLE"
+    assert rep.value == rep.threshold == 51 and rep.not_extendable and rep.witness_is_clique
+    assert not rep.bound_equality and not rep.ok
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 0), (0, 1)])
+def test_a_bracket_sharing_an_end_with_both_bounds_stays_open(lo, hi, monkeypatch):
+    # K_10's Q has every row sum 18, so both of its bounds are exactly
+    # x = 18 * 2^20: a bracket (x - 1, x) or (x, x + 1) is not cleared by
+    # either, and the graph goes to the eigensolver (a non-strict comparison
+    # would read sides 1 and -1)
+    x = 18 << spectral.DYADIC_BITS
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (18.0, x + lo, x + hi))
+    A = adjacency_matrices([complete(10)])
+    assert [int(v[0]) for v in spectral.radius_bounds(signless_laplacians(A), 2)] == [x, x]
+    values, _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [45], [9])
+    assert sides == [0] and values[0] == pytest.approx(18.0)
+
+
+def test_family_brackets_round_root_and_width_outward():
+    # the dyadic bracket holds root -/+ width exactly at members of orders
+    # 8 to 128, boundary orders and the largest k there included
+    scale = 1 << spectral.DYADIC_BITS
+    members = [(8, 1, 2), (11, 1, 2), (20, 1, 3), (35, 1, 3), (46, 3, 7), (57, 2, 5),
+               (79, 3, 7), (123, 5, 11), (128, 10, 21), (127, 60, 123)]
+    for quantity in ("q", "mu"):
+        for member in members:
+            _, lo, hi = theorems._family_threshold(quantity, ExtremalParams(*member))
+            [root], [width] = (map(Fraction, a.tolist()) for a in
+                               largest_real_roots(family_coefficients(quantity, [member])))
+            assert lo <= scale * (root - width) and hi >= scale * (root + width), member
+            assert hi - lo <= scale * 2 * width + 2, member
 
 
 def test_probe_gap_region_reports_only():
@@ -743,14 +891,18 @@ def test_a_probe_row_past_its_bound_is_one_inequality_violation(monkeypatch):
 
 
 def _settled_sides_agree_with_eigvalsh(A, spec, delta, bound_sides=theorems._bound_sides):
-    """bound_sides of a stack, with each side that a certificate settled
-    (value None) checked against eigvalsh; a Counter of -1 and 1 for the
-    settled graphs and "open" for the others."""
+    """bound_sides of a stack, with each side settled with no eigenvalue
+    (value None) checked against eigvalsh: a certificate's -1 or 1, and the
+    family's 0, given only to a graph isomorphic to the family.  A Counter
+    of -1, 0 and 1 for the settled graphs and "open" for the others."""
     e = (A.sum(axis=(1, 2)) // 2).tolist()
     values, thr, sides = bound_sides(A, spec, e, delta)
     truth = theorems._compare(spec.values(A), thr)
-    for value, side, true in zip(values, sides, truth):
-        assert value is not None or side in (-1, 1) and true != -side
+    for g, d, value, side, true in zip(stack_graphs(A), delta, values, sides, truth):
+        if value is None and side == 0:
+            assert true == 0 and matches_extremal(g, spec.family(g.n, d))
+        else:
+            assert value is not None or side in (-1, 1) and true != -side
     return Counter(side if value is None else "open" for value, side in zip(values, sides))
 
 
@@ -767,7 +919,7 @@ def test_certificates_never_contradict_eigvalsh_on_small_graphs():
             keep = np.flatnonzero((delta >= 2) & (2 * delta - 1 <= n)) if spec.uses_delta \
                 else np.arange(len(A))
             counts.update(_settled_sides_agree_with_eigvalsh(A[keep], spec, delta[keep].tolist()))
-    assert all(t[-1] and t[1] and t["open"] for t in tally.values()), tally
+    assert all(t[-1] and t[0] and t[1] and t["open"] for t in tally.values()), tally
 
 
 @pytest.mark.parametrize("offset, side", [(-1, 1), (0, 0), (1, -1)])
