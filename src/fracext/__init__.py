@@ -46,7 +46,6 @@ from .spectral import (
 from .corpus import are_isomorphic
 from .theorems import (
     CheckResult,
-    DEFAULT_TOL,
     GridReport,
     IdentityReport,
     LEMMA_IDS,

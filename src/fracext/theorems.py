@@ -19,11 +19,11 @@ spectral.radius_bounds gives each graph's Rayleigh lower and Collatz-Wielandt
 upper bound, and a graph whose bounds clear its threshold's certified bracket,
 both on the grid of 2^-20, is proven below or above it with no eigenvalue.
 An open graph with the family's degree sequence is the family, on its
-threshold.  Only the other open graphs go to one eigensolver call and to
-_compare's float margin of 1e-9, the one float comparison left.  A value no
-caller reads is not computed: check_theorem, and the equality cases and
-counterexamples that sweeps and samples keep, still carry the eigensolver's
-float value.  sharpness classifies the family graph through check_theorem and
+threshold.  Each other open graph takes more power steps in Python ints
+until its exact bounds clear the bracket or lie within its width, so no
+float settles a bound test.  The value a CheckResult prints is the
+eigensolver's, computed in _result alone, for a result some caller keeps.
+sharpness classifies the family graph through check_theorem and
 proves its equality exactly.  A Graph is built only for a graph that reaches
 the oracle, and no outcome carries one.  sweep classifies chunks of one order
 and keeps only tallies, so a CheckResult, with its graph6 line from
@@ -48,7 +48,7 @@ import functools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator
@@ -84,41 +84,31 @@ CONFIRMED = "confirmed_extendable"
 EQUALITY_CASE = "equality_case"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
-
-# relative scale of the float margin inside which _compare calls two values equal
-DEFAULT_TOL = 1e-10
 # largest cross-check error, a bound on |spectral radius - closed-form root|,
 # that a grid point may show
 CROSSCHECK_TOL = 1e-8
 
 
-def _compare(x, ref) -> list[int] | int:
-    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|),
-    elementwise in float64: a list for sequences and arrays, an int for scalars."""
-    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
-    margin = 10.0 * DEFAULT_TOL * np.maximum(1.0, np.abs(ref))
-    return ((x > ref + margin) * 1 - (x < ref - margin)).tolist()
-
-
 @functools.cache
 def _family_threshold(quantity: str, p: ExtremalParams) -> tuple:
-    """(threshold, lo, hi): the family member's own edge count, q or mu, and
-    for q and mu integers with lo <= 2^DYADIC_BITS * threshold <= hi.
+    """(threshold, lo, hi, width): the family member's own edge count, q or
+    mu, and for q and mu integers with lo <= 2^DYADIC_BITS * threshold <= hi.
 
-    q and mu are the largest root of the member's cubic, and [lo, hi] its
-    certified bracket, root -/+ width from the same largest_real_roots call,
-    rounded outward onto the dyadic grid in exact arithmetic.  An edge
-    count is compared as the integer it is, with no bracket.
+    q and mu are the largest root of the member's cubic, and width > 0 that
+    of its certified bracket, root -/+ width, from the same
+    largest_real_roots call; [lo, hi] is that bracket rounded outward onto
+    the dyadic grid in exact arithmetic.  An edge count is compared as the
+    integer it is, with no bracket.
     """
     if quantity == "e":
-        return extremal_edge_count(p), None, None
+        return extremal_edge_count(p), None, None, None
     roots, widths = largest_real_roots(family_coefficients(quantity, [(p.n, p.k, p.s)]))
     root, width = float(roots[0]), float(widths[0])
     if not math.isfinite(width):   # never: a family's q or mu is a simple root
         raise ArithmeticError(f"the {quantity} bracket of {p} is not certified")
     scale = Fraction(1 << DYADIC_BITS)
     return (root, math.floor((Fraction(root) - Fraction(width)) * scale),
-            math.ceil((Fraction(root) + Fraction(width)) * scale))
+            math.ceil((Fraction(root) + Fraction(width)) * scale), width)
 
 
 @dataclass(frozen=True)
@@ -208,56 +198,68 @@ class CheckResult:
     oracle: Verdict | None = None
 
 
+def _power_bounds(M: np.ndarray, t: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """radius_bounds's Rayleigh lower and Collatz-Wielandt upper bound on
+    rho(M), unrounded, from x = M^j * 1 for j = t + 1, t + 2, ... without end,
+    for one matrix with positive row sums, in Python ints: exact at any size."""
+    M, step = M.astype(object), 0
+    x = y = M.sum(axis=1)   # M * 1
+    while True:
+        x, y, step = y, M.dot(y), step + 1   # x = M^step * 1, y = M x
+        if step > t:
+            yield Fraction(x.dot(y), x.dot(x)), max(map(Fraction, y.tolist(), x.tolist()))
+
+
 def _bound_sides(A: np.ndarray, spec: TheoremSpec, e: list[int],
-                 delta: list[int]) -> tuple[list, tuple, list[int]]:
-    """(values, thresholds, sides) of the graphs of an (m, n, n) 0/1
-    adjacency stack past the hypotheses, given their edge counts and minimum
-    degrees: side -1, 0 or 1 as the graph's value is below, at or above its
-    threshold.
+                 delta: list[int]) -> tuple[tuple, list[int]]:
+    """(thresholds, sides) of the graphs of an (m, n, n) 0/1 adjacency stack
+    past the hypotheses, given their edge counts and minimum degrees: side
+    -1, 0 or 1 as the graph's value is below, at or above its threshold,
+    with no eigenvalue.
 
     An edge count is compared as the integer it is.  For q and mu,
-    radius_bounds of the Q (x = Q^2 * 1) or D (x = D * 1) stack against the
-    dyadic brackets decide every graph whose bounds clear the bracket, with
-    no eigenvalue: its value is None.  The family member, whose value is its
-    threshold, stays open; an open graph with its degree sequence is that
-    member (graphs.extremal_degrees) and gets side 0, with value None.  Only
-    the other open graphs go to one largest_eigenvalues and _compare call.
+    radius_bounds of the Q (t = 2) or D (t = 1) stack decide every graph
+    whose bounds clear the dyadic bracket.  An open graph with the family's
+    degree sequence is the family (graphs.extremal_degrees): side 0.  Each
+    other open graph takes _power_bounds until they clear the threshold's
+    unrounded bracket, root -/+ width (side -1 or 1), or lie no further
+    apart than its ends (side 0, which proves |rho - threshold| <= 4 width:
+    the graph goes on to the oracle, as a tie does).  The loop ends: every
+    graph here is connected of order n >= 2, so its Q (irreducible, with a
+    positive diagonal) and its D (positive off it; at n = 2, 1 is its
+    Perron vector) are primitive, both bounds tend to rho, and width > 0.
     """
     n = A.shape[1]
     brackets = {d: _family_threshold(spec.quantity, spec.family(n, d)) for d in set(delta)}
-    thr, lo, hi = zip(*(brackets[d] for d in delta))
+    thr, lo, hi, width = zip(*(brackets[d] for d in delta))
     if spec.quantity == "e":
-        return e, thr, np.sign(np.subtract(e, thr)).tolist()
-    M = spec.matrices(A)
-    lower, upper = radius_bounds(M, 2 if spec.quantity == "q" else 1)
+        return thr, np.sign(np.subtract(e, thr)).tolist()
+    M, t = spec.matrices(A), (2 if spec.quantity == "q" else 1)
+    lower, upper = radius_bounds(M, t)
     side = (lower > np.array(hi)).astype(int) - (upper < np.array(lo))
-    values = [None] * len(A)
     left_open = np.flatnonzero(side == 0)
     if left_open.size:   # drop the family members: isomorphic graphs have equal values
         family = {d: extremal_degrees(spec.family(n, d)) for d in set(delta)}
         own = np.sort(A[left_open].sum(axis=2), axis=1)[:, ::-1]
         left_open = left_open[(own != [family[delta[i]] for i in left_open.tolist()]).any(axis=1)]
-    if left_open.size:
-        found = largest_eigenvalues(M[left_open]).tolist()
-        side[left_open] = _compare(found, [thr[i] for i in left_open.tolist()])
-        for i, value in zip(left_open.tolist(), found):
-            values[i] = value
-    return values, thr, side.tolist()
+    for i in left_open.tolist():
+        start, end = Fraction(thr[i]) - Fraction(width[i]), Fraction(thr[i]) + Fraction(width[i])
+        for low, high in _power_bounds(M[i], t):
+            side[i] = (low > end) - (high < start)
+            if side[i] or high - low <= end - start:
+                break
+    return thr, side.tolist()
 
 
 def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
-    """(status, e, delta, connected, value, threshold, detail, verdict) of
-    each graph of an (m, n, n) 0/1 adjacency stack of one order, in stack
-    order.
+    """(status, e, delta, connected, threshold, detail, verdict) of each
+    graph of an (m, n, n) 0/1 adjacency stack of one order, in stack order.
 
     e, delta and connected come from stack_stats; when some graph is past
-    the hypotheses, one _bound_sides call settles their bound tests, exactly
-    except for a non-family graph that its certificates leave open.  A value
-    is None where a certificate or the degree sequence settled the test,
-    except for an equality case or a counterexample, which every caller
-    keeps: those get it from the eigensolver.  The oracle runs on a Graph
-    built from the stack, for a graph past the bound only.  The tests run in
-    the order check_theorem documents.
+    the hypotheses, one _bound_sides call settles their bound tests
+    exactly.  The oracle runs on a Graph built from the stack, for a graph
+    past the bound only.  The tests run in the order check_theorem
+    documents.
     """
     n = A.shape[1]
     e, delta, connected = stack_stats(A)
@@ -271,11 +273,11 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
     for i, f in enumerate(failed):
         stats = e[i], delta[i], connected[i]
         if f is not None:
-            yield HYPOTHESES_NOT_MET, *stats, None, None, f, None
+            yield HYPOTHESES_NOT_MET, *stats, None, f, None
             continue
-        value, thr, side = next(bounds)
+        thr, side = next(bounds)
         if side == below:
-            yield BOUND_NOT_MET, *stats, value, thr, "", None
+            yield BOUND_NOT_MET, *stats, thr, "", None
             continue
         [g] = stack_graphs(A[i:i + 1])
         verdict = is_fext_definitional(g, spec.k)
@@ -286,20 +288,22 @@ def _classify(A: np.ndarray, spec: TheoremSpec) -> Iterator[tuple]:
             status, detail = EQUALITY_CASE, "isomorphic to the exceptional graph"
         elif verdict.answer:
             status = CONFIRMED
-        if value is None and status in (EQUALITY_CASE, COUNTEREXAMPLE):
-            [value] = spec.values(A[i:i + 1])
-        yield status, *stats, value, thr, detail, verdict
+        yield status, *stats, thr, detail, verdict
 
 
-def _result(line: str, n: int, spec: TheoremSpec, outcome: tuple) -> CheckResult:
-    """The CheckResult of one _classify outcome of an order-n graph, given its graph6 line."""
-    status, e, delta, connected, *rest = outcome   # value, threshold, detail, verdict
-    return CheckResult(status, spec.id, spec.k, n, e, delta, connected, line, *rest)
+def _result(line: str, A: np.ndarray, spec: TheoremSpec, outcome: tuple) -> CheckResult:
+    """The CheckResult of the _classify outcome of the graph of a stack of
+    one, given its graph6 line; past the hypotheses its value is the
+    eigensolver's, from TheoremSpec.values, the one place a value is made."""
+    status, e, delta, connected, thr, *rest = outcome   # detail, verdict
+    value = None if thr is None else spec.values(A)[0]
+    return CheckResult(status, spec.id, spec.k, A.shape[1], e, delta, connected, line, value, thr,
+                       *rest)
 
 
 def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     """Classify one graph against one sufficient condition: _classify on
-    the stack of one.
+    the stack of one, and _result.
 
     Order: hypotheses, then the bound, then the exceptional-graph test,
     then is_fext_definitional, which decides at every order.  A
@@ -308,10 +312,7 @@ def check_theorem(g: Graph, spec: TheoremSpec) -> CheckResult:
     none should ever appear.
     """
     A = adjacency_matrices([g])
-    r = _result(stack_graph6(A)[0], g.n, spec, next(_classify(A, spec)))
-    if r.value is None and r.threshold is not None:   # settled by a certificate alone
-        r = replace(r, value=spec.values(A)[0])
-    return r
+    return _result(stack_graph6(A)[0], A, spec, next(_classify(A, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,7 @@ def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
         keep = [i for i, (status, *_) in enumerate(outcomes)
                 if status in (EQUALITY_CASE, COUNTEREXAMPLE)]
         if keep:   # most chunks keep nothing, and then encode nothing
-            kept += [(positions[i], _result(line, A.shape[1], spec, outcomes[i]))
+            kept += [(positions[i], _result(line, A[i:i + 1], spec, outcomes[i]))
                      for i, line in zip(keep, stack_graph6(A[keep]))]
     kept.sort(key=lambda item: item[0])
     scanned = counts.total()
@@ -613,7 +614,7 @@ def lemma_grid(lemma: str, *, k_max: int, n_max: int, delta_max: int | None = No
 class SharpnessReport:
     params: ExtremalParams
     theorem: str
-    not_extendable: bool
+    not_extendable: bool | None   # None: check_theorem ran no oracle
     witness_is_clique: bool
     bound_equality: bool
     value: float | int | None
@@ -625,7 +626,7 @@ class SharpnessReport:
 
     @property
     def ok(self) -> bool:
-        return (self.not_extendable and self.witness_is_clique and self.bound_equality
+        return (bool(self.not_extendable) and self.witness_is_clique and self.bound_equality
                 and self.connected and self.min_degree_is_s and self.mu_floor_ok is not False)
 
 
@@ -638,9 +639,9 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
     exactly: the edge count equals the threshold, or the Q (q) or D (mu)
     quotient over positional_blocks is equitable with the threshold member's
     family_cubic as its charpoly3.  Outside the hypotheses there is no
-    threshold and no oracle verdict: not ok.  For mu, the floor n - s + 2k + 3
-    holds when the member's dyadic bracket starts at or above it, or else
-    when its monic cubic is <= 0 there."""
+    threshold and no oracle verdict (not_extendable is None): not ok.  For
+    mu, the floor n - s + 2k + 3 holds when the member's dyadic bracket
+    starts at or above it, or else when its monic cubic is <= 0 there."""
     g = extremal_graph(p)
     r = check_theorem(g, spec)
     clique = Verdict(False, BAD_SET, witness_set=(1 << p.s) - 1)
@@ -658,7 +659,7 @@ def sharpness(p: ExtremalParams, spec: TheoremSpec) -> SharpnessReport:
         floor_ok = (_family_threshold("mu", p)[1] >= floor << DYADIC_BITS
                     or ((floor + c.c2) * floor + c.c1) * floor + c.c0 <= 0)
     return SharpnessReport(params=p, theorem=spec.id,
-                           not_extendable=r.oracle is not None and not r.oracle.answer,
+                           not_extendable=None if r.oracle is None else not r.oracle.answer,
                            witness_is_clique=verify_witness(g, spec.k, clique),
                            bound_equality=equal, value=r.value, threshold=r.threshold,
                            connected=r.connected, min_degree_is_s=r.min_degree == p.s,
@@ -744,10 +745,10 @@ def sample_spanning_subgraphs(p: ExtremalParams, spec: TheoremSpec, *,
         outcomes = list(_classify(A, spec))
         connected = [outcome[3] for outcome in outcomes]
         rejected += connected.count(False)
-        for line, outcome in zip(stack_graph6(A[connected]), compress(outcomes, connected)):
-            tallies[outcome[0]] += 1
-            if outcome[0] in (COUNTEREXAMPLE, EQUALITY_CASE):
-                kept.append(_result(line, n, spec, outcome))
+        for b, line in zip(compress(range(len(A)), connected), stack_graph6(A[connected])):
+            tallies[outcomes[b][0]] += 1
+            if outcomes[b][0] in (COUNTEREXAMPLE, EQUALITY_CASE):
+                kept.append(_result(line, A[b:b + 1], spec, outcomes[b]))
     return SampleReport(params=p, theorem=spec.id, samples=samples, rejected=rejected,
                         statuses=tuple(sorted(tallies.items())),
                         counterexamples=tuple(r for r in kept if r.status == COUNTEREXAMPLE),

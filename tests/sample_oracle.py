@@ -41,7 +41,7 @@ def sample_reference(p, spec, *, samples, seed):
         for u, v in cut:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        res = _result(reference_graph6(Graph._of(n, tuple(rows))), n, spec, outcome)
+        res = _result(reference_graph6(Graph._of(n, tuple(rows))), A, spec, outcome)
         tallies[res.status] = tallies.get(res.status, 0) + 1
         if res.status == COUNTEREXAMPLE:
             cex.append(res)

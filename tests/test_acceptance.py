@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracext import (DEFAULT_TOL, ExtremalParams, Graph, charpoly3,
+from fracext import (ExtremalParams, Graph, charpoly3,
                      closed_form, extremal_graph, largest_eigenvalue,
                      largest_real_root, parse_graph6, quotient)
 from fracext.corpus import are_isomorphic
@@ -163,7 +163,7 @@ def test_criterion_06_q_comparison_grid():
     eq_rows = [r for r in rep.rows if r.equality_expected]
     assert all(r.s == 2 * r.k for r in eq_rows)
     assert rep.equality_points == len(eq_rows) > 0
-    assert rep.min_strict_margin > 10 * DEFAULT_TOL
+    assert rep.min_strict_margin > 1e-9
     assert rep.max_crosscheck_error < 1e-8
     print(f"[criterion 6] PASS: {rep.points} grid points, "
           f"{rep.equality_points} equality rows, strict margin "

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -572,71 +571,15 @@ def _counting(monkeypatch, module, name):
 
 def test_grid_rows_are_built_for_violations_only(capsys, monkeypatch):
     from fracext import theorems
-    rows, compares = (_counting(monkeypatch, theorems, name) for name in ("GridRow", "_compare"))
+    rows = _counting(monkeypatch, theorems, "GridRow")
     for argv in GRID_DELTA_ARGV:
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == 0 and json.loads(out)["summary"]["scanned"] > 1000
-    assert len(rows) == 0 and len(compares) == 0   # disjoint brackets decide every row
+    assert len(rows) == 0   # disjoint brackets decide every row
     monkeypatch.setattr(theorems, "CROSSCHECK_TOL", 1e-18)
     code, out, _ = run(["grid", "--lemma", "q1q2", "-k", "1", "-n", "12", "--format", "json"],
                        capsys)
     assert code == 1 and len(rows) == json.loads(out)["summary"]["scanned"] > 0
-    assert len(compares) == 0
-
-
-def test_sweep_certificates_leave_few_graphs_to_the_eigensolver(capsys, monkeypatch):
-    from fracext import theorems
-    settled, solved = [], []
-    real_sides, real_eig = theorems._bound_sides, theorems.largest_eigenvalues
-
-    def sides(*args):
-        values, thr, out = real_sides(*args)
-        settled.extend("open" if value is not None else side for value, side in zip(values, out))
-        return values, thr, out
-
-    monkeypatch.setattr(theorems, "_bound_sides", sides)
-    monkeypatch.setattr(theorems, "largest_eigenvalues", lambda M: solved.append(len(M)) or real_eig(M))
-    # every connected graph of order 8 is past q_1's hypotheses at k = 1: the
-    # certificates at t = 2 prove all but 7 of them below or above the bound;
-    # the family's degree sequence puts it on the bound (side 0), and the
-    # eigensolver sees the other 6, and the family once more for its printed value
-    code, out, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:8", "--format", "json"],
-                       capsys)
-    assert code == 0 and json.loads(out)["summary"]["equality_cases"] == 1
-    assert Counter(settled) == {-1: 11_097, 1: 13, 0: 1, "open": 6} and sum(solved) == 7
-    # no graph of order 7 is, so its stacks skip the bound test
-    settled.clear()
-    solved.clear()
-    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:7", "--format", "json"],
-                     capsys)
-    assert code == 0 and not settled and not solved
-    # every draw of the order-35 samplers past the hypotheses is proven above mu's bound
-    for s in (3, 4, 5):
-        rep = theorems.sample_spanning_subgraphs(ExtremalParams(35, 1, s),
-                                                 theorems.theorem_spec("mu", 1), samples=1000)
-        assert dict(rep.statuses)["bound_not_met"] > 0
-    assert settled and set(settled) == {1} and not solved
-
-
-def test_compare_sees_only_open_non_family_graphs(capsys, monkeypatch):
-    # _compare is called from _bound_sides alone: on connected:8 it gets the
-    # 6 graphs the certificates leave open besides the family.  report --full
-    # calls it not at all: its grids, sharpness and samples are all exact
-    from fracext import theorems
-    callers, real = [], theorems._compare
-
-    def compare(x, ref):
-        callers.append((sys._getframe(1).f_code.co_name, len(x)))
-        return real(x, ref)
-
-    monkeypatch.setattr(theorems, "_compare", compare)
-    code, _, _ = run(["sweep", "--theorem", "q_1", "-k", "1", "connected:8", "--format", "json"],
-                     capsys)
-    assert code == 0 and {name for name, _ in callers} == {"_bound_sides"}
-    assert sum(size for _, size in callers) == 6
-    callers.clear()
-    code, _, _ = run(["report", "--full", "--format", "json"], capsys)
-    assert code == 0 and callers == []
 
 
 @pytest.mark.parametrize("argv,md5", [

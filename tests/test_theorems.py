@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -169,7 +170,7 @@ def test_graph_without_k_matching_past_the_bound_is_a_counterexample(monkeypatch
     # fractional k-extendability asks for a k-matching, so a graph without
     # one that meets hypotheses and bound refutes the condition: K_{1,12}
     # is connected, has order 13 = 2k+9 and no 2-matching
-    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (0, None, None))
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (0, None, None, None))
     star = Graph.from_edges(13, [(0, i) for i in range(1, 13)])
     r = check_theorem(star, theorem_spec("edge_1", 2))
     assert r.oracle is not None and r.oracle.reason == "no_k_matching"
@@ -615,27 +616,11 @@ def test_strict_rows_are_decided_by_disjoint_brackets(lemma, quantity, group, si
 
 
 def compare_reference(x, ref) -> int:
-    """-1, 0 or 1 as x is below, at or above ref, within 10*DEFAULT_TOL*max(1, |ref|)."""
-    margin = 10.0 * theorems.DEFAULT_TOL * max(1.0, abs(float(ref)))
+    """-1, 0 or 1 as x is below, at or above ref, within a float margin of 1e-9 * max(1, |ref|)."""
+    margin = 1e-9 * max(1.0, abs(float(ref)))
     if x < ref - margin:
         return -1
     return 1 if x > ref + margin else 0
-
-
-def test_compare_is_elementwise_and_returns_python_ints():
-    # values at, just inside and just outside the margin of refs either side of 1
-    refs = [0.0, 0.5, 1.0, -3.0, 12.3852, 1e6, 7, 47]
-    xs = [r + d * 10.0 * theorems.DEFAULT_TOL * max(1.0, abs(r)) * f
-          for r in refs for d in (-1, 1) for f in (0.5, 1.0, 1.5, 1e6)] + [0.0, 7, 48, np.nan]
-    pairs = [(x, r) for x in xs for r in refs]
-    got = theorems._compare([x for x, _ in pairs], [r for _, r in pairs])
-    assert got == [compare_reference(x, r) for x, r in pairs]
-    assert {type(side) for side in got} == {int} and set(got) == {-1, 0, 1}
-    assert theorems._compare(np.array([1.0, 2.0]), 1.5) == [-1, 1]
-    assert theorems._compare(np.empty(0), np.empty(0)) == []
-    for x, r in pairs[:50]:
-        side = theorems._compare(x, r)
-        assert type(side) is int and side == compare_reference(x, r)
 
 
 def test_grid_test_vectors_bitwise_equal_the_reference_read_off_each_matrix():
@@ -774,11 +759,12 @@ def test_clique_witness_holds_small_and_large():
 ])
 def test_sharpness_outside_the_hypotheses_is_not_ok(theorem, params):
     # one order below the least order, or (q_2) minimum degree 2 < 2k+1:
-    # check_theorem gives no threshold and runs no oracle, so nothing is sharp
+    # check_theorem gives no threshold and runs no oracle, so nothing is sharp,
+    # and not_extendable is None: no oracle read the graph
     p = ExtremalParams(*params)
     rep = sharpness(p, theorem_spec(theorem, 1))
     assert check_theorem(extremal_graph(p), theorem_spec(theorem, 1)).status == "hypotheses_not_met"
-    assert not rep.ok and not rep.bound_equality and not rep.not_extendable
+    assert rep.ok is False and not rep.bound_equality and rep.not_extendable is None
     assert rep.value is None and rep.threshold is None
     assert rep.witness_is_clique and rep.connected and rep.min_degree_is_s
 
@@ -806,8 +792,8 @@ def test_sharpness_mu_floor_from_the_bracket_or_the_cubic_sign(monkeypatch):
     real = theorems._family_threshold
 
     def low(quantity, member):
-        thr, _, hi = real(quantity, member)
-        return thr, 0, hi
+        thr, _, hi, width = real(quantity, member)
+        return thr, 0, hi, width
 
     def cube(*args):
         return spectral.Cubic(-3, 3, -1)
@@ -828,7 +814,7 @@ def test_sharpness_needs_the_equality_case(monkeypatch):
     # the threshold
     p, spec = ExtremalParams(12, 1, 3), theorem_spec("edge_1", 1)
     monkeypatch.setattr(theorems, "_family_threshold",
-                        lambda quantity, member: (extremal_edge_count(p), None, None))
+                        lambda quantity, member: (extremal_edge_count(p), None, None, None))
     rep = sharpness(p, spec)
     assert check_theorem(extremal_graph(p), spec).status == "COUNTEREXAMPLE"
     assert rep.value == rep.threshold == 51 and rep.not_extendable and rep.witness_is_clique
@@ -838,15 +824,18 @@ def test_sharpness_needs_the_equality_case(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(-1, 0), (0, 1)])
 def test_a_bracket_sharing_an_end_with_both_bounds_stays_open(lo, hi, monkeypatch):
     # K_10's Q has every row sum 18, so both of its bounds are exactly
-    # x = 18 * 2^20: a bracket (x - 1, x) or (x, x + 1) is not cleared by
-    # either, and the graph goes to the eigensolver (a non-strict comparison
-    # would read sides 1 and -1)
-    x = 18 << spectral.DYADIC_BITS
-    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (18.0, x + lo, x + hi))
+    # x = 18 * 2^20 at every t: a bracket (x - 1, x) or (x, x + 1) is cleared
+    # neither by the certificate nor by the power steps, whose width rule
+    # puts K_10 on it (a non-strict comparison would read sides 1 and -1)
+    x, scale = 18 << spectral.DYADIC_BITS, 2.0 ** spectral.DYADIC_BITS
+    root, width = (x + (lo + hi) / 2) / scale, 0.5 / scale   # the bracket's own root -/+ width
+    monkeypatch.setattr(theorems, "_family_threshold",
+                        lambda quantity, p: (root, x + lo, x + hi, width))
+    routes = _route_tally(monkeypatch)
     A = adjacency_matrices([complete(10)])
     assert [int(v[0]) for v in spectral.radius_bounds(signless_laplacians(A), 2)] == [x, x]
-    values, _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [45], [9])
-    assert sides == [0] and values[0] == pytest.approx(18.0)
+    _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [45], [9])
+    assert sides == [0] and routes == Counter({"width": 1, "last step": 3})
 
 
 def test_family_brackets_round_root_and_width_outward():
@@ -857,9 +846,10 @@ def test_family_brackets_round_root_and_width_outward():
                (79, 3, 7), (123, 5, 11), (128, 10, 21), (127, 60, 123)]
     for quantity in ("q", "mu"):
         for member in members:
-            _, lo, hi = theorems._family_threshold(quantity, ExtremalParams(*member))
+            thr, lo, hi, w = theorems._family_threshold(quantity, ExtremalParams(*member))
             [root], [width] = (map(Fraction, a.tolist()) for a in
                                largest_real_roots(family_coefficients(quantity, [member])))
+            assert (thr, w) == (root, width), member
             assert lo <= scale * (root - width) and hi >= scale * (root + width), member
             assert hi - lo <= scale * 2 * width + 2, member
 
@@ -891,24 +881,68 @@ def test_a_probe_row_past_its_bound_is_one_inequality_violation(monkeypatch):
 
 
 def _settled_sides_agree_with_eigvalsh(A, spec, delta, bound_sides=theorems._bound_sides):
-    """bound_sides of a stack, with each side settled with no eigenvalue
-    (value None) checked against eigvalsh: a certificate's -1 or 1, and the
-    family's 0, given only to a graph isomorphic to the family.  A Counter
-    of -1, 0 and 1 for the settled graphs and "open" for the others."""
+    """bound_sides of a stack, each side checked against eigvalsh through
+    compare_reference: a -1 or 1 is never the float's opposite side, and a 0
+    goes only to a graph that the float puts on its threshold.  A Counter of
+    the sides."""
     e = (A.sum(axis=(1, 2)) // 2).tolist()
-    values, thr, sides = bound_sides(A, spec, e, delta)
-    truth = theorems._compare(spec.values(A), thr)
-    for g, d, value, side, true in zip(stack_graphs(A), delta, values, sides, truth):
-        if value is None and side == 0:
-            assert true == 0 and matches_extremal(g, spec.family(g.n, d))
-        else:
-            assert value is not None or side in (-1, 1) and true != -side
-    return Counter(side if value is None else "open" for value, side in zip(values, sides))
+    thr, sides = bound_sides(A, spec, e, delta)
+    for value, t, side in zip(spec.values(A), thr, sides):
+        true = compare_reference(value, t)
+        assert true in (0, side), (value, t, side)
+    return Counter(sides)
 
 
-def test_certificates_never_contradict_eigvalsh_on_small_graphs():
+def _route_tally(monkeypatch):
+    """A Counter of the bound tests that _bound_sides decides, by route:
+    ("t", side) for the int64 certificate, "family" for the degree sequence,
+    ("steps", side) for the exact power steps and "width" for their width
+    rule; "last step" is the largest t the steps reached, and "eig" counts
+    largest_eigenvalues calls made inside _bound_sides.  A graph the degree
+    sequence puts on its threshold must be isomorphic to the family."""
+    routes, stepped, inside = Counter(), {}, []
+    real_sides, real_steps, real_eig = (theorems._bound_sides, theorems._power_bounds,
+                                        theorems.largest_eigenvalues)
+
+    def steps(M, t):
+        for step, bounds in enumerate(real_steps(M, t), t + 1):
+            stepped[M.tobytes()] = step
+            yield bounds
+
+    def sides(A, spec, e, delta):
+        stepped.clear()
+        inside.append(True)
+        thr, out = real_sides(A, spec, e, delta)
+        inside.pop()
+        for i, (M, side) in enumerate(zip(spec.matrices(A), out)):
+            step = stepped.get(M.tobytes())
+            route = (("t", side) if step is None and side else "family" if step is None
+                     else ("steps", side) if side else "width")
+            routes[route] += 1
+            if route == "family":
+                [g] = stack_graphs(A[i:i + 1])
+                assert matches_extremal(g, spec.family(g.n, delta[i]))
+            if step:
+                routes["last step"] = max(routes["last step"], step)
+        return thr, out
+
+    def eig(M):
+        if inside:
+            routes["eig"] += 1
+        return real_eig(M)
+
+    for name, patched in (("_bound_sides", sides), ("_power_bounds", steps),
+                          ("largest_eigenvalues", eig)):
+        monkeypatch.setattr(theorems, name, patched)
+    return routes
+
+
+def test_certificates_never_contradict_eigvalsh_on_small_graphs(monkeypatch):
     # every connected graph of order 3-8, against q_1's threshold and the
-    # q_2 and mu thresholds of its own minimum degree where that family exists
+    # q_2 and mu thresholds of its own minimum degree where that family
+    # exists; the power steps prove 70 graphs below, and the width rule takes
+    # only the two exact ties E~z_ (q_1) and G~~vf? (q_2), the latter at t = 34
+    routes = _route_tally(monkeypatch)
     tally = {theorem: Counter() for theorem in ("q_1", "q_2", "mu")}
     for n in range(3, 9):
         A = connected_stack(n)
@@ -918,20 +952,61 @@ def test_certificates_never_contradict_eigvalsh_on_small_graphs():
             # the family of minimum degree d exists from order 2d - 1 on
             keep = np.flatnonzero((delta >= 2) & (2 * delta - 1 <= n)) if spec.uses_delta \
                 else np.arange(len(A))
-            counts.update(_settled_sides_agree_with_eigvalsh(A[keep], spec, delta[keep].tolist()))
-    assert all(t[-1] and t[0] and t[1] and t["open"] for t in tally.values()), tally
+            counts.update(_settled_sides_agree_with_eigvalsh(
+                A[keep], spec, delta[keep].tolist(), theorems._bound_sides))
+    assert all(t[-1] and t[0] and t[1] for t in tally.values()), tally
+    assert routes == Counter({("t", -1): 20_048, ("t", 1): 7_899, "family": 30,
+                              ("steps", -1): 70, "width": 2, "last step": 34}), routes
 
 
 @pytest.mark.parametrize("offset, side", [(-1, 1), (0, 0), (1, -1)])
 def test_certificates_prove_only_strict_sides(offset, side, monkeypatch):
     # K_11's Q has every row sum 20, so both of its bounds are exactly 20: a
     # bracket one grid step below or above is cleared, and one at 20 is a tie,
-    # which stays open for the eigensolver
+    # which the power steps put on its threshold by the width rule
     end = (20 << spectral.DYADIC_BITS) + offset
-    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (20.0, end, end))
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (
+        end / 2 ** spectral.DYADIC_BITS, end, end, 0.0))
+    routes = _route_tally(monkeypatch)
     A = adjacency_matrices([complete(11)])
-    values, _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [55], [10])
-    assert sides == [side] and (values[0] is None) == (side != 0)
+    _, sides = theorems._bound_sides(A, theorem_spec("q_1", 1), [55], [10])
+    assert sides == [side]
+    assert routes == (Counter({("t", side): 1}) if side else Counter({"width": 1, "last step": 3}))
+
+
+@pytest.mark.parametrize("start, end", [(19, 20), (20, 21)])
+def test_power_steps_prove_only_strict_sides(start, end, monkeypatch):
+    # K_11's bounds are 20 at every t, so a bracket ending exactly at 20 is
+    # cleared neither by the certificate nor by any power step; the width
+    # rule puts K_11 on it (a loop comparing with >= or <= would read 1 or -1)
+    root, width = (start + end) / 2, (end - start) / 2
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (
+        root, start << spectral.DYADIC_BITS, end << spectral.DYADIC_BITS, width))
+    routes = _route_tally(monkeypatch)
+    _, sides = theorems._bound_sides(adjacency_matrices([complete(11)]),
+                                     theorem_spec("q_1", 1), [55], [10])
+    assert sides == [0] and routes == Counter({"width": 1, "last step": 3})
+
+
+def test_power_steps_compare_with_the_unrounded_bracket(monkeypatch):
+    # P_6's Rayleigh bound at t = 3 lies in the lower half of its float's ulp.
+    # A bracket ending just at or above it, by a width below half an ulp, is
+    # not cleared at t = 3, though its end rounded to a float would be; t = 4
+    # clears it
+    M = signless_laplacians(adjacency_matrices([path(6)]))
+    low = next(theorems._power_bounds(M[0], 2))[0]
+    root = float(low)
+    width = float(low - Fraction(root))
+    width = width if root + Fraction(width) >= low else math.nextafter(width, math.inf)
+    assert Fraction(root) < low and root + width == root
+    scale = 1 << spectral.DYADIC_BITS
+    monkeypatch.setattr(theorems, "_family_threshold", lambda quantity, p: (
+        root, math.floor((root - Fraction(width)) * scale),
+        math.ceil((root + Fraction(width)) * scale), width))
+    routes = _route_tally(monkeypatch)
+    _, sides = theorems._bound_sides(adjacency_matrices([path(6)]), theorem_spec("q_1", 1),
+                                     [5], [1])
+    assert sides == [1] and routes == Counter({("steps", 1): 1, "last step": 4})
 
 
 def test_certificates_never_contradict_eigvalsh_on_criterion_10_draws(monkeypatch):
@@ -946,7 +1021,63 @@ def test_certificates_never_contradict_eigvalsh_on_criterion_10_draws(monkeypatc
     spec = theorem_spec("mu", 1)
     for s in (3, 4, 5):
         sample_spanning_subgraphs(ExtremalParams(35, 1, s), spec, samples=10_000, seed=20260822 + s)
-    assert tally[1] > 9_000 and not tally[-1] and not tally["open"], tally
+    assert tally[1] > 9_000 and not tally[-1] and not tally[0], tally
+
+
+# q_1 corpora at k = 1, 2, 3: connected:8 and three Feng-Yu budget corpora
+ROUTE_CORPORA = [
+    (1, lambda: connected_stack(8),
+     {("t", -1): 11_097, ("t", 1): 13, "family": 1, ("steps", -1): 6, "last step": 5}),
+    (1, lambda: complement_stack(11, 8),
+     {("t", -1): 621, ("t", 1): 69, "family": 1, ("steps", -1): 61, "last step": 8}),
+    (2, lambda: complement_stack(13, 9),
+     {("t", -1): 2029, ("t", 1): 86, "family": 1, ("steps", -1): 108, ("steps", 1): 4,
+      "last step": 7}),
+    (3, lambda: complement_stack(13, 7),
+     {("t", -1): 239, ("t", 1): 32, "family": 1, ("steps", -1): 17, ("steps", 1): 1,
+      "last step": 4}),
+]
+
+
+def test_every_bound_test_is_decided_by_an_exact_route(monkeypatch):
+    # no eigensolver call inside _bound_sides: the int64 certificate decides
+    # most graphs, the degree sequence the family, and the exact power steps
+    # the rest, each within 8 steps and on the side eigvalsh gives, with no
+    # side 0 from the width rule
+    routes = _route_tally(monkeypatch)
+    for k, corpus, expected in ROUTE_CORPORA:
+        routes.clear()
+        A, spec = corpus(), theorem_spec("q_1", k)
+        rep = sweep(A, spec)
+        assert routes == Counter(expected), (k, routes)
+        assert len(rep.equality_cases) == 1 and rep.ok
+        _settled_sides_agree_with_eigvalsh(A, spec, [None] * len(A), theorems._bound_sides)
+    # no connected graph of order 7 is past q_1's hypotheses at k = 1
+    routes.clear()
+    assert sweep(connected_stack(7), theorem_spec("q_1", 1)).hypothesis_met == 0 and not routes
+    # criterion 10's draws past the hypotheses are all proven above mu's bound at t = 1
+    for s in (3, 4, 5):
+        sample_spanning_subgraphs(ExtremalParams(35, 1, s), theorem_spec("mu", 1),
+                                  samples=10_000, seed=20260822 + s)
+    assert routes == Counter({("t", 1): 10_556}), routes
+
+
+@pytest.mark.parametrize("line, theorem, order, last", [("E~z_", "q_1", 6, 15),
+                                                        ("G~~vf?", "q_2", 8, 34)])
+def test_exact_ties_get_side_0_from_the_width_rule(line, theorem, order, last, monkeypatch):
+    # E~z_ = family(6, 1, 3) ties q_1's threshold family(6, 1, 2), and
+    # G~~vf? = family(8, 1, 4) less the edge (3, 7) ties q_2's family(8, 1, 3),
+    # both below the least order, lifted here as for the order hypothesis.
+    # Neither is the family, and their bounds never clear the bracket: they
+    # close within its width at step `last`, with no eigenvalue, and the
+    # graph goes to the oracle
+    monkeypatch.setitem(theorems._THEOREMS, theorem,
+                        (*theorems._THEOREMS[theorem][:4], lambda k, delta: order))
+    routes = _route_tally(monkeypatch)
+    r = check_theorem(parse_graph6(line), theorem_spec(theorem, 1))
+    assert routes == Counter({"width": 1, "last step": last})
+    assert r.status == theorems.COUNTEREXAMPLE and r.oracle is not None
+    assert r.value != r.threshold and abs(r.value - r.threshold) < 1e-12
 
 
 def test_sampling_determinism_and_tallies():
