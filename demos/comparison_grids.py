@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 # The inequalities between family spectra, verified on parameter grids.
 from fracext import ExtremalParams
-from fracext.theorems import (lemma_grid, probe_gap_region,
+from fracext.theorems import (edge_certificates, lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness,
                               theorem_spec)
+
+# the edge comparison at every order: 12 margins, each proven positive by its coefficients
+print(*(f"{t} r={r} {m}: constant {C[0, 0, 0]}, proven {ok}\n"
+        for t, r, m, C, ok in edge_certificates()), sep="")
 
 # q(general family) <= q(dense family), equality exactly at s=2k
 rep = lemma_grid("q1q2", k_max=2, n_max=30)

@@ -47,7 +47,6 @@ from .corpus import are_isomorphic
 from .theorems import (
     CheckResult,
     GridReport,
-    IdentityReport,
     LEMMA_IDS,
     SampleReport,
     SharpnessReport,
@@ -55,7 +54,6 @@ from .theorems import (
     THEOREM_IDS,
     TheoremSpec,
     check_theorem,
-    edge_count_identities,
     lemma_grid,
     probe_gap_region,
     sample_spanning_subgraphs,

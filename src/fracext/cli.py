@@ -25,7 +25,7 @@ from .graph6 import emit_graph6, parse_graph6
 from .matching import BAD_MATCHING, BAD_SET, Verdict, is_fext_definitional
 from .spectral import FAMILIES, closed_form, family_cubic, largest_real_root, spectral_report
 from .corpus import complement_stack, connected_stack
-from .theorems import (LEMMA_IDS, THEOREM_IDS, edge_count_identities, lemma_grid,
+from .theorems import (LEMMA_IDS, THEOREM_IDS, edge_certificates, lemma_grid,
                        probe_gap_region, sample_spanning_subgraphs, sharpness,
                        sweep, theorem_spec)
 
@@ -253,21 +253,18 @@ def cmd_polys(args, out) -> int:
 
 
 def cmd_report(args, out) -> int:
-    """One composite run: identities, sharpness, grids, probes, sampling."""
+    """One composite run: the edge proof, sharpness, grids, probes, sampling."""
     k = args.k
     full = args.full
     results = []
     passed = []  # one entry per section: did its own check hold
 
-    ident_points = [(k, s, n, d)
-                    for s in range(2 * k, 2 * k + 5)
-                    for d in range(2 * k, s + 1)
-                    for n in range(2 * s - 2 * k + 1, 2 * s + 10, 3)]
-    bad = sum(0 if edge_count_identities(k, s, n, d).ok else 1
-              for k, s, n, d in ident_points)
-    passed.append(bad == 0)
-    results.append({"section": "edge_identities",
-                    "points": len(ident_points), "failures": bad})
+    certificates = edge_certificates()   # the same rows at every k
+    proven = sum(row[-1] for row in certificates)
+    passed.append(proven == len(certificates))
+    results.append({"section": "edge_proof", "certificates": len(certificates), "proven": proven,
+                    "constants": [C[0, 0, 0].item() for *_, C, _ in certificates],
+                    "claim": "the edge comparison and edge_1's k-matching premise at every order"})
 
     # each bound is sharp at its family member of least order
     d0 = 2 * k + 1

@@ -207,5 +207,6 @@ def extremal_degrees(p: ExtremalParams) -> tuple[int, ...]:
 
 
 def matches_extremal(g: Graph, p: ExtremalParams) -> bool:
-    """Is g isomorphic to extremal_graph(p)?  Order and degrees decide (extremal_degrees)."""
-    return g.n == p.n and g.degree_sequence() == extremal_degrees(p)
+    """Is g isomorphic to extremal_graph(p)?  Degrees decide (extremal_degrees),
+    and the order too: g's sequence has g.n entries and the family's p.n."""
+    return g.degree_sequence() == extremal_degrees(p)

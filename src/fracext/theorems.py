@@ -36,11 +36,13 @@ back every root with the width of its certified bracket, with no matrix or
 eigensolver call; a strict row holds when the two brackets are disjoint on
 its side.  A gap probe is the q1q3 or mu_compare grid of one (k, delta) from
 order 6*delta up to the least order, reported but not asserted.
+The edge theorems need no grid: edge_certificates proves their comparison,
+and edge_1's k-matching premise, at every order from 27 values per margin.
 
 Each theorem's region starts at a least order kept once, in _THEOREMS:
 edge_1 2k+9, q_1 2k+6, edge_2 6*delta, q_2 6.5*delta, mu 12*delta-2k+1 (the
 three delta theorems also need delta >= 2k+1).  The hypotheses, grids,
-gap probes and report all read it through TheoremSpec.
+gap probes and edge certificates all read it through TheoremSpec.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -406,60 +408,59 @@ def sweep(corpus: Iterable | np.ndarray, spec: TheoremSpec) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# exact edge-count identities behind the first bound
+# the edge comparison at every order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[tuple[str, Fraction, Fraction], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(lhs == rhs for _, lhs, rhs in self.checks)
-
-
-def _edge_gap_vs_dense(n, k, s) -> Fraction:
-    # e(dense family at s=2k) minus e(family at s), as a polynomial in n
-    return (Fraction(s - 2 * k) * n + 4 * k * s - 2 * k * k + 5 * k
-            - Fraction(3 * s * s, 2) - Fraction(5 * s, 2))
+def _newton(f) -> np.ndarray:
+    """The coefficients C[i, j, l] of f(a, d, c) in the basis
+    C(a, i) C(d, j) C(c, l), i, j, l <= 2: f's forward differences at the
+    origin, read off its 27 values on {0, 1, 2}^3, and exact for an integer
+    polynomial of degree <= 2 in each variable.  Each C(x, i) is >= 0 at an
+    integer x >= 0, so when every coefficient is >= 0 and C[0, 0, 0] > 0, f > 0
+    at every point of N^3."""
+    C = np.array([f(*x) for x in product(range(3), repeat=3)]).reshape(3, 3, 3)
+    for axis in range(3):
+        C = np.stack([np.diff(C, m, axis).take(0, axis) for m in range(3)], axis)
+    return C
 
 
-def edge_count_identities(k: int, s: int, n: int, delta: int) -> IdentityReport:
-    """Exact checks that the edge-count comparisons reduce as claimed.
+def _edge_margins(tid: str, r: int, a: int, d: int, c: int) -> dict[str, int]:
+    """The edge threshold's margins at k = 1 + a, delta = 2k + 1 + d and
+    n = min_order(delta) + 2c + r: over the family at both ends of the
+    admissible s, and for edge_1 over both Erdos-Gallai terms."""
+    spec = theorem_spec(tid, 1 + a)
+    k, delta = spec.k, 2 * spec.k + 1 + d
+    n, s_rhs = spec.min_order(delta) + 2 * c + r, spec.clique(delta)
+    e = [extremal_edge_count(ExtremalParams(n, k, s))
+         for s in (s_rhs, s_rhs + 1, (n + 2 * k - 1) // 2)]
+    margins = {"s_rhs+1": e[0] - e[1], "s_max": e[0] - e[2]}
+    if not spec.uses_delta:   # delta >= 2k+1 gives the delta theorems their k-matching
+        margins["erdos_gallai:K_2k-1"] = e[0] - math.comb(2 * k - 1, 2)
+        margins["erdos_gallai:K_k-1vI"] = e[0] - math.comb(k - 1, 2) - (k - 1) * (n - k + 1)
+    return margins
 
-    Edge counts come from constructed graphs, never from the closed forms
-    being tested; the case polynomials and their boundary values 2 and 1
-    are checked for the given k, and the linear s = 2k+1 reduction for the
-    given n.
+
+def edge_certificates() -> tuple[tuple[str, int, str, np.ndarray, bool], ...]:
+    """(theorem, r, margin, coefficients, proven) of the 12 margins that
+    prove edge_1's and edge_2's edge algebra at every order, each margin's
+    _newton coefficients in k = 1 + a, delta = 2k + 1 + d and
+    n = min_order(delta) + 2c + r, r in {0, 1}, and whether they prove it > 0.
+
+    Step (iii): e of the family at s_rhs = clique(delta) beats e at every
+    s_rhs < s <= s_max = (n + 2k - 1) // 2, and e has second difference 3
+    in s, so checking both ends suffices.  Least orders, cliques and ends
+    are affine in (a, d, c) for each r and e is quadratic in (n, k, s), so
+    each margin has degree <= 2 in each variable.  Premise (o) of edge_1:
+    its threshold beats both terms of max{C(2k-1, 2), C(k-1, 2) +
+    (k-1)(n-k+1)}, the most edges with no k-matching (Erdos and Gallai,
+    "On maximal paths and circuits of graphs", 1959).
     """
-    F = Fraction
-    p1 = ExtremalParams(n=n, k=k, s=s)
-    p2 = ExtremalParams(n=n, k=k, s=2 * k)
-    p3 = ExtremalParams(n=n, k=k, s=delta)
-    e1 = extremal_graph(p1).edge_count()
-    e2 = extremal_graph(p2).edge_count()
-    e3 = extremal_graph(p3).edge_count()
-
-    def h_boundary(x) -> Fraction:
-        return F(x * x, 2) + (-2 * k - F(3, 2)) * x + 2 * k * k + 3 * k
-
-    def h_interior(x) -> Fraction:
-        return F(x * x, 2) + (-2 * k - F(1, 2)) * x + 2 * k * k + k
-
-    checks = [
-        ("closed_e_1", F(e1), F(extremal_edge_count(p1))),
-        ("closed_e_2", F(e2), F(extremal_edge_count(p2))),
-        ("closed_e_3", F(e3), F(extremal_edge_count(p3))),
-        ("dense_gap", F(e2 - e1), _edge_gap_vs_dense(n, k, s)),
-        ("delta_gap", F(e3 - e1),
-         F(s - delta) * (2 * n + 8 * k - 3 * delta - 3 * s - 5) / 2),
-        ("gap_at_min_order", _edge_gap_vs_dense(2 * s - 2 * k + 1, k, s), h_boundary(s)),
-        ("gap_above_min_order", _edge_gap_vs_dense(2 * s - 2 * k + 2, k, s), h_interior(s)),
-        ("boundary_case_value", h_boundary(2 * k + 4), F(2)),
-        ("interior_case_value", h_interior(2 * k + 2), F(1)),
-        ("linear_case_value", _edge_gap_vs_dense(n, k, 2 * k + 1), F(n - 2 * k - 4)),
-    ]
-    return IdentityReport(checks=tuple(checks))
+    rows = []
+    for tid, r in product(("edge_1", "edge_2"), (0, 1)):
+        for name in _edge_margins(tid, r, 0, 0, 0):
+            C = _newton(lambda *x: _edge_margins(tid, r, *x)[name])
+            rows.append((tid, r, name, C, bool(C.min() >= 0 and C[0, 0, 0] > 0)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,7 @@ def test_report_quick(capsys):
     assert code == 0
     doc = json.loads(out)
     sections = {r["section"] for r in doc["results"]}
-    assert sections == {"edge_identities", "sharpness", "grid", "gap_probe",
+    assert sections == {"edge_proof", "sharpness", "grid", "gap_probe",
                         "sampling"}
     probes = [r for r in doc["results"] if r["section"] == "gap_probe"]
     assert probes == [
@@ -596,9 +596,9 @@ def test_sweep_json_bytes_are_pinned(argv, md5, capsys):
 
 
 @pytest.mark.parametrize("flags, md5", [
-    ("1", "ed228f84c06a8d12dedd14fc9c1fdbc6"),
-    ("2", "b25c65f04bc23e87062bcbaae3302911"),
-    ("1 --full", "3ed4cfd9a0d7fe74cc7f75ea9b624fd5"),
+    ("1", "6cec081fb073c4b2bb1482b6f73a5f33"),
+    ("2", "b6eafc9a695bcc865e537e0d00386e34"),
+    ("1 --full", "80deb3854b6578209df3bdd8d6db32e8"),
 ])
 def test_report_json_bytes_are_pinned(flags, md5, capsys):
     # the sampling sections' draws, rejections and statuses are in these
@@ -624,6 +624,20 @@ def test_report_counts_a_failing_grid_as_unconfirmed(capsys, monkeypatch):
     assert summary["confirmed"] < summary["scanned"]
     assert summary == {"scanned": 14, "confirmed": 11, "equality_cases": 0,
                        "counterexamples": 3}
+
+
+def test_report_counts_an_unproven_edge_certificate_as_unconfirmed(capsys, monkeypatch):
+    # below edge_1's least order the s_max margin reaches 0: one section fails
+    from fracext import theorems
+    row = theorems._THEOREMS["edge_1"]
+    monkeypatch.setitem(theorems._THEOREMS, "edge_1", (*row[:4], lambda k, delta: 2 * k + 7))
+    code, out, _ = run(["report", "-k", "1", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1
+    [proof] = [r for r in doc["results"] if r["section"] == "edge_proof"]
+    assert proof["proven"] < proof["certificates"] == 12
+    assert doc["summary"] == {"scanned": 14, "confirmed": 13, "equality_cases": 0,
+                              "counterexamples": 1}
 
 
 @pytest.mark.parametrize("k_max", [1, 2])

@@ -17,8 +17,7 @@ from fracext.spectral import (SWEEP_CHUNK_ENTRIES, adjacency_matrices, family_co
                               family_cubic, largest_real_roots, signless_laplacians,
                               stack_graphs)
 from fracext.matching import BAD_SET, Verdict
-from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem, edge_count_identities,
-                              lemma_grid, probe_gap_region,
+from fracext.theorems import (LEMMA_IDS, THEOREM_IDS, check_theorem, lemma_grid, probe_gap_region,
                               sample_spanning_subgraphs, sharpness, sweep,
                               theorem_spec)
 import family_enclosure
@@ -383,11 +382,125 @@ def test_sweep_of_a_generated_stack_equals_its_graphs_and_lines(theorem):
         assert sweep(stack, spec) == sweep(graphs, spec) == sweep(lines, spec) == want
 
 
-def test_edge_count_identities():
-    for k, s, n, d in ((1, 2, 11, 2), (1, 3, 9, 3), (2, 5, 16, 5), (2, 6, 20, 5), (3, 7, 18, 7)):
-        rep = edge_count_identities(k, s, n, d)
-        assert rep.ok, [c for c in rep.checks if c[1] != c[2]]
-        assert len(rep.checks) == 10
+def _binomial_coefficients(C):
+    return {tuple(i): C[tuple(i)].item() for i in np.argwhere(C).tolist()}
+
+
+def test_newton_reads_the_coefficients_of_a_known_polynomial():
+    # 2 + 3 C(a, 1) C(c, 1) + 7 C(d, 2)
+    C = theorems._newton(lambda a, d, c: 2 + 3 * a * c + 7 * d * (d - 1) // 2)
+    assert C.shape == (3, 3, 3)
+    assert _binomial_coefficients(C) == {(0, 0, 0): 2, (1, 0, 1): 3, (0, 2, 0): 7}
+
+
+@pytest.mark.parametrize("margin, proven", [
+    (lambda a, d, c: 5 - 3 * c, False),   # 5 at the origin, negative from c = 2 on
+    (lambda a, d, c: 3 * c, False),   # 0 at the origin
+    (lambda a, d, c: 2 + 3 * a * c + 7 * d * (d - 1) // 2, True),
+], ids=["5-3c", "3c", "2+3ac+7C(d,2)"])
+def test_a_certificate_needs_nonnegative_coefficients_and_a_positive_constant(margin, proven,
+                                                                             monkeypatch):
+    monkeypatch.setattr(theorems, "_edge_margins", lambda tid, r, *x: {"f": margin(*x)})
+    rows = theorems.edge_certificates()
+    assert len(rows) == 4 and all(row[-1] is proven for row in rows)
+
+
+# (theorem, r, margin): nonzero coefficients in C(a, i) C(d, j) C(c, l), with
+# k = 1 + a, delta = 2k + 1 + d and n = least order + 2c + r
+EDGE_CERTIFICATES = {
+    ("edge_1", 0, "s_rhs+1"): {(0, 0, 0): 5, (0, 0, 1): 2},
+    ("edge_1", 0, "s_max"): {(0, 0, 0): 2, (0, 0, 1): 3, (0, 0, 2): 1},
+    ("edge_1", 0, "erdos_gallai:K_2k-1"): {(0, 0, 0): 47, (0, 0, 1): 21, (0, 0, 2): 4,
+                                           (1, 0, 0): 20, (1, 0, 1): 4},
+    ("edge_1", 0, "erdos_gallai:K_k-1vI"): {(0, 0, 0): 47, (0, 0, 1): 21, (0, 0, 2): 4,
+                                            (1, 0, 0): 11, (1, 0, 1): 2, (2, 0, 0): 1},
+    ("edge_1", 1, "s_rhs+1"): {(0, 0, 0): 6, (0, 0, 1): 2},
+    ("edge_1", 1, "s_max"): {(0, 0, 0): 6, (0, 0, 1): 4, (0, 0, 2): 1},
+    ("edge_1", 1, "erdos_gallai:K_2k-1"): {(0, 0, 0): 57, (0, 0, 1): 23, (0, 0, 2): 4,
+                                           (1, 0, 0): 22, (1, 0, 1): 4},
+    ("edge_1", 1, "erdos_gallai:K_k-1vI"): {(0, 0, 0): 57, (0, 0, 1): 23, (0, 0, 2): 4,
+                                            (1, 0, 0): 12, (1, 0, 1): 2, (2, 0, 0): 1},
+    ("edge_2", 0, "s_rhs+1"): {(0, 0, 0): 9, (0, 0, 1): 2, (0, 1, 0): 3, (1, 0, 0): 10},
+    ("edge_2", 0, "s_max"): {(0, 0, 0): 9, (0, 0, 1): 5, (0, 0, 2): 1, (0, 1, 0): 3,
+                             (0, 1, 1): 1, (1, 0, 0): 35, (1, 0, 1): 5, (1, 1, 0): 5,
+                             (2, 0, 0): 25},
+    ("edge_2", 1, "s_rhs+1"): {(0, 0, 0): 10, (0, 0, 1): 2, (0, 1, 0): 3, (1, 0, 0): 10},
+    ("edge_2", 1, "s_max"): {(0, 0, 0): 7, (0, 0, 1): 5, (0, 0, 2): 1, (0, 1, 0): 2,
+                             (0, 1, 1): 1, (1, 0, 0): 35, (1, 0, 1): 5, (1, 1, 0): 5,
+                             (2, 0, 0): 25},
+}
+
+
+def test_edge_certificates_are_pinned_and_proven():
+    rows = theorems.edge_certificates()
+    assert {(t, r, name): _binomial_coefficients(C) for t, r, name, C, _ in rows} == \
+        EDGE_CERTIFICATES
+    assert [(t, r, name) for t, r, name, *_ in rows] == list(EDGE_CERTIFICATES)
+    assert all(proven for *_, proven in rows)
+
+
+@pytest.mark.parametrize("tid, least, proven", [
+    ("edge_1", lambda k, delta: 2 * k + 7, False),
+    ("edge_1", lambda k, delta: 2 * k + 8, True),
+    ("edge_2", lambda k, delta: 6 * delta - 6, False),
+], ids=["edge_1-2k+7", "edge_1-2k+8", "edge_2-6delta-6"])
+def test_edge_certificates_follow_the_least_order(tid, least, proven, monkeypatch):
+    # at 2k + 7 the family at s_max has as many edges as at 2k
+    monkeypatch.setitem(theorems._THEOREMS, tid, (*theorems._THEOREMS[tid][:4], least))
+    assert all(row[-1] for row in theorems.edge_certificates()) is proven
+
+
+def _edges_by_blocks(n, k, s):
+    # the s-clique, its edges to the other n - s vertices, and the inner clique
+    inner = n - 2 * s + 2 * k - 1
+    return s * (s - 1) // 2 + s * (n - s) + inner * (inner - 1) // 2
+
+
+def test_the_exact_edge_grid_to_order_128_agrees_with_the_certificates():
+    # every admissible s of every (k, delta) whose least order is <= 128, at
+    # every order <= 128: the family at s_rhs has more edges, and edge_1's
+    # threshold beats both Erdos-Gallai terms; the least margins are the
+    # certificates' least constants
+    regions = [("edge_1", k, 2 * k, 2 * k + 9) for k in range(1, 60)]
+    regions += [("edge_2", k, delta, 6 * delta) for k in range(1, 11)
+                for delta in range(2 * k + 1, 22)]
+    rows, least, least_premise = Counter(), {}, math.inf
+    for tid, k, s_rhs, first in regions:
+        for n in range(first, 129):
+            s = np.arange(s_rhs + 1, (n + 2 * k - 1) // 2 + 1)
+            threshold = _edges_by_blocks(n, k, s_rhs)
+            margins = threshold - _edges_by_blocks(n, k, s)
+            rows[tid] += s.size
+            least[tid] = min(least.get(tid, math.inf), margins.min())
+            if tid == "edge_1":
+                no_k_matching = max(math.comb(2 * k - 1, 2),
+                                    math.comb(k - 1, 2) + (k - 1) * (n - k + 1))
+                least_premise = min(least_premise, threshold - no_k_matching)
+    assert rows == {"edge_1": 82_600, "edge_2": 159_725}
+    constants = {}
+    for t, _, name, C, _ in theorems.edge_certificates():
+        constants.setdefault((t, name.startswith("erdos_gallai")), []).append(C[0, 0, 0])
+    assert least == {"edge_1": 2, "edge_2": 7}
+    assert least == {t: min(constants[t, False]) for t in ("edge_1", "edge_2")}
+    assert least_premise == min(constants["edge_1", True]) == 47
+
+
+def test_extremal_edge_count_equals_the_built_graph():
+    # at each edge region's corners and at seeded members up to order 128
+    corners = [(n, k, s) for k in (1, 59) for n in (2 * k + 9, 128)
+               for s in (2 * k, 2 * k + 1, (n + 2 * k - 1) // 2)]
+    corners += [(n, k, s) for k, delta in ((1, 3), (1, 21), (10, 21)) for n in (6 * delta, 128)
+                for s in (delta, delta + 1, (n + 2 * k - 1) // 2)]
+    rng = random.Random(7)
+    members = []
+    while len(members) < 40:
+        n, k = rng.randint(3, 128), rng.randint(1, 63)
+        if 2 * k + 1 <= n:
+            members.append((n, k, rng.randint(2 * k, (n + 2 * k - 1) // 2)))
+    for n, k, s in corners + members:
+        p = ExtremalParams(n, k, s)
+        assert extremal_edge_count(p) == extremal_graph(p).edge_count() == \
+            _edges_by_blocks(n, k, s), p
 
 
 def test_lemma_grid_small_and_equality_rows():
